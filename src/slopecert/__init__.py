@@ -13,6 +13,7 @@ from .slopes import (
     INF,
     Framing,
     FramingChange,
+    InvariantError,
     PrimitiveClass,
     Slope,
     canonical_slope,
@@ -53,6 +54,7 @@ from .pipeline import (
     Cabling,
     DiameterCertificate,
     KnotDescription,
+    LevelCache,
     LevelRecord,
     ambient_h1,
     check_corollary_c,
@@ -80,7 +82,9 @@ __all__ = [
     "Framing",
     "FramingChange",
     "IntMatrix",
+    "InvariantError",
     "KnotDescription",
+    "LevelCache",
     "LevelRecord",
     "PrimitiveClass",
     "SNFResult",

@@ -64,6 +64,7 @@ rather than assuming it.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .linalg import FPAbelianGroup, IntMatrix, group_from_presentation
@@ -125,12 +126,29 @@ class CableSpaceModel:
     def iota_inner(self, a, b):
         return _iota_inner(self.p, self.q, self.orientation, a, b)
 
+    @cached_property
+    def basis_images(self):
+        """Free coordinates of the images of E1, E2 (from T1) and E1', E2'
+        (from T2), read from this model's own ``h1`` once per model.
+
+        Both inclusions are linear, so every other image is a
+        combination of these four.
+        """
+        return (
+            self.h1.rational_coords(self.iota_outer(1, 0)),
+            self.h1.rational_coords(self.iota_outer(0, 1)),
+            self.h1.rational_coords(self.iota_inner(1, 0)),
+            self.h1.rational_coords(self.iota_inner(0, 1)),
+        )
+
     def rational_outer(self, a, b):
         """Free coordinates (a vector over Q) of the image of a*E1 + b*E2."""
-        return self.h1.rational_coords(self.iota_outer(a, b))
+        e1, e2 = self.basis_images[:2]
+        return tuple(a * x + b * y for x, y in zip(e1, e2))
 
     def rational_inner(self, a, b):
-        return self.h1.rational_coords(self.iota_inner(a, b))
+        e1, e2 = self.basis_images[2:]
+        return tuple(a * x + b * y for x, y in zip(e1, e2))
 
 
 def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):

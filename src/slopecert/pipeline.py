@@ -39,9 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cablespace import STANDARD_OUTER_FRAMING, cable_space_homology, glued_manifold_h1
+from .cablespace import (
+    STANDARD_INNER_FRAMING,
+    STANDARD_OUTER_FRAMING,
+    cable_space_homology,
+    glued_manifold_h1,
+)
 from .report import Check, CheckReport
-from .slopes import INF, Framing, Slope
+from .slopes import INF, Framing, InvariantError, Slope
 from .transfer import transfer_certificate
 
 
@@ -182,19 +187,52 @@ def ambient_h1(d):
     return glued_manifold_h1(STANDARD_OUTER_FRAMING, d.base.complementary_meridian)
 
 
-def propagate(d):
+class LevelCache:
+    """Transfer certificates built here, one per set of cabling parameters.
+
+    The key is (p, q, orientation, f_outer, f_inner) with the standard
+    framings filled in, so each level's model and certificate are built
+    once however often the level recurs.  Only certificates built from
+    those parameters are stored: a model or certificate parsed from
+    input never enters, so replaying a stored certificate still
+    compares it against a fresh computation.  Models and certificates
+    are frozen, so sharing one between levels is safe.
+    """
+
+    def __init__(self):
+        self._certificates = {}
+
+    def certificate(self, cabling):
+        """The transfer certificate of the cabling's model, built on first use."""
+        key = (
+            cabling.p,
+            cabling.q,
+            cabling.orientation,
+            STANDARD_OUTER_FRAMING if cabling.f_outer is None else cabling.f_outer,
+            STANDARD_INNER_FRAMING if cabling.f_inner is None else cabling.f_inner,
+        )
+        cert = self._certificates.get(key)
+        if cert is None:
+            cert = self._certificates[key] = transfer_certificate(cabling.model())
+        return cert
+
+
+def propagate(d, cache=None):
     """Per-level strict slope value sets, base first.
 
     Entry 0 is the declared base set; entry i+1 is the image of entry i
-    under level i's transfer map.  Requires a meridionally small base
-    (which also guarantees every declared and propagated value is
-    finite).  Returns a list of sorted tuples of Fractions.
+    under the map of level i's transfer certificate, taken from
+    ``cache`` (a fresh LevelCache when None).  Requires a meridionally
+    small base (which also guarantees every declared and propagated
+    value is finite).  Returns a list of sorted tuples of Fractions.
     """
     if not d.base.meridionally_small:
         raise ValueError("propagation requires a meridionally small base")
+    if cache is None:
+        cache = LevelCache()
     levels = [tuple(sorted(d.base.strict_numerical_slopes))]
     for cabling in d.cablings:
-        smap = transfer_certificate(cabling.model()).map
+        smap = cache.certificate(cabling).map
         levels.append(tuple(sorted(smap.apply(v) for v in levels[-1])))
     return levels
 
@@ -237,8 +275,12 @@ class DiameterCertificate:
     tags: tuple = ()
 
 
-def diameter_lower_bound(d):
-    """Evaluate every certified route for d and assemble the certificate."""
+def diameter_lower_bound(d, cache=None):
+    """Evaluate every certified route for d and assemble the certificate.
+
+    Level certificates come from ``cache`` (a fresh LevelCache when
+    None), so a run that replays its own output builds each level once.
+    """
     base = d.base
     gitk = recognize_gitk(d)
     ambient = ambient_h1(d)
@@ -247,8 +289,10 @@ def diameter_lower_bound(d):
             "ambient fundamental group declared cyclic, but the computed ambient H1 is not"
         )
 
-    certs = [transfer_certificate(c.model()) for c in d.cablings]
-    level_sets = propagate(d) if base.meridionally_small else None
+    if cache is None:
+        cache = LevelCache()
+    certs = [cache.certificate(c) for c in d.cablings]
+    level_sets = propagate(d, cache) if base.meridionally_small else None
     levels = tuple(
         LevelRecord(
             cabling=c,
@@ -283,8 +327,14 @@ def diameter_lower_bound(d):
             base_diam = diameter(base.strict_numerical_slopes)
             routes["declared-set"] = scale * base_diam
             # Exact consistency with the actual propagated sets.
-            assert level_sets is not None
-            assert diameter(level_sets[-1]) == scale * base_diam
+            if level_sets is None:
+                raise InvariantError("declared-set route without propagated slope sets")
+            outermost = diameter(level_sets[-1])
+            if outermost != routes["declared-set"]:
+                raise InvariantError(
+                    "declared-set route: the propagated outermost diameter %s is not "
+                    "prod q^2 * base diameter = %s" % (outermost, routes["declared-set"])
+                )
         if routes:
             for c in d.cablings:
                 tags.append(("A", Fraction(c.q * c.q)))
@@ -317,7 +367,7 @@ def diameter_lower_bound(d):
     )
 
 
-def check_corollary_c(d):
+def check_corollary_c(d, cert=None):
     """The outermost-cable dichotomy: d_lower >= 2*q^2, or the knot is
     a generalized iterated torus knot (rule "C").
 
@@ -325,7 +375,8 @@ def check_corollary_c(d):
     declares meridional smallness and cyclic ambient fundamental group;
     returns a CheckReport whose "dichotomy" entry fails only on inputs
     that certify neither branch (a logic error in the inputs, since the
-    hypotheses were declared).
+    hypotheses were declared).  ``cert`` is d's DiameterCertificate when
+    the caller already holds one; it is computed here otherwise.
     """
     if not d.cablings:
         raise ValueError("not a cable description")
@@ -334,7 +385,8 @@ def check_corollary_c(d):
             "not a cable description (requires declared meridional smallness "
             "and cyclic ambient fundamental group)"
         )
-    cert = diameter_lower_bound(d)
+    if cert is None:
+        cert = diameter_lower_bound(d)
     q = d.cablings[-1].q
     threshold = Fraction(2 * q * q)
     checks = [Check("cable-description", True, "outermost strand count q = %d" % q)]

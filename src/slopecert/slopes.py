@@ -30,6 +30,14 @@ from math import gcd
 from typing import Union
 
 
+class InvariantError(ValueError):
+    """An exact identity that a computation relies on came out false.
+
+    Raised in place of ``assert``, which ``python -O`` strips.  It is a
+    ValueError, so the command line reports it as an input error.
+    """
+
+
 class _Infinity:
     """The numerical slope of the meridian.  A unique atom, no arithmetic."""
 
@@ -232,7 +240,11 @@ def framing_change(f1, f2):
     if f1.meridian_slope() != f2.meridian_slope():
         raise ValueError("meridian slopes differ")
     e, z = _in_basis(f1, f2.mu)
-    assert z == 0  # guaranteed: the meridian slopes agree
+    if z != 0:
+        raise InvariantError("framing change: mu2 is not a multiple of mu1")
     c, w = _in_basis(f1, f2.lambda_)
-    assert w in (1, -1)  # guaranteed: (mu2, lambda2) is a basis
+    if w not in (1, -1):
+        raise InvariantError(
+            "framing change: lambda2 has coefficient %d on lambda1, not +-1" % w
+        )
     return FramingChange(e * w, e * c)

@@ -39,6 +39,7 @@ from .slopes import (
     INF,
     PrimitiveClass,
     Slope,
+    _in_basis,
     canonical_slope,
     numerical_slope,
     slope_from_numerical,
@@ -96,23 +97,34 @@ def _cross(v, w):
     return v[0] * w[1] - v[1] * w[0]
 
 
+def phi_matrix(model):
+    """The integer matrix P with phi(<a*E1 + b*E2>) = <P (a, b)>.
+
+    The inner image of a2*E1' + b2*E2' is parallel to an outer image w
+    exactly when a2*c1 + b2*c2 = 0, where c1 and c2 are the cross
+    products of the images of E1' and E2' with w; so (c2, -c1) spans the
+    solutions, and it is linear in (a, b) because w is.
+    """
+    o1, o2, v1, v2 = model.basis_images
+    return (
+        (_cross(v2, o1), _cross(v2, o2)),
+        (-_cross(v1, o1), -_cross(v1, o2)),
+    )
+
+
 def phi(model, s):
     """The slope on T2 whose inner image is parallel to s's outer image.
 
-    Exact: writes both images in the model's free H1(N) coordinates and
-    solves the 2x2 proportionality condition.  Independent of the
-    representative sign of s.
+    Exact: the image class is P (a, b) for the integer matrix P of
+    phi_matrix, built from the model's free H1(N) coordinates.
+    Independent of the representative sign of s.
     """
-    w = model.rational_outer(s.a, s.b)
-    v1 = model.rational_inner(1, 0)
-    v2 = model.rational_inner(0, 1)
-    c1 = _cross(v1, w)
-    c2 = _cross(v2, w)
-    # a2*c1 + b2*c2 = 0 characterizes parallel inner images, so (c2, -c1)
-    # spans the solutions.
-    if c1 == 0 and c2 == 0:
+    (p11, p12), (p21, p22) = phi_matrix(model)
+    x = p11 * s.a + p12 * s.b
+    y = p21 * s.a + p22 * s.b
+    if x == 0 and y == 0:
         raise ValueError("inconsistent cable space model")
-    return canonical_slope(c2, -c1)
+    return canonical_slope(x, y)
 
 
 def phi_with_factor(model, s):
@@ -127,8 +139,35 @@ def phi_with_factor(model, s):
     return image, r
 
 
-@lru_cache(maxsize=None)
-def _canonical_pairs(bound):
+def _mul2(m, n):
+    return tuple(
+        tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def law_matrix(smap, f_outer, f_inner):
+    """The integer matrix A with <A (a, b)> = the slope the affine law
+    assigns to <a*E1 + b*E2>, in reference classes on both tori.
+
+    With u = n/d, the outer value -x/y (framing coordinates (x, y))
+    goes to epsilon*q^2*(-x/y) + n/d = -X/Y for
+    (X, Y) = (epsilon*q^2*d*x - n*y, d*y); INF (y = 0) goes to INF.
+    A is: outer reference to outer framing coordinates, then
+    (x, y) -> (X, Y), then inner framing to reference coordinates.
+    """
+    n, d = smap.u.numerator, smap.u.denominator
+    # columns: the outer framing coordinates of E1 and E2
+    x1, y1 = _in_basis(f_outer, PrimitiveClass(1, 0))
+    x2, y2 = _in_basis(f_outer, PrimitiveClass(0, 1))
+    to_outer = ((x1, x2), (y1, y2))
+    law = ((smap.epsilon * smap.q * smap.q * d, -n), (0, d))
+    from_inner = ((f_inner.mu.a, f_inner.lambda_.a), (f_inner.mu.b, f_inner.lambda_.b))
+    return _mul2(from_inner, _mul2(law, to_outer))
+
+
+# Bounded: a grid holds about 1.2 * bound^2 pairs, and a run uses one bound.
+@lru_cache(maxsize=2)
+def grid_slopes(bound):
     """All canonical primitive pairs (a, b) with |a|, |b| <= bound."""
     pairs = [(1, 0)]
     for b in range(1, bound + 1):
@@ -154,7 +193,7 @@ def phi_by_search(model, s, bound=20):
     c1 = _cross(v1, w)
     c2 = _cross(v2, w)
     found = None
-    for a2, b2 in _canonical_pairs(bound):
+    for a2, b2 in grid_slopes(bound):
         if a2 * c1 + b2 * c2 == 0:
             if found is not None:
                 raise ValueError("inconsistent cable space model")

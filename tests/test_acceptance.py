@@ -38,7 +38,7 @@ from slopecert import (
     transfer_map,
     verify_certificate,
 )
-from slopecert.transfer import _canonical_pairs
+from slopecert.transfer import grid_slopes
 
 
 def report(capsys, n, ok, detail):
@@ -272,7 +272,7 @@ def test_criterion_6_gitk_and_ambient(capsys):
 
 def test_criterion_7_orientation_robustness(capsys):
     values = [INF] + [
-        Fraction(a, b) for a, b in _canonical_pairs(6) if b
+        Fraction(a, b) for a, b in grid_slopes(6) if b
     ]
     for p, q in grid_pairs():
         plus = cable_space_homology(p, q, orientation=1)

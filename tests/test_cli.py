@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,43 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+def test_verify_names_first_grid_counterexample(tmp_path, capsys):
+    emitted = tmp_path / "cert.json"
+    assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    capsys.readouterr()
+    doc = json.loads(emitted.read_text())
+    assert doc["map"]["u"] == [6, 1]
+    doc["map"]["u"] = [7, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    out = capsys.readouterr().out
+    # (1, 0) is the meridian, fixed by every map; (-20, 1) has value 20
+    assert (
+        "    FAIL grid-consistency -- slope (-20, 1): affine law gives 187, phi gives 186\n"
+        in out
+    )
+
+
+def test_tampered_certificate_fails_the_same_under_python_O(tmp_path):
+    d, _ = write_description(tmp_path)
+    doc = diameter_certificate_to_json(diameter_lower_bound(d))
+    doc["d_lower"] = [25, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    codes = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "slopecert.cli", "verify", str(bad)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        codes.append(proc.returncode)
+    assert codes == [1, 1]
+
+
 def test_verify_multiple_inputs_and_errors(tmp_path, capsys):
     _, path = write_description(tmp_path)
     junk = tmp_path / "junk.json"
@@ -207,6 +248,15 @@ def test_grid_must_be_positive(tmp_path):
     code, report = run(RunConfig(command="verify", inputs=(path,), grid=0))
     assert code == 2
     assert "grid bound" in report
+
+
+def test_grid_bound_has_a_maximum(tmp_path, capsys):
+    _, path = write_description(tmp_path)
+    code, report = run(RunConfig(command="verify", inputs=(path,), grid=1001))
+    assert code == 2
+    assert report == "input error: grid bound must be at most 1000\n"
+    assert main(["transfer", "--p", "2", "--q", "3", "--grid", str(10 ** 6)]) == 2
+    assert "at most 1000" in capsys.readouterr().out
 
 
 def test_unknown_command_is_input_error():

@@ -12,6 +12,7 @@ from slopecert import (
     AtomKnot,
     Cabling,
     Framing,
+    InvariantError,
     KnotDescription,
     PrimitiveClass,
     ambient_h1,
@@ -19,6 +20,7 @@ from slopecert import (
     check_corollary_c,
     diameter,
     diameter_lower_bound,
+    pipeline,
     propagate,
     recognize_gitk,
 )
@@ -363,3 +365,14 @@ def test_corollary_c_flags_dichotomy_violation():
     bad = report.failed()
     assert len(bad) == 1 and bad[0].name == "dichotomy"
     assert "logic error" in bad[0].detail
+
+
+def test_declared_set_route_checks_the_propagated_sets(monkeypatch):
+    # an explicit check, not an assert, so it also runs under python -O
+    d = KnotDescription(base=small_base({0, 6}), cablings=((1, 2), (3, 2)))
+    real = pipeline.propagate
+    monkeypatch.setattr(
+        pipeline, "propagate", lambda *args: real(*args)[:-1] + [(Fraction(0), Fraction(1))]
+    )
+    with pytest.raises(InvariantError, match="propagated outermost diameter 1 is not"):
+        diameter_lower_bound(d)

@@ -9,6 +9,7 @@ from slopecert import (
     INF,
     Framing,
     FramingChange,
+    InvariantError,
     PrimitiveClass,
     Slope,
     canonical_slope,
@@ -210,6 +211,15 @@ def test_framing_change_requires_equal_meridians():
     other = Framing(PrimitiveClass(0, 1), PrimitiveClass(1, 0), 1)
     with pytest.raises(ValueError, match="meridian slopes differ"):
         framing_change(STD, other)
+
+
+def test_framing_change_rejects_a_corrupted_basis():
+    # a Framing is validated when built; one corrupted afterwards is
+    # caught by an explicit check, which python -O keeps
+    broken = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), -1)
+    object.__setattr__(broken, "lambda_", PrimitiveClass(1, 3))
+    with pytest.raises(InvariantError, match="coefficient 3"):
+        framing_change(STD, broken)
 
 
 def test_framing_change_covariance():

@@ -32,7 +32,7 @@ from slopecert import (
     transfer_map,
     verify_certificate,
 )
-from slopecert.transfer import _canonical_pairs
+from slopecert.transfer import grid_slopes
 
 GRID = [(p, q) for q in range(2, 8) for p in range(-7, 8) if gcd(p, q) == 1]
 
@@ -107,7 +107,7 @@ def test_phi_matches_affine_law_on_grid():
     for p, q in GRID:
         model = cable_space_homology(p, q)
         smap = transfer_map(model)
-        for a, b in _canonical_pairs(12):
+        for a, b in grid_slopes(12):
             s = canonical_slope(a, b)
             expected = smap.apply(numerical_slope(model.f_outer, s))
             got = numerical_slope(model.f_inner, phi(model, s))
@@ -120,7 +120,7 @@ def test_phi_is_a_bijection_on_samples():
         p, q = GRID[rng.randrange(len(GRID))]
         model = cable_space_homology(p, q)
         seen = {}
-        for a, b in _canonical_pairs(8):
+        for a, b in grid_slopes(8):
             image = phi(model, canonical_slope(a, b))
             key = (image.a, image.b)
             assert key not in seen, "phi collided"
@@ -130,7 +130,7 @@ def test_phi_is_a_bijection_on_samples():
 def test_phi_by_search_agrees_or_abstains():
     for p, q in [(1, 2), (2, 3), (-3, 4), (5, 7)]:
         model = cable_space_homology(p, q)
-        for a, b in _canonical_pairs(6):
+        for a, b in grid_slopes(6):
             s = canonical_slope(a, b)
             exact = phi(model, s)
             searched = phi_by_search(model, s, bound=20)
@@ -228,7 +228,7 @@ def test_orientation_flip_is_invisible_to_slopes():
         minus = cable_space_homology(p, q, orientation=-1)
         assert plus.zeta == -minus.zeta
         assert transfer_map(plus) == transfer_map(minus)
-        for a, b in _canonical_pairs(6):
+        for a, b in grid_slopes(6):
             s = canonical_slope(a, b)
             assert phi(plus, s) == phi(minus, s)
 
