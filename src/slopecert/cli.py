@@ -127,6 +127,23 @@ def _grid_check(model, smap, bound):
     )
 
 
+def _certificate_checks(cert, bound):
+    """verify_certificate's checks of a transfer certificate, then its grid check.
+
+    The grid check reads the same two free coordinates as the checks that
+    verify_certificate skips when H1 is not free of rank 2, so it is
+    skipped with them.
+    """
+    checks = list(verify_certificate(cert).checks)
+    if next(c.ok for c in checks if c.name == "h1-rank"):
+        checks.append(_grid_check(cert.model, cert.map, bound))
+    else:
+        checks.append(
+            Check("grid-consistency", False, "skipped: H1 is not free of rank 2")
+        )
+    return checks
+
+
 def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -229,23 +246,20 @@ def _transfer_text(cert, checks):
 def _run_transfer(config):
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
     cert = transfer_certificate(model)
-    report = verify_certificate(cert)
-    checks = list(report.checks)
-    checks.append(_grid_check(model, cert.map, config.grid))
+    checks = _certificate_checks(cert, config.grid)
     ok = all(c.ok for c in checks)
+    doc = jsonio.transfer_certificate_to_json(cert)
     obj = {
         "kind": "transfer_report",
         "grid": config.grid,
         "ok": ok,
-        "certificate": jsonio.transfer_certificate_to_json(cert),
+        "certificate": doc,
         "checks": _checks_json(checks),
     }
     lines = _transfer_text(cert, checks)
     lines.append("result: %s (%d checks)" % ("PASS" if ok else "FAIL", len(checks)))
     if config.emit:
-        _write_text(
-            config.emit, jsonio.canonical_dumps(jsonio.transfer_certificate_to_json(cert))
-        )
+        _write_text(config.emit, jsonio.canonical_dumps(doc))
         lines.append("certificate written to %s" % config.emit)
     return (0 if ok else 1), obj, lines
 
@@ -333,11 +347,16 @@ def _route_checks(cert):
 
 
 def _verify_diameter_certificate(cert, grid, cache):
+    """Replay and check a diameter certificate; returns (checks, JSON document).
+
+    The replay compares the JSON documents of `cert` and of a fresh
+    recomputation by their canonical text, so it is a byte-identity check;
+    `cert`'s document is returned for the report and for --emit.
+    """
     checks = []
     recomputed = diameter_lower_bound(cert.description, cache)
-    same = jsonio.canonical_dumps(
-        jsonio.diameter_certificate_to_json(recomputed)
-    ) == jsonio.canonical_dumps(jsonio.diameter_certificate_to_json(cert))
+    doc = jsonio.diameter_certificate_to_json(cert)
+    same = jsonio.same_canonical(jsonio.diameter_certificate_to_json(recomputed), doc)
     checks.append(
         Check(
             "replay",
@@ -349,21 +368,16 @@ def _verify_diameter_certificate(cert, grid, cache):
     )
     checks.extend(_route_checks(cert))
     for i, level in enumerate(cert.levels, start=1):
-        report = verify_certificate(level.certificate)
-        for c in report.checks:
-            checks.append(Check("level %d: %s" % (i, c.name), c.ok, c.detail))
-        checks.append(
-            _prefix_check(
-                "level %d: " % i,
-                _grid_check(level.certificate.model, level.certificate.map, grid),
-            )
+        checks.extend(
+            _prefix_check("level %d: " % i, c)
+            for c in _certificate_checks(level.certificate, grid)
         )
     d = cert.description
     if d.cablings and d.base.meridionally_small and d.base.ambient_pi1_cyclic:
         rule_c = check_corollary_c(d, recomputed)
         for c in rule_c.checks:
             checks.append(Check("rule C: %s" % c.name, c.ok, c.detail))
-    return checks
+    return checks, doc
 
 
 def _prefix_check(prefix, check):
@@ -371,7 +385,7 @@ def _prefix_check(prefix, check):
 
 
 def _verify_one(path, grid, cache):
-    """Verify a single document; returns (kind, ok, checks, certificate-or-None, lines).
+    """Verify a single document; returns (kind, ok, checks, certificate JSON, lines).
 
     ``cache`` holds the level certificates this run has built; documents
     read from ``path`` are never put into it.
@@ -379,16 +393,16 @@ def _verify_one(path, grid, cache):
     doc = jsonio.load_document(_read_text(path), path)
     if isinstance(doc, KnotDescription):
         cert = diameter_lower_bound(doc, cache)
-        checks = _verify_diameter_certificate(cert, grid, cache)
+        checks, cert_json = _verify_diameter_certificate(cert, grid, cache)
         kind = "knot_description"
     elif isinstance(doc, TransferCertificate):
-        checks = list(verify_certificate(doc).checks)
-        checks.append(_grid_check(doc.model, doc.map, grid))
         cert = doc
+        checks = _certificate_checks(cert, grid)
+        cert_json = jsonio.transfer_certificate_to_json(cert)
         kind = "transfer_certificate"
     else:
         cert = doc
-        checks = _verify_diameter_certificate(cert, grid, cache)
+        checks, cert_json = _verify_diameter_certificate(cert, grid, cache)
         kind = "diameter_certificate"
     ok = all(c.ok for c in checks)
     lines = ["input: %s (%s)" % (path, kind.replace("_", " "))]
@@ -404,7 +418,7 @@ def _verify_one(path, grid, cache):
     lines.append("  checks:")
     lines.extend(_check_lines(checks, indent="    "))
     lines.append("  result: %s (%d checks)" % ("PASS" if ok else "FAIL", len(checks)))
-    return kind, ok, checks, cert, lines
+    return kind, ok, checks, cert_json, lines
 
 
 def _run_verify(config):
@@ -416,28 +430,26 @@ def _run_verify(config):
     cache = LevelCache()
     for path in config.inputs:
         try:
-            kind, ok, checks, cert, file_lines = _verify_one(path, config.grid, cache)
+            kind, ok, checks, cert_json, file_lines = _verify_one(path, config.grid, cache)
         except ValueError as e:
             results.append({"input": path, "error": str(e), "ok": False})
             lines.append("input: %s" % path)
             lines.append("  input error: %s" % e)
             codes.append(2)
             continue
-        entry = {
-            "input": path,
-            "kind": kind,
-            "ok": ok,
-            "checks": _checks_json(checks),
-        }
-        if isinstance(cert, TransferCertificate):
-            entry["certificate"] = jsonio.transfer_certificate_to_json(cert)
-        else:
-            entry["certificate"] = jsonio.diameter_certificate_to_json(cert)
-        results.append(entry)
+        results.append(
+            {
+                "input": path,
+                "kind": kind,
+                "ok": ok,
+                "checks": _checks_json(checks),
+                "certificate": cert_json,
+            }
+        )
         lines.extend(file_lines)
         codes.append(0 if ok else 1)
         if config.emit:
-            _write_text(config.emit, jsonio.canonical_dumps(entry["certificate"]))
+            _write_text(config.emit, jsonio.canonical_dumps(cert_json))
             lines.append("  certificate written to %s" % config.emit)
     ok_all = all(r.get("ok") for r in results)
     obj = {"kind": "verify_report", "ok": ok_all, "results": results}

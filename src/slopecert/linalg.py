@@ -15,6 +15,8 @@ occurrence in row-major order, so identical inputs produce identical
 from dataclasses import dataclass
 from math import gcd
 
+from .slopes import InvariantError
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -229,13 +231,32 @@ def smith_normal_form(a):
         IntMatrix(m, n, tuple(e for r in d for e in r)),
         IntMatrix(n, n, tuple(e for r in v for e in r)),
     )
-    # Exact post-conditions; cheap at the sizes this library handles.
-    assert result.U.mul(a).mul(result.V) == result.D
-    assert det(result.U) in (1, -1) and det(result.V) in (1, -1)
-    diag = result.diagonal()
-    for i in range(len(diag) - 1):
-        assert diag[i] >= 0 and (diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0)
+    check_smith_normal_form(a, result)
     return result
+
+
+def check_smith_normal_form(a, result):
+    """Raise InvariantError unless `result` is a Smith normal form of `a`.
+
+    Exact post-conditions, cheap at the sizes this library handles:
+    U * a * V == D, det(U) and det(V) in {+1, -1}, and D diagonal with
+    nonnegative entries forming a divisibility chain, zeros last.
+    """
+    if result.U.mul(a).mul(result.V) != result.D:
+        raise InvariantError("smith normal form: U * A * V differs from D")
+    if det(result.U) not in (1, -1) or det(result.V) not in (1, -1):
+        raise InvariantError("smith normal form: U or V is not unimodular")
+    d = result.D
+    if any(d.entry(i, j) for i in range(d.rows) for j in range(d.cols) if i != j):
+        raise InvariantError("smith normal form: D is not diagonal")
+    diag = result.diagonal()
+    if any(x < 0 for x in diag) or not all(
+        diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
+        for i in range(len(diag) - 1)
+    ):
+        raise InvariantError(
+            "smith normal form: the diagonal of D is not a nonnegative divisibility chain"
+        )
 
 
 @dataclass(frozen=True)

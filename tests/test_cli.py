@@ -187,6 +187,47 @@ def test_verify_names_first_grid_counterexample(tmp_path, capsys):
     )
 
 
+def break_h1_rank(model):
+    """Make a model's stored H1 the group Z instead of Z^2."""
+    model["h1"]["diag"] = [1, 1, 0]
+    model["h1"]["invariant_factors"] = [0]
+
+
+GRID_SKIPPED = "grid-consistency -- skipped: H1 is not free of rank 2\n"
+
+
+def test_transfer_certificate_without_rank_two_skips_the_grid_check(tmp_path, capsys):
+    emitted = tmp_path / "cert.json"
+    assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    capsys.readouterr()
+    doc = json.loads(emitted.read_text())
+    break_h1_rank(doc["model"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "    FAIL h1-rank\n" in out
+    assert "    FAIL " + GRID_SKIPPED in out
+    assert "overall: FAIL" in out
+
+
+def test_diameter_level_without_rank_two_skips_the_grid_check(tmp_path, capsys):
+    _, path = write_description(tmp_path, cablings=((1, 2), (3, 2)))
+    emitted = tmp_path / "cert.json"
+    assert main(["verify", "--emit", str(emitted), path]) == 0
+    capsys.readouterr()
+    doc = json.loads(emitted.read_text())
+    break_h1_rank(doc["levels"][1]["certificate"]["model"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "    FAIL level 2: h1-rank\n" in out
+    assert "    FAIL level 2: " + GRID_SKIPPED in out
+    assert "    PASS level 1: grid-consistency" in out
+    assert "overall: FAIL" in out
+
+
 def test_tampered_certificate_fails_the_same_under_python_O(tmp_path):
     d, _ = write_description(tmp_path)
     doc = diameter_certificate_to_json(diameter_lower_bound(d))

@@ -1,5 +1,6 @@
 """Round-trip and validation tests for the JSON document formats."""
 
+import enum
 import json
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from slopecert import (
     PrimitiveClass,
     cable_space_homology,
     canonical_slope,
+    cli,
     diameter_lower_bound,
+    jsonio,
     transfer_certificate,
 )
 from slopecert.jsonio import (
@@ -31,6 +34,7 @@ from slopecert.jsonio import (
     matrix_from_json,
     matrix_to_json,
     parse_matrix_text,
+    same_canonical,
     slope_from_json,
     slope_to_json,
     transfer_certificate_from_json,
@@ -204,6 +208,214 @@ def test_canonical_dumps_is_stable():
     b = canonical_dumps(json.loads(a))
     assert a == b
     assert a.endswith("\n")
+
+
+# --- the canonical emitter ----------------------------------------------------
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def outcome(dumps, obj):
+    """The text `dumps` writes for `obj`, or the type and message of its error."""
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError, RecursionError) as e:
+        return type(e), str(e)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+EMITTER_CASES = (
+    None, True, False, 0, -7, 10 ** 400, -(10 ** 400), 2 ** 64,
+    1.5, -0.0, 1e300, 5e-324, float("inf"), float("-inf"), float("nan"),
+    "", "plain", "quote \" backslash \\ newline \n tab \t", "café   \U0001f600",
+    "lone \ud800 surrogate",
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()],
+    [1, 2, 3], (1, 2), [1, True], [True, 1, 1.0], [1, 2 ** 100, -3], [0, None],
+    [Level.LOW, 2], Level.LOW, Name("key"), Real(2.5), {Name("k"): Real(0.5)},
+    {"b": 1, "a": [1, [2, [3, {"z": None, "y": "s"}]]]},
+    {1: "a", 10: "b", 2: "c"}, {1.5: 0, -2.5: 1}, {True: 0, False: 1},
+    {None: 0}, {float("nan"): 1}, {Level.LOW: "one"},
+)
+
+UNSERIALIZABLE_CASES = (
+    object(), {1, 2}, b"bytes", Fraction(1, 2), 1j, [1, object()], (1, {2}),
+    {"a": {"b": b"x"}}, {(1, 2): 3}, {1: 2, "a": 3}, {frozenset(): 1},
+)
+
+
+def test_canonical_dumps_matches_the_stdlib_on_fixed_cases():
+    for obj in EMITTER_CASES:
+        assert canonical_dumps(obj) == stdlib_dumps(obj), obj
+
+
+def test_canonical_dumps_raises_what_the_stdlib_raises():
+    for obj in UNSERIALIZABLE_CASES:
+        expected = outcome(stdlib_dumps, obj)
+        assert isinstance(expected, tuple), obj
+        assert outcome(canonical_dumps, obj) == expected
+    cycle = []
+    cycle.append(cycle)
+    assert outcome(canonical_dumps, cycle) == (ValueError, "Circular reference detected")
+
+
+def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monkeypatch):
+    """Every document and report the CLI writes, in both formats."""
+    real = jsonio.canonical_dumps
+    kinds = []
+
+    def checked(obj):
+        text = real(obj)
+        assert text == stdlib_dumps(obj)
+        kinds.append(obj.get("kind"))
+        return text
+
+    monkeypatch.setattr(jsonio, "canonical_dumps", checked)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("3 3\n2 4 4\n-6 6 12\n10 4 16\n")
+    desc = tmp_path / "desc.json"
+    desc.write_text(real(description_to_json(KnotDescription(
+        base=AtomKnot(
+            strict_numerical_slopes=frozenset({Fraction(0), Fraction(6)}),
+            meridionally_small=True,
+            ambient_pi1_cyclic=True,
+        ),
+        cablings=((1, 2), (-3, 5)),
+    ))))
+    tcert, dcert = tmp_path / "t.json", tmp_path / "d.json"
+    runs = [
+        ["snf", str(matrix)],
+        ["cable-homology", "--p", "2", "--q", "3"],
+        ["transfer", "--p", "2", "--q", "3", "--emit", str(tcert)],
+        ["propagate", str(desc)],
+        ["verify", str(desc), "--emit", str(dcert)],
+        ["verify", str(dcert), str(tcert)],
+    ]
+    for argv in runs:
+        for fmt in ("text", "json"):
+            assert cli.main(argv + ["--format", fmt]) == 0
+    # Unchecked fields of a stored certificate reach the report as they are.
+    for value in (1.5, {}, [], None, True):
+        doc = json.loads(dcert.read_text())
+        doc["primary_route"] = value
+        doc["reason"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(real(doc))
+        assert cli.main(["verify", str(bad), "--format", "json"]) == 1
+    assert set(kinds) == {
+        "snf_report", "cable_homology_report", "transfer_report",
+        "transfer_certificate", "propagation_report", "verify_report",
+        "diameter_certificate",
+    }
+
+
+def json_trees(st, keys):
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+        | st.floats()
+        | st.text()
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(keys, children),
+        max_leaves=20,
+    )
+
+
+def test_canonical_dumps_matches_the_stdlib_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(json_trees(st, keys))
+    def check(obj):
+        assert outcome(canonical_dumps, obj) == outcome(stdlib_dumps, obj)
+
+    check()
+
+
+def test_same_canonical_agrees_with_canonical_text_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(json_trees(st, st.text()), json_trees(st, st.text()))
+    def check(a, b):
+        assert same_canonical(a, b) == (canonical_dumps(a) == canonical_dumps(b))
+        assert same_canonical(a, json.loads(canonical_dumps(a)))
+
+    check()
+
+
+def leaves(x, path=()):
+    """(container, key) of every scalar in a JSON document."""
+    items = x.items() if isinstance(x, dict) else enumerate(x)
+    for k, v in items:
+        if isinstance(v, (dict, list)) and v:
+            yield from leaves(v, path + (k,))
+        else:
+            yield x, k
+
+
+def edits(v):
+    """A changed value of `v`, and values of other types, near it where possible."""
+    out = [True, False, 0, 1, 0.0, 1.0, None, "1", "inf", [], {}, [v]]
+    if isinstance(v, bool):
+        out += [not v, int(v), float(v)]
+    elif isinstance(v, int):
+        out += [v + 1, -v, float(v), v == 1]
+    elif isinstance(v, str):
+        out += [v + "x", v.upper()]
+    return out
+
+
+def test_replay_comparison_equals_canonical_text_comparison():
+    """Single-field edits of an emitted certificate: the replay's verdict
+    (compact text) equals the verdict of comparing canonical text."""
+    cert = diameter_lower_bound(KnotDescription(
+        base=AtomKnot(
+            strict_numerical_slopes=frozenset({Fraction(0), Fraction(6)}),
+            meridionally_small=True,
+            ambient_pi1_cyclic=True,
+        ),
+        cablings=((1, 2),),
+    ))
+    text = canonical_dumps(diameter_certificate_to_json(cert))
+    stored, edited = json.loads(text), json.loads(text)
+    tried = equal_dicts_with_other_text = 0
+    for container, key in leaves(edited):
+        original = container[key]
+        for value in edits(original):
+            container[key] = value
+            verdict = same_canonical(stored, edited)
+            assert verdict == (canonical_dumps(edited) == text), (key, original, value)
+            if edited == stored and not verdict:
+                equal_dicts_with_other_text += 1
+            tried += 1
+        container[key] = original
+    assert same_canonical(stored, edited)
+    assert tried > 1000
+    # e.g. true for 1 and 1.0 for 1: == on the documents would accept these
+    assert equal_dicts_with_other_text > 100
 
 
 # --- matrix text files -----------------------------------------------------------

@@ -17,10 +17,11 @@ import pytest
 from slopecert import (
     FPAbelianGroup,
     IntMatrix,
+    InvariantError,
     group_from_presentation,
     smith_normal_form,
 )
-from slopecert.linalg import det
+from slopecert.linalg import SNFResult, check_smith_normal_form, det
 
 
 def cofactor_det(rows):
@@ -159,6 +160,42 @@ def test_snf_fixed_point():
         a = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
         d = smith_normal_form(a).D
         assert smith_normal_form(d).D.to_rows() == d.to_rows()
+
+
+def doctored(a, u, d, v):
+    """A claimed Smith form (U, D, V) of the matrix with rows `a`."""
+    return IntMatrix.from_rows(a), SNFResult(
+        IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
+    )
+
+
+def test_snf_check_requires_u_a_v_equal_to_d():
+    a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    good = smith_normal_form(a)
+    check_smith_normal_form(a, good)
+    wrong_d = IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 312]])
+    with pytest.raises(InvariantError, match="U \\* A \\* V differs from D"):
+        check_smith_normal_form(a, SNFResult(good.U, wrong_d, good.V))
+
+
+def test_snf_check_requires_unimodular_u_and_v():
+    # U * A * V == D and D is a chain, but det(U) = 2, then det(V) = 3
+    for u, d, v in (([[2]], [[2]], [[1]]), ([[1]], [[3]], [[3]])):
+        a, result = doctored([[1]], u, d, v)
+        with pytest.raises(InvariantError, match="not unimodular"):
+            check_smith_normal_form(a, result)
+
+
+def test_snf_check_requires_a_diagonal_divisibility_chain():
+    identity = [[1, 0], [0, 1]]
+    a, result = doctored([[1, 1], [0, 1]], identity, [[1, 1], [0, 1]], identity)
+    with pytest.raises(InvariantError, match="D is not diagonal"):
+        check_smith_normal_form(a, result)
+    # 2 does not divide 3; -1 is negative; a zero comes before a nonzero entry
+    for rows in ([[2, 0], [0, 3]], [[1, 0], [0, -1]], [[0, 0], [0, 1]]):
+        a, result = doctored(rows, identity, rows, identity)
+        with pytest.raises(InvariantError, match="not a nonnegative divisibility chain"):
+            check_smith_normal_form(a, result)
 
 
 # --- finitely presented abelian groups -------------------------------------

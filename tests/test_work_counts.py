@@ -2,7 +2,7 @@
 
 One fixed 50-level description is verified with --emit, then the
 emitted certificate is verified again, each as one CLI run.  Counting
-wrappers record what each run builds and recomputes.
+wrappers record what each run builds, recomputes and serializes.
 """
 
 from collections import Counter
@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from slopecert import STANDARD_OUTER_FRAMING, AtomKnot, Cabling, KnotDescription, cli, pipeline
+from slopecert import (
+    STANDARD_OUTER_FRAMING,
+    AtomKnot,
+    Cabling,
+    KnotDescription,
+    cli,
+    jsonio,
+    pipeline,
+)
 from slopecert.jsonio import canonical_dumps, description_to_json
 
 # 50 levels over 11 distinct cable spaces: (p, q) cycles with period 10,
@@ -33,6 +41,10 @@ def counts(monkeypatch):
         "corollary": 0,
         "corollary_recomputed": 0,
         "grid": [],
+        "to_json": 0,
+        "dumps": 0,
+        "dumps_in_replay": 0,
+        "in_replay": False,
     }
 
     real_build = pipeline.cable_space_homology
@@ -66,6 +78,31 @@ def counts(monkeypatch):
             c["grid"][-1] += 1
             yield pair
 
+    real_to_json = jsonio.diameter_certificate_to_json
+
+    def to_json(cert):
+        c["to_json"] += 1
+        return real_to_json(cert)
+
+    real_dumps = jsonio.canonical_dumps
+
+    def dumps(obj):
+        c["dumps"] += 1
+        c["dumps_in_replay"] += c["in_replay"]
+        return real_dumps(obj)
+
+    real_replay = cli._verify_diameter_certificate
+
+    def replay(*args, **kwargs):
+        c["in_replay"] = True
+        try:
+            return real_replay(*args, **kwargs)
+        finally:
+            c["in_replay"] = False
+
+    monkeypatch.setattr(jsonio, "diameter_certificate_to_json", to_json)
+    monkeypatch.setattr(jsonio, "canonical_dumps", dumps)
+    monkeypatch.setattr(cli, "_verify_diameter_certificate", replay)
     monkeypatch.setattr(pipeline, "cable_space_homology", build)
     monkeypatch.setattr(pipeline, "diameter_lower_bound", bound)
     monkeypatch.setattr(cli, "diameter_lower_bound", bound)
@@ -78,6 +115,7 @@ def reset(c):
     c["builds"].clear()
     c["diameter"] = c["corollary"] = c["corollary_recomputed"] = 0
     c["grid"].clear()
+    c["to_json"] = c["dumps"] = c["dumps_in_replay"] = 0
 
 
 def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
@@ -97,6 +135,9 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["diameter"] == 2  # the build and its replay
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
+    # the built certificate and its replay; the report and --emit reuse the first
+    assert counts["to_json"] == 2
+    assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
 
     reset(counts)
     assert cli.main(["verify", str(emitted)]) == 0
@@ -106,3 +147,5 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["diameter"] == 1  # the replay only
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
+    assert counts["to_json"] == 2  # the stored certificate and its replay
+    assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
