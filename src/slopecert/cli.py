@@ -28,6 +28,7 @@ from .pipeline import (
     check_corollary_c,
     diameter,
     diameter_lower_bound,
+    primary_route,
     propagate,
     recognize_gitk,
 )
@@ -326,11 +327,7 @@ def _route_checks(cert):
         )
     elif cert.routes:
         best = max(cert.routes.values())
-        expected = (
-            "axiom-b" if cert.routes.get("axiom-b") == best else
-            min(name for name, v in cert.routes.items() if v == best)
-        )
-        ok = cert.d_lower == best and cert.primary_route == expected
+        ok = cert.d_lower == best and cert.primary_route == primary_route(cert.routes)
         checks.append(
             Check(
                 "route-logic",

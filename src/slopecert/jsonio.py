@@ -1,4 +1,25 @@
-"""JSON schema for descriptions and certificates, and the matrix text format.
+"""JSON documents (descriptions and certificates) and the matrix text format.
+
+Each document type is one table of fields: a JSON key, the attribute it
+maps to, and a field kind (see the tables below, FRAMING to
+DIAMETER_CERTIFICATE).  One reader and one writer walk the tables.  The
+reader checks the type of every value before it reads into it: integers
+are JSON integers (true and 1.0 are not), rationals are reduced on read.
+A missing field or a value of the wrong type raises ValueError with the
+field's path, list indices included, e.g.
+"certificate.levels[3].certificate.model.p: expected an integer", so a
+malformed document is an input error (exit code 2).  Keys not in a table
+are ignored.
+
+Only these fields may be omitted, read as the default shown, or be null:
+in a description, base.strict_slopes ([]), the four base flags (false),
+base.complementary_meridian (null), cablings ([]), cablings[i].orientation
+(1), cablings[i].f_outer and f_inner (null: the standard framing); in any
+group, invariant_factors (null: not stated; when stated it must match the
+diagonal); in a diameter certificate, ambient_h1 (null), base_slopes ([]),
+levels ([]), levels[i].slopes (null), routes ({}), primary_route (""),
+d_lower (null), reason ("") and tags ([]), tags[i].value (null).  The
+writer leaves out complementary_meridian, f_outer and f_inner when None.
 
 All rationals are emitted as reduced [numerator, denominator] pairs
 with positive denominator; the meridian value is the string "inf" and
@@ -13,6 +34,7 @@ then rows*cols integers in row-major order, whitespace-separated.
 """
 
 import json
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -25,6 +47,7 @@ from .pipeline import (
     DiameterCertificate,
     KnotDescription,
     LevelRecord,
+    _sorted_values,
 )
 from .slopes import INF, Framing, PrimitiveClass, canonical_slope
 from .transfer import AffineSlopeMap, TransferCertificate
@@ -144,475 +167,401 @@ def _emit(o, nl, out):
         )
 
 
-def _fail(where, expected):
-    raise ValueError("%s: expected %s" % (where, expected))
+# ---------------------------------------------------------------------------
+# The schema walk.  Each document type is a record: a table of fields, each
+# a JSON key, the attribute (or dict key, or tuple index) it maps to, and a
+# field kind.  A kind reads a JSON value, checking its type before it looks
+# inside, and writes the Python value back.  A value of the wrong type
+# raises _Bad; every record, list and map it passes through on the way out
+# adds its step to the path, so paths are built only for errors.
 
 
-def _int(x, where):
-    if isinstance(x, bool) or not isinstance(x, int):
-        _fail(where, "an integer")
-    return x
+class _Bad(Exception):
+    """A JSON value of the wrong type; ``steps`` is its path, innermost first."""
+
+    def __init__(self, expected, *steps):
+        super().__init__(expected)
+        self.expected = expected
+        self.steps = list(steps)
+
+    def within(self, step):
+        self.steps.append(step)
+        return self
 
 
-def _int_pair(x, where):
-    if not (isinstance(x, list) and len(x) == 2):
-        _fail(where, "a pair [a, b]")
-    return [_int(e, where) for e in x]
+class _Scalar:
+    """A JSON integer, boolean or string, of exactly that type (true is not 1)."""
+
+    def __init__(self, type_, expected):
+        self.type, self.expected = type_, expected
+
+    def read(self, x):
+        if type(x) is self.type:
+            return x
+        raise _Bad(self.expected)
+
+    def emit(self, v):
+        return v
 
 
-def frac_to_json(v):
+class _Pair:
+    """[a, b] with integers a and b, read as make(a, b), written as unmake(v)."""
+
+    def __init__(self, make, unmake):
+        self.make, self.emit = make, unmake
+
+    def read(self, x):
+        if type(x) is list and len(x) == 2:
+            a, b = x
+            if type(a) is int and type(b) is int:
+                return self.make(a, b)
+            raise _Bad("an integer", "[1]" if type(a) is int else "[0]")
+        raise _Bad("a pair [a, b]")
+
+
+class _Ints:
+    """A list of integers, of length n (any length when n is None), read as a tuple."""
+
+    def __init__(self, n=None):
+        self.n = n
+        self.expected = "a list of integers" if n is None else "a list of %d integers" % n
+
+    def read(self, x):
+        if type(x) is not list or self.n not in (None, len(x)):
+            raise _Bad(self.expected)
+        if [e for e in x if type(e) is not int]:
+            i = next(i for i, e in enumerate(x) if type(e) is not int)
+            raise _Bad("an integer", "[%d]" % i)
+        return tuple(x)
+
+    emit = list
+
+
+class _Token:
+    """The JSON string `text`, read as `value`; anything else is read as `other`."""
+
+    def __init__(self, text, value, other):
+        self.text, self.value, self.other = text, value, other
+
+    def read(self, x):
+        return self.value if x == self.text else self.other.read(x)
+
+    def emit(self, v):
+        return self.text if v is self.value else self.other.emit(v)
+
+
+class _Nullable:
+    """null, read as None, or a value of `kind`."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def read(self, x):
+        return None if x is None else self.kind.read(x)
+
+    def emit(self, v):
+        return None if v is None else self.kind.emit(v)
+
+
+class _List:
+    """A JSON list of `item` values, read as a tuple, written in `order`."""
+
+    def __init__(self, item, order=None):
+        self.item, self.order = item, order
+
+    def read(self, x):
+        if type(x) is not list:
+            raise _Bad("a list")
+        read = self.item.read
+        out = []
+        try:
+            for v in x:
+                out.append(read(v))
+        except _Bad as e:
+            raise e.within("[%d]" % len(out))
+        return tuple(out)
+
+    def emit(self, v):
+        emit = self.item.emit
+        return [emit(e) for e in (self.order(v) if self.order else v)]
+
+
+class _Map:
+    """A JSON object from names to `item` values, read as a dict."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def read(self, x):
+        if type(x) is not dict:
+            raise _Bad("an object")
+        read = self.item.read
+        out = {}
+        for k, v in x.items():
+            try:
+                out[k] = read(v)
+            except _Bad as e:
+                raise e.within("[%s]" % _encode_str(k))
+        return out
+
+    def emit(self, v):
+        emit = self.item.emit
+        return {k: emit(e) for k, e in v.items()}
+
+
+_REQUIRED = object()  # the default of a field that must be present
+
+
+class _Field:
+    """One entry of a record's table.
+
+    ``attr`` is the attribute, dict key or tuple index the JSON ``key``
+    maps to (the key itself when None).  A missing key reads as the JSON
+    value ``default``, or is an error when there is none.  ``omit_none``
+    leaves the key out on emit when the value is None.  A ``derived``
+    field is not passed to the constructor: it is written from the built
+    value's attribute and, when stated, must equal it on read; ``derived``
+    names what it must match.
+    """
+
+    def __init__(self, key, kind, attr=None, default=_REQUIRED, omit_none=False, derived=""):
+        self.key, self.kind = key, kind
+        self.attr = key if attr is None else attr
+        self.default, self.omit_none, self.derived = default, omit_none, derived
+
+
+class _Record:
+    """A JSON object read field by field into build({attr: value}) and
+    written from get(value, attr); a document also writes its "kind"."""
+
+    def __init__(self, build, get, *fields, kind=None):
+        self.build, self.get, self.fields, self.kind = build, get, fields, kind
+        self.reads = [(f.key, f.attr, f.kind.read, f.default) for f in fields]
+        # Scalars (no converter) are written as they are.
+        self.emits = [
+            (f.key, f.attr, None if type(f.kind) is _Scalar else f.kind.emit, f.omit_none)
+            for f in fields
+        ]
+        self.derived = [f for f in fields if f.derived]
+
+    def document(self, kind):
+        """The same table for a top-level document of this kind."""
+        return _Record(self.build, self.get, *self.fields, kind=kind)
+
+    def read(self, x):
+        if type(x) is not dict:
+            raise _Bad("an object")
+        values = {}
+        for key, attr, read, default in self.reads:
+            try:
+                values[attr] = read(x.get(key, default))
+            except _Bad as e:
+                raise e.within("." + key)
+        stated = [(f, values.pop(f.attr)) for f in self.derived]
+        obj = self.build(values)
+        for f, v in stated:
+            if v is not None and v != self.get(obj, f.attr):
+                raise _Bad(f.derived, "." + f.key)
+        return obj
+
+    def emit(self, obj):
+        out = {"kind": self.kind} if self.kind else {}
+        get = self.get
+        for key, attr, emit, omit_none in self.emits:
+            v = get(obj, attr)
+            if emit is None:
+                out[key] = v
+            elif v is not None or not omit_none:
+                out[key] = emit(v)
+        return out
+
+
+def _object(cls, *fields):
+    """A record read into cls(**values), written from attributes."""
+    return _Record(lambda values: cls(**values), getattr, *fields)
+
+
+def _dict(*fields):
+    """A record read into a dict and written from one."""
+    return _Record(dict, operator.getitem, *fields)
+
+
+def _tuple(*fields):
+    """A record read into a tuple, in table order, and written from one by index."""
+    return _Record(lambda values: tuple(values.values()), operator.getitem, *fields)
+
+
+def _fraction(n, d):
+    if d == 0:
+        raise _Bad("a nonzero denominator", "[1]")
+    return Fraction(n, d)
+
+
+def _fraction_pair(v):
     if not isinstance(v, Fraction):
         v = Fraction(v)
     return [v.numerator, v.denominator]
 
 
-def frac_from_json(x, where="rational"):
-    n, d = _int_pair(x, where)
-    if d == 0:
-        _fail(where, "a nonzero denominator")
-    return Fraction(n, d)
+def _codec(kind, where):
+    """The writer of `kind`, and a reader raising ValueError("<path>: expected ...")."""
+
+    def read(x, where=where):
+        try:
+            return kind.read(x)
+        except _Bad as e:
+            path = where + "".join(reversed(e.steps))
+            raise ValueError("%s: expected %s" % (path, e.expected)) from None
+
+    return kind.emit, read
 
 
-def value_to_json(v):
-    return "inf" if v is INF else frac_to_json(v)
+# ---------------------------------------------------------------------------
+# The tables.
 
+INT = _Scalar(int, "an integer")
+BOOL = _Scalar(bool, "true or false")
+STR = _Scalar(str, "a string")
+INTS = _Ints()
+PAIR = _Pair(lambda a, b: (a, b), list)
+FRACTION = _Pair(_fraction, _fraction_pair)
+VALUE = _Token("inf", INF, FRACTION)
+D_LOWER = _Nullable(_Token("-inf", NEG_INF, FRACTION))
+SLOPE = _Pair(canonical_slope, lambda s: [s.a, s.b])
+PRIMITIVE_CLASS = _Pair(PrimitiveClass, lambda c: [c.a, c.b])
 
-def value_from_json(x, where="value"):
-    if x == "inf":
-        return INF
-    return frac_from_json(x, where)
+FRAMING = _object(
+    Framing,
+    _Field("mu", PRIMITIVE_CLASS),
+    _Field("lambda", PRIMITIVE_CLASS, attr="lambda_"),
+    _Field("sign", INT),
+)
 
+MATRIX = _object(IntMatrix, _Field("rows", INT), _Field("cols", INT), _Field("entries", INTS))
 
-def dlower_to_json(v):
-    if v is None:
-        return None
-    if v is NEG_INF:
-        return "-inf"
-    return frac_to_json(v)
+GROUP = _object(
+    FPAbelianGroup,
+    _Field("n_generators", INT),
+    _Field("diag", INTS),
+    _Field("coordinate_map", MATRIX),
+    _Field(
+        "invariant_factors", _Nullable(INTS), default=None,
+        derived="factors matching the diagonal",
+    ),
+)
 
+MODEL = _object(
+    CableSpaceModel,
+    _Field("p", INT),
+    _Field("q", INT),
+    _Field("orientation", INT),
+    _Field("f_outer", FRAMING),
+    _Field("f_inner", FRAMING),
+    _Field("relation", MATRIX),
+    _Field("h1", GROUP),
+    _Field("img_mu", _Ints(3)),
+    _Field("img_lambda", _Ints(3)),
+    _Field("img_mu_prime", _Ints(3)),
+    _Field("img_lambda_prime", _Ints(3)),
+    _Field("boundary_outer", _Ints(2)),
+    _Field("boundary_inner", _Ints(2)),
+    _Field("zeta", INT),
+    _Field("t", FRACTION),
+    _Field("theta", INT),
+    _Field("eta", INT),
+)
 
-def dlower_from_json(x, where="d_lower"):
-    if x is None:
-        return None
-    if x == "-inf":
-        return NEG_INF
-    return frac_from_json(x, where)
+MAP = _object(AffineSlopeMap, _Field("epsilon", INT), _Field("q", INT), _Field("u", FRACTION))
 
+TRANSFER_CERTIFICATE = _object(
+    TransferCertificate,
+    _Field("model", MODEL),
+    _Field("map", MAP),
+    _Field("witnesses", _dict(
+        _Field("boundary", _dict(
+            _Field("outer", PAIR), _Field("inner", PAIR), _Field("zeta", INT),
+        )),
+        _Field("meridian", _dict(
+            _Field("zeta", INT), _Field("q", INT), _Field("factor", FRACTION),
+        )),
+        _Field("longitude", _dict(_Field("t", FRACTION), _Field("coefficient", INT))),
+        _Field("slopes", _List(_dict(
+            _Field("source", PAIR),
+            _Field("image", PAIR),
+            _Field("factor", FRACTION),
+            _Field("value_outer", VALUE),
+            _Field("value_inner", VALUE),
+        ))),
+    )),
+)
 
-def slope_to_json(s):
-    return [s.a, s.b]
+ATOM = _object(
+    AtomKnot,
+    _Field(
+        "strict_slopes", _List(VALUE, order=_sorted_values), attr="strict_numerical_slopes",
+        default=[],
+    ),
+    _Field("meridionally_small", BOOL, default=False),
+    _Field("is_round", BOOL, default=False),
+    _Field("is_cable", BOOL, default=False),
+    _Field("ambient_pi1_cyclic", BOOL, default=False),
+    _Field("complementary_meridian", _Nullable(SLOPE), default=None, omit_none=True),
+)
 
+CABLING = _object(
+    Cabling,
+    _Field("p", INT),
+    _Field("q", INT),
+    _Field("orientation", INT, default=1),
+    _Field("f_outer", _Nullable(FRAMING), default=None, omit_none=True),
+    _Field("f_inner", _Nullable(FRAMING), default=None, omit_none=True),
+)
 
-def slope_from_json(x, where="slope"):
-    a, b = _int_pair(x, where)
-    return canonical_slope(a, b)
+DESCRIPTION = _object(
+    KnotDescription,
+    _Field("base", ATOM),
+    _Field("cablings", _List(CABLING), default=[]),
+)
 
+DIAMETER_CERTIFICATE = _object(
+    DiameterCertificate,
+    _Field("description", DESCRIPTION),
+    _Field("gitk", BOOL),
+    _Field("ambient_h1", _Nullable(GROUP), attr="ambient", default=None),
+    _Field("base_slopes", _List(VALUE), default=[]),
+    _Field("levels", _List(_object(
+        LevelRecord,
+        _Field("cabling", CABLING),
+        _Field("certificate", TRANSFER_CERTIFICATE),
+        _Field("slopes", _Nullable(_List(FRACTION)), default=None),
+    )), default=[]),
+    _Field("routes", _Map(FRACTION), default={}),
+    _Field("primary_route", STR, default=""),
+    _Field("d_lower", D_LOWER, default=None),
+    _Field("reason", STR, default=""),
+    _Field("tags", _List(_tuple(
+        _Field("rule", STR, attr=0),
+        _Field("value", _Nullable(FRACTION), attr=1, default=None),
+    )), default=[]),
+).document("diameter_certificate")
 
-def framing_to_json(f):
-    return {
-        "mu": [f.mu.a, f.mu.b],
-        "lambda": [f.lambda_.a, f.lambda_.b],
-        "sign": f.sign,
-    }
-
-
-def framing_from_json(x, where="framing"):
-    if not isinstance(x, dict):
-        _fail(where, "an object with mu, lambda, sign")
-    mu = _int_pair(x.get("mu"), where + ".mu")
-    lam = _int_pair(x.get("lambda"), where + ".lambda")
-    sign = _int(x.get("sign"), where + ".sign")
-    return Framing(PrimitiveClass(*mu), PrimitiveClass(*lam), sign)
-
-
-def matrix_to_json(m):
-    return {"rows": m.rows, "cols": m.cols, "entries": list(m.entries)}
-
-
-def matrix_from_json(x, where="matrix"):
-    if not isinstance(x, dict):
-        _fail(where, "an object with rows, cols, entries")
-    rows = _int(x.get("rows"), where + ".rows")
-    cols = _int(x.get("cols"), where + ".cols")
-    entries = x.get("entries")
-    if not isinstance(entries, list):
-        _fail(where + ".entries", "a list of integers")
-    return IntMatrix(
-        rows, cols, tuple(_int(e, where + ".entries") for e in entries)
-    )
-
-
-def group_to_json(g):
-    return {
-        "n_generators": g.n_generators,
-        "diag": list(g.diag),
-        "invariant_factors": list(g.invariant_factors),
-        "coordinate_map": matrix_to_json(g.coordinate_map),
-    }
-
-
-def group_from_json(x, where="group"):
-    if not isinstance(x, dict):
-        _fail(where, "an object")
-    n = _int(x.get("n_generators"), where + ".n_generators")
-    diag = x.get("diag")
-    if not isinstance(diag, list):
-        _fail(where + ".diag", "a list of integers")
-    g = FPAbelianGroup(
-        n_generators=n,
-        diag=tuple(_int(e, where + ".diag") for e in diag),
-        coordinate_map=matrix_from_json(
-            x.get("coordinate_map"), where + ".coordinate_map"
-        ),
-    )
-    stated = x.get("invariant_factors")
-    if stated is not None and tuple(stated) != g.invariant_factors:
-        _fail(where + ".invariant_factors", "factors matching the diagonal")
-    return g
-
-
-def _vec_to_json(v):
-    return list(v)
-
-
-def _int_vec(x, n, where):
-    if not (isinstance(x, list) and len(x) == n):
-        _fail(where, "a list of %d integers" % n)
-    return tuple(_int(e, where) for e in x)
-
-
-def model_to_json(m):
-    return {
-        "p": m.p,
-        "q": m.q,
-        "orientation": m.orientation,
-        "f_outer": framing_to_json(m.f_outer),
-        "f_inner": framing_to_json(m.f_inner),
-        "relation": matrix_to_json(m.relation),
-        "h1": group_to_json(m.h1),
-        "img_mu": _vec_to_json(m.img_mu),
-        "img_lambda": _vec_to_json(m.img_lambda),
-        "img_mu_prime": _vec_to_json(m.img_mu_prime),
-        "img_lambda_prime": _vec_to_json(m.img_lambda_prime),
-        "boundary_outer": _vec_to_json(m.boundary_outer),
-        "boundary_inner": _vec_to_json(m.boundary_inner),
-        "zeta": m.zeta,
-        "t": frac_to_json(m.t),
-        "theta": m.theta,
-        "eta": m.eta,
-    }
-
-
-def model_from_json(x, where="model"):
-    if not isinstance(x, dict):
-        _fail(where, "an object")
-    return CableSpaceModel(
-        p=_int(x.get("p"), where + ".p"),
-        q=_int(x.get("q"), where + ".q"),
-        orientation=_int(x.get("orientation"), where + ".orientation"),
-        f_outer=framing_from_json(x.get("f_outer"), where + ".f_outer"),
-        f_inner=framing_from_json(x.get("f_inner"), where + ".f_inner"),
-        relation=matrix_from_json(x.get("relation"), where + ".relation"),
-        h1=group_from_json(x.get("h1"), where + ".h1"),
-        img_mu=_int_vec(x.get("img_mu"), 3, where + ".img_mu"),
-        img_lambda=_int_vec(x.get("img_lambda"), 3, where + ".img_lambda"),
-        img_mu_prime=_int_vec(x.get("img_mu_prime"), 3, where + ".img_mu_prime"),
-        img_lambda_prime=_int_vec(
-            x.get("img_lambda_prime"), 3, where + ".img_lambda_prime"
-        ),
-        boundary_outer=_int_vec(x.get("boundary_outer"), 2, where + ".boundary_outer"),
-        boundary_inner=_int_vec(x.get("boundary_inner"), 2, where + ".boundary_inner"),
-        zeta=_int(x.get("zeta"), where + ".zeta"),
-        t=frac_from_json(x.get("t"), where + ".t"),
-        theta=_int(x.get("theta"), where + ".theta"),
-        eta=_int(x.get("eta"), where + ".eta"),
-    )
-
-
-def map_to_json(m):
-    return {"epsilon": m.epsilon, "q": m.q, "u": frac_to_json(m.u)}
-
-
-def map_from_json(x, where="map"):
-    if not isinstance(x, dict):
-        _fail(where, "an object with epsilon, q, u")
-    return AffineSlopeMap(
-        epsilon=_int(x.get("epsilon"), where + ".epsilon"),
-        q=_int(x.get("q"), where + ".q"),
-        u=frac_from_json(x.get("u"), where + ".u"),
-    )
-
-
-def transfer_certificate_to_json(cert, kind=True):
-    w = cert.witnesses
-    out = {
-        "model": model_to_json(cert.model),
-        "map": map_to_json(cert.map),
-        "witnesses": {
-            "boundary": {
-                "outer": list(w["boundary"]["outer"]),
-                "inner": list(w["boundary"]["inner"]),
-                "zeta": w["boundary"]["zeta"],
-            },
-            "meridian": {
-                "zeta": w["meridian"]["zeta"],
-                "q": w["meridian"]["q"],
-                "factor": frac_to_json(w["meridian"]["factor"]),
-            },
-            "longitude": {
-                "t": frac_to_json(w["longitude"]["t"]),
-                "coefficient": w["longitude"]["coefficient"],
-            },
-            "slopes": [
-                {
-                    "source": list(rec["source"]),
-                    "image": list(rec["image"]),
-                    "factor": frac_to_json(rec["factor"]),
-                    "value_outer": value_to_json(rec["value_outer"]),
-                    "value_inner": value_to_json(rec["value_inner"]),
-                }
-                for rec in w["slopes"]
-            ],
-        },
-    }
-    if kind:
-        out["kind"] = "transfer_certificate"
-    return out
-
-
-def transfer_certificate_from_json(x, where="certificate"):
-    if not isinstance(x, dict):
-        _fail(where, "an object")
-    wx = x.get("witnesses")
-    if not isinstance(wx, dict):
-        _fail(where + ".witnesses", "an object")
-    bx = wx.get("boundary", {})
-    mx = wx.get("meridian", {})
-    lx = wx.get("longitude", {})
-    sx = wx.get("slopes")
-    if not isinstance(sx, list):
-        _fail(where + ".witnesses.slopes", "a list")
-    witnesses = {
-        "boundary": {
-            "outer": tuple(_int_pair(bx.get("outer"), where + ".boundary.outer")),
-            "inner": tuple(_int_pair(bx.get("inner"), where + ".boundary.inner")),
-            "zeta": _int(bx.get("zeta"), where + ".boundary.zeta"),
-        },
-        "meridian": {
-            "zeta": _int(mx.get("zeta"), where + ".meridian.zeta"),
-            "q": _int(mx.get("q"), where + ".meridian.q"),
-            "factor": frac_from_json(mx.get("factor"), where + ".meridian.factor"),
-        },
-        "longitude": {
-            "t": frac_from_json(lx.get("t"), where + ".longitude.t"),
-            "coefficient": _int(lx.get("coefficient"), where + ".longitude.coefficient"),
-        },
-        "slopes": tuple(
-            {
-                "source": tuple(_int_pair(rec.get("source"), where + ".slopes.source")),
-                "image": tuple(_int_pair(rec.get("image"), where + ".slopes.image")),
-                "factor": frac_from_json(rec.get("factor"), where + ".slopes.factor"),
-                "value_outer": value_from_json(
-                    rec.get("value_outer"), where + ".slopes.value_outer"
-                ),
-                "value_inner": value_from_json(
-                    rec.get("value_inner"), where + ".slopes.value_inner"
-                ),
-            }
-            for rec in sx
-        ),
-    }
-    return TransferCertificate(
-        model=model_from_json(x.get("model"), where + ".model"),
-        map=map_from_json(x.get("map"), where + ".map"),
-        witnesses=witnesses,
-    )
-
-
-def atom_to_json(a):
-    finite = sorted(v for v in a.strict_numerical_slopes if v is not INF)
-    values = [frac_to_json(v) for v in finite]
-    if INF in a.strict_numerical_slopes:
-        values.append("inf")
-    out = {
-        "strict_slopes": values,
-        "meridionally_small": a.meridionally_small,
-        "is_round": a.is_round,
-        "is_cable": a.is_cable,
-        "ambient_pi1_cyclic": a.ambient_pi1_cyclic,
-    }
-    if a.complementary_meridian is not None:
-        out["complementary_meridian"] = slope_to_json(a.complementary_meridian)
-    return out
-
-
-def _bool(x, where):
-    if not isinstance(x, bool):
-        _fail(where, "true or false")
-    return x
-
-
-def atom_from_json(x, where="base"):
-    if not isinstance(x, dict):
-        _fail(where, "an object")
-    values = x.get("strict_slopes", [])
-    if not isinstance(values, list):
-        _fail(where + ".strict_slopes", 'a list of [num, den] pairs or "inf"')
-    comp = x.get("complementary_meridian")
-    return AtomKnot(
-        strict_numerical_slopes=frozenset(
-            value_from_json(v, where + ".strict_slopes") for v in values
-        ),
-        meridionally_small=_bool(
-            x.get("meridionally_small", False), where + ".meridionally_small"
-        ),
-        is_round=_bool(x.get("is_round", False), where + ".is_round"),
-        is_cable=_bool(x.get("is_cable", False), where + ".is_cable"),
-        ambient_pi1_cyclic=_bool(
-            x.get("ambient_pi1_cyclic", False), where + ".ambient_pi1_cyclic"
-        ),
-        complementary_meridian=(
-            None if comp is None else slope_from_json(comp, where + ".complementary_meridian")
-        ),
-    )
-
-
-def cabling_to_json(c):
-    out = {"p": c.p, "q": c.q, "orientation": c.orientation}
-    if c.f_outer is not None:
-        out["f_outer"] = framing_to_json(c.f_outer)
-    if c.f_inner is not None:
-        out["f_inner"] = framing_to_json(c.f_inner)
-    return out
-
-
-def cabling_from_json(x, where="cabling"):
-    if not isinstance(x, dict):
-        _fail(where, "an object with p and q")
-    fo = x.get("f_outer")
-    fi = x.get("f_inner")
-    return Cabling(
-        p=_int(x.get("p"), where + ".p"),
-        q=_int(x.get("q"), where + ".q"),
-        orientation=_int(x.get("orientation", 1), where + ".orientation"),
-        f_outer=None if fo is None else framing_from_json(fo, where + ".f_outer"),
-        f_inner=None if fi is None else framing_from_json(fi, where + ".f_inner"),
-    )
-
-
-def description_to_json(d, kind=True):
-    out = {
-        "base": atom_to_json(d.base),
-        "cablings": [cabling_to_json(c) for c in d.cablings],
-    }
-    if kind:
-        out["kind"] = "knot_description"
-    return out
-
-
-def description_from_json(x, where="description"):
-    if not isinstance(x, dict):
-        _fail(where, "an object with base and cablings")
-    cablings = x.get("cablings", [])
-    if not isinstance(cablings, list):
-        _fail(where + ".cablings", "a list of {p, q} objects")
-    return KnotDescription(
-        base=atom_from_json(x.get("base"), where + ".base"),
-        cablings=tuple(
-            cabling_from_json(c, where + ".cablings[%d]" % i)
-            for i, c in enumerate(cablings)
-        ),
-    )
-
-
-def diameter_certificate_to_json(cert):
-    return {
-        "kind": "diameter_certificate",
-        "description": description_to_json(cert.description, kind=False),
-        "gitk": cert.gitk,
-        "ambient_h1": None if cert.ambient is None else group_to_json(cert.ambient),
-        "base_slopes": [value_to_json(v) for v in cert.base_slopes],
-        "levels": [
-            {
-                "cabling": cabling_to_json(rec.cabling),
-                "certificate": transfer_certificate_to_json(
-                    rec.certificate, kind=False
-                ),
-                "slopes": (
-                    None
-                    if rec.slopes is None
-                    else [frac_to_json(v) for v in rec.slopes]
-                ),
-            }
-            for rec in cert.levels
-        ],
-        "routes": {name: frac_to_json(v) for name, v in cert.routes.items()},
-        "primary_route": cert.primary_route,
-        "d_lower": dlower_to_json(cert.d_lower),
-        "reason": cert.reason,
-        "tags": [
-            {"rule": rule, "value": None if v is None else frac_to_json(v)}
-            for rule, v in cert.tags
-        ],
-    }
-
-
-def diameter_certificate_from_json(x, where="certificate"):
-    if not isinstance(x, dict):
-        _fail(where, "an object")
-    levels = x.get("levels", [])
-    if not isinstance(levels, list):
-        _fail(where + ".levels", "a list")
-    routes = x.get("routes", {})
-    if not isinstance(routes, dict):
-        _fail(where + ".routes", "an object")
-    tags = x.get("tags", [])
-    if not isinstance(tags, list):
-        _fail(where + ".tags", "a list")
-    base_slopes = x.get("base_slopes", [])
-    if not isinstance(base_slopes, list):
-        _fail(where + ".base_slopes", "a list")
-    ambient = x.get("ambient_h1")
-    return DiameterCertificate(
-        description=description_from_json(
-            x.get("description"), where + ".description"
-        ),
-        gitk=_bool(x.get("gitk"), where + ".gitk"),
-        ambient=None if ambient is None else group_from_json(ambient, where + ".ambient_h1"),
-        base_slopes=tuple(
-            value_from_json(v, where + ".base_slopes") for v in base_slopes
-        ),
-        levels=tuple(
-            LevelRecord(
-                cabling=cabling_from_json(rec.get("cabling"), where + ".levels.cabling"),
-                certificate=transfer_certificate_from_json(
-                    rec.get("certificate"), where + ".levels.certificate"
-                ),
-                slopes=(
-                    None
-                    if rec.get("slopes") is None
-                    else tuple(
-                        frac_from_json(v, where + ".levels.slopes")
-                        for v in rec["slopes"]
-                    )
-                ),
-            )
-            for rec in levels
-        ),
-        routes={
-            name: frac_from_json(v, where + ".routes") for name, v in routes.items()
-        },
-        primary_route=x.get("primary_route", ""),
-        d_lower=dlower_from_json(x.get("d_lower"), where + ".d_lower"),
-        reason=x.get("reason", ""),
-        tags=tuple(
-            (
-                tag.get("rule"),
-                None if tag.get("value") is None else frac_from_json(tag["value"], where + ".tags"),
-            )
-            for tag in tags
-        ),
-    )
+# The writers and readers the CLI and the tests call by name.
+frac_to_json, frac_from_json = _codec(FRACTION, "rational")
+value_to_json, value_from_json = _codec(VALUE, "value")
+dlower_to_json = D_LOWER.emit
+slope_to_json, slope_from_json = _codec(SLOPE, "slope")
+framing_to_json, framing_from_json = _codec(FRAMING, "framing")
+matrix_to_json, matrix_from_json = _codec(MATRIX, "matrix")
+model_to_json = MODEL.emit
+transfer_certificate_to_json, transfer_certificate_from_json = _codec(
+    TRANSFER_CERTIFICATE.document("transfer_certificate"), "certificate"
+)
+description_to_json, description_from_json = _codec(
+    DESCRIPTION.document("knot_description"), "description"
+)
+diameter_certificate_to_json, diameter_certificate_from_json = _codec(
+    DIAMETER_CERTIFICATE, "certificate"
+)
 
 
 def load_document(text, where="input"):
@@ -621,8 +570,10 @@ def load_document(text, where="input"):
         x = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError("%s: malformed JSON (%s)" % (where, e)) from None
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply to parse" % where) from None
     if not isinstance(x, dict):
-        _fail(where, "a JSON object")
+        raise ValueError("%s: expected a JSON object" % where)
     kind = x.get("kind")
     if kind == "knot_description":
         return description_from_json(x, where)
@@ -630,9 +581,9 @@ def load_document(text, where="input"):
         return transfer_certificate_from_json(x, where)
     if kind == "diameter_certificate":
         return diameter_certificate_from_json(x, where)
-    _fail(
-        where + ".kind",
-        '"knot_description", "transfer_certificate", or "diameter_certificate"',
+    raise ValueError(
+        '%s.kind: expected "knot_description", "transfer_certificate", or '
+        '"diameter_certificate"' % where
     )
 
 

@@ -275,6 +275,14 @@ class DiameterCertificate:
     tags: tuple = ()
 
 
+def primary_route(routes):
+    """The route that backs the bound: among the routes of largest value,
+    "axiom-b" if it is one of them, else the smallest name."""
+    best = max(routes.values())
+    tied = [name for name, value in routes.items() if value == best]
+    return "axiom-b" if "axiom-b" in tied else min(tied)
+
+
 def diameter_lower_bound(d, cache=None):
     """Evaluate every certified route for d and assemble the certificate.
 
@@ -339,9 +347,7 @@ def diameter_lower_bound(d, cache=None):
             for c in d.cablings:
                 tags.append(("A", Fraction(c.q * c.q)))
             d_lower = max(routes.values())
-            primary = (
-                "axiom-b" if routes.get("axiom-b") == d_lower else "declared-set"
-            )
+            primary = primary_route(routes)
         else:
             d_lower = NEG_INF
             primary = "none"

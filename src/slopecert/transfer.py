@@ -371,10 +371,22 @@ def verify_certificate(cert):
         and w1.get("zeta") == model.zeta,
     )
 
-    # Eq (2): mu-bar = -zeta*q*mu-bar'.
+    # Eq (2): mu-bar = -zeta*q*mu-bar'.  The stated constants are the
+    # model's, and the stated factor is that of the meridian's slope
+    # record, which witness-slopes checks against phi.
+    slopes = cert.witnesses.get("slopes", ())
+    meridian = canonical_slope(model.f_outer.mu.a, model.f_outer.mu.b)
+    w2 = cert.witnesses.get("meridian", {})
     add(
         "eq-meridian",
-        all(a == -model.zeta * model.q * b for a, b in zip(mu_r, mp_r)),
+        all(a == -model.zeta * model.q * b for a, b in zip(mu_r, mp_r))
+        and w2.get("zeta") == model.zeta
+        and w2.get("q") == model.q
+        and any(
+            canonical_slope(*rec["source"]) == meridian
+            and rec["factor"] == w2.get("factor")
+            for rec in slopes
+        ),
     )
 
     # Eq (3): lambda-bar' = t*mu-bar + zeta*theta*eta*q*lambda-bar.
@@ -397,11 +409,15 @@ def verify_certificate(cert):
     )
 
     # Slope witnesses: recompute phi, the proportionality factor, and
-    # both numerical values, and re-check the affine law on each.
+    # both numerical values, and re-check the affine law on each.  The
+    # meridian and the cabling curve must be among them.
     ok = True
     detail = ""
-    for rec in cert.witnesses.get("slopes", ()):
+    required = [meridian, canonical_slope(model.p, model.q)]
+    for rec in slopes:
         s = canonical_slope(*rec["source"])
+        if s in required:
+            required.remove(s)
         image, r = phi_with_factor(model, s)
         vo = numerical_slope(model.f_outer, s)
         vi = numerical_slope(model.f_inner, image)
@@ -415,6 +431,9 @@ def verify_certificate(cert):
             ok = False
             detail = "slope (%d, %d)" % (s.a, s.b)
             break
+    if ok and required:
+        ok = False
+        detail = "no record of slope (%d, %d)" % (required[0].a, required[0].b)
     add("witness-slopes", ok, detail)
 
     return CheckReport(checks=tuple(checks))

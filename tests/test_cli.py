@@ -187,6 +187,47 @@ def test_verify_names_first_grid_counterexample(tmp_path, capsys):
     )
 
 
+def drop_slope_record(source):
+    def edit(w):
+        w["slopes"] = [rec for rec in w["slopes"] if rec["source"] != source]
+    return edit
+
+
+@pytest.mark.parametrize("edit, failing", [
+    (lambda w: w["meridian"].update(zeta=-w["meridian"]["zeta"]), "eq-meridian"),
+    (lambda w: w["meridian"].update(q=w["meridian"]["q"] + 1), "eq-meridian"),
+    (lambda w: w["meridian"].update(factor=[99, 1]), "eq-meridian"),
+    (lambda w: w.update(slopes=[]), "witness-slopes"),
+    (drop_slope_record([1, 0]), "witness-slopes"),  # the meridian
+    (drop_slope_record([2, 3]), "witness-slopes"),  # the cabling curve
+], ids=["meridian-zeta", "meridian-q", "meridian-factor", "no-slopes",
+        "no-meridian-slope", "no-cabling-slope"])
+def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, failing):
+    emitted = tmp_path / "cert.json"
+    assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    capsys.readouterr()
+    doc = json.loads(emitted.read_text())
+    edit(doc["witnesses"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "    FAIL %s" % failing in out
+    assert "overall: FAIL" in out
+
+
+def test_deeply_nested_input_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 5000
+    path.write_text(
+        '{"kind": "knot_description", "base": {}, "cablings": '
+        + "[" * depth + "]" * depth + "}"
+    )
+    code, report = run(RunConfig(command="verify", inputs=(str(path),)))
+    assert code == 2
+    assert "  input error: %s: " % path in report
+
+
 def break_h1_rank(model):
     """Make a model's stored H1 the group Z instead of Z^2."""
     model["h1"]["diag"] = [1, 1, 0]

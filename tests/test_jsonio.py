@@ -133,6 +133,24 @@ def test_description_round_trip():
         assert canonical_dumps(description_to_json(back)) == text
 
 
+def test_description_is_written_with_its_fields_only():
+    # no complementary meridian or framings: those keys are left out, not null
+    assert description_to_json(SAMPLE_DESCRIPTION) == {
+        "kind": "knot_description",
+        "base": {
+            "strict_slopes": [[-1, 3], [2, 1], "inf"],
+            "meridionally_small": False,
+            "is_round": False,
+            "is_cable": False,
+            "ambient_pi1_cyclic": False,
+        },
+        "cablings": [
+            {"p": 2, "q": 3, "orientation": 1},
+            {"p": 1, "q": 2, "orientation": 1},
+        ],
+    }
+
+
 def test_description_with_custom_framings_round_trips():
     d = KnotDescription(
         base=AtomKnot(
@@ -306,14 +324,14 @@ def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monk
     for argv in runs:
         for fmt in ("text", "json"):
             assert cli.main(argv + ["--format", fmt]) == 0
-    # Unchecked fields of a stored certificate reach the report as they are.
+    # A stored certificate with a field of the wrong type is an input error.
     for value in (1.5, {}, [], None, True):
         doc = json.loads(dcert.read_text())
         doc["primary_route"] = value
         doc["reason"] = value
         bad = tmp_path / "bad.json"
         bad.write_text(real(doc))
-        assert cli.main(["verify", str(bad), "--format", "json"]) == 1
+        assert cli.main(["verify", str(bad), "--format", "json"]) == 2
     assert set(kinds) == {
         "snf_report", "cable_homology_report", "transfer_report",
         "transfer_certificate", "propagation_report", "verify_report",

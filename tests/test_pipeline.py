@@ -376,3 +376,10 @@ def test_declared_set_route_checks_the_propagated_sets(monkeypatch):
     )
     with pytest.raises(InvariantError, match="propagated outermost diameter 1 is not"):
         diameter_lower_bound(d)
+
+
+def test_primary_route_on_a_three_route_tie():
+    top, low = Fraction(5), Fraction(1)
+    assert pipeline.primary_route({"zeta": top, "beta": top, "alpha": low}) == "beta"
+    assert pipeline.primary_route({"c": top, "axiom-b": top, "alpha": top}) == "axiom-b"
+    assert pipeline.primary_route({"c": top, "axiom-b": low, "b": top}) == "b"
