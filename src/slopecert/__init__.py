@@ -11,6 +11,7 @@ machine-checkable certificates for lower bounds on the slope diameter.
 
 from .slopes import (
     INF,
+    NEG_INF,
     Framing,
     FramingChange,
     InvariantError,
@@ -34,6 +35,7 @@ from .cablespace import (
     STANDARD_OUTER_FRAMING,
     CableSpaceModel,
     cable_space_homology,
+    check_model,
     glued_manifold_h1,
     verify_model,
 )
@@ -43,13 +45,11 @@ from .transfer import (
     TransferCertificate,
     conjugate,
     phi,
-    phi_by_search,
     transfer_certificate,
     transfer_map,
     verify_certificate,
 )
 from .pipeline import (
-    NEG_INF,
     AtomKnot,
     Cabling,
     DiameterCertificate,
@@ -94,6 +94,7 @@ __all__ = [
     "cable_space_homology",
     "canonical_slope",
     "check_corollary_c",
+    "check_model",
     "conjugate",
     "diameter",
     "diameter_lower_bound",
@@ -103,7 +104,6 @@ __all__ = [
     "group_from_presentation",
     "numerical_slope",
     "phi",
-    "phi_by_search",
     "propagate",
     "recognize_gitk",
     "slope_from_numerical",

@@ -68,10 +68,28 @@ from functools import cached_property
 from math import gcd
 
 from .linalg import FPAbelianGroup, IntMatrix, group_from_presentation
+from .report import Check, CheckReport
 from .slopes import Framing, PrimitiveClass
 
 STANDARD_OUTER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), -1)
 STANDARD_INNER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), +1)
+
+
+def check_parameters(p, q, orientation):
+    """Raise ValueError unless (p, q, orientation) names a cable space:
+    integers p and q with q >= 2 and gcd(p, q) = 1, and orientation +-1."""
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError("p and q must be integers")
+    if q < 2:
+        raise ValueError("not a cabling (q must be at least 2)")
+    if gcd(p, q) != 1:
+        raise ValueError("cabling curve not simple")
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+
+
+def _cross(v, w):
+    return v[0] * w[1] - v[1] * w[0]
 
 
 def _iota_outer(a, b):
@@ -120,6 +138,14 @@ class CableSpaceModel:
     theta: int
     eta: int
 
+    def __post_init__(self):
+        check_parameters(self.p, self.q, self.orientation)
+
+    @property
+    def longitude_coefficient(self):
+        """The coefficient zeta*theta*eta*q of lambda-bar in the lambda' relation."""
+        return self.zeta * self.theta * self.eta * self.q
+
     def iota_outer(self, a, b):
         return _iota_outer(a, b)
 
@@ -161,14 +187,7 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     lambda' relations, the planar boundary witness) is checked exactly
     before the model is returned.
     """
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise ValueError("p and q must be integers")
-    if q < 2:
-        raise ValueError("not a cabling (q must be at least 2)")
-    if gcd(p, q) != 1:
-        raise ValueError("cabling curve not simple")
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    check_parameters(p, q, orientation)
     if f_outer is None:
         f_outer = STANDARD_OUTER_FRAMING
     if f_inner is None:
@@ -208,19 +227,15 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     theta = f_inner.sign
     eta = f_outer.sign
 
-    # Solve lambda-bar' = t*mu-bar + w*lambda-bar over Q and insist that
-    # w equals zeta*theta*eta*q: the shape of the relation is derived,
-    # not assumed.
+    # Solve lambda-bar' = t*mu-bar + w*lambda-bar over Q for t; that w
+    # comes out as zeta*theta*eta*q is the model's eq-longitude check.
     mu_r = h1.rational_coords(img_mu)
     la_r = h1.rational_coords(img_lambda)
     lp_r = h1.rational_coords(img_lambda_prime)
-    den = mu_r[0] * la_r[1] - mu_r[1] * la_r[0]
+    den = _cross(mu_r, la_r)
     if den == 0:
         raise ValueError("inconsistent cable space model")
-    t = Fraction(lp_r[0] * la_r[1] - lp_r[1] * la_r[0], den)
-    w = Fraction(mu_r[0] * lp_r[1] - mu_r[1] * lp_r[0], den)
-    if w != zeta * theta * eta * q:
-        raise ValueError("inconsistent cable space model")
+    t = Fraction(_cross(lp_r, la_r), den)
 
     model = CableSpaceModel(
         p=p,
@@ -245,64 +260,85 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     return model
 
 
-def verify_model(model):
-    """Exact re-check of every CableSpaceModel invariant; raises on failure.
+def rank_skipped(name):
+    """The failed check `name`, skipped because it reads the two free
+    coordinates of an H1 that is not free of rank 2."""
+    return Check(name, False, "skipped: H1 is not free of rank 2")
 
-    Used both as the constructor's postcondition and by certificate
-    replay, so it trusts nothing: presentation, framings, images, and
+
+def check_model(model):
+    """Exact re-check of every CableSpaceModel identity, one Check each.
+
+    The single implementation of the model's identities, used both as the
+    constructor's postcondition (through verify_model) and by certificate
+    replay, so it trusts nothing: presentation, framings, images and
     constants are all re-derived or re-checked from the stored data.
+    The parameters are checked when the model is constructed.  When H1 is
+    not free of rank 2 the checks after h1-rank are skipped, failed.
     """
+    checks = []
 
-    def need(ok):
-        if not ok:
-            raise ValueError("inconsistent cable space model")
+    def add(name, ok, detail=""):
+        checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
-    need(isinstance(model.p, int) and isinstance(model.q, int))
-    need(model.q >= 2 and gcd(model.p, model.q) == 1)
-    need(model.orientation in (1, -1))
-    need(model.f_outer.mu.b == 0 and model.f_inner.mu.b == 0)
-    need(model.f_outer.sign == -model.f_outer.mu.a * model.f_outer.lambda_.b)
-    need(model.f_inner.sign == model.f_inner.mu.a * model.f_inner.lambda_.b)
-    need(model.relation.to_rows() == [[model.q, -model.p, -model.q]])
-    need(group_from_presentation(model.relation) == model.h1)
-    need(model.img_mu == model.iota_outer(model.f_outer.mu.a, model.f_outer.mu.b))
-    need(
-        model.img_lambda
-        == model.iota_outer(model.f_outer.lambda_.a, model.f_outer.lambda_.b)
-    )
-    need(model.img_mu_prime == model.iota_inner(model.f_inner.mu.a, model.f_inner.mu.b))
-    need(
-        model.img_lambda_prime
-        == model.iota_inner(model.f_inner.lambda_.a, model.f_inner.lambda_.b)
-    )
+    # The stored group is the cokernel of the stored relation matrix, and
+    # the matrix is the (p, q) one.
+    try:
+        regroup = group_from_presentation(model.relation)
+        add(
+            "presentation",
+            regroup == model.h1
+            and model.relation.to_rows() == [[model.q, -model.p, -model.q]],
+        )
+    except ValueError as e:
+        add("presentation", False, str(e))
+
     h1 = model.h1
-    if h1.invariant_factors != (0, 0):
-        raise ValueError("inconsistent cable space model")
+    rank_ok = h1.invariant_factors == (0, 0)
+    add("h1-rank", rank_ok)
+    if not rank_ok:
+        for name in (
+            "iota-isomorphisms",
+            "framing-signs",
+            "eq-boundary",
+            "eq-meridian",
+            "eq-longitude",
+        ):
+            checks.append(rank_skipped(name))
+        return CheckReport(checks=tuple(checks))
+
+    # The four images are those of the framing classes, and each pair
+    # is a basis of H1(N; Q).
+    f_outer, f_inner = model.f_outer, model.f_inner
     mu_r = h1.rational_coords(model.img_mu)
     la_r = h1.rational_coords(model.img_lambda)
     mp_r = h1.rational_coords(model.img_mu_prime)
     lp_r = h1.rational_coords(model.img_lambda_prime)
-    if mu_r[0] * la_r[1] - mu_r[1] * la_r[0] == 0:
-        raise ValueError("inconsistent cable space model")
-    if mp_r[0] * lp_r[1] - mp_r[1] * lp_r[0] == 0:
-        raise ValueError("inconsistent cable space model")
-    # mu-bar = -zeta*q*mu-bar'
-    if any(a != -model.zeta * model.q * b for a, b in zip(mu_r, mp_r)):
-        raise ValueError("inconsistent cable space model")
-    # lambda-bar' = t*mu-bar + zeta*theta*eta*q*lambda-bar
-    w = model.zeta * model.theta * model.eta * model.q
-    if any(c != model.t * a + w * b for c, a, b in zip(lp_r, mu_r, la_r)):
-        raise ValueError("inconsistent cable space model")
-    # Planar boundary witness: outer part is mu itself, inner part is
-    # zeta*q*mu', and the total class dies in H1(N).
-    if model.boundary_outer != (model.f_outer.mu.a, model.f_outer.mu.b):
-        raise ValueError("inconsistent cable space model")
-    expected_inner = (
-        model.zeta * model.q * model.f_inner.mu.a,
-        model.zeta * model.q * model.f_inner.mu.b,
+    add(
+        "iota-isomorphisms",
+        model.img_mu == model.iota_outer(f_outer.mu.a, f_outer.mu.b)
+        and model.img_lambda == model.iota_outer(f_outer.lambda_.a, f_outer.lambda_.b)
+        and model.img_mu_prime == model.iota_inner(f_inner.mu.a, f_inner.mu.b)
+        and model.img_lambda_prime
+        == model.iota_inner(f_inner.lambda_.a, f_inner.lambda_.b)
+        and _cross(mu_r, la_r) != 0
+        and _cross(mp_r, lp_r) != 0,
     )
-    if model.boundary_inner != expected_inner:
-        raise ValueError("inconsistent cable space model")
+
+    # Framing signs feed theta and eta; check both the wiring and the
+    # orientation consistency of meridian-based framings.
+    add(
+        "framing-signs",
+        model.theta == f_inner.sign
+        and model.eta == f_outer.sign
+        and f_outer.mu.b == 0
+        and f_inner.mu.b == 0
+        and f_outer.sign == -f_outer.mu.a * f_outer.lambda_.b
+        and f_inner.sign == f_inner.mu.a * f_inner.lambda_.b,
+    )
+
+    # Eq (1): the planar boundary is mu on T1, zeta*q*mu' on T2, and the
+    # total class dies in H1(N).
     total = tuple(
         x + y
         for x, y in zip(
@@ -310,7 +346,27 @@ def verify_model(model):
             model.iota_inner(*model.boundary_inner),
         )
     )
-    if not h1.is_zero(total):
+    add(
+        "eq-boundary",
+        model.boundary_outer == (f_outer.mu.a, f_outer.mu.b)
+        and model.boundary_inner
+        == (model.zeta * model.q * f_inner.mu.a, model.zeta * model.q * f_inner.mu.b)
+        and h1.is_zero(total),
+    )
+
+    # Eq (2): mu-bar = -zeta*q*mu-bar'.
+    add("eq-meridian", all(a == -model.zeta * model.q * b for a, b in zip(mu_r, mp_r)))
+
+    # Eq (3): lambda-bar' = t*mu-bar + zeta*theta*eta*q*lambda-bar.
+    w = model.longitude_coefficient
+    add("eq-longitude", all(c == model.t * a + w * b for c, a, b in zip(lp_r, mu_r, la_r)))
+
+    return CheckReport(checks=tuple(checks))
+
+
+def verify_model(model):
+    """The raising form of check_model: ValueError unless every identity holds."""
+    if not check_model(model).ok:
         raise ValueError("inconsistent cable space model")
 
 

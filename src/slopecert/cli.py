@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
-from .cablespace import cable_space_homology
+from .cablespace import cable_space_homology, rank_skipped
 from .linalg import smith_normal_form
 from .pipeline import (
-    NEG_INF,
     KnotDescription,
     LevelCache,
     check_corollary_c,
@@ -33,7 +32,7 @@ from .pipeline import (
     recognize_gitk,
 )
 from .report import Check
-from .slopes import INF, canonical_slope, numerical_slope
+from .slopes import INF, NEG_INF, canonical_slope, numerical_slope
 from .transfer import (
     TransferCertificate,
     grid_slopes,
@@ -135,14 +134,12 @@ def _certificate_checks(cert, bound):
     verify_certificate skips when H1 is not free of rank 2, so it is
     skipped with them.
     """
-    checks = list(verify_certificate(cert).checks)
-    if next(c.ok for c in checks if c.name == "h1-rank"):
-        checks.append(_grid_check(cert.model, cert.map, bound))
+    report = verify_certificate(cert)
+    if report.passed("h1-rank"):
+        grid = _grid_check(cert.model, cert.map, bound)
     else:
-        checks.append(
-            Check("grid-consistency", False, "skipped: H1 is not free of rank 2")
-        )
-    return checks
+        grid = rank_skipped("grid-consistency")
+    return [*report.checks, grid]
 
 
 def _read_text(path):

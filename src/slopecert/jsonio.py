@@ -4,9 +4,10 @@ Each document type is one table of fields: a JSON key, the attribute it
 maps to, and a field kind (see the tables below, FRAMING to
 DIAMETER_CERTIFICATE).  One reader and one writer walk the tables.  The
 reader checks the type of every value before it reads into it: integers
-are JSON integers (true and 1.0 are not), rationals are reduced on read.
-A missing field or a value of the wrong type raises ValueError with the
-field's path, list indices included, e.g.
+are JSON integers (true and 1.0 are not), and rationals and slopes must
+be in the form the writer uses (see below).  A missing field, a value of
+the wrong type, or a rational or slope in another form raises ValueError
+with the field's path, list indices included, e.g.
 "certificate.levels[3].certificate.model.p: expected an integer", so a
 malformed document is an input error (exit code 2).  Keys not in a table
 are ignored.
@@ -21,10 +22,11 @@ levels ([]), levels[i].slopes (null), routes ({}), primary_route (""),
 d_lower (null), reason ("") and tags ([]), tags[i].value (null).  The
 writer leaves out complementary_meridian, f_outer and f_inner when None.
 
-All rationals are emitted as reduced [numerator, denominator] pairs
-with positive denominator; the meridian value is the string "inf" and
-an empty-set diameter is "-inf".  Slopes and primitive classes are
-[a, b] pairs in reference coordinates.  Documents carry a "kind" field
+All rationals are reduced [numerator, denominator] pairs with positive
+denominator; the meridian value is the string "inf" and an empty-set
+diameter is "-inf".  Slopes and primitive classes are [a, b] pairs in
+reference coordinates, a slope always its canonical pair (coprime, with
+b > 0, or [1, 0]).  Documents carry a "kind" field
 ("knot_description", "transfer_certificate", "diameter_certificate")
 so the verifier can dispatch.  Emission is deterministic: fixed key
 order via sorted dumps, fixed list orders fixed by the producers.
@@ -37,11 +39,11 @@ import json
 import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd
 
 from .cablespace import CableSpaceModel
 from .linalg import FPAbelianGroup, IntMatrix
 from .pipeline import (
-    NEG_INF,
     AtomKnot,
     Cabling,
     DiameterCertificate,
@@ -49,7 +51,7 @@ from .pipeline import (
     LevelRecord,
     _sorted_values,
 )
-from .slopes import INF, Framing, PrimitiveClass, canonical_slope
+from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope
 from .transfer import AffineSlopeMap, TransferCertificate
 
 
@@ -392,9 +394,15 @@ def _tuple(*fields):
 
 
 def _fraction(n, d):
-    if d == 0:
-        raise _Bad("a nonzero denominator", "[1]")
-    return Fraction(n, d)
+    if d > 0 and gcd(n, d) == 1:
+        return Fraction(n, d)
+    raise _Bad("a reduced fraction [n, d] with d > 0")
+
+
+def _slope(a, b):
+    if (b > 0 or (b == 0 and a == 1)) and gcd(a, b) == 1:
+        return Slope(PrimitiveClass(a, b))
+    raise _Bad("a canonical slope [a, b]: coprime, with b > 0, or [1, 0]")
 
 
 def _fraction_pair(v):
@@ -427,7 +435,7 @@ PAIR = _Pair(lambda a, b: (a, b), list)
 FRACTION = _Pair(_fraction, _fraction_pair)
 VALUE = _Token("inf", INF, FRACTION)
 D_LOWER = _Nullable(_Token("-inf", NEG_INF, FRACTION))
-SLOPE = _Pair(canonical_slope, lambda s: [s.a, s.b])
+SLOPE = _Pair(_slope, lambda s: [s.a, s.b])
 PRIMITIVE_CLASS = _Pair(PrimitiveClass, lambda c: [c.a, c.b])
 
 FRAMING = _object(

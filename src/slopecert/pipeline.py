@@ -37,34 +37,17 @@ check_corollary_c().
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .cablespace import (
     STANDARD_INNER_FRAMING,
     STANDARD_OUTER_FRAMING,
     cable_space_homology,
+    check_parameters,
     glued_manifold_h1,
 )
 from .report import Check, CheckReport
-from .slopes import INF, Framing, InvariantError, Slope
+from .slopes import INF, NEG_INF, Framing, InvariantError, Slope
 from .transfer import transfer_certificate
-
-
-class _NegInfinity:
-    """The diameter of an empty slope set.  A unique atom, no arithmetic."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NEG_INF"
-
-
-NEG_INF = _NegInfinity()
 
 
 def diameter(values):
@@ -141,12 +124,7 @@ class Cabling:
     f_inner: Framing = None
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise ValueError("p and q must be integers")
-        if self.q < 2:
-            raise ValueError("not a cabling (q must be at least 2)")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError("cabling curve not simple")
+        check_parameters(self.p, self.q, self.orientation)
 
     def model(self):
         return cable_space_homology(

@@ -18,10 +18,10 @@ carried for the homology models, which do.
 
 The numerical slope of <a*mu + b*lambda> relative to a framing is the
 exact rational -a/b, with the meridian itself taking the distinguished
-value INF.  INF is an atom of its own type, never the fraction 1/0, and
-supports no arithmetic.  Changing the framing acts on numerical values
-by an affine map s -> epsilon*s + h with epsilon = +-1 and h an integer;
-framing_change() computes that map.
+value INF.  INF is an atom, never the fraction 1/0, and supports no
+arithmetic; so is NEG_INF, the diameter of an empty slope set.  Changing
+the framing acts on numerical values by an affine map s -> epsilon*s + h
+with epsilon = +-1 and h an integer; framing_change() computes that map.
 """
 
 from dataclasses import dataclass
@@ -38,24 +38,30 @@ class InvariantError(ValueError):
     """
 
 
-class _Infinity:
-    """The numerical slope of the meridian.  A unique atom, no arithmetic."""
+class _Atom:
+    """A named constant of its own: no arithmetic, and unique.
 
-    _instance = None
+    Compared with ``is``; copying or unpickling an atom gives the atom
+    itself, because it reduces to its module-level name.
+    """
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name):
+        self._name = name
 
     def __repr__(self):
-        return "INF"
+        return self._name
+
+    def __reduce__(self):
+        return self._name
 
 
-INF = _Infinity()
+# The numerical slope of the meridian.
+INF = _Atom("INF")
+# The diameter of an empty slope set.
+NEG_INF = _Atom("NEG_INF")
 
 # A numerical slope: an exact rational, or INF for the meridian.
-ExtendedRational = Union[Fraction, _Infinity]
+ExtendedRational = Union[Fraction, _Atom]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,7 @@ cable space correspond exactly when their images in H1(N; Q) are
 parallel (rational multiples of one another).  Since both boundary
 inclusions are isomorphisms over Q, that rule is a bijection phi from
 slopes on T1 to slopes on T2, computed here by an exact 2x2 linear
-solve in the model's free coordinates.  A brute-force enumeration of
-candidate primitive pairs, checking the parallelism condition verbatim,
-is kept alongside as a test oracle.
+solve in the model's free coordinates.
 
 On numerical slopes the bijection is affine:
 
@@ -24,7 +22,8 @@ A TransferCertificate packages the model, the map, and enough witness
 data (the planar boundary class, the meridian and longitude relations
 with their constants, and sampled slope pairs with their rational
 proportionality factors) for verify_certificate() to re-derive every
-claim from the raw presentation alone.
+claim from the raw presentation alone: it runs the model's own checks
+(cablespace.check_model) and holds the stated constants against them.
 """
 
 from dataclasses import dataclass
@@ -32,13 +31,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cablespace import CableSpaceModel
-from .linalg import group_from_presentation
+from .cablespace import CableSpaceModel, _cross, check_model, rank_skipped
 from .report import Check, CheckReport
 from .slopes import (
     INF,
     PrimitiveClass,
-    Slope,
     _in_basis,
     canonical_slope,
     numerical_slope,
@@ -91,10 +88,6 @@ def conjugate(smap, outer_change, inner_change):
     eps = inner_change.epsilon * smap.epsilon * outer_change.epsilon
     u = inner_change.apply(smap.apply(outer_change.inverse().apply(Fraction(0))))
     return AffineSlopeMap(eps, smap.q, u)
-
-
-def _cross(v, w):
-    return v[0] * w[1] - v[1] * w[0]
 
 
 def phi_matrix(model):
@@ -177,32 +170,6 @@ def grid_slopes(bound):
     return tuple(pairs)
 
 
-def phi_by_search(model, s, bound=20):
-    """Brute-force oracle for phi: enumerate and test parallelism directly.
-
-    Scans every canonical primitive pair (a2, b2) with coefficients up
-    to the bound and keeps those whose inner image a2*iota2(E1') +
-    b2*iota2(E2') is parallel to the outer image of s.  Returns the
-    unique match as a Slope, or None when the true image lies outside
-    the search box; two distinct matches would contradict bijectivity
-    and raise.
-    """
-    w = model.rational_outer(s.a, s.b)
-    v1 = model.rational_inner(1, 0)
-    v2 = model.rational_inner(0, 1)
-    c1 = _cross(v1, w)
-    c2 = _cross(v2, w)
-    found = None
-    for a2, b2 in grid_slopes(bound):
-        if a2 * c1 + b2 * c2 == 0:
-            if found is not None:
-                raise ValueError("inconsistent cable space model")
-            found = (a2, b2)
-    if found is None:
-        return None
-    return Slope(PrimitiveClass(*found))
-
-
 def transfer_map(model, f_outer=None, f_inner=None):
     """The affine law of phi on numerical slopes, for the model's framings.
 
@@ -280,7 +247,7 @@ def transfer_certificate(model, extra_slopes=()):
         "meridian": {"zeta": model.zeta, "q": model.q, "factor": r_mu},
         "longitude": {
             "t": model.t,
-            "coefficient": model.zeta * model.theta * model.eta * model.q,
+            "coefficient": model.longitude_coefficient,
         },
         "slopes": tuple(records),
     }
@@ -290,114 +257,47 @@ def transfer_certificate(model, extra_slopes=()):
 def verify_certificate(cert):
     """Replay every claim in a TransferCertificate from raw data.
 
-    Returns a CheckReport with one entry per equation/claim; failures
-    are report entries, never exceptions.
+    Returns a CheckReport: the model's checks (check_model), each also
+    holding the certificate's stated constants of that name against the
+    model, then map-consistency and witness-slopes.  Failures are report
+    entries, never exceptions.
     """
-    checks = []
     model = cert.model
-
-    def add(name, ok, detail=""):
-        checks.append(Check(name=name, ok=bool(ok), detail=detail))
-
-    # Presentation: the stored group really is the cokernel of the
-    # stored relation matrix, and the matrix is the (p, q) one.
-    try:
-        regroup = group_from_presentation(model.relation)
-        ok = (
-            regroup == model.h1
-            and model.relation.to_rows() == [[model.q, -model.p, -model.q]]
+    report = check_model(model)
+    if not report.passed("h1-rank"):
+        return CheckReport(
+            checks=report.checks
+            + (rank_skipped("map-consistency"), rank_skipped("witness-slopes"))
         )
-        add("presentation", ok)
-    except ValueError as e:
-        add("presentation", False, str(e))
 
-    rank_ok = model.h1.invariant_factors == (0, 0)
-    add("h1-rank", rank_ok)
-    if not rank_ok:
-        # The remaining checks all read 2-dimensional free coordinates;
-        # without rank 2 they are meaningless, not merely false.
-        for name in (
-            "iota-isomorphisms",
-            "framing-signs",
-            "eq-boundary",
-            "eq-meridian",
-            "eq-longitude",
-            "map-consistency",
-            "witness-slopes",
-        ):
-            add(name, False, "skipped: H1 is not free of rank 2")
-        return CheckReport(checks=tuple(checks))
-
-    mu_r = model.h1.rational_coords(model.img_mu)
-    la_r = model.h1.rational_coords(model.img_lambda)
-    mp_r = model.h1.rational_coords(model.img_mu_prime)
-    lp_r = model.h1.rational_coords(model.img_lambda_prime)
-    add(
-        "iota-isomorphisms",
-        _cross(mu_r, la_r) != 0 and _cross(mp_r, lp_r) != 0,
-    )
-
-    # Framing signs feed theta and eta; check both the wiring and the
-    # orientation consistency the model promises.
-    add(
-        "framing-signs",
-        model.theta == model.f_inner.sign
-        and model.eta == model.f_outer.sign
-        and model.f_outer.sign == -model.f_outer.mu.a * model.f_outer.lambda_.b
-        and model.f_inner.sign == model.f_inner.mu.a * model.f_inner.lambda_.b,
-    )
-
-    # Eq (1): the planar boundary is mu on T1, zeta*q*mu' on T2, and the
-    # total class dies in H1(N).
+    # The stated constants are the model's; the stated meridian factor is
+    # that of the meridian's slope record, which witness-slopes checks
+    # against phi.
     w1 = cert.witnesses.get("boundary", {})
-    expected_inner = (
-        model.zeta * model.q * model.f_inner.mu.a,
-        model.zeta * model.q * model.f_inner.mu.b,
-    )
-    total = tuple(
-        x + y
-        for x, y in zip(
-            model.iota_outer(*model.boundary_outer),
-            model.iota_inner(*model.boundary_inner),
-        )
-    )
-    add(
-        "eq-boundary",
-        tuple(w1.get("outer", ())) == tuple(model.boundary_outer)
-        and tuple(w1.get("inner", ())) == tuple(model.boundary_inner)
-        and model.boundary_outer == (model.f_outer.mu.a, model.f_outer.mu.b)
-        and model.boundary_inner == expected_inner
-        and model.h1.is_zero(total)
-        and w1.get("zeta") == model.zeta,
-    )
-
-    # Eq (2): mu-bar = -zeta*q*mu-bar'.  The stated constants are the
-    # model's, and the stated factor is that of the meridian's slope
-    # record, which witness-slopes checks against phi.
+    w2 = cert.witnesses.get("meridian", {})
+    w3 = cert.witnesses.get("longitude", {})
     slopes = cert.witnesses.get("slopes", ())
     meridian = canonical_slope(model.f_outer.mu.a, model.f_outer.mu.b)
-    w2 = cert.witnesses.get("meridian", {})
-    add(
-        "eq-meridian",
-        all(a == -model.zeta * model.q * b for a, b in zip(mu_r, mp_r))
-        and w2.get("zeta") == model.zeta
+    stated = {
+        "eq-boundary": tuple(w1.get("outer", ())) == tuple(model.boundary_outer)
+        and tuple(w1.get("inner", ())) == tuple(model.boundary_inner)
+        and w1.get("zeta") == model.zeta,
+        "eq-meridian": w2.get("zeta") == model.zeta
         and w2.get("q") == model.q
         and any(
             canonical_slope(*rec["source"]) == meridian
             and rec["factor"] == w2.get("factor")
             for rec in slopes
         ),
-    )
+        "eq-longitude": w3.get("t") == model.t
+        and w3.get("coefficient") == model.longitude_coefficient,
+    }
+    checks = [
+        Check(c.name, c.ok and stated.get(c.name, True), c.detail) for c in report.checks
+    ]
 
-    # Eq (3): lambda-bar' = t*mu-bar + zeta*theta*eta*q*lambda-bar.
-    w3 = cert.witnesses.get("longitude", {})
-    coeff = model.zeta * model.theta * model.eta * model.q
-    add(
-        "eq-longitude",
-        all(c == model.t * a + coeff * b for c, a, b in zip(lp_r, mu_r, la_r))
-        and w3.get("t") == model.t
-        and w3.get("coefficient") == coeff,
-    )
+    def add(name, ok, detail=""):
+        checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
     # The map's constants against the model's: epsilon = -eta*theta,
     # u = -zeta*q*t, quadratic coefficient q^2.
@@ -408,9 +308,10 @@ def verify_certificate(cert):
         and cert.map.u == -model.zeta * model.q * model.t,
     )
 
-    # Slope witnesses: recompute phi, the proportionality factor, and
-    # both numerical values, and re-check the affine law on each.  The
-    # meridian and the cabling curve must be among them.
+    # Slope witnesses: each source is the canonical pair of its slope;
+    # recompute phi, the proportionality factor, and both numerical
+    # values, and re-check the affine law on each.  The meridian and the
+    # cabling curve must be among them.
     ok = True
     detail = ""
     required = [meridian, canonical_slope(model.p, model.q)]
@@ -422,7 +323,8 @@ def verify_certificate(cert):
         vo = numerical_slope(model.f_outer, s)
         vi = numerical_slope(model.f_inner, image)
         if (
-            (image.a, image.b) != tuple(rec["image"])
+            (s.a, s.b) != tuple(rec["source"])
+            or (image.a, image.b) != tuple(rec["image"])
             or r != rec["factor"]
             or vo != rec["value_outer"]
             or vi != rec["value_inner"]

@@ -30,7 +30,6 @@ from slopecert import (
     framing_change,
     numerical_slope,
     phi,
-    phi_by_search,
     recognize_gitk,
     slope_from_numerical,
     smith_normal_form,
@@ -39,6 +38,8 @@ from slopecert import (
     verify_certificate,
 )
 from slopecert.transfer import grid_slopes
+
+from oracles import phi_by_search
 
 
 def report(capsys, n, ok, detail):

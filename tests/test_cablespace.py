@@ -16,11 +16,13 @@ import pytest
 from slopecert import (
     STANDARD_INNER_FRAMING,
     STANDARD_OUTER_FRAMING,
+    Cabling,
     Framing,
     IntMatrix,
     PrimitiveClass,
     cable_space_homology,
     canonical_slope,
+    check_model,
     glued_manifold_h1,
     group_from_presentation,
     verify_model,
@@ -122,15 +124,22 @@ def test_zeta_and_t_standard_values():
 def test_verify_model_accepts_grid_and_rejects_mutations():
     model = cable_space_homology(3, 4)
     verify_model(model)
-    for field, value in [
-        ("zeta", -model.zeta),
-        ("t", model.t + 1),
-        ("theta", -model.theta),
-        ("eta", -model.eta),
-        ("img_mu", (1, 2, 3)),
-        ("relation", IntMatrix.from_rows([[4, -3, -3]])),
+    assert [c.name for c in check_model(model).checks] == [
+        "presentation", "h1-rank", "iota-isomorphisms", "framing-signs",
+        "eq-boundary", "eq-meridian", "eq-longitude",
+    ]
+    flipped = Framing(PrimitiveClass(-1, 0), PrimitiveClass(0, 1), +1)
+    for field, value, failing in [
+        ("zeta", -model.zeta, "eq-boundary"),
+        ("t", model.t + 1, "eq-longitude"),
+        ("theta", -model.theta, "framing-signs"),
+        ("eta", -model.eta, "framing-signs"),
+        ("img_mu", (1, 2, 3), "iota-isomorphisms"),
+        ("f_outer", flipped, "iota-isomorphisms"),
+        ("relation", IntMatrix.from_rows([[4, -3, -3]]), "presentation"),
     ]:
         broken = dataclasses.replace(model, **{field: value})
+        assert failing in [c.name for c in check_model(broken).failed()], field
         with pytest.raises(ValueError, match="inconsistent cable space model"):
             verify_model(broken)
 
@@ -182,6 +191,17 @@ def test_cabling_parameter_validation():
         cable_space_homology(0, 2)
     with pytest.raises(ValueError):
         cable_space_homology(1, 2, orientation=0)
+    # the same checks run whenever a cabling or a model is constructed
+    with pytest.raises(ValueError, match="orientation must be"):
+        Cabling(1, 2, orientation=0)
+    model = cable_space_homology(1, 2)
+    for field, value, message in [
+        ("q", 1, "q must be at least 2"),
+        ("p", 2, "not simple"),
+        ("orientation", 2, "orientation must be"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, **{field: value})
 
 
 def test_glued_manifold_h1_fillings():

@@ -200,8 +200,9 @@ def drop_slope_record(source):
     (lambda w: w.update(slopes=[]), "witness-slopes"),
     (drop_slope_record([1, 0]), "witness-slopes"),  # the meridian
     (drop_slope_record([2, 3]), "witness-slopes"),  # the cabling curve
+    (lambda w: w["slopes"][0].update(source=[2, 0]), "witness-slopes"),  # not canonical
 ], ids=["meridian-zeta", "meridian-q", "meridian-factor", "no-slopes",
-        "no-meridian-slope", "no-cabling-slope"])
+        "no-meridian-slope", "no-cabling-slope", "non-canonical-source"])
 def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, failing):
     emitted = tmp_path / "cert.json"
     assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
@@ -214,6 +215,37 @@ def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, 
     out = capsys.readouterr().out
     assert "    FAIL %s" % failing in out
     assert "overall: FAIL" in out
+
+
+def transfer_certificate_edit(tmp_path, emitted):
+    """A transfer certificate with a witness value_outer [0, 1] written as [0, 3]."""
+    assert run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))[0] == 0
+    doc = json.loads(emitted.read_text())
+    records = doc["witnesses"]["slopes"]
+    i = next(i for i, rec in enumerate(records) if rec["value_outer"] == [0, 1])
+    records[i]["value_outer"] = [0, 3]
+    return doc, ".witnesses.slopes[%d].value_outer" % i
+
+
+def diameter_certificate_edit(tmp_path, emitted):
+    """A 1-level diameter certificate with base_slopes[0] [0, 1] written as [0, -1]."""
+    _, path = write_description(tmp_path)
+    assert run(RunConfig(command="verify", inputs=(path,), emit=str(emitted)))[0] == 0
+    doc = json.loads(emitted.read_text())
+    assert doc["base_slopes"][0] == [0, 1]
+    doc["base_slopes"][0] = [0, -1]
+    return doc, ".base_slopes[0]"
+
+
+@pytest.mark.parametrize("make", [transfer_certificate_edit, diameter_certificate_edit])
+def test_non_canonical_rationals_are_input_errors(tmp_path, make):
+    doc, where = make(tmp_path, tmp_path / "cert.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    assert code == 2
+    assert "  input error: %s%s: expected a reduced fraction [n, d] with d > 0\n" % (
+        bad, where) in report
 
 
 def test_deeply_nested_input_is_an_input_error(tmp_path):

@@ -73,7 +73,7 @@ def test_fraction_round_trip():
 
 
 def test_fraction_rejects_junk():
-    for bad in ("1/2", [1], [1, 2, 3], [1.5, 2], [1, 0], [True, 2]):
+    for bad in ("1/2", [1], [1, 2, 3], [1.5, 2], [1, 0], [True, 2], [2, 4], [0, 2], [1, -2]):
         with pytest.raises(ValueError):
             frac_from_json(bad)
 
@@ -90,10 +90,9 @@ def test_slope_round_trip():
     for a, b in ((1, 0), (0, 1), (-3, 7), (5, 2)):
         s = canonical_slope(a, b)
         assert slope_from_json(slope_to_json(s)) == s
-    with pytest.raises(ValueError):
-        slope_from_json([0, 0])
-    with pytest.raises(ValueError):
-        slope_from_json([2])
+    for bad in ([0, 0], [2], [0, -1], [-1, 0], [2, 0], [2, 4]):
+        with pytest.raises(ValueError, match="expected"):
+            slope_from_json(bad)
 
 
 def test_framing_round_trip():

@@ -3,7 +3,9 @@
 Each field is replaced by a value of every JSON type it does not admit,
 and each required field is deleted.  Through the CLI, every such document
 is an input error (exit 2) that names the field's path, never a traceback.
-Deleting a field that may be omitted is not an input error.
+Deleting a field that may be omitted is not an input error.  Every
+integer of a stored cable-space model is also edited in value: each edit
+fails a check (exit 1) or breaks an invariant of a stored type (exit 2).
 
 The nullable, token and omittable fields are listed here, apart from the
 reader's tables, as the document format in the README states them.  Paths
@@ -189,3 +191,60 @@ def test_every_missing_required_field_is_an_input_error(documents, tmp_path, nam
             assert "input error: %s%s: expected " % (where, path_text(path)) in report, (
                 path, report)
     assert optional > 0
+
+
+# The input errors a model edit may give: the parameter checks, and the
+# invariants of the types a model is built from, checked as they are built.
+MODEL_INPUT_ERRORS = (
+    "not a cabling (q must be at least 2)",
+    "cabling curve not simple",
+    "orientation must be +1 or -1",
+    "not a primitive class: ",
+    "not a basis: ",
+    "sign must be +1 or -1, ",
+    "matrix dimensions must be nonnegative",
+    "entry count does not match dimensions",
+    "diagonal length must equal generator count",
+    "coordinate map must be square of generator size",
+    "coordinate map must be unimodular",
+    "invariant factors must be nonnegative",
+    "free factors must come last",
+    "invariant factors must form a divisibility chain",
+)
+
+
+def integers(x, path=()):
+    """(path, value) of every integer in a JSON document."""
+    for p, v in fields(x, path):
+        if type(v) is int:
+            yield p, v
+
+
+@pytest.mark.parametrize("name, model", [
+    ("transfer", ("model",)),
+    ("diameter", ("levels", 0, "certificate", "model")),
+])
+def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
+        documents, tmp_path, name, model):
+    doc = documents[name]
+    sub = doc
+    for k in model:
+        sub = sub[k]
+    outcomes = {}
+    for path, value in integers(sub, model):
+        for new in {value + 1, value - 1, -value, 0} - {value}:
+            code, report, where = verify(tmp_path, edited(doc, path, new))
+            if code == 1:
+                assert "    FAIL " in report, (path, new, report)
+            else:
+                assert code == 2, (path, new, report)
+                error = report.split("  input error: ", 1)[1].splitlines()[0]
+                in_model = where + path_text(model) + "."
+                assert error.startswith(MODEL_INPUT_ERRORS) or (
+                    error.startswith(in_model) and ": expected " in error), (path, new, report)
+            outcomes[path[len(model):], new] = report
+    assert len(outcomes) > 150
+    if name == "transfer":
+        # an edited framing no longer matches the stored images
+        assert "    FAIL iota-isomorphisms\n" in outcomes[("f_inner", "lambda", 0), 1]
+        assert "  input error: not a cabling (q must be at least 2)\n" in outcomes[("q",), 0]

@@ -1,5 +1,7 @@
 """Tests for the slope/framing algebra on a single torus."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 
 from slopecert import (
     INF,
+    NEG_INF,
     Framing,
     FramingChange,
     InvariantError,
@@ -119,6 +122,16 @@ def test_numerical_slope_standard_values():
     assert numerical_slope(STD, canonical_slope(-5, 1)) == Fraction(5)
     assert numerical_slope(STD, canonical_slope(0, 1)) == 0
     assert numerical_slope(STD, canonical_slope(1, 0)) is INF
+
+
+def test_infinity_atoms_are_distinct_and_copy_to_themselves():
+    assert INF is not NEG_INF and INF != NEG_INF
+    assert (repr(INF), repr(NEG_INF)) == ("INF", "NEG_INF")
+    for atom in (INF, NEG_INF):
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+    assert copy.deepcopy({"d": [NEG_INF, INF]})["d"][1] is INF
 
 
 def test_meridian_is_the_only_infinite_slope():

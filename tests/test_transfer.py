@@ -27,12 +27,13 @@ from slopecert import (
     group_from_presentation,
     numerical_slope,
     phi,
-    phi_by_search,
     transfer_certificate,
     transfer_map,
     verify_certificate,
 )
 from slopecert.transfer import grid_slopes
+
+from oracles import phi_by_search
 
 GRID = [(p, q) for q in range(2, 8) for p in range(-7, 8) if gcd(p, q) == 1]
 
