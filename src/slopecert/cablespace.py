@@ -88,6 +88,20 @@ def check_parameters(p, q, orientation):
         raise ValueError("orientation must be +1 or -1")
 
 
+def framing_problem(f_outer, f_inner):
+    """Why the framings do not fit the model (see the module docstring),
+    or "" when they do: mu = (e, 0) and sign = -e*d on T1, +e*d on T2."""
+    if f_outer.mu.b != 0:
+        return "outer framing's mu is not the meridian slope of T1"
+    if f_inner.mu.b != 0:
+        return "inner framing's mu is not the meridian slope of T2"
+    if f_outer.sign != -f_outer.mu.a * f_outer.lambda_.b:
+        return "outer framing sign inconsistent with the model's T1 orientation"
+    if f_inner.sign != f_inner.mu.a * f_inner.lambda_.b:
+        return "inner framing sign inconsistent with the model's T2 orientation"
+    return ""
+
+
 def _cross(v, w):
     return v[0] * w[1] - v[1] * w[0]
 
@@ -192,18 +206,9 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
         f_outer = STANDARD_OUTER_FRAMING
     if f_inner is None:
         f_inner = STANDARD_INNER_FRAMING
-    if f_outer.mu.b != 0:
-        raise ValueError("outer framing's mu is not the meridian slope of T1")
-    if f_inner.mu.b != 0:
-        raise ValueError("inner framing's mu is not the meridian slope of T2")
-    if f_outer.sign != -f_outer.mu.a * f_outer.lambda_.b:
-        raise ValueError(
-            "outer framing sign inconsistent with the model's T1 orientation"
-        )
-    if f_inner.sign != f_inner.mu.a * f_inner.lambda_.b:
-        raise ValueError(
-            "inner framing sign inconsistent with the model's T2 orientation"
-        )
+    problem = framing_problem(f_outer, f_inner)
+    if problem:
+        raise ValueError(problem)
 
     relation = IntMatrix.from_rows([[q, -p, -q]])
     h1 = group_from_presentation(relation)
@@ -331,10 +336,7 @@ def check_model(model):
         "framing-signs",
         model.theta == f_inner.sign
         and model.eta == f_outer.sign
-        and f_outer.mu.b == 0
-        and f_inner.mu.b == 0
-        and f_outer.sign == -f_outer.mu.a * f_outer.lambda_.b
-        and f_inner.sign == f_inner.mu.a * f_inner.lambda_.b,
+        and not framing_problem(f_outer, f_inner),
     )
 
     # Eq (1): the planar boundary is mu on T1, zeta*q*mu' on T2, and the

@@ -7,6 +7,12 @@ Five subcommands: ``snf`` (Smith normal form of a matrix file),
 ``verify`` (replay any emitted document: a knot description, a transfer
 certificate, or a diameter certificate).
 
+This module parses arguments, reads and writes files, and renders
+reports.  The checks themselves are the library's:
+transfer.verify_certificate for a transfer certificate and
+verify.verify_document for any document.  Each run renders only the
+format asked for: text lines, or one JSON object.
+
 Exit codes: 0 means every check passed; 1 means a certified check
 failed, i.e. the input is mathematically inconsistent; 2 means the
 input could not be read or violates a structural invariant.  Reports
@@ -16,36 +22,22 @@ are deterministic: the same inputs produce byte-identical output.
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import jsonio
-from .cablespace import cable_space_homology, rank_skipped
+from .cablespace import cable_space_homology
 from .linalg import smith_normal_form
-from .pipeline import (
-    KnotDescription,
-    LevelCache,
-    check_corollary_c,
-    diameter,
-    diameter_lower_bound,
-    primary_route,
-    propagate,
-    recognize_gitk,
-)
-from .report import Check
-from .slopes import INF, NEG_INF, canonical_slope, numerical_slope
-from .transfer import (
-    TransferCertificate,
-    grid_slopes,
-    law_matrix,
-    phi,
-    phi_matrix,
-    transfer_certificate,
-    verify_certificate,
-)
-
+from .pipeline import KnotDescription, LevelCache, diameter, propagate, recognize_gitk
+from .slopes import value_text
+from .transfer import DEFAULT_GRID, grid_check, transfer_certificate, verify_certificate
+from .verify import verify_document
 
 # Largest --grid bound: the grid check visits about 1.2 * N^2 slopes per level.
 MAX_GRID = 1000
+
+# bench/launcher.py traces the grid check under this name; it rebinds every
+# module's name for the function, so the calls verify_certificate makes are
+# traced too.
+_grid_check = grid_check
 
 
 @dataclass(frozen=True)
@@ -57,17 +49,9 @@ class RunConfig:
     p: int = None
     q: int = None
     orientation: int = 1
-    grid: int = 20
+    grid: int = DEFAULT_GRID
     format: str = "text"
     emit: str = None
-
-
-def _fmt_value(v):
-    if v is INF:
-        return "inf"
-    if v is NEG_INF:
-        return "-inf"
-    return str(v)
 
 
 def _fmt_matrix_lines(m, indent="  "):
@@ -95,51 +79,8 @@ def _checks_json(checks):
     return [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks]
 
 
-def _grid_check(model, smap, bound):
-    """Compare phi against the affine slope law on every canonical slope
-    with coefficients bounded by `bound`; returns one named check.
-
-    Both sides are integer matrices on classes (phi_matrix and
-    law_matrix), so a slope (a, b) passes exactly when its two images
-    P (a, b) and A (a, b) are parallel and P (a, b) is not zero: one
-    cross product per slope.  Values are built only for the first slope
-    that fails, to name it (phi raises there when P (a, b) is zero).
-    """
-    (p11, p12), (p21, p22) = phi_matrix(model)
-    (a11, a12), (a21, a22) = law_matrix(smap, model.f_outer, model.f_inner)
-    for a, b in grid_slopes(bound):
-        x, y = p11 * a + p12 * b, p21 * a + p22 * b
-        if (x or y) and x * (a21 * a + a22 * b) == y * (a11 * a + a12 * b):
-            continue
-        s = canonical_slope(a, b)
-        expected = smap.apply(numerical_slope(model.f_outer, s))
-        got = numerical_slope(model.f_inner, phi(model, s))
-        return Check(
-            "grid-consistency",
-            False,
-            "slope (%d, %d): affine law gives %s, phi gives %s"
-            % (a, b, _fmt_value(expected), _fmt_value(got)),
-        )
-    return Check(
-        "grid-consistency",
-        True,
-        "phi matches the affine law on all slopes with |a|, |b| <= %d" % bound,
-    )
-
-
-def _certificate_checks(cert, bound):
-    """verify_certificate's checks of a transfer certificate, then its grid check.
-
-    The grid check reads the same two free coordinates as the checks that
-    verify_certificate skips when H1 is not free of rank 2, so it is
-    skipped with them.
-    """
-    report = verify_certificate(cert)
-    if report.passed("h1-rank"):
-        grid = _grid_check(cert.model, cert.map, bound)
-    else:
-        grid = rank_skipped("grid-consistency")
-    return [*report.checks, grid]
+def _result_line(report):
+    return "result: %s (%d checks)" % ("PASS" if report.ok else "FAIL", len(report.checks))
 
 
 def _read_text(path):
@@ -159,29 +100,33 @@ def _write_text(path, text):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report), the report being a JSON
+# object when config.format is "json" and a list of text lines otherwise.
 
 
 def _run_snf(config):
-    matrix = jsonio.parse_matrix_text(_read_text(config.inputs[0]))
+    path = config.inputs[0]
+    matrix = jsonio.parse_matrix_text(_read_text(path))
     result = smith_normal_form(matrix)
-    obj = {
-        "kind": "snf_report",
-        "input": config.inputs[0],
-        "U": jsonio.matrix_to_json(result.U),
-        "D": jsonio.matrix_to_json(result.D),
-        "V": jsonio.matrix_to_json(result.V),
-        "diagonal": list(result.diagonal()),
-    }
-    lines = ["smith normal form of %s (%dx%d)" % (config.inputs[0], matrix.rows, matrix.cols)]
-    lines.append("D =")
-    lines.extend(_fmt_matrix_lines(result.D))
-    lines.append("diagonal: %s" % (" ".join(str(d) for d in result.diagonal()) or "(empty)"))
-    lines.append("U =")
-    lines.extend(_fmt_matrix_lines(result.U))
-    lines.append("V =")
-    lines.extend(_fmt_matrix_lines(result.V))
-    return 0, obj, lines
+    if config.format == "json":
+        return 0, {
+            "kind": "snf_report",
+            "input": path,
+            "U": jsonio.matrix_to_json(result.U),
+            "D": jsonio.matrix_to_json(result.D),
+            "V": jsonio.matrix_to_json(result.V),
+            "diagonal": list(result.diagonal()),
+        }
+    return 0, [
+        "smith normal form of %s (%dx%d)" % (path, matrix.rows, matrix.cols),
+        "D =",
+        *_fmt_matrix_lines(result.D),
+        "diagonal: %s" % (" ".join(str(d) for d in result.diagonal()) or "(empty)"),
+        "U =",
+        *_fmt_matrix_lines(result.U),
+        "V =",
+        *_fmt_matrix_lines(result.V),
+    ]
 
 
 def _group_text(g):
@@ -192,8 +137,9 @@ def _group_text(g):
 
 def _run_cable_homology(config):
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
-    obj = {"kind": "cable_homology_report", "model": jsonio.model_to_json(model)}
-    lines = [
+    if config.format == "json":
+        return 0, {"kind": "cable_homology_report", "model": jsonio.model_to_json(model)}
+    return 0, [
         "cable space (p, q) = (%d, %d), orientation %+d"
         % (model.p, model.q, model.orientation),
         "presentation: H1 = Z<c, m, l> / (%dc - %dm - %dl)" % (model.q, model.p, model.q),
@@ -206,7 +152,6 @@ def _run_cable_homology(config):
         "constants: zeta = %+d, t = %s, theta = %+d, eta = %+d"
         % (model.zeta, model.t, model.theta, model.eta),
     ]
-    return 0, obj, lines
 
 
 def _transfer_text(cert, checks):
@@ -225,16 +170,10 @@ def _transfer_text(cert, checks):
         "  slopes:",
     ]
     for rec in w["slopes"]:
+        (a, b), (c, d) = rec["source"], rec["image"]
         lines.append(
             "    <%d mu + %d lambda> -> <%d mu' + %d lambda'>   nu %s -> nu' %s"
-            % (
-                rec["source"][0],
-                rec["source"][1],
-                rec["image"][0],
-                rec["image"][1],
-                _fmt_value(rec["value_outer"]),
-                _fmt_value(rec["value_inner"]),
-            )
+            % (a, b, c, d, value_text(rec["value_outer"]), value_text(rec["value_inner"]))
         )
     lines.append("checks:")
     lines.extend(_check_lines(checks))
@@ -244,48 +183,53 @@ def _transfer_text(cert, checks):
 def _run_transfer(config):
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
     cert = transfer_certificate(model)
-    checks = _certificate_checks(cert, config.grid)
-    ok = all(c.ok for c in checks)
-    doc = jsonio.transfer_certificate_to_json(cert)
-    obj = {
-        "kind": "transfer_report",
-        "grid": config.grid,
-        "ok": ok,
-        "certificate": doc,
-        "checks": _checks_json(checks),
-    }
-    lines = _transfer_text(cert, checks)
-    lines.append("result: %s (%d checks)" % ("PASS" if ok else "FAIL", len(checks)))
+    report = verify_certificate(cert, config.grid)
+    code = 0 if report.ok else 1
+    as_json = config.format == "json"
+    doc = jsonio.transfer_certificate_to_json(cert) if as_json or config.emit else None
     if config.emit:
         _write_text(config.emit, jsonio.canonical_dumps(doc))
+    if as_json:
+        return code, {
+            "kind": "transfer_report",
+            "grid": config.grid,
+            "ok": report.ok,
+            "certificate": doc,
+            "checks": _checks_json(report.checks),
+        }
+    lines = _transfer_text(cert, report.checks)
+    lines.append(_result_line(report))
+    if config.emit:
         lines.append("certificate written to %s" % config.emit)
-    return (0 if ok else 1), obj, lines
+    return code, lines
 
 
 def _run_propagate(config):
-    doc = jsonio.load_document(_read_text(config.inputs[0]), config.inputs[0])
+    path = config.inputs[0]
+    doc = jsonio.load_document(_read_text(path), path)
     if not isinstance(doc, KnotDescription):
-        raise ValueError("%s: propagate expects a knot_description document" % config.inputs[0])
+        raise ValueError("%s: propagate expects a knot_description document" % path)
     levels = propagate(doc)
     diameters = [diameter(level) for level in levels]
-    obj = {
-        "kind": "propagation_report",
-        "input": config.inputs[0],
-        "levels": [
-            {
-                "slopes": [jsonio.frac_to_json(v) for v in level],
-                "diameter": jsonio.dlower_to_json(diameters[i]),
-            }
-            for i, level in enumerate(levels)
-        ],
-    }
-    lines = ["propagation of %s (%d cabling(s))" % (config.inputs[0], len(doc.cablings))]
+    if config.format == "json":
+        return 0, {
+            "kind": "propagation_report",
+            "input": path,
+            "levels": [
+                {
+                    "slopes": [jsonio.frac_to_json(v) for v in level],
+                    "diameter": jsonio.dlower_to_json(diameters[i]),
+                }
+                for i, level in enumerate(levels)
+            ],
+        }
+    lines = ["propagation of %s (%d cabling(s))" % (path, len(doc.cablings))]
     for i, level in enumerate(levels):
         label = "base " if i == 0 else "level %d" % i
-        values = ", ".join(_fmt_value(v) for v in level) or "(empty)"
+        values = ", ".join(value_text(v) for v in level) or "(empty)"
         note = "" if i == 0 else "   [x %d = q^2, rule A]" % doc.cablings[i - 1].q ** 2
-        lines.append("  %-7s {%s}   diameter %s%s" % (label, values, _fmt_value(diameters[i]), note))
-    return 0, obj, lines
+        lines.append("  %-7s {%s}   diameter %s%s" % (label, values, value_text(diameters[i]), note))
+    return 0, lines
 
 
 def _route_lines(cert):
@@ -307,100 +251,18 @@ def _route_lines(cert):
         lines.append("route %-12s d_lower = %s" % (name + ":", cert.routes[name]))
     lines.append(
         "primary route: %s   d_lower = %s"
-        % (cert.primary_route, _fmt_value(cert.d_lower) if cert.d_lower is not None else "(none)")
+        % (cert.primary_route, value_text(cert.d_lower) if cert.d_lower is not None else "(none)")
     )
     if cert.reason:
         lines.append("reason: %s" % cert.reason)
     return lines
 
 
-def _route_checks(cert):
-    """Named invariants of the route logic of a diameter certificate."""
-    checks = []
-    if cert.gitk:
-        ok = cert.primary_route == "gitk" and cert.d_lower is None and not cert.routes
-        checks.append(
-            Check("route-logic", ok, "" if ok else "gitk certificate must assert no bound")
-        )
-    elif cert.routes:
-        best = max(cert.routes.values())
-        ok = cert.d_lower == best and cert.primary_route == primary_route(cert.routes)
-        checks.append(
-            Check(
-                "route-logic",
-                ok,
-                "" if ok else "d_lower must be the maximum certified route (%s)" % best,
-            )
-        )
-    else:
-        ok = cert.d_lower is NEG_INF and bool(cert.reason) and cert.primary_route == "none"
-        checks.append(
-            Check("route-logic", ok, "" if ok else "no route requires d_lower = -inf and a reason")
-        )
-    return checks
-
-
-def _verify_diameter_certificate(cert, grid, cache):
-    """Replay and check a diameter certificate; returns (checks, JSON document).
-
-    The replay compares the JSON documents of `cert` and of a fresh
-    recomputation by their canonical text, so it is a byte-identity check;
-    `cert`'s document is returned for the report and for --emit.
-    """
-    checks = []
-    recomputed = diameter_lower_bound(cert.description, cache)
-    doc = jsonio.diameter_certificate_to_json(cert)
-    same = jsonio.same_canonical(jsonio.diameter_certificate_to_json(recomputed), doc)
-    checks.append(
-        Check(
-            "replay",
-            same,
-            "recomputed certificate is byte-identical"
-            if same
-            else "stored certificate differs from recomputation",
-        )
-    )
-    checks.extend(_route_checks(cert))
-    for i, level in enumerate(cert.levels, start=1):
-        checks.extend(
-            _prefix_check("level %d: " % i, c)
-            for c in _certificate_checks(level.certificate, grid)
-        )
-    d = cert.description
-    if d.cablings and d.base.meridionally_small and d.base.ambient_pi1_cyclic:
-        rule_c = check_corollary_c(d, recomputed)
-        for c in rule_c.checks:
-            checks.append(Check("rule C: %s" % c.name, c.ok, c.detail))
-    return checks, doc
-
-
-def _prefix_check(prefix, check):
-    return Check(prefix + check.name, check.ok, check.detail)
-
-
-def _verify_one(path, grid, cache):
-    """Verify a single document; returns (kind, ok, checks, certificate JSON, lines).
-
-    ``cache`` holds the level certificates this run has built; documents
-    read from ``path`` are never put into it.
-    """
-    doc = jsonio.load_document(_read_text(path), path)
-    if isinstance(doc, KnotDescription):
-        cert = diameter_lower_bound(doc, cache)
-        checks, cert_json = _verify_diameter_certificate(cert, grid, cache)
-        kind = "knot_description"
-    elif isinstance(doc, TransferCertificate):
-        cert = doc
-        checks = _certificate_checks(cert, grid)
-        cert_json = jsonio.transfer_certificate_to_json(cert)
-        kind = "transfer_certificate"
-    else:
-        cert = doc
-        checks, cert_json = _verify_diameter_certificate(cert, grid, cache)
-        kind = "diameter_certificate"
-    ok = all(c.ok for c in checks)
-    lines = ["input: %s (%s)" % (path, kind.replace("_", " "))]
-    if isinstance(cert, TransferCertificate):
+def _verify_lines(path, verification):
+    """The text report of one verified document."""
+    cert = verification.certificate
+    lines = ["input: %s (%s)" % (path, verification.kind.replace("_", " "))]
+    if verification.kind == "transfer_certificate":
         lines.append(
             "  slope transfer: epsilon = %+d, q^2 = %d, u = %s"
             % (cert.map.epsilon, cert.map.q ** 2, cert.map.u)
@@ -410,45 +272,48 @@ def _verify_one(path, grid, cache):
             lines.append("  recognized: generalized iterated torus knot")
         lines.extend("  " + line for line in _route_lines(cert))
     lines.append("  checks:")
-    lines.extend(_check_lines(checks, indent="    "))
-    lines.append("  result: %s (%d checks)" % ("PASS" if ok else "FAIL", len(checks)))
-    return kind, ok, checks, cert_json, lines
+    lines.extend(_check_lines(verification.report.checks, indent="    "))
+    lines.append("  " + _result_line(verification.report))
+    return lines
 
 
 def _run_verify(config):
     if config.emit and len(config.inputs) > 1:
         raise ValueError("--emit requires a single input document")
-    results = []
-    lines = []
+    as_json = config.format == "json"
+    out = []  # one JSON result per input, or the text lines
     codes = [0]
     cache = LevelCache()
     for path in config.inputs:
         try:
-            kind, ok, checks, cert_json, file_lines = _verify_one(path, config.grid, cache)
+            doc = jsonio.load_document(_read_text(path), path)
+            verification = verify_document(doc, config.grid, cache)
         except ValueError as e:
-            results.append({"input": path, "error": str(e), "ok": False})
-            lines.append("input: %s" % path)
-            lines.append("  input error: %s" % e)
             codes.append(2)
+            if as_json:
+                out.append({"input": path, "error": str(e), "ok": False})
+            else:
+                out += ["input: %s" % path, "  input error: %s" % e]
             continue
-        results.append(
-            {
-                "input": path,
-                "kind": kind,
-                "ok": ok,
-                "checks": _checks_json(checks),
-                "certificate": cert_json,
-            }
-        )
-        lines.extend(file_lines)
-        codes.append(0 if ok else 1)
+        report = verification.report
+        codes.append(0 if report.ok else 1)
+        cert_json = verification.document
+        if cert_json is None and (as_json or config.emit):
+            cert_json = jsonio.transfer_certificate_to_json(verification.certificate)
+        if as_json:
+            out.append({"input": path, "kind": verification.kind, "ok": report.ok,
+                        "checks": _checks_json(report.checks), "certificate": cert_json})
+        else:
+            out += _verify_lines(path, verification)
         if config.emit:
             _write_text(config.emit, jsonio.canonical_dumps(cert_json))
-            lines.append("  certificate written to %s" % config.emit)
-    ok_all = all(r.get("ok") for r in results)
-    obj = {"kind": "verify_report", "ok": ok_all, "results": results}
-    lines.append("overall: %s" % ("PASS" if ok_all else "FAIL"))
-    return max(codes), obj, lines
+            if not as_json:
+                out.append("  certificate written to %s" % config.emit)
+    code = max(codes)
+    if as_json:
+        return code, {"kind": "verify_report", "ok": code == 0, "results": out}
+    out.append("overall: %s" % ("PASS" if code == 0 else "FAIL"))
+    return code, out
 
 
 _RUNNERS = {
@@ -469,12 +334,12 @@ def run(config):
     if config.grid > MAX_GRID:
         return 2, "input error: grid bound must be at most %d\n" % MAX_GRID
     try:
-        code, obj, lines = _RUNNERS[config.command](config)
+        code, report = _RUNNERS[config.command](config)
     except ValueError as e:
         return 2, "input error: %s\n" % e
     if config.format == "json":
-        return code, jsonio.canonical_dumps(obj)
-    return code, "\n".join(lines) + "\n"
+        return code, jsonio.canonical_dumps(report)
+    return code, "\n".join(report) + "\n"
 
 
 def _build_parser():
@@ -484,6 +349,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def cable_space(p):
+        p.add_argument("--p", type=int, required=True, help="winding count p (coprime to q)")
+        p.add_argument("--q", type=int, required=True, help="strand count q >= 2")
+        p.add_argument(
+            "--orientation", type=int, choices=(1, -1), default=1,
+            help="orientation flag of the model (default: 1)",
+        )
+
     def common(p, emit=False, grid=False):
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
@@ -491,9 +364,9 @@ def _build_parser():
         )
         if grid:
             p.add_argument(
-                "--grid", type=int, default=20, metavar="N",
+                "--grid", type=int, default=DEFAULT_GRID, metavar="N",
                 help="bound on slope coefficients for sampled verification"
-                " (default: 20, at most %d)" % MAX_GRID,
+                " (default: %d, at most %d)" % (DEFAULT_GRID, MAX_GRID),
             )
         if emit:
             p.add_argument(
@@ -502,35 +375,28 @@ def _build_parser():
             )
 
     p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix file")
-    p_snf.add_argument("input", help='matrix file: "rows cols" then row-major integers')
+    p_snf.add_argument(
+        "inputs", nargs=1, metavar="input",
+        help='matrix file: "rows cols" then row-major integers',
+    )
     common(p_snf)
 
     p_cable = sub.add_parser(
         "cable-homology", help="homology model of the (p, q) cable space"
     )
-    p_cable.add_argument("--p", type=int, required=True, help="winding count p (coprime to q)")
-    p_cable.add_argument("--q", type=int, required=True, help="strand count q >= 2")
-    p_cable.add_argument(
-        "--orientation", type=int, choices=(1, -1), default=1,
-        help="orientation flag of the model (default: 1)",
-    )
+    cable_space(p_cable)
     common(p_cable)
 
     p_transfer = sub.add_parser(
         "transfer", help="slope-transfer certificate for the (p, q) cable space"
     )
-    p_transfer.add_argument("--p", type=int, required=True, help="winding count p (coprime to q)")
-    p_transfer.add_argument("--q", type=int, required=True, help="strand count q >= 2")
-    p_transfer.add_argument(
-        "--orientation", type=int, choices=(1, -1), default=1,
-        help="orientation flag of the model (default: 1)",
-    )
+    cable_space(p_transfer)
     common(p_transfer, emit=True, grid=True)
 
     p_prop = sub.add_parser(
         "propagate", help="propagate a declared slope set along a cabling chain"
     )
-    p_prop.add_argument("input", help="knot description JSON file")
+    p_prop.add_argument("inputs", nargs=1, metavar="input", help="knot description JSON file")
     common(p_prop)
 
     p_verify = sub.add_parser(
@@ -543,20 +409,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ())) or (
-            (args.input,) if hasattr(args, "input") else ()
-        ),
-        p=getattr(args, "p", None),
-        q=getattr(args, "q", None),
-        orientation=getattr(args, "orientation", 1),
-        grid=getattr(args, "grid", 20),
-        format=args.format,
-        emit=getattr(args, "emit", None),
-    )
-    code, report = run(config)
+    # Every option's name is a RunConfig field; options a command lacks
+    # keep their defaults.
+    args = vars(_build_parser().parse_args(argv))
+    args["inputs"] = tuple(args.get("inputs", ()))
+    code, report = run(RunConfig(**args))
     sys.stdout.write(report)
     return code
 

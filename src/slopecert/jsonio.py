@@ -9,8 +9,11 @@ be in the form the writer uses (see below).  A missing field, a value of
 the wrong type, or a rational or slope in another form raises ValueError
 with the field's path, list indices included, e.g.
 "certificate.levels[3].certificate.model.p: expected an integer", so a
-malformed document is an input error (exit code 2).  Keys not in a table
-are ignored.
+malformed document is an input error (exit code 2).  Values of the right
+types that break an invariant of the type they are read into get the
+constructor's message after the path of that value, e.g.
+"certificate.map: epsilon must be +1 or -1".  Keys not in a table are
+ignored.
 
 Only these fields may be omitted, read as the default shown, or be null:
 in a description, base.strict_slopes ([]), the four base flags (false),
@@ -173,17 +176,19 @@ def _emit(o, nl, out):
 # The schema walk.  Each document type is a record: a table of fields, each
 # a JSON key, the attribute (or dict key, or tuple index) it maps to, and a
 # field kind.  A kind reads a JSON value, checking its type before it looks
-# inside, and writes the Python value back.  A value of the wrong type
-# raises _Bad; every record, list and map it passes through on the way out
-# adds its step to the path, so paths are built only for errors.
+# inside, and writes the Python value back.  A value of the wrong type, or
+# values a constructor rejects, raise _Bad; every record, list and map it
+# passes through on the way out adds its step to the path, so paths are
+# built only for errors.
 
 
 class _Bad(Exception):
-    """A JSON value of the wrong type; ``steps`` is its path, innermost first."""
+    """A JSON value of the wrong type, or one its type rejects (``message``
+    given); ``steps`` is its path, innermost first."""
 
-    def __init__(self, expected, *steps):
+    def __init__(self, expected, *steps, message=None):
         super().__init__(expected)
-        self.expected = expected
+        self.message = "expected " + expected if message is None else message
         self.steps = list(steps)
 
     def within(self, step):
@@ -216,7 +221,10 @@ class _Pair:
         if type(x) is list and len(x) == 2:
             a, b = x
             if type(a) is int and type(b) is int:
-                return self.make(a, b)
+                try:
+                    return self.make(a, b)
+                except ValueError as e:  # a broken invariant of the type
+                    raise _Bad("", message=str(e)) from None
             raise _Bad("an integer", "[1]" if type(a) is int else "[0]")
         raise _Bad("a pair [a, b]")
 
@@ -360,7 +368,10 @@ class _Record:
             except _Bad as e:
                 raise e.within("." + key)
         stated = [(f, values.pop(f.attr)) for f in self.derived]
-        obj = self.build(values)
+        try:
+            obj = self.build(values)
+        except ValueError as e:  # a broken invariant of the type
+            raise _Bad("", message=str(e)) from None
         for f, v in stated:
             if v is not None and v != self.get(obj, f.attr):
                 raise _Bad(f.derived, "." + f.key)
@@ -419,7 +430,7 @@ def _codec(kind, where):
             return kind.read(x)
         except _Bad as e:
             path = where + "".join(reversed(e.steps))
-            raise ValueError("%s: expected %s" % (path, e.expected)) from None
+            raise ValueError("%s: %s" % (path, e.message)) from None
 
     return kind.emit, read
 

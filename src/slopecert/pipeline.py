@@ -46,7 +46,7 @@ from .cablespace import (
     glued_manifold_h1,
 )
 from .report import Check, CheckReport
-from .slopes import INF, NEG_INF, Framing, InvariantError, Slope
+from .slopes import INF, NEG_INF, Framing, InvariantError, Slope, value_text
 from .transfer import transfer_certificate
 
 
@@ -351,23 +351,26 @@ def diameter_lower_bound(d, cache=None):
     )
 
 
+def is_cable_description(d):
+    """Whether rule C applies to d: at least one cabling, over a base that
+    declares meridional smallness and cyclic ambient fundamental group."""
+    return bool(d.cablings) and d.base.meridionally_small and d.base.ambient_pi1_cyclic
+
+
 def check_corollary_c(d, cert=None):
     """The outermost-cable dichotomy: d_lower >= 2*q^2, or the knot is
     a generalized iterated torus knot (rule "C").
 
-    Requires a description with at least one cabling whose base
-    declares meridional smallness and cyclic ambient fundamental group;
-    returns a CheckReport whose "dichotomy" entry fails only on inputs
-    that certify neither branch (a logic error in the inputs, since the
-    hypotheses were declared).  ``cert`` is d's DiameterCertificate when
-    the caller already holds one; it is computed here otherwise.
+    Requires a cable description (is_cable_description); returns a
+    CheckReport whose "dichotomy" entry fails only on inputs that certify
+    neither branch (a logic error in the inputs, since the hypotheses
+    were declared).  ``cert`` is d's DiameterCertificate when the caller
+    already holds one; it is computed here otherwise.
     """
-    if not d.cablings:
-        raise ValueError("not a cable description")
-    if not (d.base.meridionally_small and d.base.ambient_pi1_cyclic):
+    if not is_cable_description(d):
         raise ValueError(
-            "not a cable description (requires declared meridional smallness "
-            "and cyclic ambient fundamental group)"
+            "not a cable description (requires a cabling, declared meridional "
+            "smallness and cyclic ambient fundamental group)"
         )
     if cert is None:
         cert = diameter_lower_bound(d)
@@ -392,14 +395,13 @@ def check_corollary_c(d, cert=None):
             )
         )
     else:
-        got = "-inf" if cert.d_lower is NEG_INF else str(cert.d_lower)
         checks.append(
             Check(
                 "dichotomy",
                 False,
                 "logic error in inputs: neither branch certified "
                 "(certified d_lower = %s < 2*q^2 = %s and the base is not round)"
-                % (got, threshold),
+                % (value_text(cert.d_lower), threshold),
             )
         )
     return CheckReport(checks=tuple(checks))

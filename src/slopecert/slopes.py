@@ -27,7 +27,6 @@ with epsilon = +-1 and h an integer; framing_change() computes that map.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 
 class InvariantError(ValueError):
@@ -60,8 +59,14 @@ INF = _Atom("INF")
 # The diameter of an empty slope set.
 NEG_INF = _Atom("NEG_INF")
 
-# A numerical slope: an exact rational, or INF for the meridian.
-ExtendedRational = Union[Fraction, _Atom]
+
+def value_text(v):
+    """A numerical slope or a diameter as reports write it: inf, -inf or the rational."""
+    if v is INF:
+        return "inf"
+    if v is NEG_INF:
+        return "-inf"
+    return str(v)
 
 
 @dataclass(frozen=True)

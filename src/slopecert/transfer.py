@@ -23,7 +23,9 @@ data (the planar boundary class, the meridian and longitude relations
 with their constants, and sampled slope pairs with their rational
 proportionality factors) for verify_certificate() to re-derive every
 claim from the raw presentation alone: it runs the model's own checks
-(cablespace.check_model) and holds the stated constants against them.
+(cablespace.check_model), holds the stated constants against them,
+checks the map and every slope record (slope_record), and compares phi
+with the map on every slope of a bounded grid (grid_check).
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,11 @@ from .slopes import (
     canonical_slope,
     numerical_slope,
     slope_from_numerical,
+    value_text,
 )
+
+# The default bound of the grid check: 512 slopes.
+DEFAULT_GRID = 20
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,38 @@ def grid_slopes(bound):
     return tuple(pairs)
 
 
+def grid_check(model, smap, bound):
+    """Compare phi against the affine slope law on every canonical slope
+    with coefficients bounded by `bound`; returns one named check.
+
+    Both sides are integer matrices on classes (phi_matrix and
+    law_matrix), so a slope (a, b) passes exactly when its two images
+    P (a, b) and A (a, b) are parallel and P (a, b) is not zero: one
+    cross product per slope.  Values are built only for the first slope
+    that fails, to name it (phi raises there when P (a, b) is zero).
+    """
+    (p11, p12), (p21, p22) = phi_matrix(model)
+    (a11, a12), (a21, a22) = law_matrix(smap, model.f_outer, model.f_inner)
+    for a, b in grid_slopes(bound):
+        x, y = p11 * a + p12 * b, p21 * a + p22 * b
+        if (x or y) and x * (a21 * a + a22 * b) == y * (a11 * a + a12 * b):
+            continue
+        s = canonical_slope(a, b)
+        expected = smap.apply(numerical_slope(model.f_outer, s))
+        got = numerical_slope(model.f_inner, phi(model, s))
+        return Check(
+            "grid-consistency",
+            False,
+            "slope (%d, %d): affine law gives %s, phi gives %s"
+            % (a, b, value_text(expected), value_text(got)),
+        )
+    return Check(
+        "grid-consistency",
+        True,
+        "phi matches the affine law on all slopes with |a|, |b| <= %d" % bound,
+    )
+
+
 def transfer_map(model, f_outer=None, f_inner=None):
     """The affine law of phi on numerical slopes, for the model's framings.
 
@@ -213,6 +251,25 @@ class TransferCertificate:
     witnesses: dict
 
 
+def slope_record(model, s):
+    """The witness record of slope s: its source and image pairs, the
+    proportionality factor, and its numerical values on both tori."""
+    image, r = phi_with_factor(model, s)
+    return {
+        "source": (s.a, s.b),
+        "image": (image.a, image.b),
+        "factor": r,
+        "value_outer": numerical_slope(model.f_outer, s),
+        "value_inner": numerical_slope(model.f_inner, image),
+    }
+
+
+def _record_slope(rec):
+    """The slope of a witness record's source, or None for the pair (0, 0)."""
+    a, b = rec["source"]
+    return canonical_slope(a, b) if a or b else None
+
+
 def transfer_certificate(model, extra_slopes=()):
     """Build the certificate for a model: map, constants, slope witnesses."""
     smap = transfer_map(model)
@@ -225,16 +282,7 @@ def transfer_certificate(model, extra_slopes=()):
         if s in seen:
             continue
         seen.append(s)
-        image, r = phi_with_factor(model, s)
-        records.append(
-            {
-                "source": (s.a, s.b),
-                "image": (image.a, image.b),
-                "factor": r,
-                "value_outer": numerical_slope(model.f_outer, s),
-                "value_inner": numerical_slope(model.f_inner, image),
-            }
-        )
+        records.append(slope_record(model, s))
     _, r_mu = phi_with_factor(
         model, canonical_slope(model.f_outer.mu.a, model.f_outer.mu.b)
     )
@@ -254,20 +302,24 @@ def transfer_certificate(model, extra_slopes=()):
     return TransferCertificate(model=model, map=smap, witnesses=witnesses)
 
 
-def verify_certificate(cert):
+def verify_certificate(cert, grid=DEFAULT_GRID):
     """Replay every claim in a TransferCertificate from raw data.
 
     Returns a CheckReport: the model's checks (check_model), each also
     holding the certificate's stated constants of that name against the
-    model, then map-consistency and witness-slopes.  Failures are report
-    entries, never exceptions.
+    model, then map-consistency, witness-slopes and the grid check with
+    bound `grid`.  When H1 is not free of rank 2, the last three read
+    coordinates it does not have and are skipped, failed.  Failures are
+    report entries, never exceptions.
     """
     model = cert.model
     report = check_model(model)
     if not report.passed("h1-rank"):
         return CheckReport(
             checks=report.checks
-            + (rank_skipped("map-consistency"), rank_skipped("witness-slopes"))
+            + tuple(
+                map(rank_skipped, ("map-consistency", "witness-slopes", "grid-consistency"))
+            )
         )
 
     # The stated constants are the model's; the stated meridian factor is
@@ -285,8 +337,7 @@ def verify_certificate(cert):
         "eq-meridian": w2.get("zeta") == model.zeta
         and w2.get("q") == model.q
         and any(
-            canonical_slope(*rec["source"]) == meridian
-            and rec["factor"] == w2.get("factor")
+            _record_slope(rec) == meridian and rec["factor"] == w2.get("factor")
             for rec in slopes
         ),
         "eq-longitude": w3.get("t") == model.t
@@ -308,28 +359,23 @@ def verify_certificate(cert):
         and cert.map.u == -model.zeta * model.q * model.t,
     )
 
-    # Slope witnesses: each source is the canonical pair of its slope;
-    # recompute phi, the proportionality factor, and both numerical
-    # values, and re-check the affine law on each.  The meridian and the
-    # cabling curve must be among them.
+    # Slope witnesses: each record is the one slope_record gives for the
+    # slope of its source (so the source is that slope's canonical pair),
+    # and obeys the affine law.  The meridian and the cabling curve must
+    # be among them.
     ok = True
     detail = ""
     required = [meridian, canonical_slope(model.p, model.q)]
     for rec in slopes:
-        s = canonical_slope(*rec["source"])
+        s = _record_slope(rec)
+        if s is None:
+            ok = False
+            detail = "slope (0, 0)"
+            break
         if s in required:
             required.remove(s)
-        image, r = phi_with_factor(model, s)
-        vo = numerical_slope(model.f_outer, s)
-        vi = numerical_slope(model.f_inner, image)
-        if (
-            (s.a, s.b) != tuple(rec["source"])
-            or (image.a, image.b) != tuple(rec["image"])
-            or r != rec["factor"]
-            or vo != rec["value_outer"]
-            or vi != rec["value_inner"]
-            or vi != cert.map.apply(vo)
-        ):
+        expected = slope_record(model, s)
+        if rec != expected or rec["value_inner"] != cert.map.apply(rec["value_outer"]):
             ok = False
             detail = "slope (%d, %d)" % (s.a, s.b)
             break
@@ -338,4 +384,5 @@ def verify_certificate(cert):
         detail = "no record of slope (%d, %d)" % (required[0].a, required[0].b)
     add("witness-slopes", ok, detail)
 
+    checks.append(grid_check(model, cert.map, grid))
     return CheckReport(checks=tuple(checks))

@@ -201,8 +201,12 @@ def drop_slope_record(source):
     (drop_slope_record([1, 0]), "witness-slopes"),  # the meridian
     (drop_slope_record([2, 3]), "witness-slopes"),  # the cabling curve
     (lambda w: w["slopes"][0].update(source=[2, 0]), "witness-slopes"),  # not canonical
+    # (0, 0) is no slope: the meridian's record is gone
+    (lambda w: w["slopes"][0].update(source=[0, 0]), "witness-slopes -- slope (0, 0)"),
+    (lambda w: w["slopes"][0].update(source=[0, 0]), "eq-meridian"),
 ], ids=["meridian-zeta", "meridian-q", "meridian-factor", "no-slopes",
-        "no-meridian-slope", "no-cabling-slope", "non-canonical-source"])
+        "no-meridian-slope", "no-cabling-slope", "non-canonical-source", "zero-source",
+        "zero-source-meridian"])
 def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, failing):
     emitted = tmp_path / "cert.json"
     assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
@@ -246,6 +250,31 @@ def test_non_canonical_rationals_are_input_errors(tmp_path, make):
     assert code == 2
     assert "  input error: %s%s: expected a reduced fraction [n, d] with d > 0\n" % (
         bad, where) in report
+
+
+def edit_map_epsilon(tmp_path, emitted):
+    assert run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))[0] == 0
+    doc = json.loads(emitted.read_text())
+    doc["map"]["epsilon"] = 0
+    return doc, ".map: epsilon must be +1 or -1"
+
+
+def edit_level_model_q(tmp_path, emitted):
+    _, path = write_description(tmp_path, cablings=((1, 2), (3, 2)))
+    assert run(RunConfig(command="verify", inputs=(path,), emit=str(emitted)))[0] == 0
+    doc = json.loads(emitted.read_text())
+    doc["levels"][1]["certificate"]["model"]["q"] = 0
+    return doc, ".levels[1].certificate.model: not a cabling (q must be at least 2)"
+
+
+@pytest.mark.parametrize("make", [edit_map_epsilon, edit_level_model_q])
+def test_broken_invariants_are_input_errors_with_a_path(tmp_path, make):
+    doc, message = make(tmp_path, tmp_path / "cert.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    assert code == 2
+    assert "  input error: %s%s\n" % (bad, message) in report
 
 
 def test_deeply_nested_input_is_an_input_error(tmp_path):

@@ -1,6 +1,6 @@
 """The integer grid check against the per-slope check it replaced.
 
-cli._grid_check decides each sampled slope with one integer cross
+transfer.grid_check decides each sampled slope with one integer cross
 product of two class images.  reference_grid_check below is the former
 implementation, kept as the reference: it calls phi on every slope,
 builds both numerical slopes and compares Fractions.  The two must
@@ -25,9 +25,9 @@ from slopecert import (
     phi,
     transfer_certificate,
 )
-from slopecert.cli import _fmt_value, _grid_check
 from slopecert.report import Check
-from slopecert.transfer import grid_slopes
+from slopecert.slopes import value_text
+from slopecert.transfer import grid_check, grid_slopes
 
 
 def reference_grid_check(model, smap, bound):
@@ -40,7 +40,7 @@ def reference_grid_check(model, smap, bound):
                 "grid-consistency",
                 False,
                 "slope (%d, %d): affine law gives %s, phi gives %s"
-                % (a, b, _fmt_value(expected), _fmt_value(got)),
+                % (a, b, value_text(expected), value_text(got)),
             )
     return Check(
         "grid-consistency",
@@ -62,7 +62,7 @@ def random_model(rng, qmax=40):
 
 
 def assert_same(model, smap, bound):
-    got = _grid_check(model, smap, bound)
+    got = grid_check(model, smap, bound)
     assert got == reference_grid_check(model, smap, bound), (model.p, model.q, smap)
     return got
 
@@ -120,6 +120,6 @@ def test_grid_check_matches_reference_on_tampered_inner_images():
     # degenerate inner images: phi has no image, and both checks say so
     zero = dataclasses.replace(model)
     zero.__dict__["basis_images"] = (o1, o2, (0, 0), (0, 0))
-    for check in (_grid_check, reference_grid_check):
+    for check in (grid_check, reference_grid_check):
         with pytest.raises(ValueError, match="inconsistent cable space model"):
             check(zero, smap, 20)

@@ -5,7 +5,8 @@ and each required field is deleted.  Through the CLI, every such document
 is an input error (exit 2) that names the field's path, never a traceback.
 Deleting a field that may be omitted is not an input error.  Every
 integer of a stored cable-space model is also edited in value: each edit
-fails a check (exit 1) or breaks an invariant of a stored type (exit 2).
+fails a check (exit 1) or breaks an invariant of a stored type (exit 2,
+with the path of the value that breaks it).
 
 The nullable, token and omittable fields are listed here, apart from the
 reader's tables, as the document format in the README states them.  Paths
@@ -239,12 +240,13 @@ def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
             else:
                 assert code == 2, (path, new, report)
                 error = report.split("  input error: ", 1)[1].splitlines()[0]
-                in_model = where + path_text(model) + "."
-                assert error.startswith(MODEL_INPUT_ERRORS) or (
-                    error.startswith(in_model) and ": expected " in error), (path, new, report)
+                at, _, message = error.partition(": ")
+                assert at.startswith(where + path_text(model)) and message.startswith(
+                    MODEL_INPUT_ERRORS + ("expected ",)), (path, new, report)
             outcomes[path[len(model):], new] = report
     assert len(outcomes) > 150
     if name == "transfer":
         # an edited framing no longer matches the stored images
         assert "    FAIL iota-isomorphisms\n" in outcomes[("f_inner", "lambda", 0), 1]
-        assert "  input error: not a cabling (q must be at least 2)\n" in outcomes[("q",), 0]
+        assert "  input error: %s.model: not a cabling (q must be at least 2)\n" % where in (
+            outcomes[("q",), 0])

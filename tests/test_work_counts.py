@@ -1,10 +1,12 @@
-"""Exact work counts of `verify`, so that redundant work fails a test.
+"""Exact work counts of `verify` and `snf`, so that redundant work fails a test.
 
 One fixed 50-level description is verified with --emit, then the
 emitted certificate is verified again, each as one CLI run.  Counting
-wrappers record what each run builds, recomputes and serializes.
+wrappers record what each run builds, recomputes and serializes.  An
+`snf` run formats its matrices as text only for a text report.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from slopecert import (
     cli,
     jsonio,
     pipeline,
+    transfer,
+    verify,
 )
 from slopecert.jsonio import canonical_dumps, description_to_json
 
@@ -61,7 +65,7 @@ def counts(monkeypatch):
         c["diameter"] += 1
         return real_bound(*args, **kwargs)
 
-    real_corollary = cli.check_corollary_c
+    real_corollary = verify.check_corollary_c
 
     def corollary(*args, **kwargs):
         before = c["diameter"]
@@ -70,7 +74,7 @@ def counts(monkeypatch):
         c["corollary_recomputed"] += c["diameter"] - before
         return report
 
-    real_slopes = cli.grid_slopes
+    real_slopes = transfer.grid_slopes
 
     def slopes(n):
         c["grid"].append(0)
@@ -91,7 +95,7 @@ def counts(monkeypatch):
         c["dumps_in_replay"] += c["in_replay"]
         return real_dumps(obj)
 
-    real_replay = cli._verify_diameter_certificate
+    real_replay = verify._verify_diameter_certificate
 
     def replay(*args, **kwargs):
         c["in_replay"] = True
@@ -102,12 +106,12 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(jsonio, "diameter_certificate_to_json", to_json)
     monkeypatch.setattr(jsonio, "canonical_dumps", dumps)
-    monkeypatch.setattr(cli, "_verify_diameter_certificate", replay)
+    monkeypatch.setattr(verify, "_verify_diameter_certificate", replay)
     monkeypatch.setattr(pipeline, "cable_space_homology", build)
     monkeypatch.setattr(pipeline, "diameter_lower_bound", bound)
-    monkeypatch.setattr(cli, "diameter_lower_bound", bound)
-    monkeypatch.setattr(cli, "check_corollary_c", corollary)
-    monkeypatch.setattr(cli, "grid_slopes", slopes)
+    monkeypatch.setattr(verify, "diameter_lower_bound", bound)
+    monkeypatch.setattr(verify, "check_corollary_c", corollary)
+    monkeypatch.setattr(transfer, "grid_slopes", slopes)
     return c
 
 
@@ -149,3 +153,22 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
     assert counts["to_json"] == 2  # the stored certificate and its replay
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
+
+
+def test_snf_formats_matrix_text_only_for_a_text_report(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_lines = cli._fmt_matrix_lines
+
+    def lines(*args, **kwargs):
+        calls.append(1)
+        return real_lines(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_fmt_matrix_lines", lines)
+    path = tmp_path / "m.txt"
+    path.write_text("3 3\n2 4 4\n-6 6 12\n10 -4 -16\n")
+    assert cli.main(["snf", "--format", "json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagonal"] == [2, 6, 12]
+    assert calls == []
+    assert cli.main(["snf", str(path)]) == 0
+    assert "diagonal: 2 6 12" in capsys.readouterr().out
+    assert len(calls) == 3  # D, U and V
