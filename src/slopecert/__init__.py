@@ -9,67 +9,70 @@ strict boundary-slope sets along chains of cablings and emits
 machine-checkable certificates for lower bounds on the slope diameter.
 """
 
-from types import ModuleType as _ModuleType
-
-from .slopes import (
-    INF,
-    NEG_INF,
-    Framing,
-    FramingChange,
-    InvariantError,
-    PrimitiveClass,
-    Slope,
-    canonical_slope,
-    framing_change,
-    geometric_intersection,
-    numerical_slope,
-    slope_from_numerical,
-)
-from .linalg import (
-    FPAbelianGroup,
-    IntMatrix,
-    SNFResult,
-    group_from_presentation,
-    smith_normal_form,
-)
-from .cablespace import (
-    STANDARD_INNER_FRAMING,
-    STANDARD_OUTER_FRAMING,
-    CableSpaceModel,
-    cable_space_homology,
-    check_model,
-    glued_manifold_h1,
-    verify_model,
-)
-from .report import Check, CheckReport
-from .transfer import (
-    AffineSlopeMap,
-    TransferCertificate,
-    conjugate,
-    phi,
-    transfer_certificate,
-    transfer_map,
-    verify_certificate,
-)
-from .pipeline import (
-    AtomKnot,
-    Cabling,
-    DiameterCertificate,
-    KnotDescription,
-    LevelCache,
-    LevelRecord,
-    ambient_h1,
-    check_corollary_c,
-    diameter,
-    diameter_lower_bound,
-    propagate,
-    recognize_gitk,
-)
-
 __version__ = "0.1.0"
 
-# Every name imported above; the submodules themselves are not re-exported.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not (name.startswith("_") or isinstance(value, _ModuleType))
-)
+# Each public name and the module that defines it.  A module is imported
+# when one of its names is first used (PEP 562), so that importing the
+# package, or running one subcommand, loads only the modules it needs.
+_EXPORTS = {
+    "INF": "slopes",
+    "NEG_INF": "slopes",
+    "Framing": "slopes",
+    "FramingChange": "slopes",
+    "InvariantError": "slopes",
+    "PrimitiveClass": "slopes",
+    "Slope": "slopes",
+    "canonical_slope": "slopes",
+    "framing_change": "slopes",
+    "geometric_intersection": "slopes",
+    "numerical_slope": "slopes",
+    "slope_from_numerical": "slopes",
+    "FPAbelianGroup": "linalg",
+    "IntMatrix": "linalg",
+    "SNFResult": "linalg",
+    "group_from_presentation": "linalg",
+    "smith_normal_form": "linalg",
+    "STANDARD_INNER_FRAMING": "cablespace",
+    "STANDARD_OUTER_FRAMING": "cablespace",
+    "CableSpaceModel": "cablespace",
+    "cable_space_homology": "cablespace",
+    "check_model": "cablespace",
+    "glued_manifold_h1": "cablespace",
+    "verify_model": "cablespace",
+    "Check": "report",
+    "CheckReport": "report",
+    "AffineSlopeMap": "transfer",
+    "TransferCertificate": "transfer",
+    "conjugate": "transfer",
+    "phi": "transfer",
+    "transfer_certificate": "transfer",
+    "transfer_map": "transfer",
+    "verify_certificate": "transfer",
+    "AtomKnot": "pipeline",
+    "Cabling": "pipeline",
+    "DiameterCertificate": "pipeline",
+    "KnotDescription": "pipeline",
+    "LevelCache": "pipeline",
+    "LevelRecord": "pipeline",
+    "ambient_h1": "pipeline",
+    "check_corollary_c": "pipeline",
+    "diameter": "pipeline",
+    "diameter_lower_bound": "pipeline",
+    "propagate": "pipeline",
+    "recognize_gitk": "pipeline",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(__import__(__name__ + "." + module, fromlist=(name,)), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

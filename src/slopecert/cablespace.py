@@ -62,14 +62,13 @@ in H1(N; Q); the model verifies that w comes out as zeta*theta*eta*q
 rather than assuming it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .linalg import FPAbelianGroup, IntMatrix, group_from_presentation
+from .linalg import IntMatrix, group_from_presentation
 from .report import Check, CheckReport
-from .slopes import Framing, PrimitiveClass
+from .slopes import Framing, PrimitiveClass, Record, _set
 
 STANDARD_OUTER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), -1)
 STANDARD_INNER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), +1)
@@ -121,39 +120,49 @@ def _iota_inner(p, q, orientation, a, b):
     )
 
 
-@dataclass(frozen=True)
-class CableSpaceModel:
+class CableSpaceModel(Record):
     """H1 data of one cable space, with framings and transfer constants.
 
-    ``h1`` is the group on generators (c, m, l) with the single relation
-    q*c - p*m - q*l; the four ``img_*`` vectors are the framing classes'
-    images under the two boundary inclusions, in generator coordinates.
+    ``h1`` (an FPAbelianGroup) is the group on generators (c, m, l) with
+    the single relation q*c - p*m - q*l, the IntMatrix ``relation``; the
+    four ``img_*`` vectors are the framing classes' images under the two
+    boundary inclusions, in generator coordinates.
     ``boundary_outer``/``boundary_inner`` hold the class of the planar
     surface's boundary on each torus (reference coordinates), oriented
     so the outer part is exactly mu; together they witness
-    [dP] = mu + zeta*q*mu'.
+    [dP] = mu + zeta*q*mu'.  ``t`` is a Fraction.  The instance keeps a
+    ``__dict__``, where ``basis_images`` is cached.
     """
 
-    p: int
-    q: int
-    orientation: int
-    f_outer: Framing
-    f_inner: Framing
-    relation: IntMatrix
-    h1: FPAbelianGroup
-    img_mu: tuple
-    img_lambda: tuple
-    img_mu_prime: tuple
-    img_lambda_prime: tuple
-    boundary_outer: tuple
-    boundary_inner: tuple
-    zeta: int
-    t: Fraction
-    theta: int
-    eta: int
+    _fields = (
+        "p", "q", "orientation", "f_outer", "f_inner", "relation", "h1",
+        "img_mu", "img_lambda", "img_mu_prime", "img_lambda_prime",
+        "boundary_outer", "boundary_inner", "zeta", "t", "theta", "eta",
+    )
 
-    def __post_init__(self):
-        check_parameters(self.p, self.q, self.orientation)
+    def __init__(
+        self, p, q, orientation, f_outer, f_inner, relation, h1,
+        img_mu, img_lambda, img_mu_prime, img_lambda_prime,
+        boundary_outer, boundary_inner, zeta, t, theta, eta,
+    ):
+        check_parameters(p, q, orientation)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "orientation", orientation)
+        _set(self, "f_outer", f_outer)
+        _set(self, "f_inner", f_inner)
+        _set(self, "relation", relation)
+        _set(self, "h1", h1)
+        _set(self, "img_mu", img_mu)
+        _set(self, "img_lambda", img_lambda)
+        _set(self, "img_mu_prime", img_mu_prime)
+        _set(self, "img_lambda_prime", img_lambda_prime)
+        _set(self, "boundary_outer", boundary_outer)
+        _set(self, "boundary_inner", boundary_inner)
+        _set(self, "zeta", zeta)
+        _set(self, "t", t)
+        _set(self, "theta", theta)
+        _set(self, "eta", eta)
 
     @property
     def longitude_coefficient(self):

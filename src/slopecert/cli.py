@@ -11,7 +11,9 @@ This module parses arguments, reads and writes files, and renders
 reports.  The checks themselves are the library's:
 transfer.verify_certificate for a transfer certificate and
 verify.verify_document for any document.  Each run renders only the
-format asked for: text lines, or one JSON object.
+format asked for: text lines, or one JSON object.  Each subcommand
+imports the modules it runs when it runs, so that, say, ``snf`` never
+loads the cable-space modules.
 
 Exit codes: 0 means every check passed; 1 means a certified check
 failed, i.e. the input is mathematically inconsistent; 2 means the
@@ -21,37 +23,43 @@ are deterministic: the same inputs produce byte-identical output.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import jsonio
-from .cablespace import cable_space_homology
-from .linalg import smith_normal_form
-from .pipeline import KnotDescription, LevelCache, diameter, propagate, recognize_gitk
-from .slopes import value_text
-from .transfer import DEFAULT_GRID, grid_check, transfer_certificate, verify_certificate
-from .verify import verify_document
+from .slopes import DEFAULT_GRID, Record, _set, value_text
 
 # Largest --grid bound: the grid check visits about 1.2 * N^2 slopes per level.
 MAX_GRID = 1000
 
-# bench/launcher.py traces the grid check under this name; it rebinds every
-# module's name for the function, so the calls verify_certificate makes are
-# traced too.
-_grid_check = grid_check
+
+def __getattr__(name):
+    # bench/launcher.py traces the grid check under the name _grid_check; it
+    # rebinds every module's name for the function, so the calls
+    # verify_certificate makes are traced too.  Resolved on use, so that
+    # importing this module does not load transfer.
+    if name == "_grid_check":
+        from .transfer import grid_check
+
+        return grid_check
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """A fully parsed invocation; `run` consumes one of these."""
 
-    command: str
-    inputs: tuple = ()
-    p: int = None
-    q: int = None
-    orientation: int = 1
-    grid: int = DEFAULT_GRID
-    format: str = "text"
-    emit: str = None
+    _fields = ("command", "inputs", "p", "q", "orientation", "grid", "format", "emit")
+
+    def __init__(
+        self, command, inputs=(), p=None, q=None, orientation=1, grid=DEFAULT_GRID,
+        format="text", emit=None,
+    ):
+        _set(self, "command", command)
+        _set(self, "inputs", inputs)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "orientation", orientation)
+        _set(self, "grid", grid)
+        _set(self, "format", format)
+        _set(self, "emit", emit)
 
 
 def _fmt_matrix_lines(m, indent="  "):
@@ -105,6 +113,8 @@ def _write_text(path, text):
 
 
 def _run_snf(config):
+    from .linalg import smith_normal_form
+
     path = config.inputs[0]
     matrix = jsonio.parse_matrix_text(_read_text(path))
     result = smith_normal_form(matrix)
@@ -136,6 +146,8 @@ def _group_text(g):
 
 
 def _run_cable_homology(config):
+    from .cablespace import cable_space_homology
+
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
     if config.format == "json":
         return 0, {"kind": "cable_homology_report", "model": jsonio.model_to_json(model)}
@@ -181,6 +193,9 @@ def _transfer_text(cert, checks):
 
 
 def _run_transfer(config):
+    from .cablespace import cable_space_homology
+    from .transfer import transfer_certificate, verify_certificate
+
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
     cert = transfer_certificate(model)
     report = verify_certificate(cert, config.grid)
@@ -205,6 +220,8 @@ def _run_transfer(config):
 
 
 def _run_propagate(config):
+    from .pipeline import KnotDescription, diameter, propagate
+
     path = config.inputs[0]
     doc = jsonio.load_document(_read_text(path), path)
     if not isinstance(doc, KnotDescription):
@@ -260,6 +277,8 @@ def _route_lines(cert):
 
 def _verify_lines(path, verification):
     """The text report of one verified document."""
+    from .pipeline import recognize_gitk
+
     cert = verification.certificate
     lines = ["input: %s (%s)" % (path, verification.kind.replace("_", " "))]
     if verification.kind == "transfer_certificate":
@@ -278,6 +297,9 @@ def _verify_lines(path, verification):
 
 
 def _run_verify(config):
+    from .pipeline import LevelCache
+    from .verify import verify_document
+
     if config.emit and len(config.inputs) > 1:
         raise ValueError("--emit requires a single input document")
     as_json = config.format == "json"

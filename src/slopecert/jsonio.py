@@ -44,18 +44,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 
-from .cablespace import CableSpaceModel
 from .linalg import FPAbelianGroup, IntMatrix
-from .pipeline import (
-    AtomKnot,
-    Cabling,
-    DiameterCertificate,
-    KnotDescription,
-    LevelRecord,
-    _sorted_values,
-)
-from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope
-from .transfer import AffineSlopeMap, TransferCertificate
+from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values
 
 
 def canonical_dumps(obj):
@@ -394,6 +384,18 @@ def _object(cls, *fields):
     return _Record(lambda values: cls(**values), getattr, *fields)
 
 
+def _deferred(module, name, *fields):
+    """_object for the class `name` of this package's `module`, imported on
+    the first read: the tables below name cable-space classes, and reading
+    a matrix must not load the cable-space modules."""
+
+    def build(values):
+        cls = getattr(__import__(__package__ + "." + module, fromlist=(name,)), name)
+        return cls(**values)
+
+    return _Record(build, getattr, *fields)
+
+
 def _dict(*fields):
     """A record read into a dict and written from one."""
     return _Record(dict, operator.getitem, *fields)
@@ -469,8 +471,8 @@ GROUP = _object(
     ),
 )
 
-MODEL = _object(
-    CableSpaceModel,
+MODEL = _deferred(
+    "cablespace", "CableSpaceModel",
     _Field("p", INT),
     _Field("q", INT),
     _Field("orientation", INT),
@@ -490,10 +492,12 @@ MODEL = _object(
     _Field("eta", INT),
 )
 
-MAP = _object(AffineSlopeMap, _Field("epsilon", INT), _Field("q", INT), _Field("u", FRACTION))
+MAP = _deferred(
+    "transfer", "AffineSlopeMap", _Field("epsilon", INT), _Field("q", INT), _Field("u", FRACTION)
+)
 
-TRANSFER_CERTIFICATE = _object(
-    TransferCertificate,
+TRANSFER_CERTIFICATE = _deferred(
+    "transfer", "TransferCertificate",
     _Field("model", MODEL),
     _Field("map", MAP),
     _Field("witnesses", _dict(
@@ -514,8 +518,8 @@ TRANSFER_CERTIFICATE = _object(
     )),
 )
 
-ATOM = _object(
-    AtomKnot,
+ATOM = _deferred(
+    "pipeline", "AtomKnot",
     _Field(
         "strict_slopes", _List(VALUE, order=_sorted_values), attr="strict_numerical_slopes",
         default=[],
@@ -527,8 +531,8 @@ ATOM = _object(
     _Field("complementary_meridian", _Nullable(SLOPE), default=None, omit_none=True),
 )
 
-CABLING = _object(
-    Cabling,
+CABLING = _deferred(
+    "pipeline", "Cabling",
     _Field("p", INT),
     _Field("q", INT),
     _Field("orientation", INT, default=1),
@@ -536,20 +540,20 @@ CABLING = _object(
     _Field("f_inner", _Nullable(FRAMING), default=None, omit_none=True),
 )
 
-DESCRIPTION = _object(
-    KnotDescription,
+DESCRIPTION = _deferred(
+    "pipeline", "KnotDescription",
     _Field("base", ATOM),
     _Field("cablings", _List(CABLING), default=[]),
 )
 
-DIAMETER_CERTIFICATE = _object(
-    DiameterCertificate,
+DIAMETER_CERTIFICATE = _deferred(
+    "pipeline", "DiameterCertificate",
     _Field("description", DESCRIPTION),
     _Field("gitk", BOOL),
     _Field("ambient_h1", _Nullable(GROUP), attr="ambient", default=None),
     _Field("base_slopes", _List(VALUE), default=[]),
-    _Field("levels", _List(_object(
-        LevelRecord,
+    _Field("levels", _List(_deferred(
+        "pipeline", "LevelRecord",
         _Field("cabling", CABLING),
         _Field("certificate", TRANSFER_CERTIFICATE),
         _Field("slopes", _Nullable(_List(FRACTION)), default=None),

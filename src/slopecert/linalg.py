@@ -12,28 +12,25 @@ occurrence in row-major order, so identical inputs produce identical
 (U, D, V) triples on every run.
 """
 
-from dataclasses import dataclass
-from math import gcd
-
-from .slopes import InvariantError
+from .slopes import InvariantError, Record, _set
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """An immutable integer matrix, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        for e in self.entries:
+        for e in entries:
             if isinstance(e, bool) or not isinstance(e, int):
                 raise TypeError("matrix must be integral")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows):
@@ -119,17 +116,19 @@ def det(mat):
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Smith normal form data: U * A * V = D with U, V unimodular.
 
     D is diagonal with nonnegative entries forming a divisibility chain
     (every nonzero d_i divides d_{i+1}; zeros come last).
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    _fields = ("U", "D", "V")
+
+    def __init__(self, U, D, V):
+        _set(self, "U", U)
+        _set(self, "D", D)
+        _set(self, "V", V)
 
     def diagonal(self):
         return tuple(
@@ -259,8 +258,7 @@ def check_smith_normal_form(a, result):
         )
 
 
-@dataclass(frozen=True)
-class FPAbelianGroup:
+class FPAbelianGroup(Record):
     """A finitely presented abelian group, diagonalized.
 
     Presented as Z^n modulo the subgroup spanned by relation vectors,
@@ -274,23 +272,18 @@ class FPAbelianGroup:
     (0, 0) is Z^2, and (5, 0) is Z/5 + Z.
     """
 
-    n_generators: int
-    diag: tuple
-    coordinate_map: IntMatrix
+    _fields = ("n_generators", "diag", "coordinate_map")
 
-    def __post_init__(self):
-        if len(self.diag) != self.n_generators:
+    def __init__(self, n_generators, diag, coordinate_map):
+        if len(diag) != n_generators:
             raise ValueError("diagonal length must equal generator count")
-        if (
-            self.coordinate_map.rows != self.n_generators
-            or self.coordinate_map.cols != self.n_generators
-        ):
+        if coordinate_map.rows != n_generators or coordinate_map.cols != n_generators:
             raise ValueError("coordinate map must be square of generator size")
-        if det(self.coordinate_map) not in (1, -1):
+        if det(coordinate_map) not in (1, -1):
             raise ValueError("coordinate map must be unimodular")
         prev = None
         seen_zero = False
-        for x in self.diag:
+        for x in diag:
             if x < 0:
                 raise ValueError("invariant factors must be nonnegative")
             if x == 0:
@@ -300,6 +293,9 @@ class FPAbelianGroup:
             elif prev not in (None, 0) and x % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = x
+        _set(self, "n_generators", n_generators)
+        _set(self, "diag", diag)
+        _set(self, "coordinate_map", coordinate_map)
 
     @property
     def invariant_factors(self):

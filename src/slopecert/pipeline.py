@@ -35,7 +35,6 @@ least 2*q^2 unless the knot is a generalized iterated torus knot) is
 check_corollary_c().
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cablespace import (
@@ -46,7 +45,7 @@ from .cablespace import (
     glued_manifold_h1,
 )
 from .report import Check, CheckReport
-from .slopes import INF, NEG_INF, Framing, InvariantError, Slope, value_text
+from .slopes import INF, NEG_INF, InvariantError, Record, _set, _sorted_values, value_text
 from .transfer import transfer_certificate
 
 
@@ -69,14 +68,7 @@ def _normalized_values(values):
     return frozenset(out)
 
 
-def _sorted_values(values):
-    """Deterministic ordering: finite values ascending, INF last."""
-    finite = sorted(v for v in values if v is not INF)
-    return tuple(finite) + ((INF,) if any(v is INF for v in values) else ())
-
-
-@dataclass(frozen=True)
-class AtomKnot:
+class AtomKnot(Record):
     """A base knot's declared invariants.
 
     ``strict_numerical_slopes`` is the (possibly empty) finite set of
@@ -85,46 +77,56 @@ class AtomKnot:
     a meridionally small knot cannot list INF among its boundary
     slopes, and a round knot has no strict surfaces at all, so its set
     must be empty and it must instead supply the complementary meridian
-    (in reference coordinates) that determines the ambient manifold.
+    (in reference coordinates, a Slope) that determines the ambient
+    manifold.
     """
 
-    strict_numerical_slopes: frozenset = frozenset()
-    meridionally_small: bool = False
-    is_round: bool = False
-    is_cable: bool = False
-    ambient_pi1_cyclic: bool = False
-    complementary_meridian: Slope = None
+    _fields = (
+        "strict_numerical_slopes", "meridionally_small", "is_round", "is_cable",
+        "ambient_pi1_cyclic", "complementary_meridian",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "strict_numerical_slopes",
-            _normalized_values(self.strict_numerical_slopes),
-        )
-        if self.meridionally_small and INF in self.strict_numerical_slopes:
+    def __init__(
+        self,
+        strict_numerical_slopes=frozenset(),
+        meridionally_small=False,
+        is_round=False,
+        is_cable=False,
+        ambient_pi1_cyclic=False,
+        complementary_meridian=None,
+    ):
+        strict_numerical_slopes = _normalized_values(strict_numerical_slopes)
+        if meridionally_small and INF in strict_numerical_slopes:
             raise ValueError(
                 "meridian slope declared as a boundary slope of a meridionally small knot"
             )
-        if self.is_round and self.strict_numerical_slopes:
+        if is_round and strict_numerical_slopes:
             raise ValueError("a round knot has no strict boundary slopes")
-        if self.is_round and self.complementary_meridian is None:
+        if is_round and complementary_meridian is None:
             raise ValueError("a round base requires its complementary meridian")
-        if not self.is_round and self.complementary_meridian is not None:
+        if not is_round and complementary_meridian is not None:
             raise ValueError("complementary meridian is gluing data of a round base only")
+        _set(self, "strict_numerical_slopes", strict_numerical_slopes)
+        _set(self, "meridionally_small", meridionally_small)
+        _set(self, "is_round", is_round)
+        _set(self, "is_cable", is_cable)
+        _set(self, "ambient_pi1_cyclic", ambient_pi1_cyclic)
+        _set(self, "complementary_meridian", complementary_meridian)
 
 
-@dataclass(frozen=True)
-class Cabling:
-    """One cabling level: q strands, homology winding p, optional overrides."""
+class Cabling(Record):
+    """One cabling level: q strands, homology winding p, optional overrides
+    of the framings (Framing, or None for the standard ones)."""
 
-    p: int
-    q: int
-    orientation: int = 1
-    f_outer: Framing = None
-    f_inner: Framing = None
+    _fields = ("p", "q", "orientation", "f_outer", "f_inner")
 
-    def __post_init__(self):
-        check_parameters(self.p, self.q, self.orientation)
+    def __init__(self, p, q, orientation=1, f_outer=None, f_inner=None):
+        check_parameters(p, q, orientation)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "orientation", orientation)
+        _set(self, "f_outer", f_outer)
+        _set(self, "f_inner", f_inner)
 
     def model(self):
         return cable_space_homology(
@@ -132,20 +134,17 @@ class Cabling:
         )
 
 
-@dataclass(frozen=True)
-class KnotDescription:
+class KnotDescription(Record):
     """A base atom plus cablings applied innermost-first."""
 
-    base: AtomKnot
-    cablings: tuple = ()
+    _fields = ("base", "cablings")
 
-    def __post_init__(self):
-        object.__setattr__(
+    def __init__(self, base, cablings=()):
+        _set(self, "base", base)
+        _set(
             self,
             "cablings",
-            tuple(
-                c if isinstance(c, Cabling) else Cabling(*c) for c in self.cablings
-            ),
+            tuple(c if isinstance(c, Cabling) else Cabling(*c) for c in cablings),
         )
 
 
@@ -215,21 +214,23 @@ def propagate(d, cache=None):
     return levels
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(Record):
     """One cabling level inside a DiameterCertificate.
 
-    ``slopes`` is the propagated value set after this level, or None
-    when propagation was not licensed (base not meridionally small).
+    ``certificate`` is the level's TransferCertificate.  ``slopes`` is the
+    propagated value set after this level, or None when propagation was
+    not licensed (base not meridionally small).
     """
 
-    cabling: Cabling
-    certificate: object  # TransferCertificate
-    slopes: tuple = None
+    _fields = ("cabling", "certificate", "slopes")
+
+    def __init__(self, cabling, certificate, slopes=None):
+        _set(self, "cabling", cabling)
+        _set(self, "certificate", certificate)
+        _set(self, "slopes", slopes)
 
 
-@dataclass(frozen=True)
-class DiameterCertificate:
+class DiameterCertificate(Record):
     """A certified lower bound on the outermost strict slope diameter.
 
     ``routes`` maps each certified route name to its exact bound;
@@ -238,19 +239,29 @@ class DiameterCertificate:
     NEG_INF when no route applies, or None on the gitk route (no
     numeric claim).  ``tags`` lists (rule, value) pairs: one "A" per
     scaling step, "B-axiom" for the small-base bound, "B-ii" for the
-    generalized-iterated-torus-knot branch.
+    generalized-iterated-torus-knot branch.  ``ambient`` is the ambient
+    H1 (an FPAbelianGroup) or None.
     """
 
-    description: KnotDescription
-    gitk: bool
-    ambient: object  # FPAbelianGroup or None
-    base_slopes: tuple
-    levels: tuple
-    routes: dict
-    primary_route: str
-    d_lower: object
-    reason: str = ""
-    tags: tuple = ()
+    _fields = (
+        "description", "gitk", "ambient", "base_slopes", "levels", "routes",
+        "primary_route", "d_lower", "reason", "tags",
+    )
+
+    def __init__(
+        self, description, gitk, ambient, base_slopes, levels, routes,
+        primary_route, d_lower, reason="", tags=(),
+    ):
+        _set(self, "description", description)
+        _set(self, "gitk", gitk)
+        _set(self, "ambient", ambient)
+        _set(self, "base_slopes", base_slopes)
+        _set(self, "levels", levels)
+        _set(self, "routes", routes)
+        _set(self, "primary_route", primary_route)
+        _set(self, "d_lower", d_lower)
+        _set(self, "reason", reason)
+        _set(self, "tags", tags)
 
 
 def primary_route(routes):

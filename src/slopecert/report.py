@@ -1,20 +1,26 @@
 """Pass/fail check reports shared by certificate verification and the CLI."""
 
-from dataclasses import dataclass
+from .slopes import Record, _set
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Record):
+    """One named pass/fail check, with an optional detail."""
+
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name, ok, detail=""):
+        _set(self, "name", name)
+        _set(self, "ok", ok)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """An ordered list of named boolean checks; ok means all passed."""
 
-    checks: tuple
+    _fields = ("checks",)
+
+    def __init__(self, checks):
+        _set(self, "checks", checks)
 
     @property
     def ok(self):

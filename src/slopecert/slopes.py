@@ -24,9 +24,14 @@ the framing acts on numerical values by an affine map s -> epsilon*s + h
 with epsilon = +-1 and h an integer; framing_change() computes that map.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
+
+# The default bound of the grid check (transfer.grid_check): 512 slopes.
+# It lives here so that the command line can state it without importing
+# the cable-space modules.
+DEFAULT_GRID = 20
 
 
 class InvariantError(ValueError):
@@ -60,6 +65,56 @@ INF = _Atom("INF")
 NEG_INF = _Atom("NEG_INF")
 
 
+# Records set their fields with this in __init__; their own __setattr__ refuses.
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record with the fields named in the class's ``_fields``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal, and equal records hash alike; ``repr`` lists the fields as
+    ``Name(field=value, ...)``.  Each subclass writes an ``__init__`` whose
+    parameters are its fields in ``_fields`` order: it checks them and sets
+    each with ``_set``.  Assigning or deleting an attribute afterwards
+    raises AttributeError; ``replace`` makes a changed copy.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = attrgetter(*cls._fields)
+        # The field values as a tuple, also for a single field.
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked by the constructor."""
+        values = dict(zip(self._fields, self._values(self)))
+        values.update(changes)
+        return self.__class__(**values)
+
+
 def value_text(v):
     """A numerical slope or a diameter as reports write it: inf, -inf or the rational."""
     if v is INF:
@@ -69,40 +124,44 @@ def value_text(v):
     return str(v)
 
 
-@dataclass(frozen=True)
-class PrimitiveClass:
+def _sorted_values(values):
+    """Deterministic ordering: finite values ascending, INF last."""
+    finite = sorted(v for v in values if v is not INF)
+    return tuple(finite) + ((INF,) if any(v is INF for v in values) else ())
+
+
+class PrimitiveClass(Record):
     """A primitive element of H_1(T; Z), written in the reference basis."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+    def __init__(self, a, b):
+        if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError("coordinates must be integers")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(
-                "not a primitive class: gcd(%d, %d) != 1" % (self.a, self.b)
-            )
+        if gcd(a, b) != 1:
+            raise ValueError("not a primitive class: gcd(%d, %d) != 1" % (a, b))
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __neg__(self):
         return PrimitiveClass(-self.a, -self.b)
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """An unoriented isotopy class of essential curves: {rep, -rep}.
 
     The stored representative is canonical (b > 0, or b = 0 and a = 1),
-    so equality of slopes is equality of dataclasses.  Construct via
-    canonical_slope() unless the input pair is already canonical.
+    so two slopes are equal exactly when their representatives are.
+    Construct via canonical_slope() unless the input pair is already
+    canonical.
     """
 
-    rep: PrimitiveClass
+    _fields = ("rep",)
 
-    def __post_init__(self):
-        r = self.rep
-        if not (r.b > 0 or (r.b == 0 and r.a == 1)):
-            raise ValueError("representative (%d, %d) is not canonical" % (r.a, r.b))
+    def __init__(self, rep):
+        if not (rep.b > 0 or (rep.b == 0 and rep.a == 1)):
+            raise ValueError("representative (%d, %d) is not canonical" % (rep.a, rep.b))
+        _set(self, "rep", rep)
 
     @property
     def a(self):
@@ -133,24 +192,24 @@ def canonical_slope(a, b):
     return Slope(PrimitiveClass(a, b))
 
 
-@dataclass(frozen=True)
-class Framing:
+class Framing(Record):
     """An ordered basis (mu, lambda_) of H_1(T; Z), mu the meridian class.
 
     ``sign`` is the intersection number lambda . mu on the oriented
     torus, either +1 or -1.
     """
 
-    mu: PrimitiveClass
-    lambda_: PrimitiveClass
-    sign: int
+    _fields = ("mu", "lambda_", "sign")
 
-    def __post_init__(self):
-        d = self.mu.a * self.lambda_.b - self.mu.b * self.lambda_.a
+    def __init__(self, mu, lambda_, sign):
+        d = mu.a * lambda_.b - mu.b * lambda_.a
         if d not in (1, -1):
             raise ValueError("not a basis: det(mu, lambda) = %d" % d)
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1, got %r" % (self.sign,))
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1, got %r" % (sign,))
+        _set(self, "mu", mu)
+        _set(self, "lambda_", lambda_)
+        _set(self, "sign", sign)
 
     @property
     def det(self):
@@ -205,22 +264,22 @@ def geometric_intersection(s, t):
     return abs(s.a * t.b - t.a * s.b)
 
 
-@dataclass(frozen=True)
-class FramingChange:
+class FramingChange(Record):
     """The affine map s -> epsilon*s + h on numerical slopes.
 
     Composition of framing changes composes these maps, and they form a
     group: FramingChange(eps, h) has inverse FramingChange(eps, -eps*h).
     """
 
-    epsilon: int
-    h: int
+    _fields = ("epsilon", "h")
 
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
+    def __init__(self, epsilon, h):
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        if not isinstance(self.h, int):
+        if not isinstance(h, int):
             raise TypeError("h must be an integer")
+        _set(self, "epsilon", epsilon)
+        _set(self, "h", h)
 
     def apply(self, r):
         """Apply to a numerical slope; INF is a fixed point."""

@@ -5,33 +5,34 @@ certificate gets "replay" (its recomputation is byte-identical),
 "route-logic", each level's transfer-certificate checks as "level i: ...",
 and rule C's checks as "rule C: ..." when pipeline.is_cable_description
 holds.  A knot description gets the checks of the diameter certificate
-built from it.  The replay compares JSON documents, and jsonio imports
-pipeline, so this is a module of its own.
+built from it.  The replay compares JSON documents, so this module sits
+above both pipeline and jsonio.
 """
-
-from dataclasses import dataclass
 
 from . import jsonio
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
-from .slopes import NEG_INF
-from .transfer import DEFAULT_GRID, TransferCertificate, verify_certificate
+from .slopes import DEFAULT_GRID, NEG_INF, Record, _set
+from .transfer import TransferCertificate, verify_certificate
 
 
-@dataclass(frozen=True)
-class Verification:
+class Verification(Record):
     """What verify_document found for a document of the given kind.
 
     ``certificate`` is the document, or the diameter certificate built
-    from a description; ``document`` is a diameter certificate's JSON,
-    which the replay builds, and None for a transfer certificate.
+    from a description; ``report`` is a CheckReport; ``document`` is a
+    diameter certificate's JSON, which the replay builds, and None for a
+    transfer certificate.
     """
 
-    kind: str
-    certificate: object
-    report: CheckReport
-    document: dict = None
+    _fields = ("kind", "certificate", "report", "document")
+
+    def __init__(self, kind, certificate, report, document=None):
+        _set(self, "kind", kind)
+        _set(self, "certificate", certificate)
+        _set(self, "report", report)
+        _set(self, "document", document)
 
 
 def verify_document(doc, grid=DEFAULT_GRID, cache=None):

@@ -5,7 +5,6 @@ anywhere.  Each test prints a single summary line to the real stdout so
 the verdicts are visible even under pytest's capture.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -286,8 +285,8 @@ def test_criterion_7_orientation_robustness(capsys):
             assert map_plus.apply(r) == map_minus.apply(r)
     # a flipped zeta smuggled into a certificate must be caught
     cert = transfer_certificate(cable_space_homology(2, 3))
-    bad_model = dataclasses.replace(cert.model, zeta=-cert.model.zeta)
-    bad = dataclasses.replace(cert, model=bad_model)
+    bad_model = cert.model.replace(zeta=-cert.model.zeta)
+    bad = cert.replace(model=bad_model)
     assert not verify_certificate(bad).ok
     report(
         capsys, 7, True,

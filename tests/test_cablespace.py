@@ -7,7 +7,6 @@ two boundary tori together.  Everything here is checked exactly over
 the full grid 2 <= q <= 7, |p| <= 7, gcd(p, q) = 1, both orientations.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -138,7 +137,7 @@ def test_verify_model_accepts_grid_and_rejects_mutations():
         ("f_outer", flipped, "iota-isomorphisms"),
         ("relation", IntMatrix.from_rows([[4, -3, -3]]), "presentation"),
     ]:
-        broken = dataclasses.replace(model, **{field: value})
+        broken = model.replace(**{field: value})
         assert failing in [c.name for c in check_model(broken).failed()], field
         with pytest.raises(ValueError, match="inconsistent cable space model"):
             verify_model(broken)
@@ -201,7 +200,7 @@ def test_cabling_parameter_validation():
         ("orientation", 2, "orientation must be"),
     ]:
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(model, **{field: value})
+            model.replace(**{field: value})
 
 
 def test_glued_manifold_h1_fillings():

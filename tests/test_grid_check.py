@@ -8,7 +8,6 @@ return the same Check (name, ok and detail) on passing models with
 random framings and on tampered maps and models.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -98,27 +97,27 @@ def test_grid_check_matches_reference_on_tampered_models():
         smap = transfer_certificate(model).map
         # p moved by q: the inner images (from p) no longer match the
         # stored presentation of H1 (from the old p); the outer ones do.
-        assert not assert_same(dataclasses.replace(model, p=model.p + model.q), smap, 20).ok
+        assert not assert_same(model.replace(p=model.p + model.q), smap, 20).ok
         # another cable space's H1 moves every image
         other = cable_space_homology(model.p + 2 * model.q, model.q)
-        assert_same(dataclasses.replace(model, h1=other.h1), smap, 20)
+        assert_same(model.replace(h1=other.h1), smap, 20)
         # an inner framing the map was not built for
         shear = model.f_inner.lambda_.a + rng.choice((-2, -1, 1, 2))
-        f_inner = dataclasses.replace(
-            model.f_inner, lambda_=PrimitiveClass(shear, model.f_inner.lambda_.b)
+        f_inner = model.f_inner.replace(
+            lambda_=PrimitiveClass(shear, model.f_inner.lambda_.b)
         )
-        assert not assert_same(dataclasses.replace(model, f_inner=f_inner), smap, 20).ok
+        assert not assert_same(model.replace(f_inner=f_inner), smap, 20).ok
 
 
 def test_grid_check_matches_reference_on_tampered_inner_images():
     model = cable_space_homology(3, 5)
     smap = transfer_certificate(model).map
     o1, o2, i1, i2 = model.basis_images
-    bad = dataclasses.replace(model)
+    bad = model.replace()
     bad.__dict__["basis_images"] = (o1, o2, i1, tuple(x + 1 for x in i2))
     assert not assert_same(bad, smap, 20).ok
     # degenerate inner images: phi has no image, and both checks say so
-    zero = dataclasses.replace(model)
+    zero = model.replace()
     zero.__dict__["basis_images"] = (o1, o2, (0, 0), (0, 0))
     for check in (grid_check, reference_grid_check):
         with pytest.raises(ValueError, match="inconsistent cable space model"):

@@ -6,7 +6,6 @@ compared against each other throughout: phi is computed by an exact
 2x2 solve, and phi_by_search re-derives it by brute-force enumeration.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -270,7 +269,7 @@ def test_certificate_extra_slopes_deduplicated():
 
 
 def _break(cert, **replacements):
-    return dataclasses.replace(cert, **replacements)
+    return cert.replace(**replacements)
 
 
 def test_certificate_mutations_are_caught():
@@ -281,16 +280,14 @@ def test_certificate_mutations_are_caught():
     assert not report.ok
     assert {c.name for c in report.failed()} >= {"map-consistency", "witness-slopes"}
 
-    bad_model = dataclasses.replace(cert.model, zeta=-cert.model.zeta)
+    bad_model = cert.model.replace(zeta=-cert.model.zeta)
     report = verify_certificate(_break(cert, model=bad_model))
     assert not report.ok
     assert any(
         c.name in ("eq-boundary", "eq-meridian", "framing-signs") for c in report.failed()
     )
 
-    bad_model2 = dataclasses.replace(
-        cert.model, relation=IntMatrix.from_rows([[3, -2, -2]])
-    )
+    bad_model2 = cert.model.replace(relation=IntMatrix.from_rows([[3, -2, -2]]))
     report = verify_certificate(_break(cert, model=bad_model2))
     assert not report.ok
     assert any(c.name == "presentation" for c in report.failed())
@@ -300,7 +297,7 @@ def test_certificate_with_wrong_rank_model_bails_cleanly():
     cert = transfer_certificate(cable_space_homology(2, 3))
     # torsion presentation: Z/2 + Z + Z instead of Z^2
     wrong = group_from_presentation(IntMatrix.from_rows([[2, 0, 0]]))
-    bad_model = dataclasses.replace(cert.model, h1=wrong)
+    bad_model = cert.model.replace(h1=wrong)
     report = verify_certificate(_break(cert, model=bad_model))
     assert not report.ok
     names = [c.name for c in report.checks]

@@ -2,7 +2,6 @@
 and transfer.verify_certificate, the complete check of a transfer
 certificate, grid check included."""
 
-import dataclasses
 import json
 
 from slopecert import (
@@ -17,6 +16,7 @@ from slopecert import (
 )
 from slopecert.cli import RunConfig, run
 from slopecert.jsonio import canonical_dumps, diameter_certificate_to_json, load_document
+from slopecert.report import Check
 from slopecert.transfer import DEFAULT_GRID
 from slopecert.verify import verify_document
 
@@ -44,7 +44,7 @@ def test_verify_certificate_ends_with_the_grid_check():
 def test_verify_certificate_skips_the_grid_check_without_rank_two():
     cert = transfer_certificate(cable_space_homology(2, 3))
     torsion = group_from_presentation(IntMatrix.from_rows([[2, 0, 0]]))
-    bad = dataclasses.replace(cert, model=dataclasses.replace(cert.model, h1=torsion))
+    bad = cert.replace(model=cert.model.replace(h1=torsion))
     last = verify_certificate(bad).checks[-1]
     assert (last.name, last.ok, last.detail) == (
         "grid-consistency", False, "skipped: H1 is not free of rank 2")
@@ -86,3 +86,24 @@ def test_verify_document_gives_the_checks_of_the_cli_report(tmp_path):
     assert code == 1
     assert json.loads(report)["results"][0]["checks"] == [
         {"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.report.checks]
+
+
+def test_a_stored_h1_without_an_image_of_a_slope_fails_by_name(tmp_path):
+    # The emitted H1 with its coordinate map replaced by a permutation: it
+    # keeps rank 2, but phi sends the meridian (1, 0) to zero, so phi has no
+    # image of it.  That is a failed check naming the slope, not an input
+    # error.
+    emitted = tmp_path / "t.json"
+    code, _ = run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))
+    assert code == 0
+    doc = json.loads(emitted.read_text())
+    doc["model"]["h1"]["coordinate_map"]["entries"] = [0, 1, 0, 1, 0, 0, 0, 0, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    assert code == 1
+    assert "input error" not in report
+    assert "    FAIL witness-slopes -- slope (1, 0)\n" in report
+    assert "    FAIL grid-consistency -- slope (1, 0): phi sends it to zero\n" in report
+    checks = verify_certificate(load_document(bad.read_text()), 3).checks
+    assert checks[-1] == Check("grid-consistency", False, "slope (1, 0): phi sends it to zero")
