@@ -6,11 +6,13 @@ groups as cokernels of integer relation matrices.  Everything is exact:
 entries are Python ints, and rational coordinates (where they occur) are
 fractions.Fraction.
 
-The Smith normal form routine is deterministic: the pivot is always the
-entry of smallest nonzero absolute value in the working submatrix, first
-occurrence in row-major order, so identical inputs produce identical
+Smith normal form runs a row Hermite phase before smallest-pivot
+elimination, which keeps the transforms small (see smith_normal_form).
+Every pivot rule is fixed, so identical inputs produce identical
 (U, D, V) triples on every run.
 """
+
+import operator
 
 from .slopes import InvariantError, Record, _set
 
@@ -65,17 +67,15 @@ class IntMatrix(Record):
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        rows = []
-        for i in range(self.rows):
-            left = self.row(i)
-            rows.append(
-                [
-                    sum(left[k] * other.entry(k, j) for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
         return IntMatrix(
-            self.rows, other.cols, tuple(e for r in rows for e in r)
+            self.rows,
+            other.cols,
+            tuple(
+                sum(map(operator.mul, row, col))
+                for row in map(self.row, range(self.rows))
+                for col in cols
+            ),
         )
 
     def apply(self, vec):
@@ -136,6 +136,72 @@ class SNFResult(Record):
         )
 
 
+def _is_row_echelon(rows):
+    """Whether each nonzero row starts right of the rows above it, zero rows last."""
+    lead = -1
+    for r in rows:
+        j = next((j for j, x in enumerate(r) if x), len(r))
+        if j < len(r) and j <= lead:
+            return False
+        lead = j
+    return True
+
+
+def _row_hermite(rows, top, width):
+    """Put rows[top:] in row Hermite form on its first `width` columns, in place.
+
+    Echelon form first, by floor-quotient sweeps under the smallest
+    nonzero |entry| of each column (first such row), each pivot made
+    positive.  Then every row above a pivot, rows[:top] included, is
+    reduced modulo it into [0, pivot), bottom row first: reducing during
+    the sweeps would add unreduced pivot rows to the rows above, column
+    after column, and their entries would grow by thousands of bits.
+    Columns from `width` on only follow the row operations, so a
+    transform can ride along.  A row added is zero left of the column it
+    clears, so only the tail of the changed row is rewritten.
+    """
+    m = len(rows)
+    cols = []  # the pivot column of rows[top], rows[top + 1], ...
+    r = top
+    for c in range(width):
+        if r == m:
+            break
+        while True:
+            piv = None
+            for i in range(r, m):
+                e = rows[i][c]
+                if e and (piv is None or abs(e) < best):
+                    piv, best = i, abs(e)
+            if piv is None:
+                break
+            rows[r], rows[piv] = rows[piv], rows[r]
+            p = rows[r][c]
+            tail = rows[r][c:]
+            clear = True
+            for i in range(r + 1, m):
+                row = rows[i]
+                if row[c]:
+                    f = row[c] // p
+                    row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+                    if row[c]:
+                        clear = False
+            if clear:
+                break
+        if piv is None:
+            continue
+        if rows[r][c] < 0:
+            rows[r][c:] = [-x for x in rows[r][c:]]
+        cols.append(c)
+        r += 1
+    for i in reversed(range(r)):
+        row = rows[i]
+        for k in range(max(i + 1, top), r):
+            c = cols[k - top]
+            f = row[c] // rows[k][c]
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], rows[k][c:])]
+
+
 def _find_pivot(d, t, m, n):
     """Smallest nonzero |entry| in the submatrix from (t, t), first in row-major order."""
     best = None
@@ -149,18 +215,53 @@ def _find_pivot(d, t, m, n):
     return best
 
 
+def _reduce_left_kernel(a, d, u):
+    """Shrink the rows of u that annihilate a, if they have grown.
+
+    Those rows (from the rank of d on) are put in row Hermite form among
+    themselves and the other rows reduced modulo them; d does not change.
+    It runs only when some |entry| of u exceeds the product of the norms
+    of a's nonzero rows (a Hadamard bound on a Cramer-rule kernel basis),
+    so the U stored for a cable-space relation (q, -p, -q), whose entries
+    are at most max(|p|, q), is kept.
+    """
+    rank = sum(1 for i in range(min(a.rows, a.cols)) if d[i][i])
+    if rank == a.rows:
+        return
+    bound = 1
+    for i in range(a.rows):
+        norm2 = sum(x * x for x in a.row(i))
+        if norm2:
+            bound *= norm2
+    if any(x * x > bound for row in u for x in row):
+        _row_hermite(u, rank, a.rows)
+
+
 def smith_normal_form(a):
     """Smith normal form of an integer matrix.
 
     Returns SNFResult(U, D, V) with U * a * V = D, det(U) and det(V) in
-    {+1, -1}, D diagonal with d_i >= 0 and d_1 | d_2 | ... .  The
-    reduction is fully deterministic (fixed pivot rule), so repeated
-    runs on the same matrix agree entry for entry.
+    {+1, -1}, D diagonal with d_i >= 0 and d_1 | d_2 | ... , checked by
+    check_smith_normal_form.
+
+    A row Hermite phase (row operations only, so V is untouched) first
+    makes a upper triangular; the smallest-pivot elimination that
+    follows has little left to do, so V stays small.  An input already
+    in row echelon form needs no elimination and skips that phase, which
+    keeps the U that diameter certificates store for a round base's
+    gluing relation.  Last, _reduce_left_kernel shrinks grown rows of U.
+    Every pivot is the smallest nonzero |entry| on offer, first
+    occurrence, so repeated runs agree entry for entry.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
     u = IntMatrix.identity(m).to_rows()
     v = IntMatrix.identity(n).to_rows()
+    if not _is_row_echelon(d):
+        rows = [dr + ur for dr, ur in zip(d, u)]
+        _row_hermite(rows, 0, n)
+        d = [r[:n] for r in rows]
+        u = [r[n:] for r in rows]
 
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
@@ -222,6 +323,7 @@ def smith_normal_form(a):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
+    _reduce_left_kernel(a, d, u)
 
     # Explicit shapes: from_rows would lose the column count of a
     # zero-row matrix.

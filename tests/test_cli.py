@@ -56,6 +56,24 @@ def test_snf_classic_example(tmp_path, capsys):
     assert doc["U"]["rows"] == doc["U"]["cols"] == 2
 
 
+def readme_snf_example():
+    """The matrix file and the output of the README's `snf` example."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### `snf`", 1)[1]
+    block = section.split("```\n", 2)[1]
+    cat, run = block.split("$ slopecert snf m.txt\n")
+    return cat.split("$ cat m.txt\n")[1], run
+
+
+def test_snf_readme_example(tmp_path, monkeypatch, capsys):
+    # U and V are not unique, so the README can drift from the code.
+    matrix, expected = readme_snf_example()
+    (tmp_path / "m.txt").write_text(matrix)
+    monkeypatch.chdir(tmp_path)
+    assert main(["snf", "m.txt"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_snf_bad_matrix(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2 3\n")
@@ -304,6 +322,28 @@ def test_transfer_certificate_without_rank_two_skips_the_grid_check(tmp_path, ca
     capsys.readouterr()
     doc = json.loads(emitted.read_text())
     break_h1_rank(doc["model"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "    FAIL h1-rank\n" in out
+    assert "    FAIL " + GRID_SKIPPED in out
+    assert "overall: FAIL" in out
+
+
+def test_h1_on_two_generators_fails_h1_rank(tmp_path, capsys):
+    # Z^2 on two generators has the right invariant factors, but the
+    # model's images are three-coordinate vectors.
+    emitted = tmp_path / "cert.json"
+    assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    capsys.readouterr()
+    doc = json.loads(emitted.read_text())
+    doc["model"]["h1"] = {
+        "n_generators": 2,
+        "diag": [0, 0],
+        "coordinate_map": {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]},
+        "invariant_factors": [0, 0],
+    }
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(doc))
     assert main(["verify", str(bad)]) == 1

@@ -3,8 +3,9 @@
 The Smith form is checked against an independent oracle: the k-th
 determinantal divisor (gcd of all k x k minors) is invariant under
 unimodular row/column operations, and the k-th diagonal entry of the
-Smith form equals d_k / d_{k-1}.  Determinants themselves are checked
-against naive cofactor expansion.
+Smith form equals d_k / d_{k-1}.  Beyond 5 x 5, where the minors are
+too many, sympy's Smith normal form is the oracle.  Determinants
+themselves are checked against naive cofactor expansion.
 """
 
 import random
@@ -134,6 +135,20 @@ def test_snf_zero_and_empty():
         assert_valid_snf(m, result)
 
 
+def divisor_diagonal(a):
+    """The Smith diagonal of `a` from its determinantal divisors."""
+    n = min(a.rows, a.cols)
+    diag = []
+    previous = 1
+    for k in range(1, n + 1):
+        dk = determinantal_divisor(a, k)
+        if dk == 0:  # then every larger minor vanishes too
+            return tuple(diag) + (0,) * (n - len(diag))
+        diag.append(dk // previous)
+        previous = dk
+    return tuple(diag)
+
+
 def test_snf_random_against_determinantal_divisors():
     rng = random.Random(41)
     for _ in range(120):
@@ -142,15 +157,84 @@ def test_snf_random_against_determinantal_divisors():
         a = random_matrix(rng, rows, cols)
         result = smith_normal_form(a)
         assert_valid_snf(a, result)
-        diag = result.diagonal()
-        previous = 1
-        for k in range(1, min(rows, cols) + 1):
-            dk = determinantal_divisor(a, k)
-            expected = 0 if dk == 0 else dk // previous
-            assert diag[k - 1] == expected
-            if dk == 0:
-                break
-            previous = dk
+        assert result.diagonal() == divisor_diagonal(a)
+
+
+def unimodular_rows(draw, st, n):
+    """An n x n unimodular matrix: the identity after random row additions."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def product(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def snf_inputs(st):
+    """Matrices up to 12 x 12: dense, low-rank products, torsion L * diag * R,
+    and dense with zero rows and columns; 1 x n and n x 1 shapes are drawn
+    as often as the others."""
+    size = st.integers(1, 12)
+    shapes = st.tuples(st.just(1), size) | st.tuples(size, st.just(1)) | st.tuples(size, size)
+
+    @st.composite
+    def build(draw):
+        rows, cols = draw(shapes)
+        kind = draw(st.sampled_from(("dense", "low-rank", "torsion", "zero lines")))
+
+        def block(r, c, bound):
+            return [[draw(st.integers(-bound, bound)) for _ in range(c)] for _ in range(r)]
+
+        if kind == "low-rank":
+            k = draw(st.integers(0, min(rows, cols)))
+            a = product(block(rows, k, 3), block(k, cols, 3)) if k else block(rows, cols, 0)
+        elif kind == "torsion":
+            factors = st.sampled_from((0, 1, 1, 2, 3, 4, 6, 12))
+            diag = [[draw(factors) if i == j else 0 for j in range(cols)] for i in range(rows)]
+            a = product(product(unimodular_rows(draw, st, rows), diag), unimodular_rows(draw, st, cols))
+        else:
+            a = block(rows, cols, 9)
+            if kind == "zero lines":
+                for i in draw(st.sets(st.integers(0, rows - 1))):
+                    a[i] = [0] * cols
+                for j in draw(st.sets(st.integers(0, cols - 1))):
+                    for row in a:
+                        row[j] = 0
+        return IntMatrix.from_rows(a)
+
+    return build()
+
+
+def test_snf_property_against_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(snf_inputs(hypothesis.strategies))
+    def check(a):
+        result = smith_normal_form(a)
+        check_smith_normal_form(a, result)
+        if max(a.rows, a.cols) <= 5:
+            expected = divisor_diagonal(a)
+        else:
+            factors = normalforms.invariant_factors(Matrix(a.to_rows()), domain=ZZ)
+            expected = tuple(abs(int(x)) for x in factors)
+        assert result.diagonal() == expected
+
+    check()
+
+
+def test_snf_transforms_stay_small_on_a_dense_60x60():
+    # Elimination alone lets V reach thousands of bits here; the Hermite
+    # phase keeps every transform entry near the size of D's.
+    a = random_matrix(random.Random(1), 60, 60)
+    result = smith_normal_form(a)
+    assert max(abs(e).bit_length() for e in result.U.entries + result.V.entries) < 1000
 
 
 def test_snf_fixed_point():
