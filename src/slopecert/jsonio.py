@@ -35,7 +35,8 @@ so the verifier can dispatch.  Emission is deterministic: fixed key
 order via sorted dumps, fixed list orders fixed by the producers.
 
 The matrix text format for the snf command is: first line "rows cols",
-then rows*cols integers in row-major order, whitespace-separated.
+then rows*cols integers in row-major order, whitespace-separated.  Each
+count is at most MAX_MATRIX_DIM.
 """
 
 import json
@@ -610,6 +611,12 @@ def load_document(text, where="input"):
     )
 
 
+# The largest row or column count snf accepts.  Smith normal form and its
+# exact check grow steeply with size: a dense 100x100 matrix with entries
+# in [-9, 9] takes about 5 s, a 150x150 one about 80 s.
+MAX_MATRIX_DIM = 100
+
+
 def parse_matrix_text(text):
     """Parse the snf input format: "rows cols" then row-major integers."""
     tokens = text.split()
@@ -622,6 +629,11 @@ def parse_matrix_text(text):
         raise ValueError("matrix entries must be integers") from None
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
+    if rows > MAX_MATRIX_DIM or cols > MAX_MATRIX_DIM:
+        raise ValueError(
+            "a %dx%d matrix is too large: rows and cols must be at most %d"
+            % (rows, cols, MAX_MATRIX_DIM)
+        )
     if len(entries) != rows * cols:
         raise ValueError(
             "expected %d entries for a %dx%d matrix, got %d"

@@ -6,13 +6,16 @@ groups as cokernels of integer relation matrices.  Everything is exact:
 entries are Python ints, and rational coordinates (where they occur) are
 fractions.Fraction.
 
-Smith normal form runs a row Hermite phase before smallest-pivot
-elimination, which keeps the transforms small (see smith_normal_form).
-Every pivot rule is fixed, so identical inputs produce identical
-(U, D, V) triples on every run.
+Smith normal form has one elimination, a row Hermite form, run in turn
+on the rows and on the columns until the matrix is diagonal (Kannan and
+Bachem); a 2x2 step per diagonal pair then makes the divisibility chain.
+The transforms stay near the size of D (see smith_normal_form).  Every
+pivot rule is fixed, so identical inputs produce identical (U, D, V)
+triples on every run.
 """
 
 import operator
+from math import gcd
 
 from .slopes import InvariantError, Record, _set
 
@@ -137,11 +140,11 @@ class SNFResult(Record):
 
 
 def _is_row_echelon(rows):
-    """Whether each nonzero row starts right of the rows above it, zero rows last."""
+    """Whether each nonzero row starts, positive, right of the rows above it, zero rows last."""
     lead = -1
     for r in rows:
         j = next((j for j, x in enumerate(r) if x), len(r))
-        if j < len(r) and j <= lead:
+        if j < len(r) and (j <= lead or r[j] < 0):
             return False
         lead = j
     return True
@@ -202,19 +205,6 @@ def _row_hermite(rows, top, width):
                 row[c:] = [x - f * y for x, y in zip(row[c:], rows[k][c:])]
 
 
-def _find_pivot(d, t, m, n):
-    """Smallest nonzero |entry| in the submatrix from (t, t), first in row-major order."""
-    best = None
-    best_abs = None
-    for i in range(t, m):
-        for j in range(t, n):
-            e = d[i][j]
-            if e != 0 and (best is None or abs(e) < best_abs):
-                best = (i, j)
-                best_abs = abs(e)
-    return best
-
-
 def _reduce_left_kernel(a, d, u):
     """Shrink the rows of u that annihilate a, if they have grown.
 
@@ -237,6 +227,19 @@ def _reduce_left_kernel(a, d, u):
         _row_hermite(u, rank, a.rows)
 
 
+def _hermite_phase(d, t, width):
+    """Row Hermite form of d, t's rows following; None if d is echelon with positive pivots."""
+    if _is_row_echelon(d):
+        return None
+    rows = [x + y for x, y in zip(d, t)]
+    _row_hermite(rows, 0, width)
+    return [r[:width] for r in rows], [r[width:] for r in rows]
+
+
+def _transpose(rows, cols):
+    return [[r[j] for r in rows] for j in range(cols)]
+
+
 def smith_normal_form(a):
     """Smith normal form of an integer matrix.
 
@@ -244,85 +247,48 @@ def smith_normal_form(a):
     {+1, -1}, D diagonal with d_i >= 0 and d_1 | d_2 | ... , checked by
     check_smith_normal_form.
 
-    A row Hermite phase (row operations only, so V is untouched) first
-    makes a upper triangular; the smallest-pivot elimination that
-    follows has little left to do, so V stays small.  An input already
-    in row echelon form needs no elimination and skips that phase, which
-    keeps the U that diameter certificates store for a round base's
-    gluing relation.  Last, _reduce_left_kernel shrinks grown rows of U.
-    Every pivot is the smallest nonzero |entry| on offer, first
-    occurrence, so repeated runs agree entry for entry.
+    One elimination, _row_hermite, alternates between the rows (a row
+    phase on [D | U]) and the columns (a column phase on [D^T | V^T])
+    until D is diagonal (Kannan and Bachem).  A phase whose input is
+    already in row echelon form with positive pivots is skipped, which
+    keeps the U that certificates store: a round base's gluing relation
+    is echelon already, and a cable-space relation's transpose is a
+    single positive row.  Then each diagonal pair (x, y), i < j in
+    order, with x not dividing y becomes (g, x*y/g) in one 2x2 step,
+    g = gcd(x, y) = s*x + t*y with 0 <= s < y/g; no elimination runs
+    again.  Last, _reduce_left_kernel shrinks grown rows of U.  Every
+    choice is fixed, so repeated runs agree entry for entry.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
     u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-    if not _is_row_echelon(d):
-        rows = [dr + ur for dr, ur in zip(d, u)]
-        _row_hermite(rows, 0, n)
-        d = [r[:n] for r in rows]
-        u = [r[n:] for r in rows]
-
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for r in d:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
-    def add_row(i, k, c):
-        # row_i += c * row_k
-        d[i] = [x + c * y for x, y in zip(d[i], d[k])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-
-    def add_col(j, k, c):
-        # col_j += c * col_k
-        for r in d:
-            r[j] += c * r[k]
-        for r in v:
-            r[j] += c * r[k]
-
-    t = 0
-    while t < min(m, n):
-        piv = _find_pivot(d, t, m, n)
-        if piv is None:
+    vt = IntMatrix.identity(n).to_rows()
+    while True:
+        row = _hermite_phase(d, u, n)
+        if row:
+            d, u = row
+        # d is now in echelon form; if its transpose is too, d is diagonal.
+        col = _hermite_phase(_transpose(d, n), vt, m)
+        if col is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # One Euclidean sweep down the column and across the row.  Any
-        # leftover remainder is smaller than the pivot, so re-picking
-        # the pivot makes strict progress and the loop terminates.
-        for i in range(t + 1, m):
-            if d[i][t] != 0:
-                add_row(i, t, -(d[i][t] // d[t][t]))
-        if any(d[i][t] for i in range(t + 1, m)):
-            continue
-        for j in range(t + 1, n):
-            if d[t][j] != 0:
-                add_col(j, t, -(d[t][j] // d[t][t]))
-        if any(d[t][j] for j in range(t + 1, n)):
-            continue
-        # Divisibility: the pivot must divide the rest of the submatrix.
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
-        t += 1
+        dt, vt = col
+        d = _transpose(dt, m)
 
-    for i in range(min(m, n)):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
+    rank = sum(1 for i in range(min(m, n)) if d[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = d[i][i], d[j][j]
+            if y % x:
+                g = gcd(x, y)
+                s = pow(x // g, -1, y // g)
+                t = (g - s * x) // y
+                d[i][i], d[j][j] = g, x // g * y
+                ui, uj = u[i], u[j]
+                u[i] = [s * p + t * q for p, q in zip(ui, uj)]
+                u[j] = [x // g * q - y // g * p for p, q in zip(ui, uj)]
+                vi, vj = vt[i], vt[j]
+                vt[i] = [p + q for p, q in zip(vi, vj)]
+                vt[j] = [s * x // g * q - t * y // g * p for p, q in zip(vi, vj)]
     _reduce_left_kernel(a, d, u)
 
     # Explicit shapes: from_rows would lose the column count of a
@@ -330,7 +296,7 @@ def smith_normal_form(a):
     result = SNFResult(
         IntMatrix(m, m, tuple(e for r in u for e in r)),
         IntMatrix(m, n, tuple(e for r in d for e in r)),
-        IntMatrix(n, n, tuple(e for r in v for e in r)),
+        IntMatrix(n, n, tuple(e for r in _transpose(vt, n) for e in r)),
     )
     check_smith_normal_form(a, result)
     return result

@@ -12,6 +12,7 @@ import pytest
 from slopecert import AtomKnot, KnotDescription, diameter_lower_bound
 from slopecert.cli import RunConfig, main, run
 from slopecert.jsonio import (
+    MAX_MATRIX_DIM,
     canonical_dumps,
     description_to_json,
     diameter_certificate_to_json,
@@ -79,6 +80,27 @@ def test_snf_bad_matrix(tmp_path, capsys):
     path.write_text("2 2\n1 2 3\n")
     assert main(["snf", str(path)]) == 2
     assert "input error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("counts", ["%d 0" % (MAX_MATRIX_DIM + 1), "0 1200", "1200 1200"])
+def test_snf_rejects_a_matrix_over_the_size_limit(counts, tmp_path, capsys):
+    # A 1200x0 matrix took over a minute: its 1200x1200 identity U went
+    # through the exact determinant check.  Now the counts alone are an
+    # input error, before any matrix is built.
+    path = tmp_path / "m.txt"
+    path.write_text(counts + "\n")
+    assert main(["snf", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "input error: a %sx%s matrix is too large: rows and cols must be at most %d\n"
+        % (*counts.split(), MAX_MATRIX_DIM)
+    )
+
+
+def test_snf_accepts_a_matrix_at_the_size_limit(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("%d 0\n" % MAX_MATRIX_DIM)
+    assert main(["snf", "--format", "json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagonal"] == []
 
 
 # --- cable-homology -----------------------------------------------------------

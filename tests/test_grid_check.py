@@ -116,9 +116,13 @@ def test_grid_check_matches_reference_on_tampered_inner_images():
     bad = model.replace()
     bad.__dict__["basis_images"] = (o1, o2, i1, tuple(x + 1 for x in i2))
     assert not assert_same(bad, smap, 20).ok
-    # degenerate inner images: phi has no image, and both checks say so
+    # degenerate inner images: phi has no image of the first grid slope;
+    # grid_check names it, the reference raises from phi
     zero = model.replace()
     zero.__dict__["basis_images"] = (o1, o2, (0, 0), (0, 0))
-    for check in (grid_check, reference_grid_check):
-        with pytest.raises(ValueError, match="inconsistent cable space model"):
-            check(zero, smap, 20)
+    a, b = next(iter(grid_slopes(20)))
+    assert grid_check(zero, smap, 20) == Check(
+        "grid-consistency", False, "slope (%d, %d): phi sends it to zero" % (a, b)
+    )
+    with pytest.raises(ValueError, match="inconsistent cable space model"):
+        reference_grid_check(zero, smap, 20)

@@ -116,6 +116,22 @@ def test_snf_identity():
 def test_snf_classic_example():
     result = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert result.diagonal() == (1, 6)
+    # Diagonal already, so no Hermite phase runs: one 2x2 step with
+    # 1 = 2*2 - 1*3 gives these transforms.
+    assert result.U.to_rows() == [[2, -1], [-3, 2]]
+    assert result.V.to_rows() == [[1, 3], [1, 4]]
+
+
+@pytest.mark.parametrize(
+    "diag, expected",
+    [((6, 3), (3, 6)), ((4, 6, 10), (2, 2, 60)), ((12, 8, 9, 0), (1, 12, 72, 0))],
+)
+def test_snf_divisibility_steps_on_a_diagonal(diag, expected):
+    n = len(diag)
+    a = IntMatrix(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+    result = smith_normal_form(a)
+    assert result.diagonal() == expected
+    assert_valid_snf(a, result)
 
 
 def test_snf_known_divisors():
@@ -230,8 +246,9 @@ def test_snf_property_against_oracles():
 
 
 def test_snf_transforms_stay_small_on_a_dense_60x60():
-    # Elimination alone lets V reach thousands of bits here; the Hermite
-    # phase keeps every transform entry near the size of D's.
+    # Smallest-pivot elimination let V reach thousands of bits here;
+    # alternating Hermite phases keep every transform entry near the
+    # size of D's.
     a = random_matrix(random.Random(1), 60, 60)
     result = smith_normal_form(a)
     assert max(abs(e).bit_length() for e in result.U.entries + result.V.entries) < 1000

@@ -164,13 +164,6 @@ def test_transfer_map_standard_constants():
             assert smap.u == p * q
 
 
-def test_transfer_map_rejects_foreign_framings():
-    model = cable_space_homology(1, 2)
-    other = Framing(PrimitiveClass(1, 0), PrimitiveClass(1, 1), -1)
-    with pytest.raises(ValueError, match="framing mismatch"):
-        transfer_map(model, f_outer=other)
-
-
 def test_inner_shear_shifts_u():
     # replacing lambda' by lambda' + h*mu' adds h to u
     base = transfer_map(cable_space_homology(1, 2))
