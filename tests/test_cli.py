@@ -84,9 +84,9 @@ def test_snf_bad_matrix(tmp_path, capsys):
 
 @pytest.mark.parametrize("counts", ["%d 0" % (MAX_MATRIX_DIM + 1), "0 1200", "1200 1200"])
 def test_snf_rejects_a_matrix_over_the_size_limit(counts, tmp_path, capsys):
-    # A 1200x0 matrix took over a minute: its 1200x1200 identity U went
-    # through the exact determinant check.  Now the counts alone are an
-    # input error, before any matrix is built.
+    # The counts alone are an input error, before any matrix is built: a
+    # 1200x0 matrix would send a 1200x1200 identity U through the exact
+    # determinant check for over a minute.
     path = tmp_path / "m.txt"
     path.write_text(counts + "\n")
     assert main(["snf", str(path)]) == 2
