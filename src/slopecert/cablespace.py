@@ -134,12 +134,6 @@ class CableSpaceModel(Record):
     ``__dict__``, where ``basis_images`` is cached.
     """
 
-    _fields = (
-        "p", "q", "orientation", "f_outer", "f_inner", "relation", "h1",
-        "img_mu", "img_lambda", "img_mu_prime", "img_lambda_prime",
-        "boundary_outer", "boundary_inner", "zeta", "t", "theta", "eta",
-    )
-
     def __init__(
         self, p, q, orientation, f_outer, f_inner, relation, h1,
         img_mu, img_lambda, img_mu_prime, img_lambda_prime,

@@ -46,8 +46,6 @@ def __getattr__(name):
 class RunConfig(Record):
     """A fully parsed invocation; `run` consumes one of these."""
 
-    _fields = ("command", "inputs", "p", "q", "orientation", "grid", "format", "emit")
-
     def __init__(
         self, command, inputs=(), p=None, q=None, orientation=1, grid=DEFAULT_GRID,
         format="text", emit=None,
@@ -62,12 +60,12 @@ class RunConfig(Record):
         _set(self, "emit", emit)
 
 
-def _fmt_matrix_lines(m, indent="  "):
+def _fmt_matrix_lines(m):
     if m.rows == 0 or m.cols == 0:
-        return [indent + "(empty %dx%d)" % (m.rows, m.cols)]
+        return ["  (empty %dx%d)" % (m.rows, m.cols)]
     width = max(len(str(e)) for e in m.entries)
     return [
-        indent + " ".join(str(m.entry(i, j)).rjust(width) for j in range(m.cols))
+        "  " + " ".join(str(m.entry(i, j)).rjust(width) for j in range(m.cols))
         for i in range(m.rows)
     ]
 

@@ -41,6 +41,7 @@ count is at most MAX_MATRIX_DIM.
 
 import json
 import operator
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
@@ -54,15 +55,17 @@ def canonical_dumps(obj):
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``,
     errors included.  The stdlib falls back to its pure-Python encoder when
-    asked to indent; this emitter writes the same bytes faster, mostly by
-    joining each list of plain ints in one step.
+    asked to indent.  This emitter writes the same bytes faster, mostly by
+    joining each list of plain ints in one step, for the values slopecert's
+    documents and reports hold: values whose type is exactly str, int, bool,
+    NoneType, list or tuple, and dicts with str keys.  Anything else, and a
+    structure too deep to walk, is left to the stdlib, which writes the same
+    text or raises its own error.
     """
     out = []
     try:
         _emit(obj, "\n", out)
-    except RecursionError:
-        # A circular or very deep structure: the stdlib raises its own
-        # error for it (ValueError for a cycle).
+    except (TypeError, RecursionError):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     out.append("\n")
     return "".join(out)
@@ -85,54 +88,19 @@ def _compact(obj):
 
 _INT_TYPES = {int}
 _int_text = int.__repr__
-_INFINITY = float("inf")
-
-
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(k):
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_text(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return _int_text(k)
-    raise TypeError(
-        "keys must be str, int, float, bool or None, not %s" % k.__class__.__name__
-    )
 
 
 def _emit(o, nl, out):
     """Append the indented text of `o` to `out`; `nl` is a newline plus
-    the indentation of the line `o` starts on.  Type tests and their
-    order follow the stdlib encoder, so subclasses encode as it does."""
-    if isinstance(o, str):
+    the indentation of the line `o` starts on.  Raises TypeError on a value
+    it does not write: one of another type, or a dict key that is not a str
+    (``_encode_str`` refuses it)."""
+    t = type(o)
+    if t is str:
         out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
+    elif t is int:
         out.append(_int_text(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
+    elif t is list or t is tuple:
         if not o:
             out.append("[]")
             return
@@ -146,21 +114,23 @@ def _emit(o, nl, out):
             sep = "," + inner
             _emit(v, inner, out)
         out.append(nl + "]")
-    elif isinstance(o, dict):
+    elif t is dict:
         if not o:
             out.append("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            out.append(sep + _encode_str(_key_text(k)) + ": ")
+            out.append(sep + _encode_str(k) + ": ")
             sep = "," + inner
             _emit(v, inner, out)
         out.append(nl + "}")
+    elif o is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if o else "false")
     else:
-        raise TypeError(
-            "Object of type %s is not JSON serializable" % o.__class__.__name__
-        )
+        raise TypeError(t.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +355,14 @@ def _object(cls, *fields):
     return _Record(lambda values: cls(**values), getattr, *fields)
 
 
-def _deferred(module, name, *fields):
-    """_object for the class `name` of this package's `module`, imported on
-    the first read: the tables below name cable-space classes, and reading
-    a matrix must not load the cable-space modules."""
+def _deferred(name, *fields):
+    """_object for the class the package exports as `name`, looked up on
+    each read, so its module is imported on the first: the tables below
+    name cable-space classes, and reading a matrix must not load the
+    cable-space modules."""
 
     def build(values):
-        cls = getattr(__import__(__package__ + "." + module, fromlist=(name,)), name)
-        return cls(**values)
+        return getattr(sys.modules[__package__], name)(**values)
 
     return _Record(build, getattr, *fields)
 
@@ -473,7 +443,7 @@ GROUP = _object(
 )
 
 MODEL = _deferred(
-    "cablespace", "CableSpaceModel",
+    "CableSpaceModel",
     _Field("p", INT),
     _Field("q", INT),
     _Field("orientation", INT),
@@ -494,11 +464,11 @@ MODEL = _deferred(
 )
 
 MAP = _deferred(
-    "transfer", "AffineSlopeMap", _Field("epsilon", INT), _Field("q", INT), _Field("u", FRACTION)
+    "AffineSlopeMap", _Field("epsilon", INT), _Field("q", INT), _Field("u", FRACTION)
 )
 
 TRANSFER_CERTIFICATE = _deferred(
-    "transfer", "TransferCertificate",
+    "TransferCertificate",
     _Field("model", MODEL),
     _Field("map", MAP),
     _Field("witnesses", _dict(
@@ -520,7 +490,7 @@ TRANSFER_CERTIFICATE = _deferred(
 )
 
 ATOM = _deferred(
-    "pipeline", "AtomKnot",
+    "AtomKnot",
     _Field(
         "strict_slopes", _List(VALUE, order=_sorted_values), attr="strict_numerical_slopes",
         default=[],
@@ -533,7 +503,7 @@ ATOM = _deferred(
 )
 
 CABLING = _deferred(
-    "pipeline", "Cabling",
+    "Cabling",
     _Field("p", INT),
     _Field("q", INT),
     _Field("orientation", INT, default=1),
@@ -542,19 +512,19 @@ CABLING = _deferred(
 )
 
 DESCRIPTION = _deferred(
-    "pipeline", "KnotDescription",
+    "KnotDescription",
     _Field("base", ATOM),
     _Field("cablings", _List(CABLING), default=[]),
 )
 
 DIAMETER_CERTIFICATE = _deferred(
-    "pipeline", "DiameterCertificate",
+    "DiameterCertificate",
     _Field("description", DESCRIPTION),
     _Field("gitk", BOOL),
     _Field("ambient_h1", _Nullable(GROUP), attr="ambient", default=None),
     _Field("base_slopes", _List(VALUE), default=[]),
     _Field("levels", _List(_deferred(
-        "pipeline", "LevelRecord",
+        "LevelRecord",
         _Field("cabling", CABLING),
         _Field("certificate", TRANSFER_CERTIFICATE),
         _Field("slopes", _Nullable(_List(FRACTION)), default=None),
@@ -624,6 +594,9 @@ def parse_matrix_text(text):
         raise ValueError("matrix file must start with the two counts: rows cols")
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError("matrix row and column counts must be integers") from None
+    try:
         entries = [int(t) for t in tokens[2:]]
     except ValueError:
         raise ValueError("matrix entries must be integers") from None

@@ -23,8 +23,6 @@ from .slopes import InvariantError, Record, _set
 class IntMatrix(Record):
     """An immutable integer matrix, row-major."""
 
-    _fields = ("rows", "cols", "entries")
-
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -125,8 +123,6 @@ class SNFResult(Record):
     D is diagonal with nonnegative entries forming a divisibility chain
     (every nonzero d_i divides d_{i+1}; zeros come last).
     """
-
-    _fields = ("U", "D", "V")
 
     def __init__(self, U, D, V):
         _set(self, "U", U)
@@ -339,8 +335,6 @@ class FPAbelianGroup(Record):
     ``invariant_factors`` drops the ones, so () is the trivial group,
     (0, 0) is Z^2, and (5, 0) is Z/5 + Z.
     """
-
-    _fields = ("n_generators", "diag", "coordinate_map")
 
     def __init__(self, n_generators, diag, coordinate_map):
         if len(diag) != n_generators:

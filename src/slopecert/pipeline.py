@@ -81,11 +81,6 @@ class AtomKnot(Record):
     manifold.
     """
 
-    _fields = (
-        "strict_numerical_slopes", "meridionally_small", "is_round", "is_cable",
-        "ambient_pi1_cyclic", "complementary_meridian",
-    )
-
     def __init__(
         self,
         strict_numerical_slopes=frozenset(),
@@ -118,8 +113,6 @@ class Cabling(Record):
     """One cabling level: q strands, homology winding p, optional overrides
     of the framings (Framing, or None for the standard ones)."""
 
-    _fields = ("p", "q", "orientation", "f_outer", "f_inner")
-
     def __init__(self, p, q, orientation=1, f_outer=None, f_inner=None):
         check_parameters(p, q, orientation)
         _set(self, "p", p)
@@ -136,8 +129,6 @@ class Cabling(Record):
 
 class KnotDescription(Record):
     """A base atom plus cablings applied innermost-first."""
-
-    _fields = ("base", "cablings")
 
     def __init__(self, base, cablings=()):
         _set(self, "base", base)
@@ -222,8 +213,6 @@ class LevelRecord(Record):
     not licensed (base not meridionally small).
     """
 
-    _fields = ("cabling", "certificate", "slopes")
-
     def __init__(self, cabling, certificate, slopes=None):
         _set(self, "cabling", cabling)
         _set(self, "certificate", certificate)
@@ -242,11 +231,6 @@ class DiameterCertificate(Record):
     generalized-iterated-torus-knot branch.  ``ambient`` is the ambient
     H1 (an FPAbelianGroup) or None.
     """
-
-    _fields = (
-        "description", "gitk", "ambient", "base_slopes", "levels", "routes",
-        "primary_route", "d_lower", "reason", "tags",
-    )
 
     def __init__(
         self, description, gitk, ambient, base_slopes, levels, routes,

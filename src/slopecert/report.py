@@ -6,8 +6,6 @@ from .slopes import Record, _set
 class Check(Record):
     """One named pass/fail check, with an optional detail."""
 
-    _fields = ("name", "ok", "detail")
-
     def __init__(self, name, ok, detail=""):
         _set(self, "name", name)
         _set(self, "ok", ok)
@@ -16,8 +14,6 @@ class Check(Record):
 
 class CheckReport(Record):
     """An ordered list of named boolean checks; ok means all passed."""
-
-    _fields = ("checks",)
 
     def __init__(self, checks):
         _set(self, "checks", checks)

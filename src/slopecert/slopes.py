@@ -70,20 +70,21 @@ _set = object.__setattr__
 
 
 class Record:
-    """An immutable record with the fields named in the class's ``_fields``.
+    """An immutable record whose fields are its constructor's parameters.
 
-    Two records are equal when they are of the same class and their fields
-    are equal, and equal records hash alike; ``repr`` lists the fields as
-    ``Name(field=value, ...)``.  Each subclass writes an ``__init__`` whose
-    parameters are its fields in ``_fields`` order: it checks them and sets
-    each with ``_set``.  Assigning or deleting an attribute afterwards
-    raises AttributeError; ``replace`` makes a changed copy.
+    Each subclass writes an ``__init__`` that checks its parameters and
+    sets each with ``_set``; the parameters, in order, become the class's
+    ``_fields``.  Two records are equal when they are of the same class and
+    their fields are equal, and equal records hash alike; ``repr`` lists
+    the fields as ``Name(field=value, ...)``.  Assigning or deleting an
+    attribute afterwards raises AttributeError; ``replace`` makes a changed
+    copy.
     """
-
-    _fields = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
         get = attrgetter(*cls._fields)
         # The field values as a tuple, also for a single field.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
@@ -133,8 +134,6 @@ def _sorted_values(values):
 class PrimitiveClass(Record):
     """A primitive element of H_1(T; Z), written in the reference basis."""
 
-    _fields = ("a", "b")
-
     def __init__(self, a, b):
         if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError("coordinates must be integers")
@@ -155,8 +154,6 @@ class Slope(Record):
     Construct via canonical_slope() unless the input pair is already
     canonical.
     """
-
-    _fields = ("rep",)
 
     def __init__(self, rep):
         if not (rep.b > 0 or (rep.b == 0 and rep.a == 1)):
@@ -198,8 +195,6 @@ class Framing(Record):
     ``sign`` is the intersection number lambda . mu on the oriented
     torus, either +1 or -1.
     """
-
-    _fields = ("mu", "lambda_", "sign")
 
     def __init__(self, mu, lambda_, sign):
         d = mu.a * lambda_.b - mu.b * lambda_.a
@@ -270,8 +265,6 @@ class FramingChange(Record):
     Composition of framing changes composes these maps, and they form a
     group: FramingChange(eps, h) has inverse FramingChange(eps, -eps*h).
     """
-
-    _fields = ("epsilon", "h")
 
     def __init__(self, epsilon, h):
         if epsilon not in (1, -1):

@@ -51,8 +51,6 @@ from .slopes import (
 class AffineSlopeMap(Record):
     """The map s -> epsilon * q^2 * s + u on numerical slopes, INF fixed."""
 
-    _fields = ("epsilon", "q", "u")
-
     def __init__(self, epsilon, q, u):
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
@@ -243,8 +241,6 @@ class TransferCertificate(Record):
       "slopes"    -> sampled (source, image, factor, values) records.
     """
 
-    _fields = ("model", "map", "witnesses")
-
     def __init__(self, model, map, witnesses):
         _set(self, "model", model)
         _set(self, "map", map)
@@ -270,12 +266,11 @@ def _record_slope(rec):
     return canonical_slope(a, b) if a or b else None
 
 
-def transfer_certificate(model, extra_slopes=()):
+def transfer_certificate(model):
     """Build the certificate for a model: map, constants, slope witnesses."""
     smap = transfer_map(model)
     slopes = [slope_from_numerical(model.f_outer, v) for v in _DEFAULT_WITNESS_VALUES]
     slopes.append(canonical_slope(model.p, model.q))  # the cabling-curve slope
-    slopes.extend(extra_slopes)
     seen = []
     records = []
     for s in slopes:

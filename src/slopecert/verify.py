@@ -26,8 +26,6 @@ class Verification(Record):
     transfer certificate.
     """
 
-    _fields = ("kind", "certificate", "report", "document")
-
     def __init__(self, kind, certificate, report, document=None):
         _set(self, "kind", kind)
         _set(self, "certificate", certificate)

@@ -82,6 +82,18 @@ def test_snf_bad_matrix(tmp_path, capsys):
     assert "input error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x 2\n", "matrix row and column counts must be integers"),
+    ("2 1.5\n1 2\n", "matrix row and column counts must be integers"),
+    ("1 2\n1 x\n", "matrix entries must be integers"),
+])
+def test_snf_names_what_is_not_an_integer(text, message, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert main(["snf", str(path)]) == 2
+    assert capsys.readouterr().out == "input error: %s\n" % message
+
+
 @pytest.mark.parametrize("counts", ["%d 0" % (MAX_MATRIX_DIM + 1), "0 1200", "1200 1200"])
 def test_snf_rejects_a_matrix_over_the_size_limit(counts, tmp_path, capsys):
     # The counts alone are an input error, before any matrix is built: a

@@ -289,17 +289,25 @@ def test_canonical_dumps_raises_what_the_stdlib_raises():
 
 
 def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monkeypatch):
-    """Every document and report the CLI writes, in both formats."""
+    """Every document and report the CLI writes, in both formats, and all
+    of them on the emitter's own path: none is left to the stdlib."""
     real = jsonio.canonical_dumps
+    real_dumps = json.dumps
     kinds = []
+
+    def no_fallback(obj, **options):
+        if "indent" in options:
+            raise AssertionError("canonical_dumps left a value to the stdlib")
+        return real_dumps(obj, **options)
 
     def checked(obj):
         text = real(obj)
-        assert text == stdlib_dumps(obj)
+        assert text == real_dumps(obj, sort_keys=True, indent=2) + "\n"
         kinds.append(obj.get("kind"))
         return text
 
     monkeypatch.setattr(jsonio, "canonical_dumps", checked)
+    monkeypatch.setattr(jsonio.json, "dumps", no_fallback)
     matrix = tmp_path / "m.txt"
     matrix.write_text("3 3\n2 4 4\n-6 6 12\n10 4 16\n")
     desc = tmp_path / "desc.json"
@@ -329,7 +337,7 @@ def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monk
         doc["primary_route"] = value
         doc["reason"] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(real(doc))
+        bad.write_text(real_dumps(doc))
         assert cli.main(["verify", str(bad), "--format", "json"]) == 2
     assert set(kinds) == {
         "snf_report", "cable_homology_report", "transfer_report",

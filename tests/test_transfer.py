@@ -30,7 +30,7 @@ from slopecert import (
     transfer_map,
     verify_certificate,
 )
-from slopecert.transfer import grid_slopes
+from slopecert.transfer import grid_slopes, slope_record
 
 from oracles import phi_by_search
 
@@ -251,13 +251,18 @@ def test_certificate_includes_cabling_curve_witness():
 
 
 def test_certificate_extra_slopes_deduplicated():
-    model = cable_space_homology(2, 3)
-    cert = transfer_certificate(
-        model, extra_slopes=(canonical_slope(1, 0), canonical_slope(4, 5))
-    )
+    # The cabling-curve slope (-5, 3) is also the slope of the default
+    # witness value 5/3: it gets one record, five in all.
+    model = cable_space_homology(-5, 3)
+    cert = transfer_certificate(model)
     sources = [rec["source"] for rec in cert.witnesses["slopes"]]
-    assert sources.count((1, 0)) == 1
-    assert (4, 5) in sources
+    assert len(sources) == 5
+    assert sources.count((-5, 3)) == 1
+    # A valid record of one more slope, appended, verifies.
+    witnesses = dict(cert.witnesses)
+    witnesses["slopes"] += (slope_record(model, canonical_slope(4, 5)),)
+    cert = cert.replace(witnesses=witnesses)
+    assert (4, 5) in [rec["source"] for rec in cert.witnesses["slopes"]]
     assert verify_certificate(cert).ok
 
 
