@@ -68,7 +68,7 @@ from math import gcd
 
 from .linalg import IntMatrix, group_from_presentation
 from .report import Check, CheckReport
-from .slopes import Framing, PrimitiveClass, Record, _set
+from .slopes import Framing, PrimitiveClass, Record, _store
 
 STANDARD_OUTER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), -1)
 STANDARD_INNER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), +1)
@@ -140,23 +140,7 @@ class CableSpaceModel(Record):
         boundary_outer, boundary_inner, zeta, t, theta, eta,
     ):
         check_parameters(p, q, orientation)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "orientation", orientation)
-        _set(self, "f_outer", f_outer)
-        _set(self, "f_inner", f_inner)
-        _set(self, "relation", relation)
-        _set(self, "h1", h1)
-        _set(self, "img_mu", img_mu)
-        _set(self, "img_lambda", img_lambda)
-        _set(self, "img_mu_prime", img_mu_prime)
-        _set(self, "img_lambda_prime", img_lambda_prime)
-        _set(self, "boundary_outer", boundary_outer)
-        _set(self, "boundary_inner", boundary_inner)
-        _set(self, "zeta", zeta)
-        _set(self, "t", t)
-        _set(self, "theta", theta)
-        _set(self, "eta", eta)
+        _store(self, locals())
 
     @property
     def longitude_coefficient(self):

@@ -25,7 +25,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .slopes import DEFAULT_GRID, Record, _set, value_text
+from .slopes import DEFAULT_GRID, Record, _store, value_text
 
 # Largest --grid bound: the grid check visits about 1.2 * N^2 slopes per level.
 MAX_GRID = 1000
@@ -50,14 +50,7 @@ class RunConfig(Record):
         self, command, inputs=(), p=None, q=None, orientation=1, grid=DEFAULT_GRID,
         format="text", emit=None,
     ):
-        _set(self, "command", command)
-        _set(self, "inputs", inputs)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "orientation", orientation)
-        _set(self, "grid", grid)
-        _set(self, "format", format)
-        _set(self, "emit", emit)
+        _store(self, locals())
 
 
 def _fmt_matrix_lines(m):
@@ -355,11 +348,12 @@ def run(config):
         return 2, "input error: grid bound must be at most %d\n" % MAX_GRID
     try:
         code, report = _RUNNERS[config.command](config)
+        # Rendering can fail too: an int past the interpreter's digit limit.
+        if config.format == "json":
+            return code, jsonio.canonical_dumps(report)
+        return code, "\n".join(report) + "\n"
     except ValueError as e:
         return 2, "input error: %s\n" % e
-    if config.format == "json":
-        return code, jsonio.canonical_dumps(report)
-    return code, "\n".join(report) + "\n"
 
 
 def _build_parser():

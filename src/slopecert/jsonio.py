@@ -562,7 +562,7 @@ def load_document(text, where="input"):
     """Parse a JSON document and dispatch on its "kind" field."""
     try:
         x = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise ValueError("%s: malformed JSON (%s)" % (where, e)) from None
     except RecursionError:
         raise ValueError("%s: JSON nested too deeply to parse" % where) from None

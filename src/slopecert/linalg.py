@@ -17,7 +17,7 @@ triples on every run.
 import operator
 from math import gcd
 
-from .slopes import InvariantError, Record, _set
+from .slopes import InvariantError, Record, _store
 
 
 class IntMatrix(Record):
@@ -31,9 +31,7 @@ class IntMatrix(Record):
         for e in entries:
             if isinstance(e, bool) or not isinstance(e, int):
                 raise TypeError("matrix must be integral")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "entries", entries)
+        _store(self, locals())
 
     @classmethod
     def from_rows(cls, rows):
@@ -125,9 +123,7 @@ class SNFResult(Record):
     """
 
     def __init__(self, U, D, V):
-        _set(self, "U", U)
-        _set(self, "D", D)
-        _set(self, "V", V)
+        _store(self, locals())
 
     def diagonal(self):
         return tuple(
@@ -355,9 +351,7 @@ class FPAbelianGroup(Record):
             elif prev not in (None, 0) and x % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = x
-        _set(self, "n_generators", n_generators)
-        _set(self, "diag", diag)
-        _set(self, "coordinate_map", coordinate_map)
+        _store(self, locals())
 
     @property
     def invariant_factors(self):

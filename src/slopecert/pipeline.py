@@ -45,7 +45,7 @@ from .cablespace import (
     glued_manifold_h1,
 )
 from .report import Check, CheckReport
-from .slopes import INF, NEG_INF, InvariantError, Record, _set, _sorted_values, value_text
+from .slopes import INF, NEG_INF, InvariantError, Record, _store, _sorted_values, value_text
 from .transfer import transfer_certificate
 
 
@@ -101,12 +101,7 @@ class AtomKnot(Record):
             raise ValueError("a round base requires its complementary meridian")
         if not is_round and complementary_meridian is not None:
             raise ValueError("complementary meridian is gluing data of a round base only")
-        _set(self, "strict_numerical_slopes", strict_numerical_slopes)
-        _set(self, "meridionally_small", meridionally_small)
-        _set(self, "is_round", is_round)
-        _set(self, "is_cable", is_cable)
-        _set(self, "ambient_pi1_cyclic", ambient_pi1_cyclic)
-        _set(self, "complementary_meridian", complementary_meridian)
+        _store(self, locals())
 
 
 class Cabling(Record):
@@ -115,11 +110,7 @@ class Cabling(Record):
 
     def __init__(self, p, q, orientation=1, f_outer=None, f_inner=None):
         check_parameters(p, q, orientation)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "orientation", orientation)
-        _set(self, "f_outer", f_outer)
-        _set(self, "f_inner", f_inner)
+        _store(self, locals())
 
     def model(self):
         return cable_space_homology(
@@ -131,12 +122,8 @@ class KnotDescription(Record):
     """A base atom plus cablings applied innermost-first."""
 
     def __init__(self, base, cablings=()):
-        _set(self, "base", base)
-        _set(
-            self,
-            "cablings",
-            tuple(c if isinstance(c, Cabling) else Cabling(*c) for c in cablings),
-        )
+        cablings = tuple(c if isinstance(c, Cabling) else Cabling(*c) for c in cablings)
+        _store(self, locals())
 
 
 def recognize_gitk(d):
@@ -214,9 +201,7 @@ class LevelRecord(Record):
     """
 
     def __init__(self, cabling, certificate, slopes=None):
-        _set(self, "cabling", cabling)
-        _set(self, "certificate", certificate)
-        _set(self, "slopes", slopes)
+        _store(self, locals())
 
 
 class DiameterCertificate(Record):
@@ -236,16 +221,7 @@ class DiameterCertificate(Record):
         self, description, gitk, ambient, base_slopes, levels, routes,
         primary_route, d_lower, reason="", tags=(),
     ):
-        _set(self, "description", description)
-        _set(self, "gitk", gitk)
-        _set(self, "ambient", ambient)
-        _set(self, "base_slopes", base_slopes)
-        _set(self, "levels", levels)
-        _set(self, "routes", routes)
-        _set(self, "primary_route", primary_route)
-        _set(self, "d_lower", d_lower)
-        _set(self, "reason", reason)
-        _set(self, "tags", tags)
+        _store(self, locals())
 
 
 def primary_route(routes):

@@ -1,22 +1,20 @@
 """Pass/fail check reports shared by certificate verification and the CLI."""
 
-from .slopes import Record, _set
+from .slopes import Record, _store
 
 
 class Check(Record):
     """One named pass/fail check, with an optional detail."""
 
     def __init__(self, name, ok, detail=""):
-        _set(self, "name", name)
-        _set(self, "ok", ok)
-        _set(self, "detail", detail)
+        _store(self, locals())
 
 
 class CheckReport(Record):
     """An ordered list of named boolean checks; ok means all passed."""
 
     def __init__(self, checks):
-        _set(self, "checks", checks)
+        _store(self, locals())
 
     @property
     def ok(self):

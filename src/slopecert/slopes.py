@@ -65,20 +65,29 @@ INF = _Atom("INF")
 NEG_INF = _Atom("NEG_INF")
 
 
-# Records set their fields with this in __init__; their own __setattr__ refuses.
-_set = object.__setattr__
+def _store(record, values):
+    """Set each of the record's fields, once, to its value in ``values``.
+
+    A constructor ends with ``_store(self, locals())``, so each field takes
+    the value its parameter holds then: a constructor that normalizes a
+    value rebinds the parameter first.  Other locals are not stored.  The
+    record's own ``__setattr__`` refuses, so this goes round it.
+    """
+    for name in record._fields:
+        object.__setattr__(record, name, values[name])
 
 
 class Record:
     """An immutable record whose fields are its constructor's parameters.
 
-    Each subclass writes an ``__init__`` that checks its parameters and
-    sets each with ``_set``; the parameters, in order, become the class's
-    ``_fields``.  Two records are equal when they are of the same class and
-    their fields are equal, and equal records hash alike; ``repr`` lists
-    the fields as ``Name(field=value, ...)``.  Assigning or deleting an
-    attribute afterwards raises AttributeError; ``replace`` makes a changed
-    copy.
+    Each subclass writes an ``__init__`` that checks its parameters, may
+    rebind one to normalize it, and ends with ``_store(self, locals())``,
+    which sets each field once from the constructor's locals; the
+    parameters, in order, become the class's ``_fields``.  Two records are
+    equal when they are of the same class and their fields are equal, and
+    equal records hash alike; ``repr`` lists the fields as
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute
+    afterwards raises AttributeError; ``replace`` makes a changed copy.
     """
 
     def __init_subclass__(cls):
@@ -139,8 +148,7 @@ class PrimitiveClass(Record):
             raise TypeError("coordinates must be integers")
         if gcd(a, b) != 1:
             raise ValueError("not a primitive class: gcd(%d, %d) != 1" % (a, b))
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _store(self, locals())
 
     def __neg__(self):
         return PrimitiveClass(-self.a, -self.b)
@@ -158,7 +166,7 @@ class Slope(Record):
     def __init__(self, rep):
         if not (rep.b > 0 or (rep.b == 0 and rep.a == 1)):
             raise ValueError("representative (%d, %d) is not canonical" % (rep.a, rep.b))
-        _set(self, "rep", rep)
+        _store(self, locals())
 
     @property
     def a(self):
@@ -202,9 +210,7 @@ class Framing(Record):
             raise ValueError("not a basis: det(mu, lambda) = %d" % d)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1, got %r" % (sign,))
-        _set(self, "mu", mu)
-        _set(self, "lambda_", lambda_)
-        _set(self, "sign", sign)
+        _store(self, locals())
 
     @property
     def det(self):
@@ -271,8 +277,7 @@ class FramingChange(Record):
             raise ValueError("epsilon must be +1 or -1")
         if not isinstance(h, int):
             raise TypeError("h must be an integer")
-        _set(self, "epsilon", epsilon)
-        _set(self, "h", h)
+        _store(self, locals())
 
     def apply(self, r):
         """Apply to a numerical slope; INF is a fixed point."""

@@ -40,7 +40,7 @@ from .slopes import (
     PrimitiveClass,
     Record,
     _in_basis,
-    _set,
+    _store,
     canonical_slope,
     numerical_slope,
     slope_from_numerical,
@@ -56,9 +56,8 @@ class AffineSlopeMap(Record):
             raise ValueError("epsilon must be +1 or -1")
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an integer >= 2")
-        _set(self, "epsilon", epsilon)
-        _set(self, "q", q)
-        _set(self, "u", Fraction(u))
+        u = Fraction(u)
+        _store(self, locals())
 
     def apply(self, r):
         if r is INF:
@@ -242,9 +241,7 @@ class TransferCertificate(Record):
     """
 
     def __init__(self, model, map, witnesses):
-        _set(self, "model", model)
-        _set(self, "map", map)
-        _set(self, "witnesses", witnesses)
+        _store(self, locals())
 
 
 def slope_record(model, s):

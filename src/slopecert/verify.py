@@ -13,7 +13,7 @@ from . import jsonio
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
-from .slopes import DEFAULT_GRID, NEG_INF, Record, _set
+from .slopes import DEFAULT_GRID, NEG_INF, Record, _store
 from .transfer import TransferCertificate, verify_certificate
 
 
@@ -27,10 +27,7 @@ class Verification(Record):
     """
 
     def __init__(self, kind, certificate, report, document=None):
-        _set(self, "kind", kind)
-        _set(self, "certificate", certificate)
-        _set(self, "report", report)
-        _set(self, "document", document)
+        _store(self, locals())
 
 
 def verify_document(doc, grid=DEFAULT_GRID, cache=None):

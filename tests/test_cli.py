@@ -162,6 +162,31 @@ def test_transfer_rejects_q_one(capsys):
     assert "at least 2" in capsys.readouterr().out
 
 
+# The most digits the interpreter converts between an int and text; 0
+# where there is no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int digit limit")
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_past_the_int_digit_limit_is_an_input_error(fmt, capsys):
+    p = "1" * INT_DIGITS
+    assert main(["transfer", "--p", p, "--q", "13", "--format", fmt]) == 2
+    assert capsys.readouterr().out.startswith("input error: ")
+
+
+@needs_int_digit_limit
+def test_int_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"kind": "knot_description", "base": {}, "cablings": [{"p": %s, "q": 2}]}'
+        % ("1" * (INT_DIGITS + 1))
+    )
+    assert main(["propagate", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("input error: %s: malformed JSON (" % path)
+
+
 # --- propagate -------------------------------------------------------------------
 
 

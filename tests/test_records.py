@@ -205,6 +205,7 @@ def test_repr_is_the_dataclass_repr(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_positional_construction_and_copies(cls):
     record = sample(cls)
+    assert vars(record).keys() == set(cls._fields)
     assert cls(*SAMPLES[cls].values()) == record
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
