@@ -4,9 +4,9 @@ A fixed corpus of invocations runs in process through cli.main, in order,
 inside a temporary directory and with relative file names, so that no
 report holds an absolute path.  For each case tests/fixtures/golden.json
 holds the sha256 of the exit code plus stdout, and the sha256 of every
-file the run wrote.  Argument errors and messages worded by the
-interpreter are left out, so the bytes are the same on every supported
-Python.  Regenerate the fixture only on purpose, with
+file the run wrote.  Argument errors, and messages whose wording differs
+between Python versions, are left out, so the bytes are the same on every
+supported Python.  Regenerate the fixture only on purpose, with
 `python tests/test_golden.py`, and name each changed case and the reason.
 """
 
@@ -84,8 +84,7 @@ def wrong_type(doc):
 def corpus():
     """(name, argv) for each case, in order; the files the cases read are
     written just before the first case that needs them."""
-    write = Path.write_text
-    write(Path("m.txt"), README_MATRIX)
+    Path("m.txt").write_text(README_MATRIX)
     yield "snf-readme-text", ["snf", "m.txt"]
     yield "snf-readme-json", ["snf", "--format", "json", "m.txt"]
     matrices = [
@@ -96,7 +95,7 @@ def corpus():
         ("dense24", seeded_matrix(4, 24, 24)),
     ]
     for name, rows in matrices:
-        write(Path(name + ".txt"), matrix_text(rows))
+        Path(name + ".txt").write_text(matrix_text(rows))
         yield "snf-%s-json" % name, ["snf", "--format", "json", name + ".txt"]
     yield "snf-dense6-text", ["snf", "dense6.txt"]
     yield "cable-homology-text", ["cable-homology", "--p", "2", "--q", "3"]
@@ -109,9 +108,9 @@ def corpus():
     yield "transfer-emit-json", [
         "transfer", "--p", "7", "--q", "5", "--orientation", "-1", "--format", "json",
         "--emit", "t2.json"]
-    write(Path("desc3.json"), json.dumps(DESC3))
-    write(Path("desc1.json"), json.dumps(DESC1))
-    write(Path("round2.json"), json.dumps(ROUND2))
+    Path("desc3.json").write_text(json.dumps(DESC3))
+    Path("desc1.json").write_text(json.dumps(DESC1))
+    Path("round2.json").write_text(json.dumps(ROUND2))
     yield "propagate-text", ["propagate", "desc3.json"]
     yield "propagate-json", ["propagate", "--format", "json", "desc3.json"]
     yield "propagate-not-small", ["propagate", "desc1.json"]
@@ -124,13 +123,13 @@ def corpus():
     yield "verify-transfer-text", ["verify", "t.json"]
     yield "verify-transfer-json", ["verify", "--format", "json", "--grid", "5", "t2.json"]
     for name in STORED:
-        write(Path(name), (HERE / "fixtures" / name).read_text())
+        Path(name).write_text((HERE / "fixtures" / name).read_text())
         yield "verify-stored-" + name[:-5], ["verify", name]
     yield "verify-stored-json", ["verify", "--format", "json", STORED[0]]
     edit("t.json", tamper_image, "bad_image.json")
     edit("d.json", tamper_d_lower, "bad_d_lower.json")
     edit("desc3.json", wrong_type, "wrong_type.json")
-    write(Path("malformed.json"), '{"kind": "knot_description", "base": ')
+    Path("malformed.json").write_text('{"kind": "knot_description", "base": ')
     yield "tampered-image-text", ["verify", "bad_image.json"]
     yield "tampered-image-json", ["verify", "--format", "json", "bad_image.json"]
     yield "tampered-d-lower-text", ["verify", "bad_d_lower.json"]
