@@ -74,6 +74,14 @@ STANDARD_OUTER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), -1)
 STANDARD_INNER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), +1)
 
 
+def with_standard_framings(f_outer, f_inner):
+    """The two framings, with the standard one in place of each None."""
+    return (
+        STANDARD_OUTER_FRAMING if f_outer is None else f_outer,
+        STANDARD_INNER_FRAMING if f_inner is None else f_inner,
+    )
+
+
 def check_parameters(p, q, orientation):
     """Raise ValueError unless (p, q, orientation) names a cable space:
     integers p and q with q >= 2 and gcd(p, q) = 1, and orientation +-1."""
@@ -189,10 +197,7 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     before the model is returned.
     """
     check_parameters(p, q, orientation)
-    if f_outer is None:
-        f_outer = STANDARD_OUTER_FRAMING
-    if f_inner is None:
-        f_inner = STANDARD_INNER_FRAMING
+    f_outer, f_inner = with_standard_framings(f_outer, f_inner)
     problem = framing_problem(f_outer, f_inner)
     if problem:
         raise ValueError(problem)

@@ -88,6 +88,8 @@ def _read_text(path):
             return fh.read()
     except OSError as e:
         raise ValueError("cannot read %s: %s" % (path, e.strerror or e)) from None
+    except UnicodeDecodeError:
+        raise ValueError("cannot read %s: not UTF-8 text" % path) from None
 
 
 def _write_text(path, text):
@@ -310,9 +312,11 @@ def _run_verify(config):
             continue
         report = verification.report
         codes.append(0 if report.ok else 1)
-        cert_json = verification.document
-        if cert_json is None and (as_json or config.emit):
-            cert_json = jsonio.transfer_certificate_to_json(verification.certificate)
+        if as_json or config.emit:
+            to_json = jsonio.diameter_certificate_to_json
+            if verification.kind == "transfer_certificate":
+                to_json = jsonio.transfer_certificate_to_json
+            cert_json = to_json(verification.certificate)
         if as_json:
             out.append({"input": path, "kind": verification.kind, "ok": report.ok,
                         "checks": _checks_json(report.checks), "certificate": cert_json})

@@ -71,21 +71,6 @@ def canonical_dumps(obj):
     return "".join(out)
 
 
-def same_canonical(a, b):
-    """Whether canonical_dumps(a) == canonical_dumps(b), without indenting.
-
-    Indentation is a function of structure, so two values have equal
-    canonical text exactly when their compact sorted encodings, which the
-    stdlib's C encoder writes, are equal.  Comparing the values with ``==``
-    would not do: ``True == 1`` and ``1.0 == 1``, but their texts differ.
-    """
-    return _compact(a) == _compact(b)
-
-
-def _compact(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 _INT_TYPES = {int}
 _int_text = int.__repr__
 

@@ -38,11 +38,12 @@ check_corollary_c().
 from fractions import Fraction
 
 from .cablespace import (
-    STANDARD_INNER_FRAMING,
     STANDARD_OUTER_FRAMING,
     cable_space_homology,
     check_parameters,
+    framing_problem,
     glued_manifold_h1,
+    with_standard_framings,
 )
 from .report import Check, CheckReport
 from .slopes import INF, NEG_INF, InvariantError, Record, _store, _sorted_values, value_text
@@ -106,10 +107,14 @@ class AtomKnot(Record):
 
 class Cabling(Record):
     """One cabling level: q strands, homology winding p, optional overrides
-    of the framings (Framing, or None for the standard ones)."""
+    of the framings (Framing, or None for the standard ones), which must
+    fit the model (cablespace.framing_problem)."""
 
     def __init__(self, p, q, orientation=1, f_outer=None, f_inner=None):
         check_parameters(p, q, orientation)
+        problem = framing_problem(*with_standard_framings(f_outer, f_inner))
+        if problem:
+            raise ValueError(problem)
         _store(self, locals())
 
     def model(self):
@@ -163,8 +168,7 @@ class LevelCache:
             cabling.p,
             cabling.q,
             cabling.orientation,
-            STANDARD_OUTER_FRAMING if cabling.f_outer is None else cabling.f_outer,
-            STANDARD_INNER_FRAMING if cabling.f_inner is None else cabling.f_inner,
+            *with_standard_framings(cabling.f_outer, cabling.f_inner),
         )
         cert = self._certificates.get(key)
         if cert is None:

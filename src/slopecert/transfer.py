@@ -275,9 +275,7 @@ def transfer_certificate(model):
             continue
         seen.append(s)
         records.append(slope_record(model, s))
-    _, r_mu = phi_with_factor(
-        model, canonical_slope(model.f_outer.mu.a, model.f_outer.mu.b)
-    )
+    _, r_mu = phi_with_factor(model, model.f_outer.meridian_slope())
     witnesses = {
         "boundary": {
             "outer": model.boundary_outer,
@@ -323,7 +321,7 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
     w2 = cert.witnesses.get("meridian", {})
     w3 = cert.witnesses.get("longitude", {})
     slopes = cert.witnesses.get("slopes", ())
-    meridian = canonical_slope(model.f_outer.mu.a, model.f_outer.mu.b)
+    meridian = model.f_outer.meridian_slope()
     stated = {
         "eq-boundary": tuple(w1.get("outer", ())) == tuple(model.boundary_outer)
         and tuple(w1.get("inner", ())) == tuple(model.boundary_inner)

@@ -5,11 +5,10 @@ certificate gets "replay" (its recomputation is byte-identical),
 "route-logic", each level's transfer-certificate checks as "level i: ...",
 and rule C's checks as "rule C: ..." when pipeline.is_cable_description
 holds.  A knot description gets the checks of the diameter certificate
-built from it.  The replay compares JSON documents, so this module sits
-above both pipeline and jsonio.
+built from it.  The replay compares records with ``==``, so this module
+sits above pipeline and needs no JSON.
 """
 
-from . import jsonio
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
@@ -21,12 +20,10 @@ class Verification(Record):
     """What verify_document found for a document of the given kind.
 
     ``certificate`` is the document, or the diameter certificate built
-    from a description; ``report`` is a CheckReport; ``document`` is a
-    diameter certificate's JSON, which the replay builds, and None for a
-    transfer certificate.
+    from a description; ``report`` is a CheckReport.
     """
 
-    def __init__(self, kind, certificate, report, document=None):
+    def __init__(self, kind, certificate, report):
         _store(self, locals())
 
 
@@ -44,20 +41,20 @@ def verify_document(doc, grid=DEFAULT_GRID, cache=None):
         kind, cert = "knot_description", diameter_lower_bound(doc, cache)
     else:
         kind, cert = "diameter_certificate", doc
-    checks, document = _verify_diameter_certificate(cert, grid, cache)
-    return Verification(kind, cert, CheckReport(checks=tuple(checks)), document)
+    checks = _verify_diameter_certificate(cert, grid, cache)
+    return Verification(kind, cert, CheckReport(checks=tuple(checks)))
 
 
 def _verify_diameter_certificate(cert, grid, cache):
-    """Replay and check a diameter certificate; returns (checks, JSON document).
+    """Replay and check a diameter certificate; returns its checks.
 
-    The replay compares the JSON documents of `cert` and of a fresh
-    recomputation by their canonical text, so it is a byte-identity check;
-    `cert`'s document is returned for the report and for --emit.
+    The replay is ``==`` against a fresh recomputation.  The reader types
+    every field as the builder does, so two certificates are equal exactly
+    when their canonical JSON is.  `cache` never holds parsed objects, so
+    identity never decides the replay of a stored certificate.
     """
     recomputed = diameter_lower_bound(cert.description, cache)
-    doc = jsonio.diameter_certificate_to_json(cert)
-    same = jsonio.same_canonical(jsonio.diameter_certificate_to_json(recomputed), doc)
+    same = recomputed == cert
     checks = [
         Check(
             "replay",
@@ -72,7 +69,7 @@ def _verify_diameter_certificate(cert, grid, cache):
         checks.extend(_prefixed("level %d: " % i, verify_certificate(level.certificate, grid)))
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
-    return checks, doc
+    return checks
 
 
 def _prefixed(prefix, report):

@@ -354,6 +354,39 @@ def test_broken_invariants_are_input_errors_with_a_path(tmp_path, make):
     assert "  input error: %s%s\n" % (bad, message) in report
 
 
+BAD_OUTER_FRAMING = {"mu": [1, 0], "lambda": [0, 1], "sign": 1}
+FRAMING_MESSAGE = "outer framing sign inconsistent with the model's T1 orientation"
+
+
+def test_a_cabling_framing_that_does_not_fit_the_model_names_its_path(tmp_path):
+    _, path = write_description(tmp_path)
+    doc = json.loads(Path(path).read_text())
+    doc["cablings"][0]["f_outer"] = BAD_OUTER_FRAMING
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    assert code == 2
+    assert "  input error: %s.cablings[0]: %s\n" % (bad, FRAMING_MESSAGE) in report
+
+    emitted = tmp_path / "cert.json"
+    assert run(RunConfig(command="verify", inputs=(path,), emit=str(emitted)))[0] == 0
+    doc = json.loads(emitted.read_text())
+    doc["levels"][0]["cabling"]["f_outer"] = BAD_OUTER_FRAMING
+    bad.write_text(canonical_dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    assert code == 2
+    assert "  input error: %s.levels[0].cabling: %s\n" % (bad, FRAMING_MESSAGE) in report
+
+
+@pytest.mark.parametrize("command", ["snf", "verify"])
+def test_input_that_is_not_utf8_is_an_input_error_naming_the_file(command, tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, report = run(RunConfig(command=command, inputs=(str(path),)))
+    assert code == 2
+    assert "input error: cannot read %s: not UTF-8 text\n" % path in report
+
+
 def test_deeply_nested_input_is_an_input_error(tmp_path):
     path = tmp_path / "deep.json"
     depth = 5000

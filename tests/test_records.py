@@ -72,8 +72,7 @@ SAMPLES = {
         levels=(), routes={}, primary_route="none", d_lower=NEG_INF, reason="no route",
         tags=(),
     ),
-    Verification: dict(kind="transfer_certificate", certificate=None,
-                       report=CheckReport(()), document=None),
+    Verification: dict(kind="transfer_certificate", certificate=None, report=CheckReport(())),
     RunConfig: dict(command="snf", inputs=("m.txt",), p=None, q=None, orientation=1,
                     grid=20, format="json", emit=None),
 }
@@ -119,7 +118,7 @@ REPRS = {
     "cablings=()), gitk=False, ambient=None, base_slopes=(), levels=(), routes={}, "
     "primary_route='none', d_lower=NEG_INF, reason='no route', tags=())",
     Verification: "Verification(kind='transfer_certificate', certificate=None, "
-    "report=CheckReport(checks=()), document=None)",
+    "report=CheckReport(checks=()))",
     RunConfig: "RunConfig(command='snf', inputs=('m.txt',), p=None, q=None, orientation=1, "
     "grid=20, format='json', emit=None)",
 }
@@ -143,7 +142,7 @@ CHANGES = {
     KnotDescription: ("cablings", ()),
     LevelRecord: ("slopes", None),
     DiameterCertificate: ("reason", ""),
-    Verification: ("document", {"kind": "diameter_certificate"}),
+    Verification: ("kind", "diameter_certificate"),
     RunConfig: ("grid", 5),
 }
 
@@ -256,7 +255,6 @@ def test_defaults():
     assert LevelRecord(CABLING, None).slopes is None
     cert = DiameterCertificate(*list(SAMPLES[DiameterCertificate].values())[:8])
     assert (cert.reason, cert.tags) == ("", ())
-    assert Verification("k", None, CheckReport(())).document is None
     assert RunConfig("verify") == RunConfig(
         command="verify", inputs=(), p=None, q=None, orientation=1, grid=20,
         format="text", emit=None)

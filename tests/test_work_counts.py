@@ -139,8 +139,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["diameter"] == 2  # the build and its replay
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
-    # the built certificate and its replay; the report and --emit reuse the first
-    assert counts["to_json"] == 2
+    assert counts["to_json"] == 1  # --emit only: the replay compares records
     assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
 
     reset(counts)
@@ -151,7 +150,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["diameter"] == 1  # the replay only
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
-    assert counts["to_json"] == 2  # the stored certificate and its replay
+    assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
 
 
