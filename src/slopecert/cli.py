@@ -357,7 +357,18 @@ def run(config):
             return code, jsonio.canonical_dumps(report)
         return code, "\n".join(report) + "\n"
     except ValueError as e:
-        return 2, "input error: %s\n" % e
+        return 2, "input error: %s\n" % (jsonio.digit_limit_text(e) or e)
+
+
+def _int_option(text):
+    """The type of the integer options: argparse's own message for text that
+    is not an integer, and one that does not echo an over-long one."""
+    try:
+        return int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(
+            jsonio.digit_limit_text(e) or "invalid int value: %r" % text
+        ) from None
 
 
 def _build_parser():
@@ -368,10 +379,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cable_space(p):
-        p.add_argument("--p", type=int, required=True, help="winding count p (coprime to q)")
-        p.add_argument("--q", type=int, required=True, help="strand count q >= 2")
         p.add_argument(
-            "--orientation", type=int, choices=(1, -1), default=1,
+            "--p", type=_int_option, required=True, help="winding count p (coprime to q)"
+        )
+        p.add_argument("--q", type=_int_option, required=True, help="strand count q >= 2")
+        p.add_argument(
+            "--orientation", type=_int_option, choices=(1, -1), default=1,
             help="orientation flag of the model (default: 1)",
         )
 
@@ -382,7 +395,7 @@ def _build_parser():
         )
         if grid:
             p.add_argument(
-                "--grid", type=int, default=DEFAULT_GRID, metavar="N",
+                "--grid", type=_int_option, default=DEFAULT_GRID, metavar="N",
                 help="bound on slope coefficients for sampled verification"
                 " (default: %d, at most %d)" % (DEFAULT_GRID, MAX_GRID),
             )

@@ -543,12 +543,23 @@ diameter_certificate_to_json, diameter_certificate_from_json = _codec(
 )
 
 
+def digit_limit_text(e):
+    """The interpreter's error for an int past its digit limit, text to int
+    or int to text, in slopecert's words; None for any other error."""
+    if "sys.set_int_max_str_digits" in str(e):
+        return (
+            "an integer has more than %d digits, the most slopecert converts"
+            " between text and integers" % sys.get_int_max_str_digits()
+        )
+    return None
+
+
 def load_document(text, where="input"):
     """Parse a JSON document and dispatch on its "kind" field."""
     try:
         x = json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an int past the digit limit
-        raise ValueError("%s: malformed JSON (%s)" % (where, e)) from None
+        raise ValueError("%s: malformed JSON (%s)" % (where, digit_limit_text(e) or e)) from None
     except RecursionError:
         raise ValueError("%s: JSON nested too deeply to parse" % where) from None
     if not isinstance(x, dict):
@@ -583,8 +594,8 @@ def parse_matrix_text(text):
         raise ValueError("matrix row and column counts must be integers") from None
     try:
         entries = [int(t) for t in tokens[2:]]
-    except ValueError:
-        raise ValueError("matrix entries must be integers") from None
+    except ValueError as e:
+        raise ValueError(digit_limit_text(e) or "matrix entries must be integers") from None
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if rows > MAX_MATRIX_DIM or cols > MAX_MATRIX_DIM:

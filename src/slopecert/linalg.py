@@ -145,17 +145,25 @@ def _is_row_echelon(rows):
 def _row_hermite(rows, top, width):
     """Put rows[top:] in row Hermite form on its first `width` columns, in place.
 
-    Echelon form first, by floor-quotient sweeps under the smallest
-    nonzero |entry| of each column (first such row), each pivot made
-    positive.  Then every row above a pivot, rows[:top] included, is
-    reduced modulo it into [0, pivot), bottom row first: reducing during
-    the sweeps would add unreduced pivot rows to the rows above, column
-    after column, and their entries would grow by thousands of bits.
-    Columns from `width` on only follow the row operations, so a
-    transform can ride along.  A row added is zero left of the column it
-    clears, so only the tail of the changed row is rewritten.
+    Echelon form first, by sweeps under the smallest nonzero |entry| p of
+    each column (first such row), each pivot made positive.  A sweep
+    subtracts f times the pivot row from every row below it, f the
+    nearest integer to row[c] / p, so each remainder is at most |p|/2
+    and the sweeps make about a third fewer row operations than with
+    floor quotients.  A phase of at most three rows keeps the floor
+    quotient: those are the 3x1 cable relations (transposed) and the 2x2
+    gluing relations whose U certificates store, and nearest quotients
+    would change that U.  Then every row above a pivot, rows[:top]
+    included, is reduced modulo it into [0, pivot) with floor quotients,
+    bottom row first, which makes the form unique: reducing during the
+    sweeps would add unreduced pivot rows to the rows above, column after
+    column, and their entries would grow by thousands of bits.  Columns
+    from `width` on only follow the row operations, so a transform can
+    ride along.  A row added is zero left of the column it clears, so
+    only the tail of the changed row is rewritten.
     """
     m = len(rows)
+    nearest = m > 3
     cols = []  # the pivot column of rows[top], rows[top + 1], ...
     r = top
     for c in range(width):
@@ -176,7 +184,7 @@ def _row_hermite(rows, top, width):
             for i in range(r + 1, m):
                 row = rows[i]
                 if row[c]:
-                    f = row[c] // p
+                    f = (2 * row[c] + p) // (2 * p) if nearest else row[c] // p
                     row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
                     if row[c]:
                         clear = False
@@ -241,7 +249,13 @@ def smith_normal_form(a):
 
     One elimination, _row_hermite, alternates between the rows (a row
     phase on [D | U]) and the columns (a column phase on [D^T | V^T])
-    until D is diagonal (Kannan and Bachem).  A phase whose input is
+    until D is diagonal (Kannan and Bachem).  Its sweeps use
+    nearest-integer quotients, except in phases of at most three rows,
+    and its reduction above each pivot uses floor quotients into
+    [0, pivot), so every phase ends in the unique Hermite form of its
+    input: a nonsingular square input has one (U, D, V) whatever the
+    sweeps do, and only the transforms of a rank-deficient input depend
+    on them.  D is unique for every input.  A phase whose input is
     already in row echelon form with positive pivots is skipped, which
     keeps the U that certificates store: a round base's gluing relation
     is echelon already, and a cable-space relation's transpose is a

@@ -12,7 +12,7 @@ sits above pipeline and needs no JSON.
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
-from .slopes import DEFAULT_GRID, NEG_INF, Record, _store
+from .slopes import DEFAULT_GRID, NEG_INF, Record, _store, value_text
 from .transfer import TransferCertificate, verify_certificate
 
 
@@ -51,25 +51,56 @@ def _verify_diameter_certificate(cert, grid, cache):
     The replay is ``==`` against a fresh recomputation.  The reader types
     every field as the builder does, so two certificates are equal exactly
     when their canonical JSON is.  `cache` never holds parsed objects, so
-    identity never decides the replay of a stored certificate.
+    identity never decides the replay of a stored certificate.  Only a
+    failed replay walks the two, to name the first field that differs.
     """
     recomputed = diameter_lower_bound(cert.description, cache)
-    same = recomputed == cert
-    checks = [
-        Check(
-            "replay",
-            same,
-            "recomputed certificate is byte-identical"
-            if same
-            else "stored certificate differs from recomputation",
-        ),
-        _route_check(cert),
-    ]
+    if recomputed == cert:
+        replay = Check("replay", True, "recomputed certificate is byte-identical")
+    else:
+        path, stored, fresh = _first_difference(cert, recomputed, "")
+        replay = Check("replay", False, "stored certificate differs from recomputation"
+                       " at %s: stored %s, recomputed %s" % (path, _text(stored), _text(fresh)))
+    checks = [replay, _route_check(cert)]
     for i, level in enumerate(cert.levels, start=1):
         checks.extend(_prefixed("level %d: " % i, verify_certificate(level.certificate, grid)))
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
     return checks
+
+
+def _first_difference(stored, fresh, path):
+    """(path, stored value, recomputed value) at the first place where two
+    unequal values differ: records field by field, then tuples of one
+    length and maps with the same keys entry by entry.  The path is written
+    as input errors write theirs, e.g. ``levels[1].slopes[0]``, but in the
+    records' field names, mostly the JSON keys: ``ambient`` for
+    ``ambient_h1``, and a tag's ``[0]`` and ``[1]`` for its rule and value."""
+    if type(stored) is type(fresh):
+        if isinstance(stored, Record):
+            steps = [("." + f, getattr(stored, f), getattr(fresh, f)) for f in stored._fields]
+        elif type(stored) is tuple and len(stored) == len(fresh):
+            steps = [("[%d]" % i, x, y) for i, (x, y) in enumerate(zip(stored, fresh))]
+        elif type(stored) is dict and stored.keys() == fresh.keys():
+            steps = [('["%s"]' % k, stored[k], fresh[k]) for k in sorted(stored)]
+        else:
+            steps = ()
+        for step, x, y in steps:
+            if x != y:
+                return _first_difference(x, y, path + step)
+    return path.lstrip("."), stored, fresh
+
+
+def _text(v):
+    """A value in a replay detail: rationals as reports write them, the
+    rest as JSON writes them."""
+    if type(v) is tuple:
+        return "[%s]" % ", ".join(map(_text, v))
+    if type(v) is str:
+        return '"%s"' % v
+    if v is None or type(v) is bool:
+        return {None: "null", True: "true", False: "false"}[v]
+    return value_text(v)
 
 
 def _prefixed(prefix, report):

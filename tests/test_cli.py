@@ -168,12 +168,44 @@ INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int digit limit")
 
 
+# What slopecert says of an int past that limit, in place of the
+# interpreter's advice to call sys.set_int_max_str_digits.
+DIGIT_LIMIT_TEXT = (
+    "an integer has more than %d digits, the most slopecert converts between text and integers"
+    % INT_DIGITS
+)
+
+
 @needs_int_digit_limit
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_past_the_int_digit_limit_is_an_input_error(fmt, capsys):
+    # --p itself converts, but the report's larger numbers do not.
     p = "1" * INT_DIGITS
     assert main(["transfer", "--p", p, "--q", "13", "--format", fmt]) == 2
-    assert capsys.readouterr().out.startswith("input error: ")
+    assert capsys.readouterr().out == "input error: %s\n" % DIGIT_LIMIT_TEXT
+
+
+@needs_int_digit_limit
+def test_an_option_past_the_int_digit_limit_is_not_echoed(capsys):
+    p = "1" * (INT_DIGITS + 1)
+    with pytest.raises(SystemExit) as exit_:
+        main(["transfer", "--p", p, "--q", "13"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --p: %s\n" % DIGIT_LIMIT_TEXT)
+    assert "1111" not in err and "sys." not in err
+    # Other text that is not an integer keeps argparse's own message.
+    with pytest.raises(SystemExit):
+        main(["transfer", "--p", "x", "--q", "13"])
+    assert capsys.readouterr().err.endswith("error: argument --p: invalid int value: 'x'\n")
+
+
+@needs_int_digit_limit
+def test_a_matrix_entry_past_the_int_digit_limit_is_named_so(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("1 1\n%s\n" % ("1" * (INT_DIGITS + 1)))
+    assert main(["snf", str(path)]) == 2
+    assert capsys.readouterr().out == "input error: %s\n" % DIGIT_LIMIT_TEXT
 
 
 @needs_int_digit_limit
@@ -184,7 +216,8 @@ def test_int_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
         % ("1" * (INT_DIGITS + 1))
     )
     assert main(["propagate", str(path)]) == 2
-    assert capsys.readouterr().out.startswith("input error: %s: malformed JSON (" % path)
+    assert capsys.readouterr().out == "input error: %s: malformed JSON (%s)\n" % (
+        path, DIGIT_LIMIT_TEXT)
 
 
 # --- propagate -------------------------------------------------------------------

@@ -245,12 +245,77 @@ def test_snf_property_against_oracles():
     check()
 
 
+def seeded_unimodular(rng, n):
+    """An n x n unimodular matrix, n >= 2: the identity after 2n random row additions."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def seeded_snf_input(rng, kind, rows, cols):
+    """(a, b): a dense matrix, a product of rank min(rows, cols) // 2, or
+    L * diag * R with unimodular L, R and zeros among the factors; b has
+    the Smith form of a (a itself, or diag)."""
+    if kind == "dense":
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        return a, a
+    if kind == "low-rank":
+        k = min(rows, cols) // 2
+        b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        c = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        a = product(b, c)
+        return a, a
+    factors = (0, 1, 1, 2, 3, 4, 6, 12)
+    diag = [[rng.choice(factors) if i == j else 0 for j in range(cols)] for i in range(rows)]
+    a = product(product(seeded_unimodular(rng, rows), diag), seeded_unimodular(rng, cols))
+    return a, diag
+
+
+def test_snf_against_sympy_from_20_to_40_rows():
+    # Sizes past the property test's 12 x 12, where the sweeps run many
+    # rounds per column; square and non-square, full rank and rank-deficient.
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    # sympy's own elimination did not finish in minutes on the 40 x 40
+    # L * diag * R, so a torsion input's factors are sympy's for its diag.
+    rng = random.Random(47)
+    shapes = ((20, 20), (31, 24), (23, 36), (40, 40))
+    deficient = 0
+    for rows, cols in shapes:
+        for kind in ("dense", "low-rank", "torsion"):
+            a, same_form = seeded_snf_input(rng, kind, rows, cols)
+            factors = normalforms.invariant_factors(Matrix(same_form), domain=ZZ)
+            expected = tuple(abs(int(x)) for x in factors)
+            result = smith_normal_form(IntMatrix.from_rows(a))
+            assert result.diagonal() == expected, (kind, rows, cols)
+            deficient += expected[-1] == 0
+    assert deficient >= len(shapes)
+
+
+def transform_bits(result):
+    return max(abs(e).bit_length() for e in result.U.entries + result.V.entries)
+
+
 def test_snf_transforms_stay_small_on_a_dense_60x60():
-    # Every transform entry stays near the size of D's entries (under 300
-    # bits here); an elimination that let them grow reached thousands.
+    # Every transform entry stays near the size of D's entries: 280 bits
+    # here, with floor or nearest-integer sweeps alike.  An elimination that
+    # let them grow reached thousands.
     a = random_matrix(random.Random(1), 60, 60)
+    assert transform_bits(smith_normal_form(a)) <= 300
+
+
+def test_snf_transforms_stay_small_on_a_low_rank_60x60():
+    # Rank 30: the 30 rows of U that annihilate the input are not unique,
+    # so this is where the sweeps could let them grow.  Floor-quotient
+    # sweeps gave 88 bits here.
+    a = IntMatrix.from_rows(seeded_snf_input(random.Random(1), "low-rank", 60, 60)[0])
     result = smith_normal_form(a)
-    assert max(abs(e).bit_length() for e in result.U.entries + result.V.entries) < 1000
+    assert result.diagonal()[29:31] == (1, 0)
+    assert transform_bits(result) <= 100
 
 
 def test_snf_fixed_point():

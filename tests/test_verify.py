@@ -106,3 +106,26 @@ def test_a_stored_h1_without_an_image_of_a_slope_fails_by_name(tmp_path):
     assert "    FAIL grid-consistency -- slope (1, 0): phi sends it to zero\n" in report
     checks = verify_certificate(load_document(bad.read_text()), 3).checks
     assert checks[-1] == Check("grid-consistency", False, "slope (1, 0): phi sends it to zero")
+
+
+def test_a_failed_replay_names_the_first_field_that_differs():
+    # Edits no other check reads: only the replay fails, and it says where.
+    built = diameter_lower_bound(DESCRIPTION)
+    emitted = diameter_certificate_to_json(built)
+    first = built.levels[1].slopes[0]
+
+    def edited(change):
+        doc = json.loads(json.dumps(emitted))
+        change(doc)
+        return verify_document(load_document(canonical_dumps(doc)))
+
+    for change, detail in (
+        (lambda doc: doc["levels"][1]["slopes"].__setitem__(0, [7, 2]),
+         "at levels[1].slopes[0]: stored 7/2, recomputed %s" % first),
+        (lambda doc: doc["levels"][1]["cabling"].__setitem__("p", 5),
+         "at levels[1].cabling.p: stored 5, recomputed 3"),
+    ):
+        report = edited(change).report
+        assert [c.name for c in report.failed()] == ["replay"]
+        assert report.checks[0].detail == (
+            "stored certificate differs from recomputation " + detail)
