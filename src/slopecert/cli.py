@@ -25,7 +25,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .slopes import DEFAULT_GRID, Record, _store, value_text
+from .slopes import DEFAULT_GRID, INF, Record, _store, value_text
 
 # Largest --grid bound: the grid check visits about 1.2 * N^2 slopes per level.
 MAX_GRID = 1000
@@ -159,22 +159,30 @@ def _run_cable_homology(config):
     ]
 
 
+def _law_line(smap):
+    """The transfer map's summary line."""
+    return (
+        "slope transfer: nu' = epsilon * q^2 * nu + u with epsilon = %+d, q^2 = %d, u = %s"
+        % (smap.epsilon, smap.q ** 2, smap.u)
+    )
+
+
 def _transfer_text(cert, checks):
-    model, smap, w = cert.model, cert.map, cert.witnesses
+    model, slopes = cert.model, cert.witnesses["slopes"]
+    meridian = next(rec for rec in slopes if rec["value_outer"] is INF)
     lines = [
         "cable space (p, q) = (%d, %d), orientation %+d"
         % (model.p, model.q, model.orientation),
-        "slope transfer: nu' = epsilon * q^2 * nu + u with epsilon = %+d, q^2 = %d, u = %s"
-        % (smap.epsilon, smap.q ** 2, smap.u),
+        _law_line(cert.map),
         "witnesses:",
         "  boundary:  mu-bar + zeta*q*mu-bar' = 0 in H1  (outer %s, inner %s, zeta %+d)"
-        % (w["boundary"]["outer"], w["boundary"]["inner"], w["boundary"]["zeta"]),
-        "  meridian:  mu-bar = -zeta*q * mu-bar'  (factor %s)" % w["meridian"]["factor"],
+        % (model.boundary_outer, model.boundary_inner, model.zeta),
+        "  meridian:  mu-bar = -zeta*q * mu-bar'  (factor %s)" % meridian["factor"],
         "  longitude: lambda-bar' = t*mu-bar + zeta*theta*eta*q*lambda-bar  (t = %s, coefficient %+d)"
-        % (w["longitude"]["t"], w["longitude"]["coefficient"]),
+        % (model.t, model.longitude_coefficient),
         "  slopes:",
     ]
-    for rec in w["slopes"]:
+    for rec in slopes:
         (a, b), (c, d) = rec["source"], rec["image"]
         lines.append(
             "    <%d mu + %d lambda> -> <%d mu' + %d lambda'>   nu %s -> nu' %s"
@@ -275,10 +283,7 @@ def _verify_lines(path, verification):
     cert = verification.certificate
     lines = ["input: %s (%s)" % (path, verification.kind.replace("_", " "))]
     if verification.kind == "transfer_certificate":
-        lines.append(
-            "  slope transfer: epsilon = %+d, q^2 = %d, u = %s"
-            % (cert.map.epsilon, cert.map.q ** 2, cert.map.u)
-        )
+        lines.append("  " + _law_line(cert.map))
     else:
         if recognize_gitk(cert.description):
             lines.append("  recognized: generalized iterated torus knot")

@@ -457,13 +457,6 @@ TRANSFER_CERTIFICATE = _deferred(
     _Field("model", MODEL),
     _Field("map", MAP),
     _Field("witnesses", _dict(
-        _Field("boundary", _dict(
-            _Field("outer", PAIR), _Field("inner", PAIR), _Field("zeta", INT),
-        )),
-        _Field("meridian", _dict(
-            _Field("zeta", INT), _Field("q", INT), _Field("factor", FRACTION),
-        )),
-        _Field("longitude", _dict(_Field("t", FRACTION), _Field("coefficient", INT))),
         _Field("slopes", _List(_dict(
             _Field("source", PAIR),
             _Field("image", PAIR),
@@ -510,7 +503,6 @@ DIAMETER_CERTIFICATE = _deferred(
     _Field("base_slopes", _List(VALUE), default=[]),
     _Field("levels", _List(_deferred(
         "LevelRecord",
-        _Field("cabling", CABLING),
         _Field("certificate", TRANSFER_CERTIFICATE),
         _Field("slopes", _Nullable(_List(FRACTION)), default=None),
     )), default=[]),
@@ -541,6 +533,37 @@ description_to_json, description_from_json = _codec(
 diameter_certificate_to_json, diameter_certificate_from_json = _codec(
     DIAMETER_CERTIFICATE, "certificate"
 )
+
+
+def first_difference(kind, stored, fresh, path=""):
+    """(path, stored value, fresh value) at the first place where two unequal
+    values of `kind`, a table above, differ.  The walk follows the table:
+    records field by field, lists of one length, maps with the same keys,
+    and integer pairs entry by entry; rationals, tokens and scalars are
+    compared whole.  The path is in JSON keys, as input errors write it,
+    e.g. "levels[1].slopes[0]", "tags[0].value" or "ambient_h1"."""
+    if type(kind) is _Nullable and stored is not None and fresh is not None:
+        kind = kind.kind
+    t = type(kind)
+    steps = ()
+    if t is _Record:
+        get = kind.get
+        steps = [("." + f.key, f.kind, get(stored, f.attr), get(fresh, f.attr))
+                 for f in kind.fields]
+    elif t is _List or t is _Ints:
+        item, order = (INT, tuple) if t is _Ints else (kind.item, kind.order or tuple)
+        xs, ys = order(stored), order(fresh)
+        if len(xs) == len(ys):
+            steps = [("[%d]" % i, item, x, y) for i, (x, y) in enumerate(zip(xs, ys))]
+    elif t is _Map and stored.keys() == fresh.keys():
+        steps = [("[%s]" % _encode_str(k), kind.item, stored[k], fresh[k]) for k in sorted(stored)]
+    elif t is _Pair and kind is not FRACTION:
+        steps = [("[%d]" % i, INT, x, y)
+                 for i, (x, y) in enumerate(zip(kind.emit(stored), kind.emit(fresh)))]
+    for step, item, x, y in steps:
+        if x != y:
+            return first_difference(item, x, y, path + step)
+    return path.lstrip("."), stored, fresh
 
 
 def digit_limit_text(e):

@@ -199,12 +199,13 @@ def propagate(d, cache=None):
 class LevelRecord(Record):
     """One cabling level inside a DiameterCertificate.
 
-    ``certificate`` is the level's TransferCertificate.  ``slopes`` is the
-    propagated value set after this level, or None when propagation was
-    not licensed (base not meridionally small).
+    ``certificate`` is the level's TransferCertificate; the parameters of
+    its model are the level's cabling, which the description states.
+    ``slopes`` is the propagated value set after this level, or None when
+    propagation was not licensed (base not meridionally small).
     """
 
-    def __init__(self, cabling, certificate, slopes=None):
+    def __init__(self, certificate, slopes=None):
         _store(self, locals())
 
 
@@ -255,12 +256,8 @@ def diameter_lower_bound(d, cache=None):
     certs = [cache.certificate(c) for c in d.cablings]
     level_sets = propagate(d, cache) if base.meridionally_small else None
     levels = tuple(
-        LevelRecord(
-            cabling=c,
-            certificate=cert,
-            slopes=None if level_sets is None else level_sets[i + 1],
-        )
-        for i, (c, cert) in enumerate(zip(d.cablings, certs))
+        LevelRecord(cert, None if level_sets is None else level_sets[i + 1])
+        for i, cert in enumerate(certs)
     )
     base_slopes = _sorted_values(base.strict_numerical_slopes)
 

@@ -18,14 +18,14 @@ it, so a map is never produced from a model it disagrees with.  With
 the standard surface framings epsilon = +1 and u = p*q (an observation
 of the model catalog, not an assumption anywhere in the code).
 
-A TransferCertificate packages the model, the map, and enough witness
-data (the planar boundary class, the meridian and longitude relations
-with their constants, and sampled slope pairs with their rational
-proportionality factors) for verify_certificate() to re-derive every
-claim from the raw presentation alone: it runs the model's own checks
-(cablespace.check_model), holds the stated constants against them,
-checks the map and every slope record (slope_record), and compares phi
-with the map on every slope of a bounded grid (grid_check).
+A TransferCertificate packages the model, the map, and sampled slope
+pairs with their rational proportionality factors, enough for
+verify_certificate() to re-derive every claim from the raw presentation
+alone: it runs the model's own checks (cablespace.check_model), which
+hold the model's constants against its presentation, checks the map and
+every slope record (slope_record), and compares phi with the map on
+every slope of a bounded grid (grid_check).  Each constant is stated
+once, in the model.
 """
 
 from fractions import Fraction
@@ -233,11 +233,11 @@ class TransferCertificate(Record):
     """A transfer map with everything needed to re-derive it.
 
     ``model`` is a CableSpaceModel and ``map`` an AffineSlopeMap.
-    ``witnesses`` maps:
-      "boundary"  -> the planar-surface boundary class and zeta,
-      "meridian"  -> the mu relation constants (zeta, q) and factor r,
-      "longitude" -> the lambda' relation constants (t, coefficient),
-      "slopes"    -> sampled (source, image, factor, values) records.
+    ``witnesses`` maps "slopes" to the sampled slope records
+    (slope_record): source, image, factor and values.  The model's
+    constants (the boundary class, zeta, t, the longitude coefficient)
+    are stated only in the model; the meridian's factor is that of the
+    meridian's record.
     """
 
     def __init__(self, model, map, witnesses):
@@ -264,7 +264,7 @@ def _record_slope(rec):
 
 
 def transfer_certificate(model):
-    """Build the certificate for a model: map, constants, slope witnesses."""
+    """Build the certificate for a model: its map and slope witnesses."""
     smap = transfer_map(model)
     slopes = [slope_from_numerical(model.f_outer, v) for v in _DEFAULT_WITNESS_VALUES]
     slopes.append(canonical_slope(model.p, model.q))  # the cabling-curve slope
@@ -275,30 +275,15 @@ def transfer_certificate(model):
             continue
         seen.append(s)
         records.append(slope_record(model, s))
-    _, r_mu = phi_with_factor(model, model.f_outer.meridian_slope())
-    witnesses = {
-        "boundary": {
-            "outer": model.boundary_outer,
-            "inner": model.boundary_inner,
-            "zeta": model.zeta,
-        },
-        "meridian": {"zeta": model.zeta, "q": model.q, "factor": r_mu},
-        "longitude": {
-            "t": model.t,
-            "coefficient": model.longitude_coefficient,
-        },
-        "slopes": tuple(records),
-    }
-    return TransferCertificate(model=model, map=smap, witnesses=witnesses)
+    return TransferCertificate(model=model, map=smap, witnesses={"slopes": tuple(records)})
 
 
 def verify_certificate(cert, grid=DEFAULT_GRID):
     """Replay every claim in a TransferCertificate from raw data.
 
-    Returns a CheckReport: the model's checks (check_model), each also
-    holding the certificate's stated constants of that name against the
-    model, then map-consistency, witness-slopes and the grid check with
-    bound `grid`.  When H1 is not free of rank 2, the last three read
+    Returns a CheckReport: the model's checks (check_model), then
+    map-consistency, witness-slopes and the grid check with bound
+    `grid`.  When H1 is not free of rank 2, the last three read
     coordinates it does not have and are skipped, failed.  Failures are
     report entries, never exceptions: a slope that a stored H1 sends to
     zero, so that phi has no image of it, fails witness-slopes or the
@@ -314,30 +299,8 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
             )
         )
 
-    # The stated constants are the model's; the stated meridian factor is
-    # that of the meridian's slope record, which witness-slopes checks
-    # against phi.
-    w1 = cert.witnesses.get("boundary", {})
-    w2 = cert.witnesses.get("meridian", {})
-    w3 = cert.witnesses.get("longitude", {})
+    checks = list(report.checks)
     slopes = cert.witnesses.get("slopes", ())
-    meridian = model.f_outer.meridian_slope()
-    stated = {
-        "eq-boundary": tuple(w1.get("outer", ())) == tuple(model.boundary_outer)
-        and tuple(w1.get("inner", ())) == tuple(model.boundary_inner)
-        and w1.get("zeta") == model.zeta,
-        "eq-meridian": w2.get("zeta") == model.zeta
-        and w2.get("q") == model.q
-        and any(
-            _record_slope(rec) == meridian and rec["factor"] == w2.get("factor")
-            for rec in slopes
-        ),
-        "eq-longitude": w3.get("t") == model.t
-        and w3.get("coefficient") == model.longitude_coefficient,
-    }
-    checks = [
-        Check(c.name, c.ok and stated.get(c.name, True), c.detail) for c in report.checks
-    ]
 
     def add(name, ok, detail=""):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
@@ -357,7 +320,7 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
     # be among them.
     ok = True
     detail = ""
-    required = [meridian, canonical_slope(model.p, model.q)]
+    required = [model.f_outer.meridian_slope(), canonical_slope(model.p, model.q)]
     for rec in slopes:
         s = _record_slope(rec)
         if s is None:

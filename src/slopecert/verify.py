@@ -6,7 +6,8 @@ certificate gets "replay" (its recomputation is byte-identical),
 and rule C's checks as "rule C: ..." when pipeline.is_cable_description
 holds.  A knot description gets the checks of the diameter certificate
 built from it.  The replay compares records with ``==``, so this module
-sits above pipeline and needs no JSON.
+sits above pipeline; only a failed replay loads jsonio, whose tables
+name the first field that differs by its JSON path.
 """
 
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
@@ -52,13 +53,17 @@ def _verify_diameter_certificate(cert, grid, cache):
     every field as the builder does, so two certificates are equal exactly
     when their canonical JSON is.  `cache` never holds parsed objects, so
     identity never decides the replay of a stored certificate.  Only a
-    failed replay walks the two, to name the first field that differs.
+    failed replay walks the two along jsonio's tables, to name the first
+    field that differs.
     """
     recomputed = diameter_lower_bound(cert.description, cache)
     if recomputed == cert:
         replay = Check("replay", True, "recomputed certificate is byte-identical")
     else:
-        path, stored, fresh = _first_difference(cert, recomputed, "")
+        from . import jsonio
+
+        path, stored, fresh = jsonio.first_difference(
+            jsonio.DIAMETER_CERTIFICATE, cert, recomputed)
         replay = Check("replay", False, "stored certificate differs from recomputation"
                        " at %s: stored %s, recomputed %s" % (path, _text(stored), _text(fresh)))
     checks = [replay, _route_check(cert)]
@@ -67,28 +72,6 @@ def _verify_diameter_certificate(cert, grid, cache):
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
     return checks
-
-
-def _first_difference(stored, fresh, path):
-    """(path, stored value, recomputed value) at the first place where two
-    unequal values differ: records field by field, then tuples of one
-    length and maps with the same keys entry by entry.  The path is written
-    as input errors write theirs, e.g. ``levels[1].slopes[0]``, but in the
-    records' field names, mostly the JSON keys: ``ambient`` for
-    ``ambient_h1``, and a tag's ``[0]`` and ``[1]`` for its rule and value."""
-    if type(stored) is type(fresh):
-        if isinstance(stored, Record):
-            steps = [("." + f, getattr(stored, f), getattr(fresh, f)) for f in stored._fields]
-        elif type(stored) is tuple and len(stored) == len(fresh):
-            steps = [("[%d]" % i, x, y) for i, (x, y) in enumerate(zip(stored, fresh))]
-        elif type(stored) is dict and stored.keys() == fresh.keys():
-            steps = [('["%s"]' % k, stored[k], fresh[k]) for k in sorted(stored)]
-        else:
-            steps = ()
-        for step, x, y in steps:
-            if x != y:
-                return _first_difference(x, y, path + step)
-    return path.lstrip("."), stored, fresh
 
 
 def _text(v):

@@ -304,19 +304,14 @@ def drop_slope_record(source):
 
 
 @pytest.mark.parametrize("edit, failing", [
-    (lambda w: w["meridian"].update(zeta=-w["meridian"]["zeta"]), "eq-meridian"),
-    (lambda w: w["meridian"].update(q=w["meridian"]["q"] + 1), "eq-meridian"),
-    (lambda w: w["meridian"].update(factor=[99, 1]), "eq-meridian"),
     (lambda w: w.update(slopes=[]), "witness-slopes"),
     (drop_slope_record([1, 0]), "witness-slopes"),  # the meridian
     (drop_slope_record([2, 3]), "witness-slopes"),  # the cabling curve
     (lambda w: w["slopes"][0].update(source=[2, 0]), "witness-slopes"),  # not canonical
     # (0, 0) is no slope: the meridian's record is gone
     (lambda w: w["slopes"][0].update(source=[0, 0]), "witness-slopes -- slope (0, 0)"),
-    (lambda w: w["slopes"][0].update(source=[0, 0]), "eq-meridian"),
-], ids=["meridian-zeta", "meridian-q", "meridian-factor", "no-slopes",
-        "no-meridian-slope", "no-cabling-slope", "non-canonical-source", "zero-source",
-        "zero-source-meridian"])
+], ids=["no-slopes", "no-meridian-slope", "no-cabling-slope", "non-canonical-source",
+        "zero-source"])
 def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, failing):
     emitted = tmp_path / "cert.json"
     assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
@@ -400,15 +395,6 @@ def test_a_cabling_framing_that_does_not_fit_the_model_names_its_path(tmp_path):
     code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
     assert code == 2
     assert "  input error: %s.cablings[0]: %s\n" % (bad, FRAMING_MESSAGE) in report
-
-    emitted = tmp_path / "cert.json"
-    assert run(RunConfig(command="verify", inputs=(path,), emit=str(emitted)))[0] == 0
-    doc = json.loads(emitted.read_text())
-    doc["levels"][0]["cabling"]["f_outer"] = BAD_OUTER_FRAMING
-    bad.write_text(canonical_dumps(doc))
-    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
-    assert code == 2
-    assert "  input error: %s.levels[0].cabling: %s\n" % (bad, FRAMING_MESSAGE) in report
 
 
 @pytest.mark.parametrize("command", ["snf", "verify"])

@@ -4,9 +4,10 @@ Each field is replaced by a value of every JSON type it does not admit,
 and each required field is deleted.  Through the CLI, every such document
 is an input error (exit 2) that names the field's path, never a traceback.
 Deleting a field that may be omitted is not an input error.  Every
-integer of a stored cable-space model is also edited in value: each edit
-fails a check (exit 1) or breaks an invariant of a stored type (exit 2,
-with the path of the value that breaks it).
+integer of the two emitted certificates is also edited in value: each
+edit fails a check (exit 1) or is an input error (exit 2).  An edit of a
+stored cable-space model that is an input error breaks an invariant of a
+stored type, and names the path of the value that breaks it.
 
 The nullable, token and omittable fields are listed here, apart from the
 reader's tables, as the document format in the README states them.  Paths
@@ -34,8 +35,6 @@ EXTRA_TYPES = {
     "*base.complementary_meridian": {"null", "list"},
     "*cablings.#.f_outer": {"null", "object"},
     "*cablings.#.f_inner": {"null", "object"},
-    "levels.#.cabling.f_outer": {"null", "object"},
-    "levels.#.cabling.f_inner": {"null", "object"},
     "*value_outer": {"str", "list"},
     "*value_inner": {"str", "list"},
     "base_slopes.#": {"str", "list"},
@@ -55,9 +54,6 @@ OPTIONAL = (
     "*cablings.#.orientation",
     "*cablings.#.f_outer",
     "*cablings.#.f_inner",
-    "levels.#.cabling.orientation",
-    "levels.#.cabling.f_outer",
-    "levels.#.cabling.f_inner",
     "ambient_h1",
     "base_slopes",
     "levels",
@@ -221,10 +217,23 @@ def integers(x, path=()):
             yield p, v
 
 
-@pytest.mark.parametrize("name, model", [
+def integer_edits(tmp_path, doc, paths):
+    """(path, new value, exit code, report, file) for every edit of an
+    integer at one of `paths`: +1, -1, negation and 0, each that changes it."""
+    for path, value in paths:
+        for new in {value + 1, value - 1, -value, 0} - {value}:
+            yield (path, new, *verify(tmp_path, edited(doc, path, new)))
+
+
+# The emitted documents whose integers are edited, and the path of the model
+# whose integers get the model's own input errors.
+MODELS = [
     ("transfer", ("model",)),
     ("diameter", ("levels", 0, "certificate", "model")),
-])
+]
+
+
+@pytest.mark.parametrize("name, model", MODELS)
 def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
         documents, tmp_path, name, model):
     doc = documents[name]
@@ -232,21 +241,36 @@ def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
     for k in model:
         sub = sub[k]
     outcomes = {}
-    for path, value in integers(sub, model):
-        for new in {value + 1, value - 1, -value, 0} - {value}:
-            code, report, where = verify(tmp_path, edited(doc, path, new))
-            if code == 1:
-                assert "    FAIL " in report, (path, new, report)
-            else:
-                assert code == 2, (path, new, report)
-                error = report.split("  input error: ", 1)[1].splitlines()[0]
-                at, _, message = error.partition(": ")
-                assert at.startswith(where + path_text(model)) and message.startswith(
-                    MODEL_INPUT_ERRORS + ("expected ",)), (path, new, report)
-            outcomes[path[len(model):], new] = report
+    for path, new, code, report, where in integer_edits(tmp_path, doc, integers(sub, model)):
+        if code == 1:
+            assert "    FAIL " in report, (path, new, report)
+        else:
+            assert code == 2, (path, new, report)
+            error = report.split("  input error: ", 1)[1].splitlines()[0]
+            at, _, message = error.partition(": ")
+            assert at.startswith(where + path_text(model)) and message.startswith(
+                MODEL_INPUT_ERRORS + ("expected ",)), (path, new, report)
+        outcomes[path[len(model):], new] = report
     assert len(outcomes) > 150
     if name == "transfer":
         # an edited framing no longer matches the stored images
         assert "    FAIL iota-isomorphisms\n" in outcomes[("f_inner", "lambda", 0), 1]
         assert "  input error: %s.model: not a cabling (q must be at least 2)\n" % where in (
             outcomes[("q",), 0])
+
+
+@pytest.mark.parametrize("name, model", MODELS)
+def test_every_other_integer_edit_fails_a_check_or_is_an_input_error(
+        documents, tmp_path, name, model):
+    # With the test above, every integer of the emitted document is edited:
+    # each is checked, or the document no longer reads.
+    doc = documents[name]
+    others = [(path, v) for path, v in integers(doc) if path[:len(model)] != model]
+    edits = 0
+    for path, new, code, report, where in integer_edits(tmp_path, doc, others):
+        if code == 1:
+            assert "    FAIL " in report, (path, new, report)
+        else:
+            assert code == 2 and "  input error: %s" % where in report, (path, new, report)
+        edits += 1
+    assert edits > (100 if name == "transfer" else 600)

@@ -122,8 +122,12 @@ def test_a_failed_replay_names_the_first_field_that_differs():
     for change, detail in (
         (lambda doc: doc["levels"][1]["slopes"].__setitem__(0, [7, 2]),
          "at levels[1].slopes[0]: stored 7/2, recomputed %s" % first),
-        (lambda doc: doc["levels"][1]["cabling"].__setitem__("p", 5),
-         "at levels[1].cabling.p: stored 5, recomputed 3"),
+        # The description states each cabling; the replay holds the
+        # parameters of each level's model against it.
+        (lambda doc: doc["description"]["cablings"][1].__setitem__("p", 5),
+         "at levels[1].certificate.model.p: stored 3, recomputed 5"),
+        (lambda doc: doc["tags"][0].__setitem__("value", [3, 1]),
+         "at tags[0].value: stored 3, recomputed 2"),
     ):
         report = edited(change).report
         assert [c.name for c in report.failed()] == ["replay"]
