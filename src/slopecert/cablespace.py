@@ -51,15 +51,18 @@ the model accepts, mu = (e, 0) and lambda = (h, d), that means
 sign = -e*d on T1 and sign = +e*d on T2.  The standard surface
 framings below have signs -1 and +1 accordingly.
 
-The constants of the transfer law are extracted here: zeta from the
-boundary of the planar surface P (written as [dP] = mu + zeta*q*mu'
-after orienting P so its T1 part is +mu), eta and theta as the signs
-of the outer and inner framings, and t by solving
+The model states the parameters p, q, orientation and the two framings,
+and three facts that an identity in H1 can refute: the group H1 itself
+(the presentation above, diagonalized), zeta, read from the boundary of
+the planar surface P (written as [dP] = mu + zeta*q*mu' after orienting
+P so its T1 part is +mu), and t, found by solving
 
     lambda-bar' = t * mu-bar + w * lambda-bar
 
-in H1(N; Q); the model verifies that w comes out as zeta*theta*eta*q
-rather than assuming it.
+in H1(N; Q).  Everything else is read off the parameters when it is
+used: eta and theta are the signs of the outer and inner framings, and
+the framing classes' images are the maps above.  The model verifies
+that w comes out as zeta*theta*eta*q rather than assuming it.
 """
 
 from fractions import Fraction
@@ -132,23 +135,36 @@ class CableSpaceModel(Record):
     """H1 data of one cable space, with framings and transfer constants.
 
     ``h1`` (an FPAbelianGroup) is the group on generators (c, m, l) with
-    the single relation q*c - p*m - q*l, the IntMatrix ``relation``; the
-    four ``img_*`` vectors are the framing classes' images under the two
-    boundary inclusions, in generator coordinates.
-    ``boundary_outer``/``boundary_inner`` hold the class of the planar
-    surface's boundary on each torus (reference coordinates), oriented
-    so the outer part is exactly mu; together they witness
-    [dP] = mu + zeta*q*mu'.  ``t`` is a Fraction.  The instance keeps a
-    ``__dict__``, where ``basis_images`` is cached.
+    the single relation q*c - p*m - q*l; ``zeta`` and ``t`` (a Fraction)
+    are the constants of the transfer law.  Each of the three is a claim
+    that check_model refutes when it is false.  The rest is read off
+    these: ``theta`` and ``eta`` are the signs of the inner and outer
+    framings, and ``boundary_outer``/``boundary_inner`` the class of the
+    planar surface's boundary on each torus (reference coordinates),
+    mu and zeta*q*mu', so that [dP] = mu + zeta*q*mu'.  The instance
+    keeps a ``__dict__``, where ``basis_images`` is cached.
     """
 
-    def __init__(
-        self, p, q, orientation, f_outer, f_inner, relation, h1,
-        img_mu, img_lambda, img_mu_prime, img_lambda_prime,
-        boundary_outer, boundary_inner, zeta, t, theta, eta,
-    ):
+    def __init__(self, p, q, orientation, f_outer, f_inner, h1, zeta, t):
         check_parameters(p, q, orientation)
         _store(self, locals())
+
+    @property
+    def theta(self):
+        return self.f_inner.sign
+
+    @property
+    def eta(self):
+        return self.f_outer.sign
+
+    @property
+    def boundary_outer(self):
+        return (self.f_outer.mu.a, self.f_outer.mu.b)
+
+    @property
+    def boundary_inner(self):
+        zq = self.zeta * self.q
+        return (zq * self.f_inner.mu.a, zq * self.f_inner.mu.b)
 
     @property
     def longitude_coefficient(self):
@@ -186,6 +202,11 @@ class CableSpaceModel(Record):
         return tuple(a * x + b * y for x, y in zip(e1, e2))
 
 
+def _presented_h1(p, q):
+    """H1(N) presented on (c, m, l) by the relation q*c - p*m - q*l."""
+    return group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
+
+
 def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     """Build and verify the H1 model of the (p, q) cable space.
 
@@ -202,56 +223,29 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     if problem:
         raise ValueError(problem)
 
-    relation = IntMatrix.from_rows([[q, -p, -q]])
-    h1 = group_from_presentation(relation)
+    h1 = _presented_h1(p, q)
     if h1.invariant_factors != (0, 0):
         raise ValueError("inconsistent cable space model")
-
-    img_mu = _iota_outer(f_outer.mu.a, f_outer.mu.b)
-    img_lambda = _iota_outer(f_outer.lambda_.a, f_outer.lambda_.b)
-    img_mu_prime = _iota_inner(p, q, orientation, f_inner.mu.a, f_inner.mu.b)
-    img_lambda_prime = _iota_inner(p, q, orientation, f_inner.lambda_.a, f_inner.lambda_.b)
 
     # The planar surface P has boundary E1 - orientation*q*E1' in
     # reference classes; orient P so its T1 part is +mu and read zeta
     # off the T2 part.
-    e1 = f_outer.mu.a
-    e2 = f_inner.mu.a
-    boundary_outer = (e1, 0)
-    boundary_inner = (-e1 * orientation * q, 0)
-    zeta = -orientation * e1 * e2
-
-    theta = f_inner.sign
-    eta = f_outer.sign
+    zeta = -orientation * f_outer.mu.a * f_inner.mu.a
 
     # Solve lambda-bar' = t*mu-bar + w*lambda-bar over Q for t; that w
     # comes out as zeta*theta*eta*q is the model's eq-longitude check.
-    mu_r = h1.rational_coords(img_mu)
-    la_r = h1.rational_coords(img_lambda)
-    lp_r = h1.rational_coords(img_lambda_prime)
+    mu_r = h1.rational_coords(_iota_outer(f_outer.mu.a, f_outer.mu.b))
+    la_r = h1.rational_coords(_iota_outer(f_outer.lambda_.a, f_outer.lambda_.b))
+    lp_r = h1.rational_coords(
+        _iota_inner(p, q, orientation, f_inner.lambda_.a, f_inner.lambda_.b))
     den = _cross(mu_r, la_r)
     if den == 0:
         raise ValueError("inconsistent cable space model")
     t = Fraction(_cross(lp_r, la_r), den)
 
     model = CableSpaceModel(
-        p=p,
-        q=q,
-        orientation=orientation,
-        f_outer=f_outer,
-        f_inner=f_inner,
-        relation=relation,
-        h1=h1,
-        img_mu=img_mu,
-        img_lambda=img_lambda,
-        img_mu_prime=img_mu_prime,
-        img_lambda_prime=img_lambda_prime,
-        boundary_outer=boundary_outer,
-        boundary_inner=boundary_inner,
-        zeta=zeta,
-        t=t,
-        theta=theta,
-        eta=eta,
+        p=p, q=q, orientation=orientation, f_outer=f_outer, f_inner=f_inner,
+        h1=h1, zeta=zeta, t=t,
     )
     verify_model(model)
     return model
@@ -268,28 +262,19 @@ def check_model(model):
 
     The single implementation of the model's identities, used both as the
     constructor's postcondition (through verify_model) and by certificate
-    replay, so it trusts nothing: presentation, framings, images and
-    constants are all re-derived or re-checked from the stored data.
-    The parameters are checked when the model is constructed.  When H1 is
-    not Z^2 on the three generators the checks after h1-rank are
-    skipped, failed.
+    replay, so it trusts nothing: the stored H1, zeta and t are each held
+    against an identity that refutes them, and the framings against the
+    model's orientations.  The parameters are checked when the model is
+    constructed.  When H1 is not Z^2 on the three generators the checks
+    after h1-rank are skipped, failed.
     """
     checks = []
 
     def add(name, ok, detail=""):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
-    # The stored group is the cokernel of the stored relation matrix, and
-    # the matrix is the (p, q) one.
-    try:
-        regroup = group_from_presentation(model.relation)
-        add(
-            "presentation",
-            regroup == model.h1
-            and model.relation.to_rows() == [[model.q, -model.p, -model.q]],
-        )
-    except ValueError as e:
-        add("presentation", False, str(e))
+    # The stored group is the cokernel of the (p, q) relation.
+    add("presentation", _presented_h1(model.p, model.q) == model.h1)
 
     # The images below are read in the coordinates of the generators
     # c, m, l, so a stored H1 on other generators fails here too.
@@ -307,35 +292,20 @@ def check_model(model):
             checks.append(rank_skipped(name))
         return CheckReport(checks=tuple(checks))
 
-    # The four images are those of the framing classes, and each pair
-    # is a basis of H1(N; Q).
+    # The images of each framing pair are a basis of H1(N; Q).
     f_outer, f_inner = model.f_outer, model.f_inner
-    mu_r = h1.rational_coords(model.img_mu)
-    la_r = h1.rational_coords(model.img_lambda)
-    mp_r = h1.rational_coords(model.img_mu_prime)
-    lp_r = h1.rational_coords(model.img_lambda_prime)
-    add(
-        "iota-isomorphisms",
-        model.img_mu == model.iota_outer(f_outer.mu.a, f_outer.mu.b)
-        and model.img_lambda == model.iota_outer(f_outer.lambda_.a, f_outer.lambda_.b)
-        and model.img_mu_prime == model.iota_inner(f_inner.mu.a, f_inner.mu.b)
-        and model.img_lambda_prime
-        == model.iota_inner(f_inner.lambda_.a, f_inner.lambda_.b)
-        and _cross(mu_r, la_r) != 0
-        and _cross(mp_r, lp_r) != 0,
-    )
+    mu_r = model.rational_outer(f_outer.mu.a, f_outer.mu.b)
+    la_r = model.rational_outer(f_outer.lambda_.a, f_outer.lambda_.b)
+    mp_r = model.rational_inner(f_inner.mu.a, f_inner.mu.b)
+    lp_r = model.rational_inner(f_inner.lambda_.a, f_inner.lambda_.b)
+    add("iota-isomorphisms", _cross(mu_r, la_r) != 0 and _cross(mp_r, lp_r) != 0)
 
-    # Framing signs feed theta and eta; check both the wiring and the
-    # orientation consistency of meridian-based framings.
-    add(
-        "framing-signs",
-        model.theta == f_inner.sign
-        and model.eta == f_outer.sign
-        and not framing_problem(f_outer, f_inner),
-    )
+    # The framings are meridian-based, with signs (theta and eta) that
+    # fit the model's boundary orientations.
+    add("framing-signs", not framing_problem(f_outer, f_inner))
 
-    # Eq (1): the planar boundary is mu on T1, zeta*q*mu' on T2, and the
-    # total class dies in H1(N).
+    # Eq (1): the planar boundary, mu on T1 and zeta*q*mu' on T2, dies
+    # in H1(N).
     total = tuple(
         x + y
         for x, y in zip(
@@ -343,13 +313,7 @@ def check_model(model):
             model.iota_inner(*model.boundary_inner),
         )
     )
-    add(
-        "eq-boundary",
-        model.boundary_outer == (f_outer.mu.a, f_outer.mu.b)
-        and model.boundary_inner
-        == (model.zeta * model.q * f_inner.mu.a, model.zeta * model.q * f_inner.mu.b)
-        and h1.is_zero(total),
-    )
+    add("eq-boundary", h1.is_zero(total))
 
     # Eq (2): mu-bar = -zeta*q*mu-bar'.
     add("eq-meridian", all(a == -model.zeta * model.q * b for a, b in zip(mu_r, mp_r)))

@@ -12,18 +12,20 @@ with the field's path, list indices included, e.g.
 malformed document is an input error (exit code 2).  Values of the right
 types that break an invariant of the type they are read into get the
 constructor's message after the path of that value, e.g.
-"certificate.map: epsilon must be +1 or -1".  Keys not in a table are
-ignored.
+"certificate.map: epsilon must be +1 or -1"; so does a matrix with more
+than MAX_MATRIX_DIM rows or columns.  Keys not in a table are ignored,
+among them the copies that certificates written by earlier versions
+state.
 
 Only these fields may be omitted, read as the default shown, or be null:
 in a description, base.strict_slopes ([]), the four base flags (false),
 base.complementary_meridian (null), cablings ([]), cablings[i].orientation
-(1), cablings[i].f_outer and f_inner (null: the standard framing); in any
-group, invariant_factors (null: not stated; when stated it must match the
-diagonal); in a diameter certificate, ambient_h1 (null), base_slopes ([]),
-levels ([]), levels[i].slopes (null), routes ({}), primary_route (""),
-d_lower (null), reason ("") and tags ([]), tags[i].value (null).  The
-writer leaves out complementary_meridian, f_outer and f_inner when None.
+(1), cablings[i].f_outer and f_inner (null: the standard framing); in a
+diameter certificate, ambient_h1 (null), base_slopes ([]), levels ([]),
+levels[i].slopes (null), routes ({}), primary_route (""), d_lower (null),
+reason ("") and tags ([]), tags[i].value (null).  A transfer certificate
+has none.  The writer leaves out complementary_meridian, f_outer and
+f_inner when None.
 
 All rationals are reduced [numerator, denominator] pairs with positive
 denominator; the meridian value is the string "inf" and an empty-set
@@ -47,7 +49,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 
 from .linalg import FPAbelianGroup, IntMatrix
-from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values
+from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values, value_text
 
 
 def canonical_dumps(obj):
@@ -176,15 +178,11 @@ class _Pair:
 
 
 class _Ints:
-    """A list of integers, of length n (any length when n is None), read as a tuple."""
-
-    def __init__(self, n=None):
-        self.n = n
-        self.expected = "a list of integers" if n is None else "a list of %d integers" % n
+    """A list of integers, read as a tuple."""
 
     def read(self, x):
-        if type(x) is not list or self.n not in (None, len(x)):
-            raise _Bad(self.expected)
+        if type(x) is not list:
+            raise _Bad("a list of integers")
         if [e for e in x if type(e) is not int]:
             i = next(i for i, e in enumerate(x) if type(e) is not int)
             raise _Bad("an integer", "[%d]" % i)
@@ -220,7 +218,8 @@ class _Nullable:
 
 
 class _List:
-    """A JSON list of `item` values, read as a tuple, written in `order`."""
+    """A JSON list of `item` values, read as a tuple.  With an `order` it
+    holds a set: it is written in that order, and may not repeat a value."""
 
     def __init__(self, item, order=None):
         self.item, self.order = item, order
@@ -235,6 +234,9 @@ class _List:
                 out.append(read(v))
         except _Bad as e:
             raise e.within("[%d]" % len(out))
+        if self.order and len(set(out)) < len(out):
+            i = next(i for i, v in enumerate(out) if v in out[:i])
+            raise _Bad("a value not listed before", "[%d]" % i)
         return tuple(out)
 
     def emit(self, v):
@@ -274,16 +276,13 @@ class _Field:
     ``attr`` is the attribute, dict key or tuple index the JSON ``key``
     maps to (the key itself when None).  A missing key reads as the JSON
     value ``default``, or is an error when there is none.  ``omit_none``
-    leaves the key out on emit when the value is None.  A ``derived``
-    field is not passed to the constructor: it is written from the built
-    value's attribute and, when stated, must equal it on read; ``derived``
-    names what it must match.
+    leaves the key out on emit when the value is None.
     """
 
-    def __init__(self, key, kind, attr=None, default=_REQUIRED, omit_none=False, derived=""):
+    def __init__(self, key, kind, attr=None, default=_REQUIRED, omit_none=False):
         self.key, self.kind = key, kind
         self.attr = key if attr is None else attr
-        self.default, self.omit_none, self.derived = default, omit_none, derived
+        self.default, self.omit_none = default, omit_none
 
 
 class _Record:
@@ -298,7 +297,6 @@ class _Record:
             (f.key, f.attr, None if type(f.kind) is _Scalar else f.kind.emit, f.omit_none)
             for f in fields
         ]
-        self.derived = [f for f in fields if f.derived]
 
     def document(self, kind):
         """The same table for a top-level document of this kind."""
@@ -313,15 +311,10 @@ class _Record:
                 values[attr] = read(x.get(key, default))
             except _Bad as e:
                 raise e.within("." + key)
-        stated = [(f, values.pop(f.attr)) for f in self.derived]
         try:
-            obj = self.build(values)
+            return self.build(values)
         except ValueError as e:  # a broken invariant of the type
             raise _Bad("", message=str(e)) from None
-        for f, v in stated:
-            if v is not None and v != self.get(obj, f.attr):
-                raise _Bad(f.derived, "." + f.key)
-        return obj
 
     def emit(self, obj):
         out = {"kind": self.kind} if self.kind else {}
@@ -380,6 +373,28 @@ def _fraction_pair(v):
     return [v.numerator, v.denominator]
 
 
+# The largest row or column count snf accepts, and the reader accepts in a
+# document.  Smith normal form and its exact check grow steeply with size: a
+# dense 100x100 matrix with entries in [-9, 9] takes about 5 s, a 150x150 one
+# about 80 s.  A group's coordinate map gets a determinant as it is read,
+# whose cost grows as the cube of its size.
+MAX_MATRIX_DIM = 100
+
+
+def _check_size(rows, cols):
+    if rows > MAX_MATRIX_DIM or cols > MAX_MATRIX_DIM:
+        raise ValueError(
+            "a %dx%d matrix is too large: rows and cols must be at most %d"
+            % (rows, cols, MAX_MATRIX_DIM)
+        )
+
+
+def _matrix(values):
+    """The IntMatrix of a document's matrix, if no count is over MAX_MATRIX_DIM."""
+    _check_size(values["rows"], values["cols"])
+    return IntMatrix(**values)
+
+
 def _codec(kind, where):
     """The writer of `kind`, and a reader raising ValueError("<path>: expected ...")."""
 
@@ -414,17 +429,15 @@ FRAMING = _object(
     _Field("sign", INT),
 )
 
-MATRIX = _object(IntMatrix, _Field("rows", INT), _Field("cols", INT), _Field("entries", INTS))
+MATRIX = _Record(
+    _matrix, getattr, _Field("rows", INT), _Field("cols", INT), _Field("entries", INTS)
+)
 
 GROUP = _object(
     FPAbelianGroup,
     _Field("n_generators", INT),
     _Field("diag", INTS),
     _Field("coordinate_map", MATRIX),
-    _Field(
-        "invariant_factors", _Nullable(INTS), default=None,
-        derived="factors matching the diagonal",
-    ),
 )
 
 MODEL = _deferred(
@@ -434,18 +447,9 @@ MODEL = _deferred(
     _Field("orientation", INT),
     _Field("f_outer", FRAMING),
     _Field("f_inner", FRAMING),
-    _Field("relation", MATRIX),
     _Field("h1", GROUP),
-    _Field("img_mu", _Ints(3)),
-    _Field("img_lambda", _Ints(3)),
-    _Field("img_mu_prime", _Ints(3)),
-    _Field("img_lambda_prime", _Ints(3)),
-    _Field("boundary_outer", _Ints(2)),
-    _Field("boundary_inner", _Ints(2)),
     _Field("zeta", INT),
     _Field("t", FRACTION),
-    _Field("theta", INT),
-    _Field("eta", INT),
 )
 
 MAP = _deferred(
@@ -536,12 +540,14 @@ diameter_certificate_to_json, diameter_certificate_from_json = _codec(
 
 
 def first_difference(kind, stored, fresh, path=""):
-    """(path, stored value, fresh value) at the first place where two unequal
+    """(path, stored text, fresh text) at the first place where two unequal
     values of `kind`, a table above, differ.  The walk follows the table:
     records field by field, lists of one length, maps with the same keys,
     and integer pairs entry by entry; rationals, tokens and scalars are
     compared whole.  The path is in JSON keys, as input errors write it,
-    e.g. "levels[1].slopes[0]", "tags[0].value" or "ambient_h1"."""
+    e.g. "levels[1].slopes[0]", "tags[0].value" or "ambient_h1".  A
+    rational is written as reports write it, any other value as one line
+    of JSON."""
     if type(kind) is _Nullable and stored is not None and fresh is not None:
         kind = kind.kind
     t = type(kind)
@@ -563,7 +569,13 @@ def first_difference(kind, stored, fresh, path=""):
     for step, item, x, y in steps:
         if x != y:
             return first_difference(item, x, y, path + step)
-    return path.lstrip("."), stored, fresh
+    return path.lstrip("."), _value_json(kind, stored), _value_json(kind, fresh)
+
+
+def _value_json(kind, v):
+    if isinstance(v, Fraction) or v is INF or v is NEG_INF:
+        return value_text(v)
+    return json.dumps(kind.emit(v), sort_keys=True)
 
 
 def digit_limit_text(e):
@@ -600,12 +612,6 @@ def load_document(text, where="input"):
     )
 
 
-# The largest row or column count snf accepts.  Smith normal form and its
-# exact check grow steeply with size: a dense 100x100 matrix with entries
-# in [-9, 9] takes about 5 s, a 150x150 one about 80 s.
-MAX_MATRIX_DIM = 100
-
-
 def parse_matrix_text(text):
     """Parse the snf input format: "rows cols" then row-major integers."""
     tokens = text.split()
@@ -621,11 +627,7 @@ def parse_matrix_text(text):
         raise ValueError(digit_limit_text(e) or "matrix entries must be integers") from None
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
-    if rows > MAX_MATRIX_DIM or cols > MAX_MATRIX_DIM:
-        raise ValueError(
-            "a %dx%d matrix is too large: rows and cols must be at most %d"
-            % (rows, cols, MAX_MATRIX_DIM)
-        )
+    _check_size(rows, cols)
     if len(entries) != rows * cols:
         raise ValueError(
             "expected %d entries for a %dx%d matrix, got %d"

@@ -23,7 +23,7 @@ pairs with their rational proportionality factors, enough for
 verify_certificate() to re-derive every claim from the raw presentation
 alone: it runs the model's own checks (cablespace.check_model), which
 hold the model's constants against its presentation, checks the map and
-every slope record (slope_record), and compares phi with the map on
+the list of slope records (slope_record), and compares phi with the map on
 every slope of a bounded grid (grid_check).  Each constant is stated
 once, in the model.
 """
@@ -233,11 +233,10 @@ class TransferCertificate(Record):
     """A transfer map with everything needed to re-derive it.
 
     ``model`` is a CableSpaceModel and ``map`` an AffineSlopeMap.
-    ``witnesses`` maps "slopes" to the sampled slope records
-    (slope_record): source, image, factor and values.  The model's
-    constants (the boundary class, zeta, t, the longitude coefficient)
-    are stated only in the model; the meridian's factor is that of the
-    meridian's record.
+    ``witnesses`` maps "slopes" to the records (slope_record: source,
+    image, factor and values) of the slopes witness_slopes names, in its
+    order.  The model's constants zeta and t are stated only in the
+    model; the meridian's factor is that of the meridian's record.
     """
 
     def __init__(self, model, map, witnesses):
@@ -257,25 +256,41 @@ def slope_record(model, s):
     }
 
 
-def _record_slope(rec):
-    """The slope of a witness record's source, or None for the pair (0, 0)."""
-    a, b = rec["source"]
-    return canonical_slope(a, b) if a or b else None
+def witness_slopes(model):
+    """The slopes a certificate states records of, in order: those of the
+    default witness values (the meridian first), then the cabling curve's,
+    each once."""
+    slopes = [slope_from_numerical(model.f_outer, v) for v in _DEFAULT_WITNESS_VALUES]
+    slopes.append(canonical_slope(model.p, model.q))
+    return tuple(dict.fromkeys(slopes))
 
 
 def transfer_certificate(model):
     """Build the certificate for a model: its map and slope witnesses."""
     smap = transfer_map(model)
-    slopes = [slope_from_numerical(model.f_outer, v) for v in _DEFAULT_WITNESS_VALUES]
-    slopes.append(canonical_slope(model.p, model.q))  # the cabling-curve slope
-    seen = []
-    records = []
-    for s in slopes:
-        if s in seen:
-            continue
-        seen.append(s)
-        records.append(slope_record(model, s))
-    return TransferCertificate(model=model, map=smap, witnesses={"slopes": tuple(records)})
+    records = tuple(slope_record(model, s) for s in witness_slopes(model))
+    return TransferCertificate(model=model, map=smap, witnesses={"slopes": records})
+
+
+def _witness_problem(model, smap, records):
+    """Why `records` are not the records transfer_certificate writes for
+    `model`, each obeying `smap`, naming the first index that differs; ""
+    when they are."""
+    wanted = witness_slopes(model)
+    for i, s in enumerate(wanted):
+        if i == len(records):
+            return "slopes[%d]: no record of slope (%d, %d)" % (i, s.a, s.b)
+        try:
+            expected = slope_record(model, s)
+        except ValueError:  # phi sends s to the zero class of this H1
+            return "slopes[%d]: phi sends slope (%d, %d) to zero" % (i, s.a, s.b)
+        if records[i] != expected:
+            return "slopes[%d]: not the record of slope (%d, %d)" % (i, s.a, s.b)
+        if expected["value_inner"] != smap.apply(expected["value_outer"]):
+            return "slopes[%d]: slope (%d, %d) breaks the affine law" % (i, s.a, s.b)
+    if len(records) > len(wanted):
+        return "slopes[%d]: a record past the last witness slope" % len(wanted)
+    return ""
 
 
 def verify_certificate(cert, grid=DEFAULT_GRID):
@@ -300,7 +315,6 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
         )
 
     checks = list(report.checks)
-    slopes = cert.witnesses.get("slopes", ())
 
     def add(name, ok, detail=""):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
@@ -314,37 +328,10 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
         and cert.map.u == -model.zeta * model.q * model.t,
     )
 
-    # Slope witnesses: each record is the one slope_record gives for the
-    # slope of its source (so the source is that slope's canonical pair),
-    # and obeys the affine law.  The meridian and the cabling curve must
-    # be among them.
-    ok = True
-    detail = ""
-    required = [model.f_outer.meridian_slope(), canonical_slope(model.p, model.q)]
-    for rec in slopes:
-        s = _record_slope(rec)
-        if s is None:
-            ok = False
-            detail = "slope (0, 0)"
-            break
-        if s in required:
-            required.remove(s)
-        try:
-            expected = slope_record(model, s)
-        except ValueError:  # phi sends s to the zero class of this H1
-            expected = None
-        if (
-            expected is None
-            or rec != expected
-            or rec["value_inner"] != cert.map.apply(rec["value_outer"])
-        ):
-            ok = False
-            detail = "slope (%d, %d)" % (s.a, s.b)
-            break
-    if ok and required:
-        ok = False
-        detail = "no record of slope (%d, %d)" % (required[0].a, required[0].b)
-    add("witness-slopes", ok, detail)
+    # Slope witnesses: exactly the records transfer_certificate writes,
+    # in its order, each obeying the affine law.
+    problem = _witness_problem(model, cert.map, cert.witnesses.get("slopes", ()))
+    add("witness-slopes", not problem, problem)
 
     checks.append(grid_check(model, cert.map, grid))
     return CheckReport(checks=tuple(checks))

@@ -13,7 +13,7 @@ name the first field that differs by its JSON path.
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
-from .slopes import DEFAULT_GRID, NEG_INF, Record, _store, value_text
+from .slopes import DEFAULT_GRID, NEG_INF, Record, _store
 from .transfer import TransferCertificate, verify_certificate
 
 
@@ -65,25 +65,13 @@ def _verify_diameter_certificate(cert, grid, cache):
         path, stored, fresh = jsonio.first_difference(
             jsonio.DIAMETER_CERTIFICATE, cert, recomputed)
         replay = Check("replay", False, "stored certificate differs from recomputation"
-                       " at %s: stored %s, recomputed %s" % (path, _text(stored), _text(fresh)))
+                       " at %s: stored %s, recomputed %s" % (path, stored, fresh))
     checks = [replay, _route_check(cert)]
     for i, level in enumerate(cert.levels, start=1):
         checks.extend(_prefixed("level %d: " % i, verify_certificate(level.certificate, grid)))
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
     return checks
-
-
-def _text(v):
-    """A value in a replay detail: rationals as reports write them, the
-    rest as JSON writes them."""
-    if type(v) is tuple:
-        return "[%s]" % ", ".join(map(_text, v))
-    if type(v) is str:
-        return '"%s"' % v
-    if v is None or type(v) is bool:
-        return {None: "null", True: "true", False: "false"}[v]
-    return value_text(v)
 
 
 def _prefixed(prefix, report):

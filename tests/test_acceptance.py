@@ -128,10 +128,11 @@ def test_criterion_2_homology_oracle(capsys):
             ):
                 assert u[0] * v[1] - u[1] * v[0] != 0
             # the three exact identities tying zeta, t, theta, eta together
-            mu_o = m.h1.rational_coords(m.img_mu)
-            lam_o = m.h1.rational_coords(m.img_lambda)
-            mu_i = m.h1.rational_coords(m.img_mu_prime)
-            lam_i = m.h1.rational_coords(m.img_lambda_prime)
+            fo, fi = m.f_outer, m.f_inner
+            mu_o = m.h1.rational_coords(m.iota_outer(fo.mu.a, fo.mu.b))
+            lam_o = m.h1.rational_coords(m.iota_outer(fo.lambda_.a, fo.lambda_.b))
+            mu_i = m.h1.rational_coords(m.iota_inner(fi.mu.a, fi.mu.b))
+            lam_i = m.h1.rational_coords(m.iota_inner(fi.lambda_.a, fi.lambda_.b))
             assert mu_o == tuple(-m.zeta * q * c for c in mu_i)
             assert lam_i == tuple(
                 m.t * a + m.zeta * m.theta * m.eta * q * b

@@ -115,6 +115,42 @@ def test_snf_accepts_a_matrix_at_the_size_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["diagonal"] == []
 
 
+def group_of_size(n):
+    """A stored group with an n x n identity coordinate map: Z^2 on n generators."""
+    return {"n_generators": n, "diag": [1] * (n - 2) + [0, 0],
+            "coordinate_map": {"rows": n, "cols": n,
+                               "entries": [int(i == j) for i in range(n) for j in range(n)]}}
+
+
+def test_a_document_matrix_over_the_size_limit_is_an_input_error(tmp_path):
+    # Reading a group takes the determinant of its coordinate map, whose
+    # cost grows as the cube of its size; the limit is snf's.
+    emitted = tmp_path / "t.json"
+    assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    doc = json.loads(emitted.read_text())
+    path = tmp_path / "big.json"
+    doc["model"]["h1"] = group_of_size(MAX_MATRIX_DIM + 1)
+    path.write_text(json.dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(path),)))
+    assert code == 2
+    assert (
+        "  input error: %s.model.h1.coordinate_map: a %dx%d matrix is too large: rows and"
+        " cols must be at most %d\n" % (path, MAX_MATRIX_DIM + 1, MAX_MATRIX_DIM + 1,
+                                         MAX_MATRIX_DIM)) in report
+    # At the limit the group reads, and the model's checks refute it.
+    doc["model"]["h1"] = group_of_size(MAX_MATRIX_DIM)
+    path.write_text(json.dumps(doc))
+    code, report = run(RunConfig(command="verify", inputs=(str(path),)))
+    assert code == 1
+    assert "    FAIL h1-rank\n" in report
+    # The ambient H1 of a diameter certificate is read by the same table.
+    cert = diameter_certificate_to_json(diameter_lower_bound(KnotDescription(AtomKnot())))
+    cert["ambient_h1"] = group_of_size(MAX_MATRIX_DIM + 1)
+    with pytest.raises(ValueError, match=r"^d\.json\.ambient_h1\.coordinate_map: a %dx%d "
+                       % (MAX_MATRIX_DIM + 1, MAX_MATRIX_DIM + 1)):
+        load_document(json.dumps(cert), "d.json")
+
+
 # --- cable-homology -----------------------------------------------------------
 
 
@@ -309,7 +345,8 @@ def drop_slope_record(source):
     (drop_slope_record([2, 3]), "witness-slopes"),  # the cabling curve
     (lambda w: w["slopes"][0].update(source=[2, 0]), "witness-slopes"),  # not canonical
     # (0, 0) is no slope: the meridian's record is gone
-    (lambda w: w["slopes"][0].update(source=[0, 0]), "witness-slopes -- slope (0, 0)"),
+    (lambda w: w["slopes"][0].update(source=[0, 0]),
+     "witness-slopes -- slopes[0]: not the record of slope (1, 0)"),
 ], ids=["no-slopes", "no-meridian-slope", "no-cabling-slope", "non-canonical-source",
         "zero-source"])
 def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, failing):
@@ -421,7 +458,6 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
 def break_h1_rank(model):
     """Make a model's stored H1 the group Z instead of Z^2."""
     model["h1"]["diag"] = [1, 1, 0]
-    model["h1"]["invariant_factors"] = [0]
 
 
 GRID_SKIPPED = "grid-consistency -- skipped: H1 is not free of rank 2\n"
@@ -453,7 +489,6 @@ def test_h1_on_two_generators_fails_h1_rank(tmp_path, capsys):
         "n_generators": 2,
         "diag": [0, 0],
         "coordinate_map": {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]},
-        "invariant_factors": [0, 0],
     }
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(doc))

@@ -9,8 +9,10 @@ certificates' `presentation` check and their replay.
 
 They also carry the copies that certificates no longer state: a transfer
 certificate's witnesses.boundary, witnesses.meridian and
-witnesses.longitude, and each level's cabling.  The reader ignores them,
-and an emitted certificate is the stored one without exactly those keys.
+witnesses.longitude, ten keys of its model that restate the model's
+parameters, the invariant_factors of each group, and each level's
+cabling.  The reader ignores them, and an emitted certificate is the
+stored one without exactly those keys.
 """
 
 import json
@@ -23,14 +25,21 @@ from slopecert.jsonio import canonical_dumps
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# The witness keys certificates no longer write.
+# The witness and model keys certificates no longer write.
 OLD_WITNESSES = ("boundary", "meridian", "longitude")
+OLD_MODEL_KEYS = (
+    "relation", "img_mu", "img_lambda", "img_mu_prime", "img_lambda_prime",
+    "boundary_outer", "boundary_inner", "theta", "eta",
+)
 
 
 def without_copies(transfer):
-    """A stored transfer certificate without the witness copies."""
+    """A stored transfer certificate without the copies."""
     for key in OLD_WITNESSES:
         del transfer["witnesses"][key]
+    for key in OLD_MODEL_KEYS:
+        del transfer["model"][key]
+    del transfer["model"]["h1"]["invariant_factors"]
     return transfer
 
 
@@ -67,6 +76,7 @@ def test_diameter_fixture_is_emitted_again(tmp_path, capsys):
     path.write_text(canonical_dumps(description))
     out = tmp_path / DIAMETER
     assert main(["verify", "--emit", str(out), str(path)]) == 0
+    del stored["ambient_h1"]["invariant_factors"]
     for level in stored["levels"]:
         del level["cabling"]
         without_copies(level["certificate"])

@@ -91,12 +91,9 @@ REPRS = {
     CableSpaceModel: "CableSpaceModel(p=1, q=2, orientation=1, "
     "f_outer=Framing(mu=PrimitiveClass(a=1, b=0), lambda_=PrimitiveClass(a=0, b=1), sign=-1), "
     "f_inner=Framing(mu=PrimitiveClass(a=1, b=0), lambda_=PrimitiveClass(a=0, b=1), sign=1), "
-    "relation=IntMatrix(rows=1, cols=3, entries=(2, -1, -2)), "
     "h1=FPAbelianGroup(n_generators=3, diag=(1, 0, 0), "
     "coordinate_map=IntMatrix(rows=3, cols=3, entries=(0, -1, 0, 1, 2, 0, 0, -2, 1))), "
-    "img_mu=(0, 1, 0), img_lambda=(0, 0, 1), img_mu_prime=(1, 0, -1), "
-    "img_lambda_prime=(0, 1, 2), boundary_outer=(1, 0), boundary_inner=(-2, 0), zeta=-1, "
-    "t=Fraction(1, 1), theta=1, eta=-1)",
+    "zeta=-1, t=Fraction(1, 1))",
     Check: "Check(name='h1-rank', ok=False, detail='skipped')",
     CheckReport: "CheckReport(checks=(Check(name='presentation', ok=True, detail=''),))",
     AffineSlopeMap: "AffineSlopeMap(epsilon=-1, q=3, u=Fraction(5, 2))",

@@ -258,12 +258,40 @@ def test_certificate_extra_slopes_deduplicated():
     sources = [rec["source"] for rec in cert.witnesses["slopes"]]
     assert len(sources) == 5
     assert sources.count((-5, 3)) == 1
-    # A valid record of one more slope, appended, verifies.
-    witnesses = dict(cert.witnesses)
-    witnesses["slopes"] += (slope_record(model, canonical_slope(4, 5)),)
-    cert = cert.replace(witnesses=witnesses)
-    assert (4, 5) in [rec["source"] for rec in cert.witnesses["slopes"]]
-    assert verify_certificate(cert).ok
+    # A valid record of one more slope, appended, is not one the
+    # certificate states: witness-slopes names its index.
+    extra = with_slopes(cert, cert.witnesses["slopes"] + (
+        slope_record(model, canonical_slope(4, 5)),))
+    assert witness_check(extra) == (False, "slopes[5]: a record past the last witness slope")
+
+
+def with_slopes(cert, records):
+    return cert.replace(witnesses={"slopes": tuple(records)})
+
+
+def witness_check(cert):
+    check = next(c for c in verify_certificate(cert, 3).checks if c.name == "witness-slopes")
+    return check.ok, check.detail
+
+
+def test_witness_slopes_are_exactly_the_stated_list():
+    # Each record below is valid on its own; the list as a whole is not the
+    # one transfer_certificate writes.
+    cert = transfer_certificate(cable_space_homology(2, 3))
+    records = cert.witnesses["slopes"]
+    assert len(records) == 6
+    assert witness_check(cert) == (True, "")
+    for changed, detail in [
+        (records[:-1], "slopes[5]: no record of slope (2, 3)"),
+        (records[:1] + records[2:], "slopes[1]: not the record of slope (0, 1)"),
+        (records + records[-1:], "slopes[6]: a record past the last witness slope"),
+        (records[:2] + records[1:-1], "slopes[2]: not the record of slope (-1, 1)"),
+        (records[::-1], "slopes[0]: not the record of slope (1, 0)"),
+        ((), "slopes[0]: no record of slope (1, 0)"),
+    ]:
+        bad = with_slopes(cert, changed)
+        assert witness_check(bad) == (False, detail)
+        assert [c.name for c in verify_certificate(bad, 3).failed()] == ["witness-slopes"]
 
 
 def _break(cert, **replacements):
@@ -285,7 +313,8 @@ def test_certificate_mutations_are_caught():
         c.name in ("eq-boundary", "eq-meridian", "framing-signs") for c in report.failed()
     )
 
-    bad_model2 = cert.model.replace(relation=IntMatrix.from_rows([[3, -2, -2]]))
+    wrong_h1 = group_from_presentation(IntMatrix.from_rows([[3, -2, -2]]))
+    bad_model2 = cert.model.replace(h1=wrong_h1)
     report = verify_certificate(_break(cert, model=bad_model2))
     assert not report.ok
     assert any(c.name == "presentation" for c in report.failed())

@@ -102,10 +102,14 @@ def test_a_stored_h1_without_an_image_of_a_slope_fails_by_name(tmp_path):
     code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
     assert code == 1
     assert "input error" not in report
-    assert "    FAIL witness-slopes -- slope (1, 0)\n" in report
+    assert "    FAIL witness-slopes -- slopes[0]: phi sends slope (1, 0) to zero\n" in report
     assert "    FAIL grid-consistency -- slope (1, 0): phi sends it to zero\n" in report
     checks = verify_certificate(load_document(bad.read_text()), 3).checks
     assert checks[-1] == Check("grid-consistency", False, "slope (1, 0): phi sends it to zero")
+
+
+AMBIENT_Z = {"n_generators": 1, "diag": [0],
+             "coordinate_map": {"rows": 1, "cols": 1, "entries": [1]}}
 
 
 def test_a_failed_replay_names_the_first_field_that_differs():
@@ -128,6 +132,12 @@ def test_a_failed_replay_names_the_first_field_that_differs():
          "at levels[1].certificate.model.p: stored 3, recomputed 5"),
         (lambda doc: doc["tags"][0].__setitem__("value", [3, 1]),
          "at tags[0].value: stored 3, recomputed 2"),
+        # A value other than a rational is written as one line of JSON.
+        (lambda doc: doc.__setitem__("ambient_h1", AMBIENT_Z),
+         'at ambient_h1: stored {"coordinate_map": {"cols": 1, "entries": [1], "rows": 1},'
+         ' "diag": [0], "n_generators": 1}, recomputed null'),
+        (lambda doc: doc.__setitem__("reason", "edited"),
+         'at reason: stored "edited", recomputed ""'),
     ):
         report = edited(change).report
         assert [c.name for c in report.failed()] == ["replay"]
