@@ -8,14 +8,16 @@ are JSON integers (true and 1.0 are not), and rationals and slopes must
 be in the form the writer uses (see below).  A missing field, a value of
 the wrong type, or a rational or slope in another form raises ValueError
 with the field's path, list indices included, e.g.
-"certificate.levels[3].certificate.model.p: expected an integer", so a
+"certificate.description.cablings[3].p: expected an integer", so a
 malformed document is an input error (exit code 2).  Values of the right
 types that break an invariant of the type they are read into get the
 constructor's message after the path of that value, e.g.
 "certificate.map: epsilon must be +1 or -1"; so does a matrix with more
-than MAX_MATRIX_DIM rows or columns.  Keys not in a table are ignored,
-among them the copies that certificates written by earlier versions
-state.
+than MAX_MATRIX_DIM rows or columns.  A list that holds a set (a base's
+strict slopes) must be in the writer's order: ascending, "inf" last,
+nothing repeated.  Keys not in a table are ignored, among them the
+copies that certificates written by earlier versions state, such as
+each diameter level's transfer certificate.
 
 Only these fields may be omitted, read as the default shown, or be null:
 in a description, base.strict_slopes ([]), the four base flags (false),
@@ -219,7 +221,8 @@ class _Nullable:
 
 class _List:
     """A JSON list of `item` values, read as a tuple.  With an `order` it
-    holds a set: it is written in that order, and may not repeat a value."""
+    holds a set: it is written in that order, and is read only in it,
+    each value once."""
 
     def __init__(self, item, order=None):
         self.item, self.order = item, order
@@ -234,9 +237,12 @@ class _List:
                 out.append(read(v))
         except _Bad as e:
             raise e.within("[%d]" % len(out))
-        if self.order and len(set(out)) < len(out):
-            i = next(i for i, v in enumerate(out) if v in out[:i])
-            raise _Bad("a value not listed before", "[%d]" % i)
+        if self.order:
+            for i in range(1, len(out)):
+                pair = (out[i - 1], out[i])
+                if pair[0] == pair[1] or self.order(pair) != pair:
+                    raise _Bad('a value after the one before it: ascending,'
+                               ' "inf" last, none repeated', "[%d]" % i)
         return tuple(out)
 
     def emit(self, v):
@@ -506,9 +512,7 @@ DIAMETER_CERTIFICATE = _deferred(
     _Field("ambient_h1", _Nullable(GROUP), attr="ambient", default=None),
     _Field("base_slopes", _List(VALUE), default=[]),
     _Field("levels", _List(_deferred(
-        "LevelRecord",
-        _Field("certificate", TRANSFER_CERTIFICATE),
-        _Field("slopes", _Nullable(_List(FRACTION)), default=None),
+        "LevelRecord", _Field("slopes", _Nullable(_List(FRACTION)), default=None),
     )), default=[]),
     _Field("routes", _Map(FRACTION), default={}),
     _Field("primary_route", STR, default=""),
@@ -542,12 +546,13 @@ diameter_certificate_to_json, diameter_certificate_from_json = _codec(
 def first_difference(kind, stored, fresh, path=""):
     """(path, stored text, fresh text) at the first place where two unequal
     values of `kind`, a table above, differ.  The walk follows the table:
-    records field by field, lists of one length, maps with the same keys,
+    records field by field, lists item by item, maps with the same keys,
     and integer pairs entry by entry; rationals, tokens and scalars are
     compared whole.  The path is in JSON keys, as input errors write it,
     e.g. "levels[1].slopes[0]", "tags[0].value" or "ambient_h1".  A
     rational is written as reports write it, any other value as one line
-    of JSON."""
+    of JSON.  Two lists that agree up to the end of the shorter differ at
+    its end, written as the two lengths, e.g. "length 49"."""
     if type(kind) is _Nullable and stored is not None and fresh is not None:
         kind = kind.kind
     t = type(kind)
@@ -559,8 +564,7 @@ def first_difference(kind, stored, fresh, path=""):
     elif t is _List or t is _Ints:
         item, order = (INT, tuple) if t is _Ints else (kind.item, kind.order or tuple)
         xs, ys = order(stored), order(fresh)
-        if len(xs) == len(ys):
-            steps = [("[%d]" % i, item, x, y) for i, (x, y) in enumerate(zip(xs, ys))]
+        steps = [("[%d]" % i, item, x, y) for i, (x, y) in enumerate(zip(xs, ys))]
     elif t is _Map and stored.keys() == fresh.keys():
         steps = [("[%s]" % _encode_str(k), kind.item, stored[k], fresh[k]) for k in sorted(stored)]
     elif t is _Pair and kind is not FRACTION:
@@ -569,6 +573,9 @@ def first_difference(kind, stored, fresh, path=""):
     for step, item, x, y in steps:
         if x != y:
             return first_difference(item, x, y, path + step)
+    if (t is _List or t is _Ints) and len(xs) != len(ys):
+        path += "[%d]" % min(len(xs), len(ys))
+        return path.lstrip("."), "length %d" % len(xs), "length %d" % len(ys)
     return path.lstrip("."), _value_json(kind, stored), _value_json(kind, fresh)
 
 

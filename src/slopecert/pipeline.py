@@ -199,13 +199,13 @@ def propagate(d, cache=None):
 class LevelRecord(Record):
     """One cabling level inside a DiameterCertificate.
 
-    ``certificate`` is the level's TransferCertificate; the parameters of
-    its model are the level's cabling, which the description states.
     ``slopes`` is the propagated value set after this level, or None when
-    propagation was not licensed (base not meridionally small).
+    propagation was not licensed (base not meridionally small).  The
+    level's cabling is the description's; its transfer certificate is a
+    function of that cabling, so the certificate does not state it.
     """
 
-    def __init__(self, certificate, slopes=None):
+    def __init__(self, slopes=None):
         _store(self, locals())
 
 
@@ -240,8 +240,9 @@ def primary_route(routes):
 def diameter_lower_bound(d, cache=None):
     """Evaluate every certified route for d and assemble the certificate.
 
-    Level certificates come from ``cache`` (a fresh LevelCache when
-    None), so a run that replays its own output builds each level once.
+    Propagation takes the level transfer maps from ``cache`` (a fresh
+    LevelCache when None), so a run that replays its own output builds
+    each level once.
     """
     base = d.base
     gitk = recognize_gitk(d)
@@ -251,14 +252,9 @@ def diameter_lower_bound(d, cache=None):
             "ambient fundamental group declared cyclic, but the computed ambient H1 is not"
         )
 
-    if cache is None:
-        cache = LevelCache()
-    certs = [cache.certificate(c) for c in d.cablings]
     level_sets = propagate(d, cache) if base.meridionally_small else None
-    levels = tuple(
-        LevelRecord(cert, None if level_sets is None else level_sets[i + 1])
-        for i, cert in enumerate(certs)
-    )
+    slopes = [None] * len(d.cablings) if level_sets is None else level_sets[1:]
+    levels = tuple(LevelRecord(s) for s in slopes)
     base_slopes = _sorted_values(base.strict_numerical_slopes)
 
     scale = 1

@@ -2,12 +2,13 @@
 
 A transfer certificate gets transfer.verify_certificate.  A diameter
 certificate gets "replay" (its recomputation is byte-identical),
-"route-logic", each level's transfer-certificate checks as "level i: ...",
-and rule C's checks as "rule C: ..." when pipeline.is_cable_description
-holds.  A knot description gets the checks of the diameter certificate
-built from it.  The replay compares records with ``==``, so this module
-sits above pipeline; only a failed replay loads jsonio, whose tables
-name the first field that differs by its JSON path.
+"route-logic", as "level i: ..." the checks of the transfer certificate
+built for its description's cabling i, and rule C's checks as "rule C:
+..." when pipeline.is_cable_description holds.  A knot description gets
+the checks of the diameter certificate built from it.  The replay
+compares records with ``==``, so this module sits above pipeline; only a
+failed replay loads jsonio, whose tables name the first field that
+differs by its JSON path.
 """
 
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
@@ -67,8 +68,8 @@ def _verify_diameter_certificate(cert, grid, cache):
         replay = Check("replay", False, "stored certificate differs from recomputation"
                        " at %s: stored %s, recomputed %s" % (path, stored, fresh))
     checks = [replay, _route_check(cert)]
-    for i, level in enumerate(cert.levels, start=1):
-        checks.extend(_prefixed("level %d: " % i, verify_certificate(level.certificate, grid)))
+    for i, c in enumerate(cert.description.cablings, start=1):
+        checks.extend(_prefixed("level %d: " % i, verify_certificate(cache.certificate(c), grid)))
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
     return checks

@@ -66,7 +66,7 @@ SAMPLES = {
     ),
     Cabling: dict(p=3, q=2, orientation=-1, f_outer=None, f_inner=None),
     KnotDescription: dict(base=BASE, cablings=(CABLING,)),
-    LevelRecord: dict(certificate=None, slopes=(Fraction(4),)),
+    LevelRecord: dict(slopes=(Fraction(4),)),
     DiameterCertificate: dict(
         description=KnotDescription(BASE), gitk=False, ambient=None, base_slopes=(),
         levels=(), routes={}, primary_route="none", d_lower=NEG_INF, reason="no route",
@@ -107,7 +107,7 @@ REPRS = {
     "frozenset({Fraction(1, 2)}), meridionally_small=True, is_round=False, is_cable=False, "
     "ambient_pi1_cyclic=True, complementary_meridian=None), cablings=(Cabling(p=1, q=2, "
     "orientation=1, f_outer=None, f_inner=None),))",
-    LevelRecord: "LevelRecord(certificate=None, slopes=(Fraction(4, 1),))",
+    LevelRecord: "LevelRecord(slopes=(Fraction(4, 1),))",
     DiameterCertificate: "DiameterCertificate(description=KnotDescription(base=AtomKnot("
     "strict_numerical_slopes=frozenset({Fraction(1, 2)}), meridionally_small=True, "
     "is_round=False, is_cable=False, ambient_pi1_cyclic=True, complementary_meridian=None), "
@@ -248,7 +248,7 @@ def test_defaults():
     assert AtomKnot() == AtomKnot(frozenset(), False, False, False, False, None)
     assert Cabling(1, 2) == Cabling(p=1, q=2, orientation=1, f_outer=None, f_inner=None)
     assert KnotDescription(BASE).cablings == ()
-    assert LevelRecord(CABLING, None).slopes is None
+    assert LevelRecord().slopes is None
     cert = DiameterCertificate(*list(SAMPLES[DiameterCertificate].values())[:8])
     assert (cert.reason, cert.tags) == ("", ())
     assert RunConfig("verify") == RunConfig(

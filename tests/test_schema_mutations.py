@@ -5,11 +5,12 @@ and each required field is deleted.  Through the CLI, every such document
 is an input error (exit 2) that names the field's path, never a traceback.
 Deleting a field that may be omitted is not an input error.  Every
 integer of the two emitted certificates is also edited in value: each
-edit fails a check (exit 1) or is an input error (exit 2).  An edit of a
-stored cable-space model that is an input error breaks an invariant of a
-stored type, and names the path of the value that breaks it.  A
-property test also edits values of both certificates at random, keeping
-their types: each edit fails a check or is an input error.
+edit fails a check (exit 1) or is an input error (exit 2), or is the
+certificate the writer writes for the edited document's own description.
+An edit of a stored cable-space model that is an input error breaks an
+invariant of a stored type, and names the path of the value that breaks
+it.  A property test also edits values of both certificates at random,
+keeping their types, and reorders their lists, with the same outcomes.
 
 The nullable, token and omittable fields are listed here, apart from the
 reader's tables, as the document format in the README states them.  Paths
@@ -218,6 +219,15 @@ def integers(x, path=()):
             yield p, v
 
 
+def written_for_its_description(tmp_path, doc):
+    """Whether a diameter certificate is, byte for byte, what `verify
+    --emit` writes for its own description."""
+    desc, out = tmp_path / "own.json", tmp_path / "own_cert.json"
+    desc.write_text(json.dumps(dict(doc["description"], kind="knot_description")))
+    code, _ = run(RunConfig(command="verify", inputs=(str(desc),), emit=str(out), grid=1))
+    return code == 0 and out.read_text() == canonical_dumps(doc)
+
+
 def integer_edits(tmp_path, doc, paths):
     """(path, new value, exit code, report, file) for every edit of an
     integer at one of `paths`: +1, -1, negation and 0, each that changes it."""
@@ -227,11 +237,9 @@ def integer_edits(tmp_path, doc, paths):
 
 
 # The emitted documents whose integers are edited, and the path of the model
-# whose integers get the model's own input errors.
-MODELS = [
-    ("transfer", ("model",)),
-    ("diameter", ("levels", 0, "certificate", "model")),
-]
+# whose integers get the model's own input errors; a diameter certificate
+# states no model.
+MODELS = [("transfer", ("model",))]
 
 
 @pytest.mark.parametrize("name, model", MODELS)
@@ -252,36 +260,45 @@ def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
             assert at.startswith(where + path_text(model)) and message.startswith(
                 MODEL_INPUT_ERRORS + ("expected ",)), (path, new, report)
         outcomes[path[len(model):], new] = report
-    assert len(outcomes) == {"transfer": 95, "diameter": 89}[name]
-    if name == "transfer":
-        # an edited framing no longer matches the stored t
-        assert "    FAIL eq-longitude\n" in outcomes[("f_inner", "lambda", 0), 1]
-        assert "  input error: %s.model: not a cabling (q must be at least 2)\n" % where in (
-            outcomes[("q",), 0])
+    assert len(outcomes) == 95
+    # an edited framing no longer matches the stored t
+    assert "    FAIL eq-longitude\n" in outcomes[("f_inner", "lambda", 0), 1]
+    assert "  input error: %s.model: not a cabling (q must be at least 2)\n" % where in (
+        outcomes[("q",), 0])
 
 
-@pytest.mark.parametrize("name, model", MODELS)
+@pytest.mark.parametrize("name, model", MODELS + [("diameter", ())])
 def test_every_other_integer_edit_fails_a_check_or_is_an_input_error(
         documents, tmp_path, name, model):
-    # With the test above, every integer of the emitted document is edited:
-    # each is checked, or the document no longer reads.
+    # With the test above, every integer of the emitted documents is edited:
+    # each is checked, the document no longer reads, or it is the writer's
+    # certificate for the edited description.  A cabling's orientation
+    # changes no slope, so flipping it gives exactly that certificate.
     doc = documents[name]
-    others = [(path, v) for path, v in integers(doc) if path[:len(model)] != model]
-    edits = 0
+    others = [(path, v) for path, v in integers(doc)
+              if not model or path[:len(model)] != model]
+    edits, written = 0, []
     for path, new, code, report, where in integer_edits(tmp_path, doc, others):
-        if code == 1:
+        if code == 0:
+            assert name == "diameter" and written_for_its_description(
+                tmp_path, edited(doc, path, new)), (path, new, report)
+            written.append((path, new))
+        elif code == 1:
             assert "    FAIL " in report, (path, new, report)
         else:
             assert code == 2 and "  input error: %s" % where in report, (path, new, report)
         edits += 1
-    assert edits > (100 if name == "transfer" else 600)
+    assert edits > 100
+    assert written == ([] if name == "transfer" else [
+        (("description", "cablings", i, "orientation"), -1) for i in (0, 1)])
 
 
 def test_same_type_value_mutations_fail_a_check_or_are_input_errors(
         documents, tmp_path_factory):
     # An integer becomes another integer, a string another string, and a
-    # list loses an item or gains a copy of one: every such document exits
-    # 1 or 2, and the run raises nothing.
+    # list loses an item, gains a copy of one or has two swapped: every
+    # such document exits 1 or 2, or is the writer's certificate for its
+    # own description, and the run raises nothing.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     tmp = tmp_path_factory.mktemp("mutations")
@@ -296,20 +313,28 @@ def test_same_type_value_mutations_fail_a_check_or_are_input_errors(
             new = draw(st.integers().filter(lambda n: n != value))
         elif type(value) is str:
             new = draw(st.text().filter(lambda s: s != value))
-        elif draw(st.booleans()):
-            i = draw(st.integers(0, len(value) - 1))
-            new = value[:i] + value[i + 1:]
         else:
-            item = value[draw(st.integers(0, len(value) - 1))]
-            i = draw(st.integers(0, len(value)))
-            new = value[:i] + [item] + value[i:]
+            how = draw(st.sampled_from(["delete", "copy", "swap"]))
+            i = draw(st.integers(0, len(value) - 1))
+            if how == "delete":
+                new = value[:i] + value[i + 1:]
+            elif how == "copy":
+                j = draw(st.integers(0, len(value)))
+                new = value[:j] + [value[i]] + value[j:]
+            else:
+                j = draw(st.integers(0, len(value) - 1).filter(lambda j: value[j] != value[i]))
+                new = list(value)
+                new[i], new[j] = value[j], value[i]
         return name, path, new
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(mutations())
     def check(mutation):
         name, path, new = mutation
-        code, report, _ = verify(tmp, edited(documents[name], path, new))
-        assert code in (1, 2), (name, path, new, report)
+        doc = edited(documents[name], path, new)
+        code, report, _ = verify(tmp, doc)
+        assert code in (1, 2) or (
+            name == "diameter" and written_for_its_description(tmp, doc)), (
+            name, path, new, report)
 
     check()

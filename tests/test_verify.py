@@ -115,31 +115,35 @@ AMBIENT_Z = {"n_generators": 1, "diag": [0],
 def test_a_failed_replay_names_the_first_field_that_differs():
     # Edits no other check reads: only the replay fails, and it says where.
     built = diameter_lower_bound(DESCRIPTION)
-    emitted = diameter_certificate_to_json(built)
     first = built.levels[1].slopes[0]
+    long = diameter_lower_bound(DESCRIPTION.replace(cablings=DESCRIPTION.cablings * 25))
 
-    def edited(change):
-        doc = json.loads(json.dumps(emitted))
+    def edited(cert, change):
+        doc = diameter_certificate_to_json(cert)
         change(doc)
         return verify_document(load_document(canonical_dumps(doc)))
 
-    for change, detail in (
-        (lambda doc: doc["levels"][1]["slopes"].__setitem__(0, [7, 2]),
+    for cert, change, detail in (
+        (built, lambda doc: doc["levels"][1]["slopes"].__setitem__(0, [7, 2]),
          "at levels[1].slopes[0]: stored 7/2, recomputed %s" % first),
-        # The description states each cabling; the replay holds the
-        # parameters of each level's model against it.
-        (lambda doc: doc["description"]["cablings"][1].__setitem__("p", 5),
-         "at levels[1].certificate.model.p: stored 3, recomputed 5"),
-        (lambda doc: doc["tags"][0].__setitem__("value", [3, 1]),
+        # The description states each cabling, and the levels' slopes follow
+        # from it: nu -> 4 nu + 2 p at q = 2, so p 3 -> 5 moves 14 to 18.
+        (built, lambda doc: doc["description"]["cablings"][1].__setitem__("p", 5),
+         "at levels[1].slopes[0]: stored 14, recomputed 18"),
+        (built, lambda doc: doc["tags"][0].__setitem__("value", [3, 1]),
          "at tags[0].value: stored 3, recomputed 2"),
         # A value other than a rational is written as one line of JSON.
-        (lambda doc: doc.__setitem__("ambient_h1", AMBIENT_Z),
+        (built, lambda doc: doc.__setitem__("ambient_h1", AMBIENT_Z),
          'at ambient_h1: stored {"coordinate_map": {"cols": 1, "entries": [1], "rows": 1},'
          ' "diag": [0], "n_generators": 1}, recomputed null'),
-        (lambda doc: doc.__setitem__("reason", "edited"),
+        (built, lambda doc: doc.__setitem__("reason", "edited"),
          'at reason: stored "edited", recomputed ""'),
+        # Lists that agree up to the end of the shorter: the index past it
+        # and both lengths, not both lists.
+        (long, lambda doc: doc["levels"].pop(),
+         "at levels[49]: stored length 49, recomputed length 50"),
     ):
-        report = edited(change).report
+        report = edited(cert, change).report
         assert [c.name for c in report.failed()] == ["replay"]
         assert report.checks[0].detail == (
             "stored certificate differs from recomputation " + detail)
