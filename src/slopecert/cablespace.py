@@ -66,7 +66,7 @@ that w comes out as zeta*theta*eta*q rather than assuming it.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .linalg import IntMatrix, group_from_presentation
@@ -142,7 +142,7 @@ class CableSpaceModel(Record):
     framings, and ``boundary_outer``/``boundary_inner`` the class of the
     planar surface's boundary on each torus (reference coordinates),
     mu and zeta*q*mu', so that [dP] = mu + zeta*q*mu'.  The instance
-    keeps a ``__dict__``, where ``basis_images`` is cached.
+    keeps a ``__dict__``, where ``basis_images`` and ``report`` are cached.
     """
 
     def __init__(self, p, q, orientation, f_outer, f_inner, h1, zeta, t):
@@ -192,6 +192,13 @@ class CableSpaceModel(Record):
             self.h1.rational_coords(self.iota_inner(0, 1)),
         )
 
+    @cached_property
+    def report(self):
+        """check_model's report on this model, computed once per model
+        object: a model read from input, or made by ``replace``, is a
+        separate object and gets its own."""
+        return check_model(self)
+
     def rational_outer(self, a, b):
         """Free coordinates (a vector over Q) of the image of a*E1 + b*E2."""
         e1, e2 = self.basis_images[:2]
@@ -202,8 +209,12 @@ class CableSpaceModel(Record):
         return tuple(a * x + b * y for x, y in zip(e1, e2))
 
 
+# Bounded: a run meets at most one (p, q) per cabling level, and each
+# entry is one 3-generator group.
+@lru_cache(maxsize=1024)
 def _presented_h1(p, q):
-    """H1(N) presented on (c, m, l) by the relation q*c - p*m - q*l."""
+    """H1(N) presented on (c, m, l) by the relation q*c - p*m - q*l,
+    computed once per (p, q)."""
     return group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
 
 
@@ -260,13 +271,16 @@ def rank_skipped(name):
 def check_model(model):
     """Exact re-check of every CableSpaceModel identity, one Check each.
 
-    The single implementation of the model's identities, used both as the
-    constructor's postcondition (through verify_model) and by certificate
-    replay, so it trusts nothing: the stored H1, zeta and t are each held
-    against an identity that refutes them, and the framings against the
-    model's orientations.  The parameters are checked when the model is
-    constructed.  When H1 is not Z^2 on the three generators the checks
-    after h1-rank are skipped, failed.
+    The single implementation of the model's identities.  It trusts
+    nothing: the stored H1, zeta and t are each held against an identity
+    that refutes them, and the framings against the model's orientations.
+    Callers read it through ``model.report``, so it runs once per model
+    object: the constructor's postcondition (verify_model) and the replay
+    of a certificate holding that very model share one report, while a
+    model read from input is its own object and is checked on its own.
+    The parameters are checked when the model is constructed.  When H1
+    is not Z^2 on the three generators the checks after h1-rank are
+    skipped, failed.
     """
     checks = []
 
@@ -326,8 +340,9 @@ def check_model(model):
 
 
 def verify_model(model):
-    """The raising form of check_model: ValueError unless every identity holds."""
-    if not check_model(model).ok:
+    """The raising form of check_model: ValueError unless every identity
+    holds.  Reads the model's cached report."""
+    if not model.report.ok:
         raise ValueError("inconsistent cable space model")
 
 

@@ -47,7 +47,7 @@ from .cablespace import (
 )
 from .report import Check, CheckReport
 from .slopes import INF, NEG_INF, InvariantError, Record, _store, _sorted_values, value_text
-from .transfer import transfer_certificate
+from .transfer import transfer_certificate, verify_certificate
 
 
 def diameter(values):
@@ -148,32 +148,49 @@ def ambient_h1(d):
 
 
 class LevelCache:
-    """Transfer certificates built here, one per set of cabling parameters.
+    """Transfer certificates built here, and their check reports, one per
+    set of cabling parameters.
 
     The key is (p, q, orientation, f_outer, f_inner) with the standard
     framings filled in, so each level's model and certificate are built
-    once however often the level recurs.  Only certificates built from
+    once however often the level recurs; a report is kept per key and
+    grid bound, so a recurring cabling reuses its level report and each
+    certificate is checked once per run.  Only certificates built from
     those parameters are stored: a model or certificate parsed from
     input never enters, so replaying a stored certificate still
-    compares it against a fresh computation.  Models and certificates
-    are frozen, so sharing one between levels is safe.
+    compares it against a fresh computation.  Models, certificates and
+    reports are frozen, so sharing one between levels is safe.
     """
 
     def __init__(self):
         self._certificates = {}
+        self._reports = {}
 
-    def certificate(self, cabling):
-        """The transfer certificate of the cabling's model, built on first use."""
-        key = (
+    @staticmethod
+    def _key(cabling):
+        return (
             cabling.p,
             cabling.q,
             cabling.orientation,
             *with_standard_framings(cabling.f_outer, cabling.f_inner),
         )
+
+    def certificate(self, cabling):
+        """The transfer certificate of the cabling's model, built on first use."""
+        key = self._key(cabling)
         cert = self._certificates.get(key)
         if cert is None:
             cert = self._certificates[key] = transfer_certificate(cabling.model())
         return cert
+
+    def report(self, cabling, grid):
+        """verify_certificate's report on the cabling's certificate at
+        grid bound `grid`, computed on first use."""
+        key = (self._key(cabling), grid)
+        report = self._reports.get(key)
+        if report is None:
+            report = self._reports[key] = verify_certificate(self.certificate(cabling), grid)
+        return report
 
 
 def propagate(d, cache=None):

@@ -21,7 +21,7 @@ of the model catalog, not an assumption anywhere in the code).
 A TransferCertificate packages the model, the map, and sampled slope
 pairs with their rational proportionality factors, enough for
 verify_certificate() to re-derive every claim from the raw presentation
-alone: it runs the model's own checks (cablespace.check_model), which
+alone: it takes the model's own checks (cablespace.check_model), which
 hold the model's constants against its presentation, checks the map and
 the list of slope records (slope_record), and compares phi with the map on
 every slope of a bounded grid (grid_check).  Each constant is stated
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cablespace import _cross, check_model, rank_skipped
+from .cablespace import _cross, rank_skipped
 from .report import Check, CheckReport
 from .slopes import (
     DEFAULT_GRID,
@@ -127,10 +127,11 @@ def phi_with_factor(model, s):
     w = model.rational_outer(s.a, s.b)
     v = model.rational_inner(image.a, image.b)
     i = 0 if w[0] != 0 else 1
-    r = Fraction(v[i], w[i])
-    if any(x != r * y for x, y in zip(v, w)):
+    # v == (x/y) * w, checked by cross products: no Fraction but the factor.
+    x, y = v[i], w[i]
+    if any(a * y != x * b for a, b in zip(v, w)):
         raise ValueError("inconsistent cable space model")
-    return image, r
+    return image, Fraction(x, y)
 
 
 def _mul2(m, n):
@@ -296,16 +297,16 @@ def _witness_problem(model, smap, records):
 def verify_certificate(cert, grid=DEFAULT_GRID):
     """Replay every claim in a TransferCertificate from raw data.
 
-    Returns a CheckReport: the model's checks (check_model), then
-    map-consistency, witness-slopes and the grid check with bound
-    `grid`.  When H1 is not free of rank 2, the last three read
+    Returns a CheckReport: the model's checks (check_model, read from
+    the model's cached ``report``), then map-consistency, witness-slopes
+    and the grid check with bound `grid`.  When H1 is not free of rank 2, the last three read
     coordinates it does not have and are skipped, failed.  Failures are
     report entries, never exceptions: a slope that a stored H1 sends to
     zero, so that phi has no image of it, fails witness-slopes or the
     grid check by name.
     """
     model = cert.model
-    report = check_model(model)
+    report = model.report
     if not report.passed("h1-rank"):
         return CheckReport(
             checks=report.checks

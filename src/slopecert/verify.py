@@ -9,6 +9,13 @@ the checks of the diameter certificate built from it.  The replay
 compares records with ``==``, so this module sits above pipeline; only a
 failed replay loads jsonio, whose tables name the first field that
 differs by its JSON path.
+
+Each check runs once per object in a run.  A level's checks are the
+report the LevelCache keeps for its cabling and grid bound, so a
+recurring cabling reuses its level report, and still lists a full
+"level i: ..." block at every level; a built model's own checks are
+those its construction already ran (``model.report``).  A document read
+from input is a separate object and is checked on its own.
 """
 
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
@@ -69,7 +76,7 @@ def _verify_diameter_certificate(cert, grid, cache):
                        " at %s: stored %s, recomputed %s" % (path, stored, fresh))
     checks = [replay, _route_check(cert)]
     for i, c in enumerate(cert.description.cablings, start=1):
-        checks.extend(_prefixed("level %d: " % i, verify_certificate(cache.certificate(c), grid)))
+        checks.extend(_prefixed("level %d: " % i, cache.report(c, grid)))
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
     return checks

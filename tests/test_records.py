@@ -243,6 +243,18 @@ def test_cable_space_model_caches_in_its_dict():
     assert "basis_images" not in model.replace().__dict__
 
 
+def test_a_replaced_model_gets_a_fresh_check_report():
+    model = cable_space_homology(3, 5)  # its construction checked it once
+    report = model.__dict__["report"]
+    assert report.ok and model.report is report
+    same = model.replace()
+    assert "report" not in same.__dict__
+    assert same.report == report and same.report is not report
+    broken = model.replace(zeta=-model.zeta)
+    assert not broken.report.ok
+    assert model.report is report
+
+
 def test_defaults():
     assert Check("x", True).detail == ""
     assert AtomKnot() == AtomKnot(frozenset(), False, False, False, False, None)

@@ -147,3 +147,43 @@ def test_a_failed_replay_names_the_first_field_that_differs():
         assert [c.name for c in report.failed()] == ["replay"]
         assert report.checks[0].detail == (
             "stored certificate differs from recomputation " + detail)
+
+
+def test_no_cached_pass_carries_over_to_another_object(tmp_path):
+    # In one process: the emitted certificate passes, which caches its
+    # model's report and the SNF of (2, 3).  Copies with an edited model are
+    # other objects, so each is checked on its own and fails.
+    emitted = tmp_path / "t.json"
+    assert run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))[0] == 0
+    assert run(RunConfig(command="verify", inputs=(str(emitted),)))[0] == 0
+    zeta, h1 = json.loads(emitted.read_text()), json.loads(emitted.read_text())
+    zeta["model"]["zeta"] *= -1
+    # The same group with the free rows swapped: unimodular, rank 2, but not
+    # the presentation's own coordinates.
+    rows = h1["model"]["h1"]["coordinate_map"]["entries"]
+    h1["model"]["h1"]["coordinate_map"]["entries"] = rows[:3] + rows[6:] + rows[3:6]
+    for name, edited, failing in (
+        ("zeta.json", zeta, "    FAIL eq-boundary\n"),
+        ("h1.json", h1, "    FAIL presentation\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(canonical_dumps(edited))
+        code, report = run(RunConfig(command="verify", inputs=(str(path),)))
+        assert code == 1, name
+        assert failing in report, name
+    assert run(RunConfig(command="verify", inputs=(str(emitted),)))[0] == 0
+
+
+def test_a_recurring_cabling_lists_a_full_level_block_at_each_level():
+    repeated = DESCRIPTION.replace(cablings=((1, 2), (3, 2), (1, 2)))
+    checks = verify_document(repeated).report.checks
+    blocks = {}
+    for c in checks:
+        if c.name.startswith("level "):
+            level, name = c.name.split(": ", 1)
+            blocks.setdefault(level, []).append((name, c.ok, c.detail))
+    assert list(blocks) == ["level 1", "level 2", "level 3"]
+    assert blocks["level 1"] == blocks["level 3"]
+    assert [n for n, _, _ in blocks["level 1"]] == [n for n, _, _ in blocks["level 2"]]
+    assert len(blocks["level 1"]) == 10
+    assert all(ok for block in blocks.values() for _, ok, _ in block)

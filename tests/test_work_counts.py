@@ -17,6 +17,7 @@ from slopecert import (
     AtomKnot,
     Cabling,
     KnotDescription,
+    cablespace,
     cli,
     jsonio,
     pipeline,
@@ -25,14 +26,16 @@ from slopecert import (
 )
 from slopecert.jsonio import canonical_dumps, description_to_json
 
-# 50 levels over 11 distinct cable spaces: (p, q) cycles with period 10,
-# one level flips the orientation, and one states the standard outer
-# framing that the other levels leave implicit (the same model).
+# 50 levels over 11 distinct cable spaces and 10 distinct (p, q): (p, q)
+# cycles with period 10, one level flips the orientation, and one states
+# the standard outer framing that the other levels leave implicit (the
+# same model).
 CHAIN = tuple(
     Cabling((1, -1, 5, 7, -5)[i % 5], 2 + i % 2, orientation=-1 if i == 17 else 1)
     for i in range(49)
 ) + (Cabling(1, 2, f_outer=STANDARD_OUTER_FRAMING),)
 DISTINCT_MODELS = 11
+DISTINCT_PQ = 10
 GRID_SLOPES_AT_20 = 512
 
 
@@ -45,6 +48,9 @@ def counts(monkeypatch):
         "corollary": 0,
         "corollary_recomputed": 0,
         "grid": [],
+        "check_model": 0,
+        "verify_certificate": 0,
+        "presentations": 0,
         "to_json": 0,
         "dumps": 0,
         "dumps_in_replay": 0,
@@ -82,6 +88,13 @@ def counts(monkeypatch):
             c["grid"][-1] += 1
             yield pair
 
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            c[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
     real_to_json = jsonio.diameter_certificate_to_json
 
     def to_json(cert):
@@ -112,6 +125,15 @@ def counts(monkeypatch):
     monkeypatch.setattr(verify, "diameter_lower_bound", bound)
     monkeypatch.setattr(verify, "check_corollary_c", corollary)
     monkeypatch.setattr(transfer, "grid_slopes", slopes)
+    monkeypatch.setattr(
+        cablespace, "check_model", counted("check_model", cablespace.check_model))
+    level_check = counted("verify_certificate", transfer.verify_certificate)
+    monkeypatch.setattr(pipeline, "verify_certificate", level_check)
+    monkeypatch.setattr(verify, "verify_certificate", level_check)
+    monkeypatch.setattr(cablespace, "group_from_presentation",
+                        counted("presentations", cablespace.group_from_presentation))
+    # The SNF of each (p, q) is memoised for the process; a CLI run is one.
+    cablespace._presented_h1.cache_clear()
     return c
 
 
@@ -120,6 +142,8 @@ def reset(c):
     c["diameter"] = c["corollary"] = c["corollary_recomputed"] = 0
     c["grid"].clear()
     c["to_json"] = c["dumps"] = c["dumps_in_replay"] = 0
+    c["check_model"] = c["verify_certificate"] = c["presentations"] = 0
+    cablespace._presented_h1.cache_clear()
 
 
 def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
@@ -138,7 +162,12 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert set(counts["builds"].values()) == {1}
     assert counts["diameter"] == 2  # the build and its replay
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
-    assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
+    # Each model, certificate and (p, q) is checked once: a recurring
+    # cabling reuses its level report, a built model its self-check.
+    assert counts["grid"] == [GRID_SLOPES_AT_20] * DISTINCT_MODELS
+    assert counts["check_model"] == DISTINCT_MODELS
+    assert counts["verify_certificate"] == DISTINCT_MODELS
+    assert counts["presentations"] == DISTINCT_PQ
     assert counts["to_json"] == 1  # --emit only: the replay compares records
     assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
 
@@ -149,7 +178,10 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert set(counts["builds"].values()) == {1}
     assert counts["diameter"] == 1  # the replay only
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
-    assert counts["grid"] == [GRID_SLOPES_AT_20] * len(CHAIN)
+    assert counts["grid"] == [GRID_SLOPES_AT_20] * DISTINCT_MODELS
+    assert counts["check_model"] == DISTINCT_MODELS
+    assert counts["verify_certificate"] == DISTINCT_MODELS
+    assert counts["presentations"] == DISTINCT_PQ
     assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
 
