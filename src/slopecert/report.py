@@ -22,7 +22,3 @@ class CheckReport(Record):
 
     def failed(self):
         return tuple(c for c in self.checks if not c.ok)
-
-    def passed(self, name):
-        """Whether the check called `name` passed."""
-        return next(c.ok for c in self.checks if c.name == name)

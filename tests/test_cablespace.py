@@ -128,17 +128,18 @@ def test_verify_model_accepts_grid_and_rejects_mutations():
         "eq-boundary", "eq-meridian", "eq-longitude",
     ]
     flipped = Framing(PrimitiveClass(-1, 0), PrimitiveClass(0, 1), +1)
-    # Z^2 on the coordinates of c and l, with m's trivial: mu's image is zero.
+    # Z^2 on the coordinates of c and l, with m's trivial.  The identities
+    # are read in the presented group, so only the comparison with it fails.
     swapped = FPAbelianGroup(3, (1, 0, 0), IntMatrix(3, 3, (0, 1, 0, 1, 0, 0, 0, 0, 1)))
     for field, value, failing in [
-        ("zeta", -model.zeta, "eq-boundary"),
-        ("t", model.t + 1, "eq-longitude"),
-        ("f_outer", flipped, "eq-boundary"),
-        ("h1", swapped, "iota-isomorphisms"),
-        ("h1", group_from_presentation(IntMatrix.from_rows([[4, -3, -3]])), "presentation"),
+        ("zeta", -model.zeta, {"eq-boundary", "eq-meridian", "eq-longitude"}),
+        ("t", model.t + 1, {"eq-longitude"}),
+        ("f_outer", flipped, {"eq-boundary", "eq-meridian", "eq-longitude"}),
+        ("h1", swapped, {"presentation"}),
+        ("h1", group_from_presentation(IntMatrix.from_rows([[4, -3, -3]])), {"presentation"}),
     ]:
         broken = model.replace(**{field: value})
-        assert failing in [c.name for c in check_model(broken).failed()], field
+        assert {c.name for c in check_model(broken).failed()} == failing, field
         with pytest.raises(ValueError, match="inconsistent cable space model"):
             verify_model(broken)
 

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from slopecert import AtomKnot, KnotDescription, diameter_lower_bound
+from slopecert import (
+    AtomKnot,
+    KnotDescription,
+    cable_space_homology,
+    diameter_lower_bound,
+    transfer_certificate,
+)
 from slopecert.cli import RunConfig, main, run
 from slopecert.jsonio import (
     MAX_MATRIX_DIM,
@@ -17,6 +23,7 @@ from slopecert.jsonio import (
     description_to_json,
     diameter_certificate_to_json,
     load_document,
+    transfer_certificate_to_json,
 )
 
 
@@ -452,10 +459,13 @@ def break_h1_rank(model):
     model["h1"]["diag"] = [1, 1, 0]
 
 
-GRID_SKIPPED = "grid-consistency -- skipped: H1 is not free of rank 2\n"
+TRANSFER_CHECKS = [
+    "presentation", "h1-rank", "iota-isomorphisms", "framing-signs", "eq-boundary",
+    "eq-meridian", "eq-longitude", "map-consistency", "witness-slopes", "grid-consistency",
+]
 
 
-def test_transfer_certificate_without_rank_two_skips_the_grid_check(tmp_path, capsys):
+def test_transfer_certificate_without_rank_two_still_runs_the_grid_check(tmp_path, capsys):
     emitted = tmp_path / "cert.json"
     assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
     capsys.readouterr()
@@ -465,14 +475,15 @@ def test_transfer_certificate_without_rank_two_skips_the_grid_check(tmp_path, ca
     bad.write_text(canonical_dumps(doc))
     assert main(["verify", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "    FAIL h1-rank\n" in out
-    assert "    FAIL " + GRID_SKIPPED in out
+    assert "    FAIL presentation\n    FAIL h1-rank\n    PASS iota-isomorphisms\n" in out
+    assert "    PASS grid-consistency -- phi matches the affine law" in out
+    assert "skipped" not in out
     assert "overall: FAIL" in out
 
 
 def test_h1_on_two_generators_fails_h1_rank(tmp_path, capsys):
-    # Z^2 on two generators has the right invariant factors, but the
-    # model's images are three-coordinate vectors.
+    # Z^2 on two generators has the right invariant factors, but not the
+    # generators c, m, l of the presentation.
     emitted = tmp_path / "cert.json"
     assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
     capsys.readouterr()
@@ -486,9 +497,52 @@ def test_h1_on_two_generators_fails_h1_rank(tmp_path, capsys):
     bad.write_text(canonical_dumps(doc))
     assert main(["verify", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "    FAIL h1-rank\n" in out
-    assert "    FAIL " + GRID_SKIPPED in out
+    assert "    FAIL presentation\n    FAIL h1-rank\n" in out
+    assert out.count("    FAIL ") == 2
     assert "overall: FAIL" in out
+
+
+def _swap_free_rows(h1):
+    e = h1["coordinate_map"]["entries"]
+    e[3:6], e[6:9] = e[6:9], e[3:6]
+
+
+def _another_cable_spaces_h1(h1):
+    other = transfer_certificate_to_json(transfer_certificate(cable_space_homology(2, 5)))
+    h1.update(json.loads(canonical_dumps(other))["model"]["h1"])
+
+
+H1_EDITS = {
+    "rank one": lambda h1: h1.update(diag=[1, 1, 0]),
+    "two generators": lambda h1: h1.update(
+        n_generators=2, diag=[0, 0],
+        coordinate_map={"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}),
+    "permuted map": lambda h1: h1["coordinate_map"].update(
+        entries=[0, 1, 0, 1, 0, 0, 0, 0, 1]),
+    "swapped rows": _swap_free_rows,
+    "another cable space": _another_cable_spaces_h1,
+    "torsion": lambda h1: h1.update(diag=[1, 2, 0]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(H1_EDITS))
+def test_an_edited_stored_h1_fails_only_the_checks_that_read_it(tmp_path, capsys, edit):
+    # Every identity is read in the group the presentation defines, so an
+    # edited stored H1 fails presentation, h1-rank or both, and the other
+    # eight checks are evaluated, not skipped.
+    emitted = tmp_path / "cert.json"
+    assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    capsys.readouterr()
+    doc = json.loads(emitted.read_text())
+    H1_EDITS[edit](doc["model"]["h1"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_dumps(doc))
+    assert main(["verify", "--format", "json", str(bad)]) == 1
+    checks = json.loads(capsys.readouterr().out)["results"][0]["checks"]
+    assert [c["name"] for c in checks] == TRANSFER_CHECKS
+    failed = {c["name"] for c in checks if not c["ok"]}
+    assert failed and failed <= {"presentation", "h1-rank"}
+    assert not any("skipped" in c["detail"] for c in checks)
 
 
 def test_tampered_certificate_fails_the_same_under_python_O(tmp_path):

@@ -41,13 +41,15 @@ def test_verify_certificate_ends_with_the_grid_check():
     assert verify_certificate(cert, 3).checks[-1].detail.endswith("<= 3")
 
 
-def test_verify_certificate_skips_the_grid_check_without_rank_two():
+def test_verify_certificate_runs_the_grid_check_without_rank_two():
+    # phi is read in the presented group, so a torsion stored H1 fails
+    # the two checks that read it, and the grid check still runs.
     cert = transfer_certificate(cable_space_homology(2, 3))
     torsion = group_from_presentation(IntMatrix.from_rows([[2, 0, 0]]))
     bad = cert.replace(model=cert.model.replace(h1=torsion))
-    last = verify_certificate(bad).checks[-1]
-    assert (last.name, last.ok, last.detail) == (
-        "grid-consistency", False, "skipped: H1 is not free of rank 2")
+    report = verify_certificate(bad)
+    assert [c.name for c in report.failed()] == ["presentation", "h1-rank"]
+    assert report.checks[2:] == verify_certificate(cert).checks[2:]
 
 
 def test_verify_document_passes_a_description_and_its_certificate():
@@ -87,11 +89,11 @@ def test_verify_document_gives_the_checks_of_the_cli_report(tmp_path):
         {"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.report.checks]
 
 
-def test_a_stored_h1_without_an_image_of_a_slope_fails_by_name(tmp_path):
+def test_a_stored_h1_with_a_permuted_map_fails_presentation(tmp_path):
     # The emitted H1 with its coordinate map replaced by a permutation: it
-    # keeps rank 2, but phi sends the meridian (1, 0) to zero, so phi has no
-    # image of it.  That is a failed check naming the slope, not an input
-    # error.
+    # keeps rank 2 on three generators, so h1-rank passes and presentation
+    # fails.  The witnesses and the grid check read phi in the presented
+    # group, where the meridian (1, 0) has an image, so they pass.
     emitted = tmp_path / "t.json"
     code, _ = run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))
     assert code == 0
@@ -102,10 +104,11 @@ def test_a_stored_h1_without_an_image_of_a_slope_fails_by_name(tmp_path):
     code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
     assert code == 1
     assert "input error" not in report
-    assert "    FAIL witness-slopes -- slopes[0]: phi sends slope (1, 0) to zero\n" in report
-    assert "    FAIL grid-consistency -- slope (1, 0): phi sends it to zero\n" in report
+    assert "    FAIL presentation\n    PASS h1-rank\n" in report
+    assert "    PASS witness-slopes\n" in report
     checks = verify_certificate(load_document(bad.read_text()), 3).checks
-    assert checks[-1] == Check("grid-consistency", False, "slope (1, 0): phi sends it to zero")
+    assert [c for c in checks if not c.ok] == [Check("presentation", False)]
+    assert checks[-1].detail == "phi matches the affine law on all slopes with |a|, |b| <= 3"
 
 
 AMBIENT_Z = {"n_generators": 1, "diag": [0],

@@ -20,6 +20,7 @@ from slopecert import (
     cablespace,
     cli,
     jsonio,
+    linalg,
     pipeline,
     transfer,
     verify,
@@ -29,13 +30,14 @@ from slopecert.jsonio import canonical_dumps, description_to_json
 # 50 levels over 11 distinct cable spaces and 10 distinct (p, q): (p, q)
 # cycles with period 10, one level flips the orientation, and one states
 # the standard outer framing that the other levels leave implicit (the
-# same model).
+# same model).  Those are 11 distinct (p, q, orientation).
 CHAIN = tuple(
     Cabling((1, -1, 5, 7, -5)[i % 5], 2 + i % 2, orientation=-1 if i == 17 else 1)
     for i in range(49)
 ) + (Cabling(1, 2, f_outer=STANDARD_OUTER_FRAMING),)
 DISTINCT_MODELS = 11
 DISTINCT_PQ = 10
+DISTINCT_PQ_ORIENTATION = 11
 GRID_SLOPES_AT_20 = 512
 
 
@@ -51,6 +53,7 @@ def counts(monkeypatch):
         "check_model": 0,
         "verify_certificate": 0,
         "presentations": 0,
+        "rational_coords": 0,
         "to_json": 0,
         "dumps": 0,
         "dumps_in_replay": 0,
@@ -132,9 +135,17 @@ def counts(monkeypatch):
     monkeypatch.setattr(verify, "verify_certificate", level_check)
     monkeypatch.setattr(cablespace, "group_from_presentation",
                         counted("presentations", cablespace.group_from_presentation))
-    # The SNF of each (p, q) is memoised for the process; a CLI run is one.
-    cablespace._presented_h1.cache_clear()
+    monkeypatch.setattr(linalg.FPAbelianGroup, "rational_coords",
+                        counted("rational_coords", linalg.FPAbelianGroup.rational_coords))
+    clear_memos()
     return c
+
+
+def clear_memos():
+    # The SNF of each (p, q) and its basis images are memoised for the
+    # process; a CLI run is one.
+    cablespace._presented_h1.cache_clear()
+    cablespace._basis_images.cache_clear()
 
 
 def reset(c):
@@ -143,7 +154,8 @@ def reset(c):
     c["grid"].clear()
     c["to_json"] = c["dumps"] = c["dumps_in_replay"] = 0
     c["check_model"] = c["verify_certificate"] = c["presentations"] = 0
-    cablespace._presented_h1.cache_clear()
+    c["rational_coords"] = 0
+    clear_memos()
 
 
 def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
@@ -168,6 +180,9 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
     assert counts["presentations"] == DISTINCT_PQ
+    # The four basis images, once per (p, q, orientation): the builds and
+    # every check read them in the presented group.
+    assert counts["rational_coords"] == 4 * DISTINCT_PQ_ORIENTATION
     assert counts["to_json"] == 1  # --emit only: the replay compares records
     assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
 
@@ -182,6 +197,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
     assert counts["presentations"] == DISTINCT_PQ
+    assert counts["rational_coords"] == 4 * DISTINCT_PQ_ORIENTATION
     assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
 
