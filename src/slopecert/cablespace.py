@@ -148,8 +148,8 @@ class CableSpaceModel(Record):
     planar surface's boundary on each torus (reference coordinates),
     mu and zeta*q*mu', so that [dP] = mu + zeta*q*mu'.  Images in
     H1(N; Q) are read in the presented group, never in ``h1``.  The
-    instance keeps a ``__dict__``, where ``basis_images`` and ``report``
-    are cached.
+    instance keeps a ``__dict__``, where ``basis_images``, ``report`` and
+    ``witness_records`` are cached.
     """
 
     def __init__(self, p, q, orientation, f_outer, f_inner, h1, zeta, t):
@@ -200,6 +200,17 @@ class CableSpaceModel(Record):
         object: a model read from input, or made by ``replace``, is a
         separate object and gets its own."""
         return check_model(self)
+
+    @cached_property
+    def witness_records(self):
+        """The witness records (transfer.slope_record) of the slopes
+        transfer.witness_slopes names, in its order, computed once per
+        model object like ``report``.  transfer_certificate states this
+        tuple, and witness-slopes compares a certificate's list with it.
+        Each record is read-only, so no certificate can edit another's."""
+        from .transfer import slope_record, witness_slopes
+
+        return tuple(slope_record(self, s) for s in witness_slopes(self))
 
     def rational_outer(self, a, b):
         """Free coordinates (a vector over Q) of the image of a*E1 + b*E2."""

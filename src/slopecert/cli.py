@@ -27,7 +27,9 @@ import sys
 from . import jsonio
 from .slopes import DEFAULT_GRID, INF, Record, _store, value_text
 
-# Largest --grid bound: the grid check visits about 1.2 * N^2 slopes per level.
+# Largest --grid bound.  A passing grid check visits no slope and a failing
+# one at most three, but a singular phi matrix whose law agrees with it is
+# scanned up to its kernel slope: about 1.2 * N^2 slopes per level.
 MAX_GRID = 1000
 
 

@@ -26,11 +26,17 @@ hold the model's constants against its presentation, checks the map and
 the list of slope records (slope_record), and compares phi with the map on
 every slope of a bounded grid (grid_check).  Each constant is stated
 once, in the model.
+
+Nothing is computed twice for one model object: its check report and its
+witness records are cached on it, and a certificate built from it states
+those very records.  The grid check decides a pass from two 2x2 integer
+matrices, without visiting a slope; it scans the grid only to name a
+failure.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .cablespace import _cross
 from .report import Check, CheckReport
@@ -160,31 +166,51 @@ def law_matrix(smap, f_outer, f_inner):
     return _mul2(from_inner, _mul2(law, to_outer))
 
 
-# Bounded: a grid holds about 1.2 * bound^2 pairs, and a run uses one bound.
-@lru_cache(maxsize=2)
 def grid_slopes(bound):
-    """All canonical primitive pairs (a, b) with |a|, |b| <= bound."""
-    pairs = [(1, 0)]
+    """All canonical primitive pairs (a, b) with |a|, |b| <= bound, made
+    one at a time: a failing scan stops within the first three, so no
+    table of the about 1.2 * bound^2 pairs is built."""
+    yield (1, 0)
     for b in range(1, bound + 1):
         for a in range(-bound, bound + 1):
             if gcd(a, b) == 1:
-                pairs.append((a, b))
-    return tuple(pairs)
+                yield (a, b)
 
 
 def grid_check(model, smap, bound):
     """Compare phi against the affine slope law on every canonical slope
     with coefficients bounded by `bound`; returns one named check.
 
-    Both sides are integer matrices on classes (phi_matrix and
-    law_matrix), so a slope (a, b) passes exactly when its two images
-    P (a, b) and A (a, b) are parallel and P (a, b) is not zero: one
-    cross product per slope.  Values are built only for the first slope
-    that fails, to name it; when P (a, b) is zero, phi has no image of
-    it, and the check says so.
+    Both sides are integer matrices on classes (P = phi_matrix and
+    A = law_matrix), so a slope (a, b) passes exactly when its two images
+    P (a, b) and A (a, b) are parallel and P (a, b) is not zero.  Their
+    cross product is a binary quadratic form in (a, b); when its three
+    coefficients are zero and P is invertible, every slope passes, and
+    the check says so without visiting one.  Otherwise the grid is
+    scanned, one cross product per slope, to name the first slope that
+    fails: a nonzero form vanishes on at most two slopes, so the scan
+    stops within the first three, and only a singular P with a zero form
+    scans on, up to P's kernel slope.  Values are built only for the
+    failing slope; when P (a, b) is zero, phi has no image of it, and the
+    check says so.
     """
     (p11, p12), (p21, p22) = phi_matrix(model)
     (a11, a12), (a21, a22) = law_matrix(smap, model.f_outer, model.f_inner)
+    passed = Check(
+        "grid-consistency",
+        True,
+        "phi matches the affine law on all slopes with |a|, |b| <= %d" % bound,
+    )
+    # x*Y - y*X = (p11 a21 - p21 a11) a^2
+    #           + (p11 a22 + p12 a21 - p21 a12 - p22 a11) ab
+    #           + (p12 a22 - p22 a12) b^2
+    if (
+        p11 * a21 == p21 * a11
+        and p12 * a22 == p22 * a12
+        and p11 * a22 + p12 * a21 == p21 * a12 + p22 * a11
+        and p11 * p22 != p12 * p21
+    ):
+        return passed
     for a, b in grid_slopes(bound):
         x, y = p11 * a + p12 * b, p21 * a + p22 * b
         if not (x or y):
@@ -202,11 +228,7 @@ def grid_check(model, smap, bound):
             "slope (%d, %d): affine law gives %s, phi gives %s"
             % (a, b, value_text(expected), value_text(got)),
         )
-    return Check(
-        "grid-consistency",
-        True,
-        "phi matches the affine law on all slopes with |a|, |b| <= %d" % bound,
-    )
+    return passed
 
 
 def transfer_map(model):
@@ -236,8 +258,9 @@ class TransferCertificate(Record):
     ``model`` is a CableSpaceModel and ``map`` an AffineSlopeMap.
     ``witnesses`` maps "slopes" to the records (slope_record: source,
     image, factor and values) of the slopes witness_slopes names, in its
-    order.  The model's constants zeta and t are stated only in the
-    model; the meridian's factor is that of the meridian's record.
+    order; a built certificate states its model's ``witness_records``
+    tuple itself.  The model's constants zeta and t are stated only in
+    the model; the meridian's factor is that of the meridian's record.
     """
 
     def __init__(self, model, map, witnesses):
@@ -246,15 +269,17 @@ class TransferCertificate(Record):
 
 def slope_record(model, s):
     """The witness record of slope s: its source and image pairs, the
-    proportionality factor, and its numerical values on both tori."""
+    proportionality factor, and its numerical values on both tori.  It is
+    read-only, since a model's records are shared by every certificate
+    built from it."""
     image, r = phi_with_factor(model, s)
-    return {
+    return MappingProxyType({
         "source": (s.a, s.b),
         "image": (image.a, image.b),
         "factor": r,
         "value_outer": numerical_slope(model.f_outer, s),
         "value_inner": numerical_slope(model.f_inner, image),
-    }
+    })
 
 
 def witness_slopes(model):
@@ -269,23 +294,28 @@ def witness_slopes(model):
 def transfer_certificate(model):
     """Build the certificate for a model: its map and slope witnesses."""
     smap = transfer_map(model)
-    records = tuple(slope_record(model, s) for s in witness_slopes(model))
-    return TransferCertificate(model=model, map=smap, witnesses={"slopes": records})
+    return TransferCertificate(
+        model=model, map=smap, witnesses={"slopes": model.witness_records}
+    )
 
 
 def _witness_problem(model, smap, records):
     """Why `records` are not the records transfer_certificate writes for
-    `model`, each obeying `smap`, naming the first index that differs; ""
-    when they are."""
-    wanted = witness_slopes(model)
-    for i, s in enumerate(wanted):
-        if i == len(records):
-            return "slopes[%d]: no record of slope (%d, %d)" % (i, s.a, s.b)
-        expected = slope_record(model, s)
-        if records[i] != expected:
-            return "slopes[%d]: not the record of slope (%d, %d)" % (i, s.a, s.b)
+    `model` (its ``witness_records``), each obeying `smap`, naming the
+    first index that fails; "" when they are.  The lists are compared
+    whole; records are compared one by one only when they differ, to
+    name the index."""
+    wanted = model.witness_records
+    same = tuple(records) == wanted
+    for i, expected in enumerate(wanted):
+        where = (i,) + expected["source"]
+        if not same:
+            if i == len(records):
+                return "slopes[%d]: no record of slope (%d, %d)" % where
+            if records[i] != expected:
+                return "slopes[%d]: not the record of slope (%d, %d)" % where
         if expected["value_inner"] != smap.apply(expected["value_outer"]):
-            return "slopes[%d]: slope (%d, %d) breaks the affine law" % (i, s.a, s.b)
+            return "slopes[%d]: slope (%d, %d) breaks the affine law" % where
     if len(records) > len(wanted):
         return "slopes[%d]: a record past the last witness slope" % len(wanted)
     return ""
@@ -300,7 +330,11 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
     model's identities, the last three read phi in the group the
     presentation defines, where both inclusions are isomorphisms over Q,
     so every slope has an image; a stored H1 fails only presentation or
-    h1-rank.  Failures are report entries, never exceptions.
+    h1-rank.  The model's report and witness records are computed once
+    per model object, so a certificate holding a built model is checked
+    against the build's own; a certificate read from input holds its own
+    model object and gets its own.  Failures are report entries, never
+    exceptions.
     """
     model = cert.model
     checks = list(model.report.checks)
@@ -309,18 +343,27 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
     # The map's constants against the model's: epsilon = -eta*theta,
-    # u = -zeta*q*t, quadratic coefficient q^2.
-    add(
-        "map-consistency",
-        cert.map.epsilon == -model.eta * model.theta
-        and cert.map.q == model.q
-        and cert.map.u == -model.zeta * model.q * model.t,
+    # quadratic coefficient q^2, u = -zeta*q*t; the first that differs is
+    # named with both sides.
+    smap = cert.map
+    mismatch = next(
+        (
+            "%s: map %s, model %s" % (name, value_text(stated), value_text(wanted))
+            for name, stated, wanted in (
+                ("epsilon", smap.epsilon, -model.eta * model.theta),
+                ("q", smap.q, model.q),
+                ("u", smap.u, -model.zeta * model.q * model.t),
+            )
+            if stated != wanted
+        ),
+        "",
     )
+    add("map-consistency", not mismatch, mismatch)
 
     # Slope witnesses: exactly the records transfer_certificate writes,
     # in its order, each obeying the affine law.
-    problem = _witness_problem(model, cert.map, cert.witnesses.get("slopes", ()))
+    problem = _witness_problem(model, smap, cert.witnesses.get("slopes", ()))
     add("witness-slopes", not problem, problem)
 
-    checks.append(grid_check(model, cert.map, grid))
+    checks.append(grid_check(model, smap, grid))
     return CheckReport(checks=tuple(checks))

@@ -1,11 +1,20 @@
-"""The integer grid check against the per-slope check it replaced.
+"""The grid check against the plain scans it is decided by.
 
-transfer.grid_check decides each sampled slope with one integer cross
-product of two class images.  reference_grid_check below is the former
-implementation, kept as the reference: it calls phi on every slope,
-builds both numerical slopes and compares Fractions.  The two must
-return the same Check (name, ok and detail) on passing models with
-random framings and on tampered maps and models.
+transfer.grid_check decides a pass from the two integer matrices
+P = phi_matrix and A = law_matrix: the cross product of P (a, b) and
+A (a, b) is a binary quadratic form in (a, b), and when it is zero and P
+is invertible every slope passes.  Otherwise it scans the grid to name
+the first slope that fails.  Two scans are kept here as references:
+
+- loop_grid_check, the scan alone (one integer cross product per slope),
+  compared with grid_check on random integer P and A, singular and zero
+  P among them, at every bound from 1 to 5 and at 20;
+- reference_grid_check, the per-slope check the integer scan replaced: it
+  calls phi on every slope, builds both numerical slopes and compares
+  Fractions, on passing models with random framings and on tampered maps
+  and models.
+
+Each must return the same Check (name, ok and detail) as grid_check.
 """
 
 import random
@@ -24,9 +33,38 @@ from slopecert import (
     phi,
     transfer_certificate,
 )
+from slopecert import transfer
 from slopecert.report import Check
 from slopecert.slopes import value_text
 from slopecert.transfer import grid_check, grid_slopes
+
+
+def loop_grid_check(model, smap, bound):
+    """grid_check without its closed form: the scan over every slope."""
+    (p11, p12), (p21, p22) = transfer.phi_matrix(model)
+    (a11, a12), (a21, a22) = transfer.law_matrix(smap, model.f_outer, model.f_inner)
+    for a, b in grid_slopes(bound):
+        x, y = p11 * a + p12 * b, p21 * a + p22 * b
+        if not (x or y):
+            return Check(
+                "grid-consistency", False, "slope (%d, %d): phi sends it to zero" % (a, b)
+            )
+        if x * (a21 * a + a22 * b) == y * (a11 * a + a12 * b):
+            continue
+        s = canonical_slope(a, b)
+        expected = smap.apply(numerical_slope(model.f_outer, s))
+        got = numerical_slope(model.f_inner, phi(model, s))
+        return Check(
+            "grid-consistency",
+            False,
+            "slope (%d, %d): affine law gives %s, phi gives %s"
+            % (a, b, value_text(expected), value_text(got)),
+        )
+    return Check(
+        "grid-consistency",
+        True,
+        "phi matches the affine law on all slopes with |a|, |b| <= %d" % bound,
+    )
 
 
 def reference_grid_check(model, smap, bound):
@@ -126,3 +164,57 @@ def test_grid_check_matches_reference_on_tampered_inner_images():
     )
     with pytest.raises(ValueError, match="inconsistent cable space model"):
         reference_grid_check(zero, smap, 20)
+
+
+BOUNDS = (1, 2, 3, 4, 5, 20)
+
+
+def scaled(k, m):
+    return tuple(tuple(k * x for x in row) for row in m)
+
+
+def random_pairs(rng):
+    """(P, A, kind) pairs of integer 2x2 matrices, every kind of form."""
+    def entry():
+        return rng.randrange(-4, 5)
+
+    def matrix():
+        return ((entry(), entry()), (entry(), entry()))
+
+    for _ in range(60):
+        yield matrix(), matrix(), "random"
+    for _ in range(30):
+        # A parallel to P everywhere: the form is zero.
+        b = matrix()
+        yield scaled(rng.choice((1, -1, 2, 3)), b), scaled(entry(), b), "zero form"
+    for _ in range(30):
+        # Singular P = u v^T, zero at the slope (v2, -v1); with A a multiple
+        # of P the form is zero, and the scan runs up to that slope.
+        u = (rng.randrange(1, 4) * rng.choice((1, -1)), entry())
+        v = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (1, -3), (4, 5), (7, 3), (-2, 25)))
+        p = ((u[0] * v[0], u[0] * v[1]), (u[1] * v[0], u[1] * v[1]))
+        a = scaled(entry(), p) if rng.random() < 0.7 else matrix()
+        yield p, a, "singular"
+    for _ in range(10):
+        yield ((0, 0), (0, 0)), matrix(), "zero"
+
+
+def test_closed_form_matches_the_scan_on_random_integer_matrices(monkeypatch):
+    model = cable_space_homology(2, 3)
+    smap = transfer_certificate(model).map
+    rng = random.Random(2027)
+    outcomes = set()
+    for p, a, kind in random_pairs(rng):
+        monkeypatch.setattr(transfer, "phi_matrix", lambda m, p=p: p)
+        monkeypatch.setattr(transfer, "law_matrix", lambda s, fo, fi, a=a: a)
+        for bound in BOUNDS:
+            got = grid_check(model, smap, bound)
+            assert got == loop_grid_check(model, smap, bound), (p, a, bound)
+            outcomes.add((kind, got.ok, "zero" in got.detail))
+    # Passes and failures of each kind, a singular P whose kernel slope
+    # lies outside a small grid passing, and P = 0 failing at once.
+    assert {
+        ("random", False, False), ("zero form", True, False),
+        ("singular", True, False), ("singular", False, True),
+        ("singular", False, False), ("zero", False, True),
+    } <= outcomes

@@ -4,6 +4,8 @@ certificate, grid check included."""
 
 import json
 
+import pytest
+
 from slopecert import (
     AtomKnot,
     IntMatrix,
@@ -15,7 +17,12 @@ from slopecert import (
     verify_certificate,
 )
 from slopecert.cli import RunConfig, run
-from slopecert.jsonio import canonical_dumps, diameter_certificate_to_json, load_document
+from slopecert.jsonio import (
+    canonical_dumps,
+    diameter_certificate_to_json,
+    load_document,
+    transfer_certificate_to_json,
+)
 from slopecert.report import Check
 from slopecert.transfer import DEFAULT_GRID
 from slopecert.verify import verify_document
@@ -175,6 +182,45 @@ def test_no_cached_pass_carries_over_to_another_object(tmp_path):
         assert code == 1, name
         assert failing in report, name
     assert run(RunConfig(command="verify", inputs=(str(emitted),)))[0] == 0
+
+
+def test_witness_records_are_computed_once_per_model_object():
+    # The built certificate states its model's cached records; a model made
+    # by replace, or read from a document, is another object with its own.
+    model = cable_space_homology(2, 3)
+    cert = transfer_certificate(model)
+    assert cert.witnesses["slopes"] is model.witness_records
+    assert verify_certificate(cert).ok
+    # Shared records are read-only: no certificate edits another's.
+    with pytest.raises(TypeError):
+        cert.witnesses["slopes"][2]["factor"] = 5
+    fresh = model.replace()
+    assert fresh.witness_records is not model.witness_records
+    assert fresh.witness_records == model.witness_records
+    # In one process: the built certificate passes, then a parsed copy with
+    # one record's factor edited fails witness-slopes by index.
+    doc = json.loads(canonical_dumps(transfer_certificate_to_json(cert)))
+    doc["witnesses"]["slopes"][2]["factor"] = [5, 1]
+    parsed = load_document(canonical_dumps(doc))
+    assert parsed.model == model and parsed.model is not model
+    report = verify_certificate(parsed)
+    assert report.failed() == (
+        Check("witness-slopes", False, "slopes[2]: not the record of slope (-1, 1)"),)
+    assert verify_certificate(cert).ok
+
+
+def test_map_consistency_names_the_first_constant_that_differs():
+    cert = transfer_certificate(cable_space_homology(2, 3))
+    smap = cert.map
+    for bad, detail in (
+        (smap.replace(u=smap.u + 1), "u: map 7, model 6"),
+        (smap.replace(u=smap.u / 4), "u: map 3/2, model 6"),
+        (smap.replace(epsilon=-1, q=5), "epsilon: map -1, model 1"),
+        (smap.replace(q=5), "q: map 5, model 3"),
+    ):
+        check = verify_certificate(cert.replace(map=bad)).checks[7]
+        assert check == Check("map-consistency", False, detail)
+    assert verify_certificate(cert).checks[7] == Check("map-consistency", True, "")
 
 
 def test_a_recurring_cabling_lists_a_full_level_block_at_each_level():

@@ -2,8 +2,10 @@
 
 One fixed 50-level description is verified with --emit, then the
 emitted certificate is verified again, each as one CLI run.  Counting
-wrappers record what each run builds, recomputes and serializes.  An
-`snf` run formats its matrices as text only for a text report.
+wrappers record what each run builds, recomputes and serializes.  A
+passing grid check visits no slope, and a failing one stops within
+three.  An `snf` run formats its matrices as text only for a text
+report.
 """
 
 import json
@@ -38,7 +40,9 @@ CHAIN = tuple(
 DISTINCT_MODELS = 11
 DISTINCT_PQ = 10
 DISTINCT_PQ_ORIENTATION = 11
-GRID_SLOPES_AT_20 = 512
+# Six witness records per model (five witness values, then the cabling
+# curve), but five for (-5, 3), whose cabling curve has the value 5/3.
+WITNESS_RECORDS = 6 * DISTINCT_MODELS - 1
 
 
 @pytest.fixture
@@ -50,6 +54,8 @@ def counts(monkeypatch):
         "corollary": 0,
         "corollary_recomputed": 0,
         "grid": [],
+        "slope_record": 0,
+        "witness_slopes": 0,
         "check_model": 0,
         "verify_certificate": 0,
         "presentations": 0,
@@ -83,10 +89,16 @@ def counts(monkeypatch):
         c["corollary_recomputed"] += c["diameter"] - before
         return report
 
+    # One entry per grid check: the slopes it visits.
+    real_grid_check = transfer.grid_check
+
+    def grid_check(*args, **kwargs):
+        c["grid"].append(0)
+        return real_grid_check(*args, **kwargs)
+
     real_slopes = transfer.grid_slopes
 
     def slopes(n):
-        c["grid"].append(0)
         for pair in real_slopes(n):
             c["grid"][-1] += 1
             yield pair
@@ -127,7 +139,12 @@ def counts(monkeypatch):
     monkeypatch.setattr(pipeline, "diameter_lower_bound", bound)
     monkeypatch.setattr(verify, "diameter_lower_bound", bound)
     monkeypatch.setattr(verify, "check_corollary_c", corollary)
+    monkeypatch.setattr(transfer, "grid_check", grid_check)
     monkeypatch.setattr(transfer, "grid_slopes", slopes)
+    monkeypatch.setattr(
+        transfer, "slope_record", counted("slope_record", transfer.slope_record))
+    monkeypatch.setattr(
+        transfer, "witness_slopes", counted("witness_slopes", transfer.witness_slopes))
     monkeypatch.setattr(
         cablespace, "check_model", counted("check_model", cablespace.check_model))
     level_check = counted("verify_certificate", transfer.verify_certificate)
@@ -154,7 +171,7 @@ def reset(c):
     c["grid"].clear()
     c["to_json"] = c["dumps"] = c["dumps_in_replay"] = 0
     c["check_model"] = c["verify_certificate"] = c["presentations"] = 0
-    c["rational_coords"] = 0
+    c["rational_coords"] = c["slope_record"] = c["witness_slopes"] = 0
     clear_memos()
 
 
@@ -175,14 +192,19 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["diameter"] == 2  # the build and its replay
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     # Each model, certificate and (p, q) is checked once: a recurring
-    # cabling reuses its level report, a built model its self-check.
-    assert counts["grid"] == [GRID_SLOPES_AT_20] * DISTINCT_MODELS
+    # cabling reuses its level report, a built model its self-check.  Each
+    # grid check passes without visiting a slope.
+    assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
     assert counts["presentations"] == DISTINCT_PQ
     # The four basis images, once per (p, q, orientation): the builds and
     # every check read them in the presented group.
     assert counts["rational_coords"] == 4 * DISTINCT_PQ_ORIENTATION
+    # Each model's witness records, once: the built certificate states
+    # them, and witness-slopes compares its list with them.
+    assert counts["witness_slopes"] == DISTINCT_MODELS
+    assert counts["slope_record"] == WITNESS_RECORDS
     assert counts["to_json"] == 1  # --emit only: the replay compares records
     assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
 
@@ -193,13 +215,35 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert set(counts["builds"].values()) == {1}
     assert counts["diameter"] == 1  # the replay only
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
-    assert counts["grid"] == [GRID_SLOPES_AT_20] * DISTINCT_MODELS
+    assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
     assert counts["presentations"] == DISTINCT_PQ
     assert counts["rational_coords"] == 4 * DISTINCT_PQ_ORIENTATION
+    assert counts["witness_slopes"] == DISTINCT_MODELS
+    assert counts["slope_record"] == WITNESS_RECORDS
     assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
+
+
+def test_a_failing_grid_check_stops_within_three_slopes(counts):
+    # A map that breaks the law makes the cross product a nonzero quadratic
+    # form, which vanishes on at most two slopes: the scan names the third
+    # at the latest.
+    model = cablespace.cable_space_homology(3, 5)
+    smap = transfer.transfer_map(model)
+    for bad in (
+        transfer.AffineSlopeMap(smap.epsilon, smap.q, smap.u + 1),
+        transfer.AffineSlopeMap(-smap.epsilon, smap.q, smap.u),
+        transfer.AffineSlopeMap(smap.epsilon, smap.q + 1, smap.u),
+    ):
+        check = transfer.grid_check(model, bad, 20)
+        assert not check.ok
+        assert check.detail.startswith("slope (")
+    assert len(counts["grid"]) == 3
+    assert all(1 <= n <= 3 for n in counts["grid"]), counts["grid"]
+    assert transfer.grid_check(model, smap, 20).ok
+    assert counts["grid"][-1] == 0
 
 
 def test_snf_formats_matrix_text_only_for_a_text_report(tmp_path, capsys, monkeypatch):
