@@ -9,7 +9,7 @@ fractions.Fraction.
 Smith normal form has one elimination, a row Hermite form, run in turn
 on the rows and on the columns until the matrix is diagonal (Kannan and
 Bachem); a 2x2 step per diagonal pair then makes the divisibility chain.
-The transforms stay near the size of D (see smith_normal_form).  Every
+The transforms stay within a small multiple of the size of D.  Every
 pivot rule is fixed, so identical inputs produce identical (U, D, V)
 triples on every run.
 """
@@ -245,7 +245,8 @@ def smith_normal_form(a):
 
     Returns SNFResult(U, D, V) with U * a * V = D, det(U) and det(V) in
     {+1, -1}, D diagonal with d_i >= 0 and d_1 | d_2 | ... , checked by
-    check_smith_normal_form.
+    check_smith_normal_form: for a square `a` with no zero d_i, by the
+    integrality of U's and V's inverses, otherwise by det(U) and det(V).
 
     One elimination, _row_hermite, alternates between the rows (a row
     phase on [D | U]) and the columns (a column phase on [D^T | V^T])
@@ -311,18 +312,32 @@ def smith_normal_form(a):
 def check_smith_normal_form(a, result):
     """Raise InvariantError unless `result` is a Smith normal form of `a`.
 
-    Exact post-conditions, cheap at the sizes this library handles:
-    U * a * V == D, det(U) and det(V) in {+1, -1}, and D diagonal with
-    nonnegative entries forming a divisibility chain, zeros last.
+    Exact post-conditions, in this order: U * a * V == D, D diagonal, U
+    and V unimodular, and D's diagonal a nonnegative divisibility chain,
+    zeros last.  For a square `a` with no zero on D's diagonal, U and V
+    are unimodular exactly when D^-1 (U a) and (a V) D^-1, their inverses,
+    are integral: d_i divides row i of U a and column i of a V.  Neither
+    inverse is built.  For a rank-deficient or non-square `a`, a and D
+    determine no inverse for U's kernel rows or V's kernel columns, so
+    det(U) and det(V) are computed by Bareiss elimination.
     """
-    if result.U.mul(a).mul(result.V) != result.D:
+    ua = result.U.mul(a)
+    if ua.mul(result.V) != result.D:
         raise InvariantError("smith normal form: U * A * V differs from D")
-    if det(result.U) not in (1, -1) or det(result.V) not in (1, -1):
-        raise InvariantError("smith normal form: U or V is not unimodular")
     d = result.D
     if any(d.entry(i, j) for i in range(d.rows) for j in range(d.cols) if i != j):
         raise InvariantError("smith normal form: D is not diagonal")
     diag = result.diagonal()
+    n = a.cols
+    if a.rows == n and all(diag):
+        av = a.mul(result.V).entries
+        unimodular = not any(
+            x % di for i, di in enumerate(diag) for x in ua.row(i)
+        ) and not any(x % dj for j, dj in enumerate(diag) for x in av[j::n])
+    else:
+        unimodular = det(result.U) in (1, -1) and det(result.V) in (1, -1)
+    if not unimodular:
+        raise InvariantError("smith normal form: U or V is not unimodular")
     if any(x < 0 for x in diag) or not all(
         diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
         for i in range(len(diag) - 1)

@@ -351,6 +351,127 @@ def test_snf_check_requires_unimodular_u_and_v():
             check_smith_normal_form(a, result)
 
 
+@pytest.mark.parametrize(
+    "a, u, d, v",
+    [
+        # Square, no zero on D's diagonal: the inverse test.  Only U fails,
+        # then only V.
+        ([[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 2]], [[1, 0], [0, 1]]),
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 2]]),
+        # Rank-deficient, then non-square: the determinants.
+        ([[1, 0], [0, 0]], [[1, 0], [0, 2]], [[1, 0], [0, 0]], [[1, 0], [0, 1]]),
+        (
+            [[1, 0, 0], [0, 1, 0]],
+            [[1, 0], [0, 1]],
+            [[1, 0, 0], [0, 1, 0]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        ),
+    ],
+)
+def test_snf_check_rejects_a_transform_that_is_not_unimodular(a, u, d, v):
+    a, result = doctored(a, u, d, v)
+    with pytest.raises(InvariantError, match="not unimodular"):
+        check_smith_normal_form(a, result)
+
+
+def test_snf_check_reads_the_diagonal_of_d_before_unimodularity():
+    # D = U * A * V is not diagonal and det(U) = 2: D is named, since the
+    # inverse test assumes a diagonal D.
+    a, result = doctored([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[2, 2], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(InvariantError, match="D is not diagonal"):
+        check_smith_normal_form(a, result)
+
+
+def bareiss_check(a, result):
+    """The reference: the check as it was before the inverse test, with
+    det(U) and det(V) by Bareiss elimination ahead of D's diagonal."""
+    u, d, v = result.U, result.D, result.V
+    if u.mul(a).mul(v) != d:
+        raise InvariantError("smith normal form: U * A * V differs from D")
+    if det(u) not in (1, -1) or det(v) not in (1, -1):
+        raise InvariantError("smith normal form: U or V is not unimodular")
+    if any(d.entry(i, j) for i in range(d.rows) for j in range(d.cols) if i != j):
+        raise InvariantError("smith normal form: D is not diagonal")
+    diag = result.diagonal()
+    if any(x < 0 for x in diag) or not all(
+        diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
+        for i in range(len(diag) - 1)
+    ):
+        raise InvariantError(
+            "smith normal form: the diagonal of D is not a nonnegative divisibility chain"
+        )
+
+
+def verdict(check, a, result):
+    try:
+        check(a, result)
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+def doctorings(rng, result):
+    """The rows of (U, D, V), then of claims made from them: a row of U
+    scaled with D's row, a column of V scaled with D's column, both, and
+    two entries of U swapped."""
+    u, d, v = result.U.to_rows(), result.D.to_rows(), result.V.to_rows()
+
+    def scale_row(u, d):
+        i, c = rng.randrange(len(u)), rng.choice((2, 3, -1))
+        u, d = [r[:] for r in u], [r[:] for r in d]
+        u[i] = [c * x for x in u[i]]
+        d[i] = [c * x for x in d[i]]
+        return u, d
+
+    def scale_column(d, v):
+        j, c = rng.randrange(len(v)), rng.choice((2, 3, -1))
+        return ([[c * x if k == j else x for k, x in enumerate(r)] for r in m] for m in (d, v))
+
+    def swap(u):
+        u = [r[:] for r in u]
+        (i, j), (k, l) = [(rng.randrange(len(u)), rng.randrange(len(u))) for _ in range(2)]
+        u[i][j], u[k][l] = u[k][l], u[i][j]
+        return u
+
+    yield u, d, v
+    yield (*scale_row(u, d), v)
+    yield (u, *scale_column(d, v))
+    u2, d2 = scale_row(u, d)
+    yield (u2, *scale_column(d2, v))
+    yield swap(u), d, v
+
+
+def test_snf_check_agrees_with_the_bareiss_check():
+    # Inputs of 1-6 rows and columns, square and not, of full rank and
+    # not; each true result and its doctored claims.  Every claim keeps D
+    # diagonal, where the two checks' orders agree, so the messages agree.
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(300):
+        rows = rng.randrange(1, 7)
+        a = random_matrix(rng, rows, rng.choice((rows, rng.randrange(1, 7))))
+        if rows > 1 and rng.random() < 0.4:
+            # a repeated row: rank-deficient
+            r = a.to_rows()
+            r[-1] = r[0]
+            a = IntMatrix.from_rows(r)
+        result = smith_normal_form(a)
+        inverse_test = a.rows == a.cols and all(result.diagonal())
+        for u, d, v in doctorings(rng, result):
+            claim = SNFResult(*map(IntMatrix.from_rows, (u, d, v)))
+            expected = verdict(bareiss_check, a, claim)
+            assert verdict(check_smith_normal_form, a, claim) == expected, (a, claim)
+            seen.add((inverse_test, expected and expected.split(": ")[1]))
+    # Both paths accept, and reject with each of the three messages.
+    outcomes = (
+        None,
+        "U * A * V differs from D",
+        "U or V is not unimodular",
+        "the diagonal of D is not a nonnegative divisibility chain",
+    )
+    assert seen == {(path, o) for path in (False, True) for o in outcomes}
+
+
 def test_snf_check_requires_a_diagonal_divisibility_chain():
     identity = [[1, 0], [0, 1]]
     a, result = doctored([[1, 1], [0, 1]], identity, [[1, 1], [0, 1]], identity)

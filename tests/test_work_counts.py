@@ -5,10 +5,12 @@ emitted certificate is verified again, each as one CLI run.  Counting
 wrappers record what each run builds, recomputes and serializes.  A
 passing grid check visits no slope, and a failing one stops within
 three.  An `snf` run formats its matrices as text only for a text
-report.
+report, and a Smith normal form computes determinants only for an input
+that is not square or whose D has a zero.
 """
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -263,3 +265,36 @@ def test_snf_formats_matrix_text_only_for_a_text_report(tmp_path, capsys, monkey
     assert cli.main(["snf", str(path)]) == 0
     assert "diagonal: 2 6 12" in capsys.readouterr().out
     assert len(calls) == 3  # D, U and V
+
+
+_rng = random.Random(1)
+DENSE_60 = [[_rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
+
+
+@pytest.mark.parametrize(
+    "rows, dets",
+    [
+        # Square, no zero on the diagonal of D: the inverse test, no det.
+        ([[4, 6], [2, 8]], 0),
+        (DENSE_60, 0),
+        # Rank 4 of 5: det(U) and det(V).
+        (
+            [[25, 0, 1, 60, -1], [100, -2, 4, 236, -4], [0, 0, 6, 0, 0],
+             [74, -2, 2, 176, -2], [50, -2, 2, 116, -2]],
+            2,
+        ),
+        # A cable space's relation (q, -p, -q), transposed as H1 presents it.
+        ([[3], [-2], [-3]], 2),
+    ],
+)
+def test_snf_computes_a_determinant_only_without_an_inverse(rows, dets, monkeypatch):
+    calls = []
+    real_det = linalg.det
+
+    def det(m):
+        calls.append(1)
+        return real_det(m)
+
+    monkeypatch.setattr(linalg, "det", det)
+    linalg.smith_normal_form(linalg.IntMatrix.from_rows(rows))
+    assert len(calls) == dets
