@@ -25,12 +25,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .slopes import DEFAULT_GRID, INF, Record, _store, value_text
-
-# Largest --grid bound.  A passing grid check visits no slope and a failing
-# one at most three, but a singular phi matrix whose law agrees with it is
-# scanned up to its kernel slope: about 1.2 * N^2 slopes per level.
-MAX_GRID = 1000
+from .slopes import INF, Record, _store, value_text
 
 
 def __getattr__(name):
@@ -49,8 +44,7 @@ class RunConfig(Record):
     """A fully parsed invocation; `run` consumes one of these."""
 
     def __init__(
-        self, command, inputs=(), p=None, q=None, orientation=1, grid=DEFAULT_GRID,
-        format="text", emit=None,
+        self, command, inputs=(), p=None, q=None, orientation=1, format="text", emit=None,
     ):
         _store(self, locals())
 
@@ -201,7 +195,7 @@ def _run_transfer(config):
 
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
     cert = transfer_certificate(model)
-    report = verify_certificate(cert, config.grid)
+    report = verify_certificate(cert)
     code = 0 if report.ok else 1
     as_json = config.format == "json"
     doc = jsonio.transfer_certificate_to_json(cert) if as_json or config.emit else None
@@ -210,7 +204,6 @@ def _run_transfer(config):
     if as_json:
         return code, {
             "kind": "transfer_report",
-            "grid": config.grid,
             "ok": report.ok,
             "certificate": doc,
             "checks": _checks_json(report.checks),
@@ -309,13 +302,14 @@ def _run_verify(config):
     for path in config.inputs:
         try:
             doc = jsonio.load_document(_read_text(path), path)
-            verification = verify_document(doc, config.grid, cache)
+            verification = verify_document(doc, cache)
         except ValueError as e:
             codes.append(2)
+            error = str(jsonio.digit_limit_text(e) or e)
             if as_json:
-                out.append({"input": path, "error": str(e), "ok": False})
+                out.append({"input": path, "error": error, "ok": False})
             else:
-                out += ["input: %s" % path, "  input error: %s" % e]
+                out += ["input: %s" % path, "  input error: %s" % error]
             continue
         report = verification.report
         codes.append(0 if report.ok else 1)
@@ -353,10 +347,6 @@ def run(config):
     """Execute a parsed invocation; returns (exit_code, report_text)."""
     if config.command not in _RUNNERS:
         return 2, "input error: unknown command %r\n" % config.command
-    if config.grid < 1:
-        return 2, "input error: grid bound must be at least 1\n"
-    if config.grid > MAX_GRID:
-        return 2, "input error: grid bound must be at most %d\n" % MAX_GRID
     try:
         code, report = _RUNNERS[config.command](config)
         # Rendering can fail too: an int past the interpreter's digit limit.
@@ -395,17 +385,11 @@ def _build_parser():
             help="orientation flag of the model (default: 1)",
         )
 
-    def common(p, emit=False, grid=False):
+    def common(p, emit=False):
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="report format (default: text)",
         )
-        if grid:
-            p.add_argument(
-                "--grid", type=_int_option, default=DEFAULT_GRID, metavar="N",
-                help="bound on slope coefficients for sampled verification"
-                " (default: %d, at most %d)" % (DEFAULT_GRID, MAX_GRID),
-            )
         if emit:
             p.add_argument(
                 "--emit", metavar="PATH", default=None,
@@ -429,7 +413,7 @@ def _build_parser():
         "transfer", help="slope-transfer certificate for the (p, q) cable space"
     )
     cable_space(p_transfer)
-    common(p_transfer, emit=True, grid=True)
+    common(p_transfer, emit=True)
 
     p_prop = sub.add_parser(
         "propagate", help="propagate a declared slope set along a cabling chain"
@@ -441,7 +425,7 @@ def _build_parser():
         "verify", help="replay and check descriptions and certificates"
     )
     p_verify.add_argument("inputs", nargs="+", metavar="input", help="JSON document(s)")
-    common(p_verify, emit=True, grid=True)
+    common(p_verify, emit=True)
 
     return parser
 

@@ -153,13 +153,13 @@ class LevelCache:
 
     The key is (p, q, orientation, f_outer, f_inner) with the standard
     framings filled in, so each level's model and certificate are built
-    once however often the level recurs; a report is kept per key and
-    grid bound, so a recurring cabling reuses its level report and each
-    certificate is checked once per run.  Only certificates built from
-    those parameters are stored: a model or certificate parsed from
-    input never enters, so replaying a stored certificate still
-    compares it against a fresh computation.  Models, certificates and
-    reports are frozen, so sharing one between levels is safe.
+    once however often the level recurs; a report is kept per key, so a
+    recurring cabling reuses its level report and each certificate is
+    checked once per run.  Only certificates built from those parameters
+    are stored: a model or certificate parsed from input never enters,
+    so replaying a stored certificate still compares it against a fresh
+    computation.  Models, certificates and reports are frozen, so sharing
+    one between levels is safe.
     """
 
     def __init__(self):
@@ -183,13 +183,13 @@ class LevelCache:
             cert = self._certificates[key] = transfer_certificate(cabling.model())
         return cert
 
-    def report(self, cabling, grid):
-        """verify_certificate's report on the cabling's certificate at
-        grid bound `grid`, computed on first use."""
-        key = (self._key(cabling), grid)
+    def report(self, cabling):
+        """verify_certificate's report on the cabling's certificate,
+        computed on first use."""
+        key = self._key(cabling)
         report = self._reports.get(key)
         if report is None:
-            report = self._reports[key] = verify_certificate(self.certificate(cabling), grid)
+            report = self._reports[key] = verify_certificate(self.certificate(cabling))
         return report
 
 

@@ -28,11 +28,6 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
-# The default bound of the grid check (transfer.grid_check): 512 slopes.
-# It lives here so that the command line can state it without importing
-# the cable-space modules.
-DEFAULT_GRID = 20
-
 
 class InvariantError(ValueError):
     """An exact identity that a computation relies on came out false.

@@ -23,25 +23,23 @@ pairs with their rational proportionality factors, enough for
 verify_certificate() to re-derive every claim from the raw presentation
 alone: it takes the model's own checks (cablespace.check_model), which
 hold the model's constants against its presentation, checks the map and
-the list of slope records (slope_record), and compares phi with the map on
-every slope of a bounded grid (grid_check).  Each constant is stated
-once, in the model.
+the list of slope records (slope_record), and proves that phi obeys the
+map on every slope (grid_check).  Each constant is stated once, in the
+model.
 
 Nothing is computed twice for one model object: its check report and its
 witness records are cached on it, and a certificate built from it states
-those very records.  The grid check decides a pass from two 2x2 integer
-matrices, without visiting a slope; it scans the grid only to name a
-failure.
+those very records.  The grid check decides from two 2x2 integer
+matrices, without visiting a slope; it builds values only for the one
+slope it names on a failure.
 """
 
 from fractions import Fraction
-from math import gcd
 from types import MappingProxyType
 
 from .cablespace import _cross
 from .report import Check, CheckReport
 from .slopes import (
-    DEFAULT_GRID,
     INF,
     PrimitiveClass,
     Record,
@@ -166,69 +164,41 @@ def law_matrix(smap, f_outer, f_inner):
     return _mul2(from_inner, _mul2(law, to_outer))
 
 
-def grid_slopes(bound):
-    """All canonical primitive pairs (a, b) with |a|, |b| <= bound, made
-    one at a time: a failing scan stops within the first three, so no
-    table of the about 1.2 * bound^2 pairs is built."""
-    yield (1, 0)
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if gcd(a, b) == 1:
-                yield (a, b)
-
-
-def grid_check(model, smap, bound):
-    """Compare phi against the affine slope law on every canonical slope
-    with coefficients bounded by `bound`; returns one named check.
+def grid_check(model, smap):
+    """Prove that phi matches the affine slope law on every slope, or name
+    a slope where it does not; returns one named check.
 
     Both sides are integer matrices on classes (P = phi_matrix and
     A = law_matrix), so a slope (a, b) passes exactly when its two images
     P (a, b) and A (a, b) are parallel and P (a, b) is not zero.  Their
-    cross product is a binary quadratic form in (a, b); when its three
-    coefficients are zero and P is invertible, every slope passes, and
-    the check says so without visiting one.  Otherwise the grid is
-    scanned, one cross product per slope, to name the first slope that
-    fails: a nonzero form vanishes on at most two slopes, so the scan
-    stops within the first three, and only a singular P with a zero form
-    scans on, up to P's kernel slope.  Values are built only for the
-    failing slope; when P (a, b) is zero, phi has no image of it, and the
-    check says so.
+    cross product is a binary quadratic form in (a, b), so every slope
+    passes exactly when its three coefficients are zero and P is
+    invertible; no slope is visited.  A singular P fails as such.  A
+    nonzero form is named at the first of the slopes (1, 0), (0, 1) and
+    (1, 1) where it does not vanish, and values are built only for it.
     """
     (p11, p12), (p21, p22) = phi_matrix(model)
     (a11, a12), (a21, a22) = law_matrix(smap, model.f_outer, model.f_inner)
-    passed = Check(
-        "grid-consistency",
-        True,
-        "phi matches the affine law on all slopes with |a|, |b| <= %d" % bound,
-    )
-    # x*Y - y*X = (p11 a21 - p21 a11) a^2
-    #           + (p11 a22 + p12 a21 - p21 a12 - p22 a11) ab
-    #           + (p12 a22 - p22 a12) b^2
-    if (
-        p11 * a21 == p21 * a11
-        and p12 * a22 == p22 * a12
-        and p11 * a22 + p12 * a21 == p21 * a12 + p22 * a11
-        and p11 * p22 != p12 * p21
-    ):
-        return passed
-    for a, b in grid_slopes(bound):
-        x, y = p11 * a + p12 * b, p21 * a + p22 * b
-        if not (x or y):
+    if p11 * p22 == p12 * p21:
+        return Check("grid-consistency", False, "phi's matrix P is singular: det P = 0")
+    # x*Y - y*X = c20 a^2 + c11 ab + c02 b^2, which is c20, c02 and
+    # c20 + c11 + c02 on the three slopes below: unless all three are zero,
+    # the form is nonzero on one of them.
+    c20 = p11 * a21 - p21 * a11
+    c02 = p12 * a22 - p22 * a12
+    c11 = p11 * a22 + p12 * a21 - p21 * a12 - p22 * a11
+    for a, b, value in ((1, 0, c20), (0, 1, c02), (1, 1, c20 + c11 + c02)):
+        if value:
+            s = canonical_slope(a, b)
+            expected = smap.apply(numerical_slope(model.f_outer, s))
+            got = numerical_slope(model.f_inner, phi(model, s))
             return Check(
-                "grid-consistency", False, "slope (%d, %d): phi sends it to zero" % (a, b)
+                "grid-consistency",
+                False,
+                "slope (%d, %d): affine law gives %s, phi gives %s"
+                % (a, b, value_text(expected), value_text(got)),
             )
-        if x * (a21 * a + a22 * b) == y * (a11 * a + a12 * b):
-            continue
-        s = canonical_slope(a, b)
-        expected = smap.apply(numerical_slope(model.f_outer, s))
-        got = numerical_slope(model.f_inner, phi(model, s))
-        return Check(
-            "grid-consistency",
-            False,
-            "slope (%d, %d): affine law gives %s, phi gives %s"
-            % (a, b, value_text(expected), value_text(got)),
-        )
-    return passed
+    return Check("grid-consistency", True, "phi matches the affine law on every slope")
 
 
 def transfer_map(model):
@@ -321,20 +291,19 @@ def _witness_problem(model, smap, records):
     return ""
 
 
-def verify_certificate(cert, grid=DEFAULT_GRID):
+def verify_certificate(cert):
     """Replay every claim in a TransferCertificate from raw data.
 
     Returns a CheckReport: the model's checks (check_model, read from
     the model's cached ``report``), then map-consistency, witness-slopes
-    and the grid check with bound `grid`, always all ten.  Like the
-    model's identities, the last three read phi in the group the
-    presentation defines, where both inclusions are isomorphisms over Q,
-    so every slope has an image; a stored H1 fails only presentation or
-    h1-rank.  The model's report and witness records are computed once
-    per model object, so a certificate holding a built model is checked
-    against the build's own; a certificate read from input holds its own
-    model object and gets its own.  Failures are report entries, never
-    exceptions.
+    and the grid check, always all ten.  Like the model's identities, the
+    last three read phi in the group the presentation defines, where both
+    inclusions are isomorphisms over Q, so every slope has an image; a
+    stored H1 fails only presentation or h1-rank.  The model's report and
+    witness records are computed once per model object, so a certificate
+    holding a built model is checked against the build's own; a
+    certificate read from input holds its own model object and gets its
+    own.  Failures are report entries, never exceptions.
     """
     model = cert.model
     checks = list(model.report.checks)
@@ -365,5 +334,5 @@ def verify_certificate(cert, grid=DEFAULT_GRID):
     problem = _witness_problem(model, smap, cert.witnesses.get("slopes", ()))
     add("witness-slopes", not problem, problem)
 
-    checks.append(grid_check(model, smap, grid))
+    checks.append(grid_check(model, smap))
     return CheckReport(checks=tuple(checks))

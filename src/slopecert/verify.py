@@ -11,17 +11,17 @@ failed replay loads jsonio, whose tables name the first field that
 differs by its JSON path.
 
 Each check runs once per object in a run.  A level's checks are the
-report the LevelCache keeps for its cabling and grid bound, so a
-recurring cabling reuses its level report, and still lists a full
-"level i: ..." block at every level; a built model's own checks are
-those its construction already ran (``model.report``).  A document read
-from input is a separate object and is checked on its own.
+report the LevelCache keeps for its cabling, so a recurring cabling
+reuses its level report, and still lists a full "level i: ..." block at
+every level; a built model's own checks are those its construction
+already ran (``model.report``).  A document read from input is a
+separate object and is checked on its own.
 """
 
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
-from .slopes import DEFAULT_GRID, NEG_INF, Record, _store
+from .slopes import NEG_INF, Record, _store
 from .transfer import TransferCertificate, verify_certificate
 
 
@@ -36,25 +36,24 @@ class Verification(Record):
         _store(self, locals())
 
 
-def verify_document(doc, grid=DEFAULT_GRID, cache=None):
+def verify_document(doc, cache=None):
     """Check a knot description, transfer certificate or diameter
-    certificate; `grid` bounds the grid check of every transfer
     certificate.  ``cache`` (a fresh LevelCache when None) holds the level
     certificates built here; documents read from input never enter it.
     Failures are report entries, never exceptions."""
     if isinstance(doc, TransferCertificate):
-        return Verification("transfer_certificate", doc, verify_certificate(doc, grid))
+        return Verification("transfer_certificate", doc, verify_certificate(doc))
     if cache is None:
         cache = LevelCache()
     if isinstance(doc, KnotDescription):
         kind, cert = "knot_description", diameter_lower_bound(doc, cache)
     else:
         kind, cert = "diameter_certificate", doc
-    checks = _verify_diameter_certificate(cert, grid, cache)
+    checks = _verify_diameter_certificate(cert, cache)
     return Verification(kind, cert, CheckReport(checks=tuple(checks)))
 
 
-def _verify_diameter_certificate(cert, grid, cache):
+def _verify_diameter_certificate(cert, cache):
     """Replay and check a diameter certificate; returns its checks.
 
     The replay is ``==`` against a fresh recomputation.  The reader types
@@ -76,7 +75,7 @@ def _verify_diameter_certificate(cert, grid, cache):
                        " at %s: stored %s, recomputed %s" % (path, stored, fresh))
     checks = [replay, _route_check(cert)]
     for i, c in enumerate(cert.description.cablings, start=1):
-        checks.extend(_prefixed("level %d: " % i, cache.report(c, grid)))
+        checks.extend(_prefixed("level %d: " % i, cache.report(c)))
     if is_cable_description(cert.description):
         checks.extend(_prefixed("rule C: ", check_corollary_c(cert.description, recomputed)))
     return checks

@@ -1,8 +1,19 @@
 """Reference implementations the tests compare the package against."""
 
+from math import gcd
+
 from slopecert import PrimitiveClass, Slope
 from slopecert.cablespace import _cross
-from slopecert.transfer import grid_slopes
+
+
+def grid_slopes(bound):
+    """All canonical primitive pairs (a, b) with |a|, |b| <= bound, in the
+    order (1, 0), then b = 1, 2, ... with a increasing; made one at a time."""
+    yield (1, 0)
+    for b in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if gcd(a, b) == 1:
+                yield (a, b)
 
 
 def phi_by_search(model, s, bound=20):

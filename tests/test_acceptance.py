@@ -36,9 +36,8 @@ from slopecert import (
     transfer_map,
     verify_certificate,
 )
-from slopecert.transfer import grid_slopes
 
-from oracles import phi_by_search
+from oracles import grid_slopes, phi_by_search
 
 
 def report(capsys, n, ok, detail):

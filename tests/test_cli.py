@@ -263,6 +263,28 @@ def test_int_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
         path, DIGIT_LIMIT_TEXT)
 
 
+@needs_int_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_past_the_int_digit_limit_says_so_in_slopecert_words(tmp_path, fmt, capsys):
+    # Every integer of the description converts, but the bound rule C
+    # states does not: verify's per-input error takes the wording that
+    # propagate's reaches too.
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"kind": "knot_description", "base": {"strict_slopes": [[0, 1], [%s, 1]],'
+        ' "meridionally_small": true, "ambient_pi1_cyclic": true},'
+        ' "cablings": [{"p": 1, "q": 1%s1}]}' % ("9" * 2500, "0" * 999)
+    )
+    assert main(["verify", "--format", fmt, str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "sys.set_int_max_str_digits" not in out
+    if fmt == "json":
+        result = json.loads(out)["results"][0]
+        assert result == {"input": str(path), "error": DIGIT_LIMIT_TEXT, "ok": False}
+    else:
+        assert out == "input: %s\n  input error: %s\noverall: FAIL\n" % (path, DIGIT_LIMIT_TEXT)
+
+
 # --- propagate -------------------------------------------------------------------
 
 
@@ -333,11 +355,8 @@ def test_verify_names_first_grid_counterexample(tmp_path, capsys):
     bad.write_text(canonical_dumps(doc))
     assert main(["verify", str(bad)]) == 1
     out = capsys.readouterr().out
-    # (1, 0) is the meridian, fixed by every map; (-20, 1) has value 20
-    assert (
-        "    FAIL grid-consistency -- slope (-20, 1): affine law gives 187, phi gives 186\n"
-        in out
-    )
+    # (1, 0) is the meridian, fixed by every map; (0, 1) has value 0
+    assert "    FAIL grid-consistency -- slope (0, 1): affine law gives 7, phi gives 6\n" in out
 
 
 def drop_slope_record(source):
@@ -601,20 +620,16 @@ def test_verify_json_report(tmp_path, capsys):
 # --- run() plumbing ---------------------------------------------------------------
 
 
-def test_grid_must_be_positive(tmp_path):
-    _, path = write_description(tmp_path)
-    code, report = run(RunConfig(command="verify", inputs=(path,), grid=0))
-    assert code == 2
-    assert "grid bound" in report
-
-
-def test_grid_bound_has_a_maximum(tmp_path, capsys):
-    _, path = write_description(tmp_path)
-    code, report = run(RunConfig(command="verify", inputs=(path,), grid=1001))
-    assert code == 2
-    assert report == "input error: grid bound must be at most 1000\n"
-    assert main(["transfer", "--p", "2", "--q", "3", "--grid", str(10 ** 6)]) == 2
-    assert "at most 1000" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--p", "2", "--q", "3", "--grid", "5"],
+    ["verify", "--grid", "5", "cert.json"],
+])
+def test_grid_is_not_an_option(argv, capsys):
+    # grid-consistency is a proof on every slope, so there is no bound to set.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
 def test_unknown_command_is_input_error():

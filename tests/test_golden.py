@@ -104,7 +104,7 @@ def corpus():
     yield "transfer-text", ["transfer", "--p", "2", "--q", "3"]
     yield "transfer-json", ["transfer", "--p", "-59", "--q", "2", "--format", "json"]
     yield "transfer-emit", ["transfer", "--p", "3", "--q", "2", "--emit", "t.json"]
-    yield "transfer-grid3", ["transfer", "--p", "5", "--q", "3", "--grid", "3"]
+    yield "transfer-p5-q3", ["transfer", "--p", "5", "--q", "3"]
     yield "transfer-emit-json", [
         "transfer", "--p", "7", "--q", "5", "--orientation", "-1", "--format", "json",
         "--emit", "t2.json"]
@@ -121,7 +121,7 @@ def corpus():
     yield "verify-round-emit-json", [
         "verify", "--format", "json", "round2.json", "--emit", "r.json"]
     yield "verify-transfer-text", ["verify", "t.json"]
-    yield "verify-transfer-json", ["verify", "--format", "json", "--grid", "5", "t2.json"]
+    yield "verify-transfer-json", ["verify", "--format", "json", "t2.json"]
     for name in STORED:
         Path(name).write_text((HERE / "fixtures" / name).read_text())
         yield "verify-stored-" + name[:-5], ["verify", name]

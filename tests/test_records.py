@@ -74,7 +74,7 @@ SAMPLES = {
     ),
     Verification: dict(kind="transfer_certificate", certificate=None, report=CheckReport(())),
     RunConfig: dict(command="snf", inputs=("m.txt",), p=None, q=None, orientation=1,
-                    grid=20, format="json", emit=None),
+                    format="json", emit=None),
 }
 
 # The repr of each sample as the frozen dataclasses printed it.
@@ -116,7 +116,7 @@ REPRS = {
     Verification: "Verification(kind='transfer_certificate', certificate=None, "
     "report=CheckReport(checks=()))",
     RunConfig: "RunConfig(command='snf', inputs=('m.txt',), p=None, q=None, orientation=1, "
-    "grid=20, format='json', emit=None)",
+    "format='json', emit=None)",
 }
 
 # One field of each sample and another value for it.
@@ -139,7 +139,7 @@ CHANGES = {
     LevelRecord: ("slopes", None),
     DiameterCertificate: ("reason", ""),
     Verification: ("kind", "diameter_certificate"),
-    RunConfig: ("grid", 5),
+    RunConfig: ("orientation", -1),
 }
 
 CLASSES = list(SAMPLES)
@@ -264,8 +264,8 @@ def test_defaults():
     cert = DiameterCertificate(*list(SAMPLES[DiameterCertificate].values())[:8])
     assert (cert.reason, cert.tags) == ("", ())
     assert RunConfig("verify") == RunConfig(
-        command="verify", inputs=(), p=None, q=None, orientation=1, grid=20,
-        format="text", emit=None)
+        command="verify", inputs=(), p=None, q=None, orientation=1, format="text",
+        emit=None)
 
 
 @pytest.mark.parametrize("make, error, message", [

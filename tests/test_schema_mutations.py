@@ -149,7 +149,7 @@ def documents(tmp_path_factory):
 def verify(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    return (*run(RunConfig(command="verify", inputs=(str(path),), grid=1)), str(path))
+    return (*run(RunConfig(command="verify", inputs=(str(path),))), str(path))
 
 
 @pytest.mark.parametrize("name", ["transfer", "description", "diameter"])
@@ -224,7 +224,7 @@ def written_for_its_description(tmp_path, doc):
     --emit` writes for its own description."""
     desc, out = tmp_path / "own.json", tmp_path / "own_cert.json"
     desc.write_text(json.dumps(dict(doc["description"], kind="knot_description")))
-    code, _ = run(RunConfig(command="verify", inputs=(str(desc),), emit=str(out), grid=1))
+    code, _ = run(RunConfig(command="verify", inputs=(str(desc),), emit=str(out)))
     return code == 0 and out.read_text() == canonical_dumps(doc)
 
 

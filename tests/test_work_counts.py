@@ -3,8 +3,8 @@
 One fixed 50-level description is verified with --emit, then the
 emitted certificate is verified again, each as one CLI run.  Counting
 wrappers record what each run builds, recomputes and serializes.  A
-passing grid check visits no slope, and a failing one stops within
-three.  An `snf` run formats its matrices as text only for a text
+passing grid check calls phi on no slope, and a failing one on the one
+slope it names.  An `snf` run formats its matrices as text only for a text
 report, and a Smith normal form computes determinants only for an input
 that is not square or whose D has a zero.
 """
@@ -56,6 +56,7 @@ def counts(monkeypatch):
         "corollary": 0,
         "corollary_recomputed": 0,
         "grid": [],
+        "in_grid": False,
         "slope_record": 0,
         "witness_slopes": 0,
         "check_model": 0,
@@ -91,19 +92,23 @@ def counts(monkeypatch):
         c["corollary_recomputed"] += c["diameter"] - before
         return report
 
-    # One entry per grid check: the slopes it visits.
+    # One entry per grid check: the phi calls made inside it.
     real_grid_check = transfer.grid_check
 
     def grid_check(*args, **kwargs):
         c["grid"].append(0)
-        return real_grid_check(*args, **kwargs)
+        c["in_grid"] = True
+        try:
+            return real_grid_check(*args, **kwargs)
+        finally:
+            c["in_grid"] = False
 
-    real_slopes = transfer.grid_slopes
+    real_phi = transfer.phi
 
-    def slopes(n):
-        for pair in real_slopes(n):
+    def phi(*args, **kwargs):
+        if c["in_grid"]:
             c["grid"][-1] += 1
-            yield pair
+        return real_phi(*args, **kwargs)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -142,7 +147,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(verify, "diameter_lower_bound", bound)
     monkeypatch.setattr(verify, "check_corollary_c", corollary)
     monkeypatch.setattr(transfer, "grid_check", grid_check)
-    monkeypatch.setattr(transfer, "grid_slopes", slopes)
+    monkeypatch.setattr(transfer, "phi", phi)
     monkeypatch.setattr(
         transfer, "slope_record", counted("slope_record", transfer.slope_record))
     monkeypatch.setattr(
@@ -195,7 +200,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     # Each model, certificate and (p, q) is checked once: a recurring
     # cabling reuses its level report, a built model its self-check.  Each
-    # grid check passes without visiting a slope.
+    # grid check passes without calling phi.
     assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
@@ -230,8 +235,9 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
 
 def test_a_failing_grid_check_stops_within_three_slopes(counts):
     # A map that breaks the law makes the cross product a nonzero quadratic
-    # form, which vanishes on at most two slopes: the scan names the third
-    # at the latest.
+    # form, which vanishes on at most two slopes: the check names the first
+    # of three fixed slopes where it does not, and calls phi only for that
+    # slope's value.
     model = cablespace.cable_space_homology(3, 5)
     smap = transfer.transfer_map(model)
     for bad in (
@@ -239,12 +245,11 @@ def test_a_failing_grid_check_stops_within_three_slopes(counts):
         transfer.AffineSlopeMap(-smap.epsilon, smap.q, smap.u),
         transfer.AffineSlopeMap(smap.epsilon, smap.q + 1, smap.u),
     ):
-        check = transfer.grid_check(model, bad, 20)
+        check = transfer.grid_check(model, bad)
         assert not check.ok
         assert check.detail.startswith("slope (")
-    assert len(counts["grid"]) == 3
-    assert all(1 <= n <= 3 for n in counts["grid"]), counts["grid"]
-    assert transfer.grid_check(model, smap, 20).ok
+    assert counts["grid"] == [1, 1, 1]
+    assert transfer.grid_check(model, smap).ok
     assert counts["grid"][-1] == 0
 
 
