@@ -23,7 +23,11 @@ p*m + q*l from the Y side, so
 
     H1(N; Z)  =  Z<c, m, l> / (q*c - p*m - q*l),
 
-which Smith normal form confirms is free of rank 2.  Reference bases:
+which (c, m, l) |-> (p*c + q*m, c + l) maps isomorphically onto Z^2,
+in closed form: the 2x2 minors -q, p and q of its rows have gcd 1, so it
+is onto, and its kernel is spanned by their cross product (q, -p, -q),
+the relation, which is primitive because gcd(p, q) = 1.  Every identity
+below is read in these coordinates.  Reference bases:
 on T1, E1 = meridian of V and E2 = a longitude (the curves behind m, l
 above); on T2, E1' = meridian of W and E2' = the push-off of C inside
 the concentric torus.  The inclusion-induced maps are then
@@ -52,10 +56,9 @@ sign = -e*d on T1 and sign = +e*d on T2.  The standard surface
 framings below have signs -1 and +1 accordingly.
 
 The model states the parameters p, q, orientation and the two framings,
-and three facts that a check can refute: the group H1 itself (the
-presentation above, diagonalized), zeta, read from the boundary of the
-planar surface P (written as [dP] = mu + zeta*q*mu' after orienting P
-so its T1 part is +mu), and t, found by solving
+and two facts that a check can refute: zeta, read from the boundary of
+the planar surface P (written as [dP] = mu + zeta*q*mu' after orienting
+P so its T1 part is +mu), and t, found by solving
 
     lambda-bar' = t * mu-bar + w * lambda-bar
 
@@ -64,17 +67,15 @@ used: eta and theta are the signs of the outer and inner framings, and
 the framing classes' images are the maps above.  The model verifies
 that w comes out as zeta*theta*eta*q rather than assuming it.
 
-Every identity is read in the group the presentation defines, and the
-four basis images in it are computed once per (p, q, orientation).  A
-stated H1 is only compared with that group, so one that differs fails
-by name and changes no other check.
+Every identity is read in the closed-form coordinates above, where the
+four basis images are integer vectors; no Smith normal form runs.  The
+group H1 is not stated: it is the same Z^2 for every valid (p, q).
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 
-from .linalg import IntMatrix, group_from_presentation
 from .report import Check, CheckReport
 from .slopes import Framing, PrimitiveClass, Record, _store
 
@@ -139,20 +140,18 @@ def _iota_inner(p, q, orientation, a, b):
 class CableSpaceModel(Record):
     """H1 data of one cable space, with framings and transfer constants.
 
-    ``h1`` (an FPAbelianGroup) is the group on generators (c, m, l) with
-    the single relation q*c - p*m - q*l; ``zeta`` and ``t`` (a Fraction)
-    are the constants of the transfer law.  Each of the three is a claim
-    that check_model refutes when it is false.  The rest is read off
-    these: ``theta`` and ``eta`` are the signs of the inner and outer
-    framings, and ``boundary_outer``/``boundary_inner`` the class of the
-    planar surface's boundary on each torus (reference coordinates),
-    mu and zeta*q*mu', so that [dP] = mu + zeta*q*mu'.  Images in
-    H1(N; Q) are read in the presented group, never in ``h1``.  The
-    instance keeps a ``__dict__``, where ``basis_images``, ``report`` and
-    ``witness_records`` are cached.
+    ``zeta`` and ``t`` (a Fraction) are the constants of the transfer
+    law, each a claim that check_model refutes when it is false.  The
+    rest is read off the parameters: ``theta`` and ``eta`` are the signs
+    of the inner and outer framings, and ``boundary_outer``/
+    ``boundary_inner`` the class of the planar surface's boundary on each
+    torus (reference coordinates), mu and zeta*q*mu', so that
+    [dP] = mu + zeta*q*mu'.  Images in H1(N) are read in the closed-form
+    coordinates (_free_coords).  The instance keeps a ``__dict__``, where
+    ``basis_images``, ``report`` and ``witness_records`` are cached.
     """
 
-    def __init__(self, p, q, orientation, f_outer, f_inner, h1, zeta, t):
+    def __init__(self, p, q, orientation, f_outer, f_inner, zeta, t):
         check_parameters(p, q, orientation)
         _store(self, locals())
 
@@ -186,8 +185,8 @@ class CableSpaceModel(Record):
 
     @cached_property
     def basis_images(self):
-        """Free coordinates of the images of E1, E2 (from T1) and E1', E2'
-        (from T2) in the presented group (see _basis_images).
+        """Coordinates of the images of E1, E2 (from T1) and E1', E2'
+        (from T2) in H1(N) = Z^2 (see _basis_images).
 
         Both inclusions are linear, so every other image is a
         combination of these four.
@@ -213,7 +212,8 @@ class CableSpaceModel(Record):
         return tuple(slope_record(self, s) for s in witness_slopes(self))
 
     def rational_outer(self, a, b):
-        """Free coordinates (a vector over Q) of the image of a*E1 + b*E2."""
+        """Coordinates of the image of a*E1 + b*E2 (rational a and b give
+        its image in H1(N; Q))."""
         return _combine(*self.basis_images[:2], a, b)
 
     def rational_inner(self, a, b):
@@ -224,28 +224,21 @@ def _combine(e1, e2, a, b):
     return tuple(a * x + b * y for x, y in zip(e1, e2))
 
 
-# Bounded: a run meets at most one (p, q) per cabling level, and each
-# entry is one 3-generator group.
-@lru_cache(maxsize=1024)
-def _presented_h1(p, q):
-    """H1(N) presented on (c, m, l) by the relation q*c - p*m - q*l,
-    computed once per (p, q)."""
-    return group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
+def _free_coords(p, q, x):
+    """The coordinates in Z^2 of the class with generator coordinates
+    x = (c, m, l): (p*c + q*m, c + l), an isomorphism of H1(N) onto Z^2
+    (see the module docstring), so x is zero in H1(N) exactly when its
+    coordinates are (0, 0)."""
+    c, m, l = x
+    return (p * c + q * m, c + l)
 
 
-# Bounded as _presented_h1, at most two orientations per (p, q).
-@lru_cache(maxsize=2048)
 def _basis_images(p, q, orientation):
-    """Free coordinates of the images of E1, E2, E1', E2' in the
-    presented H1(N), computed once per (p, q, orientation): both the
+    """The coordinates of the images of E1, E2, E1', E2' in H1(N): the
     build's solve for t and every check of a model read them here."""
-    h1 = _presented_h1(p, q)
-    return (
-        h1.rational_coords(_iota_outer(1, 0)),
-        h1.rational_coords(_iota_outer(0, 1)),
-        h1.rational_coords(_iota_inner(p, q, orientation, 1, 0)),
-        h1.rational_coords(_iota_inner(p, q, orientation, 0, 1)),
-    )
+    images = _iota_outer(1, 0), _iota_outer(0, 1)
+    images += _iota_inner(p, q, orientation, 1, 0), _iota_inner(p, q, orientation, 0, 1)
+    return tuple(_free_coords(p, q, x) for x in images)
 
 
 def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
@@ -254,19 +247,15 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     Framings default to the standard surface framings; supplied ones
     must be meridian-based (mu = +-E1 on their torus) and carry signs
     consistent with the model's boundary orientations.  Every
-    CableSpaceModel invariant (rank, rational isomorphisms, the mu and
-    lambda' relations, the planar boundary witness) is checked exactly
-    before the model is returned.
+    CableSpaceModel invariant (rational isomorphisms, the mu and lambda'
+    relations, the planar boundary witness) is checked exactly before the
+    model is returned.
     """
     check_parameters(p, q, orientation)
     f_outer, f_inner = with_standard_framings(f_outer, f_inner)
     problem = framing_problem(f_outer, f_inner)
     if problem:
         raise ValueError(problem)
-
-    h1 = _presented_h1(p, q)
-    if h1.invariant_factors != (0, 0):
-        raise ValueError("inconsistent cable space model")
 
     # The planar surface P has boundary E1 - orientation*q*E1' in
     # reference classes; orient P so its T1 part is +mu and read zeta
@@ -286,7 +275,7 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
 
     model = CableSpaceModel(
         p=p, q=q, orientation=orientation, f_outer=f_outer, f_inner=f_inner,
-        h1=h1, zeta=zeta, t=t,
+        zeta=zeta, t=t,
     )
     verify_model(model)
     return model
@@ -296,12 +285,11 @@ def check_model(model):
     """Exact re-check of every CableSpaceModel identity, one Check each.
 
     The single implementation of the model's identities.  It trusts
-    nothing: the stored H1, zeta and t are each held against a check
-    that refutes them, and the framings against the model's orientations.
-    Every identity is read in the group the presentation defines
-    (_presented_h1); the stored H1 is read only by ``presentation``
-    (``==`` with that group) and ``h1-rank``, so a stored H1 that fails
-    them changes no other check.  Callers read it through
+    nothing: the stored zeta and t are each held against a check that
+    refutes them, and the framings against the model's orientations.
+    Every identity is read in the closed-form coordinates of H1(N)
+    (_free_coords), and a failed equation names its first differing
+    coordinate with both sides.  Callers read it through
     ``model.report``, so it runs once per model object: the constructor's
     postcondition (verify_model) and the replay of a certificate holding
     that very model share one report, while a model read from input is
@@ -312,13 +300,6 @@ def check_model(model):
 
     def add(name, ok, detail=""):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
-
-    # The stored group is the cokernel of the (p, q) relation, free of
-    # rank 2 on the generators c, m, l.  No other check reads it.
-    h1 = _presented_h1(model.p, model.q)
-    add("presentation", h1 == model.h1)
-    stored = model.h1
-    add("h1-rank", stored.n_generators == 3 and stored.invariant_factors == (0, 0))
 
     # The images of each framing pair are a basis of H1(N; Q).
     f_outer, f_inner = model.f_outer, model.f_inner
@@ -333,24 +314,36 @@ def check_model(model):
     add("framing-signs", not framing_problem(f_outer, f_inner))
 
     # Eq (1): the planar boundary, mu on T1 and zeta*q*mu' on T2, dies
-    # in H1(N).
-    total = tuple(
-        x + y
-        for x, y in zip(
-            model.iota_outer(*model.boundary_outer),
-            model.iota_inner(*model.boundary_inner),
-        )
-    )
-    add("eq-boundary", h1.is_zero(total))
+    # in H1(N): exactly when its coordinates vanish, as they are an
+    # isomorphism over Z.
+    outer = model.iota_outer(*model.boundary_outer)
+    inner = model.iota_inner(*model.boundary_inner)
+    total = [x + y for x, y in zip(outer, inner)]
+    add("eq-boundary", _free_coords(model.p, model.q, total) == (0, 0))
 
     # Eq (2): mu-bar = -zeta*q*mu-bar'.
-    add("eq-meridian", all(a == -model.zeta * model.q * b for a, b in zip(mu_r, mp_r)))
+    zq = model.zeta * model.q
+    problem = _unequal_coordinate("mu-bar", mu_r, "-zeta*q*mu-bar'", [-zq * b for b in mp_r])
+    add("eq-meridian", not problem, problem)
 
     # Eq (3): lambda-bar' = t*mu-bar + zeta*theta*eta*q*lambda-bar.
-    w = model.longitude_coefficient
-    add("eq-longitude", all(c == model.t * a + w * b for c, a, b in zip(lp_r, mu_r, la_r)))
+    t, w = model.t, model.longitude_coefficient
+    problem = _unequal_coordinate(
+        "lambda-bar'", lp_r, "t*mu-bar + zeta*theta*eta*q*lambda-bar",
+        [t * a + w * b for a, b in zip(mu_r, la_r)],
+    )
+    add("eq-longitude", not problem, problem)
 
     return CheckReport(checks=tuple(checks))
+
+
+def _unequal_coordinate(left_name, left, right_name, right):
+    """The first coordinate where two vectors differ, with both sides, or
+    "" when they are equal."""
+    for i, (x, y) in enumerate(zip(left, right)):
+        if x != y:
+            return "coordinate %d: %s %s, %s %s" % (i, left_name, x, right_name, y)
+    return ""
 
 
 def verify_model(model):
@@ -369,6 +362,8 @@ def glued_manifold_h1(f, complementary_meridian):
     meridian.  Its H1 is the cokernel of the 2x2 relation matrix whose
     rows are those two classes in the reference basis.
     """
+    from .linalg import IntMatrix, group_from_presentation
+
     rows = [
         [f.mu.a, f.mu.b],
         [complementary_meridian.a, complementary_meridian.b],

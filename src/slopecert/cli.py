@@ -128,12 +128,6 @@ def _run_snf(config):
     ]
 
 
-def _group_text(g):
-    parts = ["Z/%d" % d for d in g.invariant_factors if d != 0]
-    parts.extend(["Z"] * g.rank)
-    return " + ".join(parts) if parts else "trivial"
-
-
 def _run_cable_homology(config):
     from .cablespace import cable_space_homology
 
@@ -144,8 +138,8 @@ def _run_cable_homology(config):
         "cable space (p, q) = (%d, %d), orientation %+d"
         % (model.p, model.q, model.orientation),
         "presentation: H1 = Z<c, m, l> / (%dc - %dm - %dl)" % (model.q, model.p, model.q),
-        "H1 = %s" % _group_text(model.h1),
-        "boundary images (coordinates of the free part):",
+        "H1 = Z + Z",
+        "boundary images in Z + Z, by (c, m, l) -> (%dc + %dm, c + l):" % (model.p, model.q),
         "  mu-bar       = %s" % (model.rational_outer(1, 0),),
         "  lambda-bar   = %s" % (model.rational_outer(0, 1),),
         "  mu-bar'      = %s" % (model.rational_inner(1, 0),),

@@ -17,7 +17,9 @@ than MAX_MATRIX_DIM rows or columns.  A list that holds a set (a base's
 strict slopes) must be in the writer's order: ascending, "inf" last,
 nothing repeated.  Keys not in a table are ignored, among them the
 copies that certificates written by earlier versions state, such as
-each diameter level's transfer certificate.
+each diameter level's transfer certificate and a model's h1.  A model
+states no group H1, which is Z^2 for every cable space (see
+cablespace), so a stored model.h1, edited or not, changes no verdict.
 
 Only these fields may be omitted, read as the default shown, or be null:
 in a description, base.strict_slopes ([]), the four base flags (false),
@@ -50,7 +52,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 
-from .linalg import FPAbelianGroup, IntMatrix
 from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values, value_text
 
 
@@ -339,16 +340,17 @@ def _object(cls, *fields):
     return _Record(lambda values: cls(**values), getattr, *fields)
 
 
+def _exported(name):
+    """The class the package exports as `name`, importing its module on
+    first use: the tables below name the classes of linalg and of the
+    cable-space modules, and importing jsonio loads none of them."""
+    return getattr(sys.modules[__package__], name)
+
+
 def _deferred(name, *fields):
     """_object for the class the package exports as `name`, looked up on
-    each read, so its module is imported on the first: the tables below
-    name cable-space classes, and reading a matrix must not load the
-    cable-space modules."""
-
-    def build(values):
-        return getattr(sys.modules[__package__], name)(**values)
-
-    return _Record(build, getattr, *fields)
+    each read (_exported)."""
+    return _Record(lambda values: _exported(name)(**values), getattr, *fields)
 
 
 def _dict(*fields):
@@ -398,7 +400,7 @@ def _check_size(rows, cols):
 def _matrix(values):
     """The IntMatrix of a document's matrix, if no count is over MAX_MATRIX_DIM."""
     _check_size(values["rows"], values["cols"])
-    return IntMatrix(**values)
+    return _exported("IntMatrix")(**values)
 
 
 def _codec(kind, where):
@@ -439,8 +441,8 @@ MATRIX = _Record(
     _matrix, getattr, _Field("rows", INT), _Field("cols", INT), _Field("entries", INTS)
 )
 
-GROUP = _object(
-    FPAbelianGroup,
+GROUP = _deferred(
+    "FPAbelianGroup",
     _Field("n_generators", INT),
     _Field("diag", INTS),
     _Field("coordinate_map", MATRIX),
@@ -453,7 +455,6 @@ MODEL = _deferred(
     _Field("orientation", INT),
     _Field("f_outer", FRAMING),
     _Field("f_inner", FRAMING),
-    _Field("h1", GROUP),
     _Field("zeta", INT),
     _Field("t", FRACTION),
 )
@@ -640,4 +641,4 @@ def parse_matrix_text(text):
             "expected %d entries for a %dx%d matrix, got %d"
             % (rows * cols, rows, cols, len(entries))
         )
-    return IntMatrix(rows, cols, tuple(entries))
+    return _exported("IntMatrix")(rows, cols, tuple(entries))

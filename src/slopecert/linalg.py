@@ -151,9 +151,10 @@ def _row_hermite(rows, top, width):
     nearest integer to row[c] / p, so each remainder is at most |p|/2
     and the sweeps make about a third fewer row operations than with
     floor quotients.  A phase of at most three rows keeps the floor
-    quotient: those are the 3x1 cable relations (transposed) and the 2x2
-    gluing relations whose U certificates store, and nearest quotients
-    would change that U.  Then every row above a pivot, rows[:top]
+    quotient, because nearest quotients would change the U of small
+    inputs: the U that `snf` prints for them, and that of a round base's
+    2x2 gluing relation, which diameter certificates store as the
+    ambient H1's coordinate map.  Then every row above a pivot, rows[:top]
     included, is reduced modulo it into [0, pivot) with floor quotients,
     bottom row first, which makes the form unique: reducing during the
     sweeps would add unreduced pivot rows to the rows above, column after
@@ -212,8 +213,9 @@ def _reduce_left_kernel(a, d, u):
     themselves and the other rows reduced modulo them; d does not change.
     It runs only when some |entry| of u exceeds the product of the norms
     of a's nonzero rows (a Hadamard bound on a Cramer-rule kernel basis),
-    so the U stored for a cable-space relation (q, -p, -q), whose entries
-    are at most max(|p|, q), is kept.
+    so a U that has not grown is kept as the elimination left it: the
+    U `snf` prints, say for a row (q, -p, -q), whose entries are at most
+    max(|p|, q), and the ambient U of a round base.
     """
     rank = sum(1 for i in range(min(a.rows, a.cols)) if d[i][i])
     if rank == a.rows:
@@ -258,12 +260,12 @@ def smith_normal_form(a):
     sweeps do, and only the transforms of a rank-deficient input depend
     on them.  D is unique for every input.  A phase whose input is
     already in row echelon form with positive pivots is skipped, which
-    keeps the U that certificates store: a round base's gluing relation
-    is echelon already, and a cable-space relation's transpose is a
-    single positive row.  Then each diagonal pair (x, y), i < j in
-    order, with x not dividing y becomes (g, x*y/g) in one 2x2 step,
-    g = gcd(x, y) = s*x + t*y with 0 <= s < y/g; no elimination runs
-    again.  Last, _reduce_left_kernel shrinks grown rows of U.  Every
+    keeps the U of such inputs as `snf` has always printed it, and the
+    U that diameter certificates store for a round base's gluing
+    relation, which is echelon already.  Then each diagonal pair (x, y),
+    i < j in order, with x not dividing y becomes (g, x*y/g) in one 2x2
+    step, g = gcd(x, y) = s*x + t*y with 0 <= s < y/g; no elimination
+    runs again.  Last, _reduce_left_kernel shrinks grown rows of U.  Every
     choice is fixed, so repeated runs agree entry for entry.
     """
     m, n = a.rows, a.cols

@@ -22,7 +22,7 @@ A TransferCertificate packages the model, the map, and sampled slope
 pairs with their rational proportionality factors, enough for
 verify_certificate() to re-derive every claim from the raw presentation
 alone: it takes the model's own checks (cablespace.check_model), which
-hold the model's constants against its presentation, checks the map and
+hold the model's constants against the presentation, checks the map and
 the list of slope records (slope_record), and proves that phi obeys the
 map on every slope (grid_check).  Each constant is stated once, in the
 model.
@@ -114,7 +114,7 @@ def phi(model, s):
     """The slope on T2 whose inner image is parallel to s's outer image.
 
     Exact: the image class is P (a, b) for the integer matrix P of
-    phi_matrix, built from the model's free H1(N) coordinates.
+    phi_matrix, built from the model's closed-form H1(N) coordinates.
     Independent of the representative sign of s.
     """
     (p11, p12), (p21, p22) = phi_matrix(model)
@@ -296,14 +296,14 @@ def verify_certificate(cert):
 
     Returns a CheckReport: the model's checks (check_model, read from
     the model's cached ``report``), then map-consistency, witness-slopes
-    and the grid check, always all ten.  Like the model's identities, the
-    last three read phi in the group the presentation defines, where both
-    inclusions are isomorphisms over Q, so every slope has an image; a
-    stored H1 fails only presentation or h1-rank.  The model's report and
-    witness records are computed once per model object, so a certificate
-    holding a built model is checked against the build's own; a
-    certificate read from input holds its own model object and gets its
-    own.  Failures are report entries, never exceptions.
+    and the grid check, always all eight.  Like the model's identities,
+    the last three read phi in the closed-form coordinates of H1(N),
+    where both inclusions are isomorphisms over Q, so every slope has an
+    image.  The model's report and witness records are computed once per
+    model object, so a certificate holding a built model is checked
+    against the build's own; a certificate read from input holds its own
+    model object and gets its own.  Failures are report entries, never
+    exceptions.
     """
     model = cert.model
     checks = list(model.report.checks)

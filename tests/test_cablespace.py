@@ -1,12 +1,16 @@
 """Tests for the homology model of cable spaces.
 
 The model is built from the presentation H_1(N; Z) = Z<c, m, l> / (qc -
-pm - ql) and states the constants zeta and t; with the framings' signs
-theta and eta they tie the images of the two boundary bases and the
-planar boundary relation together.  Everything here is checked exactly over
-the full grid 2 <= q <= 7, |p| <= 7, gcd(p, q) = 1, both orientations.
+pm - ql), read in the closed-form coordinates (pc + qm, c + l), and
+states the constants zeta and t; with the framings' signs theta and eta
+they tie the images of the two boundary bases and the planar boundary
+relation together.  Everything here is checked exactly over the full grid
+2 <= q <= 7, |p| <= 7, gcd(p, q) = 1, both orientations, and the closed
+form against the Smith normal form of the presentation (the oracle) on
+random (p, q) as well.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +20,6 @@ from slopecert import (
     STANDARD_INNER_FRAMING,
     STANDARD_OUTER_FRAMING,
     Cabling,
-    FPAbelianGroup,
     Framing,
     IntMatrix,
     PrimitiveClass,
@@ -27,6 +30,7 @@ from slopecert import (
     group_from_presentation,
     verify_model,
 )
+from slopecert.cablespace import _free_coords
 
 GRID = [
     (p, q)
@@ -46,16 +50,84 @@ def test_grid_size_is_as_documented():
     assert len(GRID) == 56
 
 
+def presented(p, q):
+    """The oracle: H1(N) as the cokernel of the relation, by Smith normal form."""
+    return group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
+
+
+def change_of_basis(p, q):
+    """The matrix M with presented(p, q).rational_coords(x) == M
+    _free_coords(p, q, x) for every x, read off two classes whose closed-form
+    coordinates are (1, 0) and (0, 1); M is in GL2(Z) when the two
+    coordinate systems agree."""
+    k = pow(p, -1, q)
+    g = presented(p, q)
+    x1, x2 = (k, (1 - k * p) // q, -k), (0, 0, 1)
+    assert (_free_coords(p, q, x1), _free_coords(p, q, x2)) == ((1, 0), (0, 1))
+    (a, c), (b, d) = g.rational_coords(x1), g.rational_coords(x2)
+    return (a, b), (c, d)
+
+
+def apply(m, v):
+    return tuple(r[0] * v[0] + r[1] * v[1] for r in m)
+
+
 def test_h1_is_free_of_rank_two():
-    for model in grid_models():
-        assert model.h1.invariant_factors == (0, 0)
-        assert model.h1.rank == 2
+    # The relation is primitive and the closed form is onto Z^2 with the
+    # relation's span as its kernel, so H1 is Z^2; the oracle agrees.
+    for p, q in GRID:
+        assert _free_coords(p, q, (q, -p, -q)) == (0, 0)
+        (a, b, c), (d, e, f) = (p, q, 0), (1, 0, 1)  # the closed form's rows
+        minors = [a * e - b * d, a * f - c * d, b * f - c * e]
+        assert minors == [-q, p, q] and gcd(*minors) == 1
+        assert presented(p, q).invariant_factors == (0, 0)
+        assert presented(p, q).rank == 2
 
 
 def test_relation_matrix_and_presentation_agree():
+    # The closed-form coordinates and the presented group's free
+    # coordinates differ by a matrix in GL2(Z), on every generator and on
+    # the four basis images of both orientations.
     for model in grid_models():
-        relation = IntMatrix.from_rows([[model.q, -model.p, -model.q]])
-        assert group_from_presentation(relation) == model.h1
+        p, q = model.p, model.q
+        (a, b), (c, d) = m = change_of_basis(p, q)
+        assert a * d - b * c in (1, -1)
+        g = presented(p, q)
+        for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            assert g.rational_coords(x) == apply(m, _free_coords(p, q, x))
+        images = [model.iota_outer(1, 0), model.iota_outer(0, 1),
+                  model.iota_inner(1, 0), model.iota_inner(0, 1)]
+        assert [g.rational_coords(x) for x in images] == [
+            apply(m, v) for v in model.basis_images]
+
+
+def test_closed_form_coordinates_agree_with_the_oracle_on_random_cable_spaces():
+    # Random (p, q), both orientations, random integer vectors x: the
+    # coordinates agree up to GL2(Z), and x is zero in H1(N) exactly when
+    # its closed-form image is (0, 0).
+    rng = random.Random(20)
+    for _ in range(200):
+        q = rng.choice((rng.randint(2, 12), rng.randint(2, 10 ** 6)))
+        p = rng.randint(-10 ** 6, 10 ** 6)
+        if gcd(p, q) != 1:
+            continue
+        (a, b), (c, d) = m = change_of_basis(p, q)
+        assert a * d - b * c in (1, -1)
+        g = presented(p, q)
+        for orientation in (1, -1):
+            model = cable_space_homology(p, q, orientation=orientation)
+            images = [model.iota_inner(1, 0), model.iota_inner(0, 1)]
+            assert [g.rational_coords(x) for x in images] == [
+                apply(m, v) for v in model.basis_images[2:]]
+        for _ in range(5):
+            k = rng.randint(-50, 50)
+            on = (k * q, -k * p, -k * q)  # a multiple of the relation
+            off = tuple(x + rng.randint(-1, 1) for x in on)  # zero only if unmoved
+            wide = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(3))
+            assert g.is_zero(on)
+            for x in (on, off, wide):
+                assert g.rational_coords(x) == apply(m, _free_coords(p, q, x))
+                assert g.is_zero(x) == (_free_coords(p, q, x) == (0, 0))
 
 
 def test_iota_images_are_rational_bases():
@@ -85,7 +157,8 @@ def test_boundary_identity():
                 model.iota_inner(*model.boundary_inner),
             )
         )
-        assert model.h1.is_zero(total)
+        assert _free_coords(model.p, model.q, total) == (0, 0)
+        assert presented(model.p, model.q).is_zero(total)
         # rational consequence, which is what the slope map consumes:
         mu_bar = model.rational_outer(1, 0)
         mu_bar_p = model.rational_inner(1, 0)
@@ -124,24 +197,32 @@ def test_verify_model_accepts_grid_and_rejects_mutations():
     model = cable_space_homology(3, 4)
     verify_model(model)
     assert [c.name for c in check_model(model).checks] == [
-        "presentation", "h1-rank", "iota-isomorphisms", "framing-signs",
-        "eq-boundary", "eq-meridian", "eq-longitude",
+        "iota-isomorphisms", "framing-signs", "eq-boundary", "eq-meridian", "eq-longitude",
     ]
     flipped = Framing(PrimitiveClass(-1, 0), PrimitiveClass(0, 1), +1)
-    # Z^2 on the coordinates of c and l, with m's trivial.  The identities
-    # are read in the presented group, so only the comparison with it fails.
-    swapped = FPAbelianGroup(3, (1, 0, 0), IntMatrix(3, 3, (0, 1, 0, 1, 0, 0, 0, 0, 1)))
     for field, value, failing in [
         ("zeta", -model.zeta, {"eq-boundary", "eq-meridian", "eq-longitude"}),
         ("t", model.t + 1, {"eq-longitude"}),
         ("f_outer", flipped, {"eq-boundary", "eq-meridian", "eq-longitude"}),
-        ("h1", swapped, {"presentation"}),
-        ("h1", group_from_presentation(IntMatrix.from_rows([[4, -3, -3]])), {"presentation"}),
     ]:
         broken = model.replace(**{field: value})
         assert {c.name for c in check_model(broken).failed()} == failing, field
         with pytest.raises(ValueError, match="inconsistent cable space model"):
             verify_model(broken)
+
+
+def test_a_failed_equation_names_its_first_differing_coordinate():
+    # In the closed-form coordinates of (3, 4): mu-bar = (4, 0),
+    # mu-bar' = (1, 0), lambda-bar = (0, 1) and lambda-bar' = (12, 4).
+    model = cable_space_homology(3, 4)
+    assert [c.detail for c in check_model(model).checks] == [""] * 5
+    details = {c.name: c.detail for c in check_model(model.replace(zeta=1)).failed()}
+    assert details["eq-meridian"] == "coordinate 0: mu-bar 4, -zeta*q*mu-bar' -4"
+    assert details["eq-longitude"] == (
+        "coordinate 1: lambda-bar' 4, t*mu-bar + zeta*theta*eta*q*lambda-bar -4")
+    details = {c.name: c.detail for c in check_model(model.replace(t=Fraction(7, 2))).failed()}
+    assert details == {"eq-longitude": (
+        "coordinate 0: lambda-bar' 12, t*mu-bar + zeta*theta*eta*q*lambda-bar 14")}
 
 
 def test_nonstandard_framings():

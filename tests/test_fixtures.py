@@ -2,18 +2,18 @@
 
 The fixtures under tests/fixtures were written by `slopecert transfer
 --emit` and `slopecert verify --emit` before Smith normal form computed
-its transforms in two phases.  A stored H1 is compared with a fresh
-group_from_presentation, so any change to the transforms computed for a
-cable-space relation or a round base's gluing would fail these
-certificates' `presentation` check and their replay.
+its transforms in two phases.  A round base's ambient H1 is compared with
+a fresh group_from_presentation by the replay, so any change to the
+transforms computed for its gluing would fail the diameter certificate.
 
 They also carry the copies that certificates no longer state: a transfer
 certificate's witnesses.boundary, witnesses.meridian and
-witnesses.longitude, ten keys of its model that restate the model's
-parameters, the invariant_factors of each group, and each diameter
-level's cabling and transfer certificate, which the level's cabling in
-the description determines.  The reader ignores them, and an emitted
-certificate is the stored one without exactly those keys.
+witnesses.longitude, its model's h1 (the same Z^2 for every cable space)
+and nine keys that restate the model's parameters, the invariant_factors
+of each group, and each diameter level's cabling and transfer
+certificate, which the level's cabling in the description determines.
+The reader ignores them, and an emitted certificate is the stored one
+without exactly those keys.
 """
 
 import json
@@ -29,7 +29,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # The witness and model keys certificates no longer write.
 OLD_WITNESSES = ("boundary", "meridian", "longitude")
 OLD_MODEL_KEYS = (
-    "relation", "img_mu", "img_lambda", "img_mu_prime", "img_lambda_prime",
+    "h1", "relation", "img_mu", "img_lambda", "img_mu_prime", "img_lambda_prime",
     "boundary_outer", "boundary_inner", "theta", "eta",
 )
 
@@ -40,7 +40,6 @@ def without_copies(transfer):
         del transfer["witnesses"][key]
     for key in OLD_MODEL_KEYS:
         del transfer["model"][key]
-    del transfer["model"]["h1"]["invariant_factors"]
     return transfer
 
 

@@ -51,7 +51,21 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
     assert "slopecert.cli" in loaded
     assert not {"dataclasses", "inspect", "typing"} & set(loaded)
     assert not [m for m in loaded if m.startswith("slopecert.") and m not in (
-        "slopecert.cli", "slopecert.jsonio", "slopecert.linalg", "slopecert.slopes")]
+        "slopecert.cli", "slopecert.jsonio", "slopecert.slopes")]
+
+
+def test_the_cable_path_loads_no_linalg(tmp_path):
+    # Cable-space homology is read in closed form, so only Smith normal
+    # form, and a round base's ambient H1, need linalg.
+    (tmp_path / "d.json").write_text(json.dumps({
+        "kind": "knot_description",
+        "base": {"strict_slopes": [[0, 1], [6, 1]], "meridionally_small": True},
+        "cablings": [{"p": 1, "q": 2}, {"p": 3, "q": 2}]}))
+    for run in ("pass", "cli.main(['transfer', '--p', '2', '--q', '3'])",
+                "cli.main(['verify', 'd.json'])"):
+        loaded = run_fresh("from slopecert import cli; %s; %s" % (run, MODULES), tmp_path)
+        assert "slopecert.linalg" not in loaded, run
+    assert "slopecert.pipeline" in loaded
 
 
 def test_snf_loads_no_cable_space_module(tmp_path):

@@ -56,8 +56,8 @@ SAMPLES = {
         n_generators=2, diag=(1, 5), coordinate_map=IntMatrix(2, 2, (1, 0, 0, 1))
     ),
     CableSpaceModel: {f: getattr(MODEL, f) for f in CableSpaceModel._fields},
-    Check: dict(name="h1-rank", ok=False, detail="skipped"),
-    CheckReport: dict(checks=(Check("presentation", True),)),
+    Check: dict(name="eq-meridian", ok=False, detail="coordinate 0"),
+    CheckReport: dict(checks=(Check("eq-boundary", True),)),
     AffineSlopeMap: dict(epsilon=-1, q=3, u=Fraction(5, 2)),
     TransferCertificate: dict(model=None, map=MAP, witnesses={"slopes": ()}),
     AtomKnot: dict(
@@ -91,11 +91,9 @@ REPRS = {
     CableSpaceModel: "CableSpaceModel(p=1, q=2, orientation=1, "
     "f_outer=Framing(mu=PrimitiveClass(a=1, b=0), lambda_=PrimitiveClass(a=0, b=1), sign=-1), "
     "f_inner=Framing(mu=PrimitiveClass(a=1, b=0), lambda_=PrimitiveClass(a=0, b=1), sign=1), "
-    "h1=FPAbelianGroup(n_generators=3, diag=(1, 0, 0), "
-    "coordinate_map=IntMatrix(rows=3, cols=3, entries=(0, -1, 0, 1, 2, 0, 0, -2, 1))), "
     "zeta=-1, t=Fraction(1, 1))",
-    Check: "Check(name='h1-rank', ok=False, detail='skipped')",
-    CheckReport: "CheckReport(checks=(Check(name='presentation', ok=True, detail=''),))",
+    Check: "Check(name='eq-meridian', ok=False, detail='coordinate 0')",
+    CheckReport: "CheckReport(checks=(Check(name='eq-boundary', ok=True, detail=''),))",
     AffineSlopeMap: "AffineSlopeMap(epsilon=-1, q=3, u=Fraction(5, 2))",
     TransferCertificate: "TransferCertificate(model=None, "
     "map=AffineSlopeMap(epsilon=1, q=2, u=Fraction(2, 1)), witnesses={'slopes': ()})",

@@ -201,14 +201,6 @@ MODEL_INPUT_ERRORS = (
     "not a primitive class: ",
     "not a basis: ",
     "sign must be +1 or -1, ",
-    "matrix dimensions must be nonnegative",
-    "entry count does not match dimensions",
-    "diagonal length must equal generator count",
-    "coordinate map must be square of generator size",
-    "coordinate map must be unimodular",
-    "invariant factors must be nonnegative",
-    "free factors must come last",
-    "invariant factors must form a divisibility chain",
 )
 
 
@@ -260,9 +252,9 @@ def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
             assert at.startswith(where + path_text(model)) and message.startswith(
                 MODEL_INPUT_ERRORS + ("expected ",)), (path, new, report)
         outcomes[path[len(model):], new] = report
-    assert len(outcomes) == 95
+    assert len(outcomes) == 47
     # an edited framing no longer matches the stored t
-    assert "    FAIL eq-longitude\n" in outcomes[("f_inner", "lambda", 0), 1]
+    assert "    FAIL eq-longitude -- coordinate 0: " in outcomes[("f_inner", "lambda", 0), 1]
     assert "  input error: %s.model: not a cabling (q must be at least 2)\n" % where in (
         outcomes[("q",), 0])
 

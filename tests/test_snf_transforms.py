@@ -1,9 +1,12 @@
-"""The Smith normal form transforms that certificates store stay fixed.
+"""The Smith normal form transforms that documents and reports show stay fixed.
 
-A stored H1 is compared with a fresh group_from_presentation, so the
+A diameter certificate of a round base states its ambient H1, and the
+replay compares it with a fresh group_from_presentation, so the
 coordinate map (the U of the transposed relation's Smith form) of every
-cable-space relation [[q, -p, -q]] and of every round base's gluing
-relation [[1, 0], [a, b]] under the standard framing must not change.
+gluing relation [[1, 0], [a, b]] under the standard framing must not
+change.  The maps of the cable-space relations [[q, -p, -q]] are what
+`snf` prints as U for those rows transposed; certificates written by
+earlier versions state them as model.h1, which the reader now ignores.
 tests/fixtures/snf_transforms.json holds those maps, and U and V of the
 README's `snf` matrix, as an earlier Smith normal form computed them;
 regenerate it only on purpose, with `python tests/test_snf_transforms.py`.

@@ -17,13 +17,11 @@ from slopecert import (
     AffineSlopeMap,
     FramingChange,
     Framing,
-    IntMatrix,
     PrimitiveClass,
     cable_space_homology,
     canonical_slope,
     conjugate,
     framing_change,
-    group_from_presentation,
     numerical_slope,
     phi,
     transfer_certificate,
@@ -313,24 +311,9 @@ def test_certificate_mutations_are_caught():
         c.name in ("eq-boundary", "eq-meridian", "framing-signs") for c in report.failed()
     )
 
-    wrong_h1 = group_from_presentation(IntMatrix.from_rows([[3, -2, -2]]))
-    bad_model2 = cert.model.replace(h1=wrong_h1)
-    report = verify_certificate(_break(cert, model=bad_model2))
-    assert not report.ok
-    assert any(c.name == "presentation" for c in report.failed())
-
-
-def test_certificate_with_wrong_rank_model_bails_cleanly():
-    cert = transfer_certificate(cable_space_homology(2, 3))
-    # torsion presentation: Z/2 + Z + Z instead of Z^2
-    wrong = group_from_presentation(IntMatrix.from_rows([[2, 0, 0]]))
-    bad_model = cert.model.replace(h1=wrong)
-    report = verify_certificate(_break(cert, model=bad_model))
-    assert not report.ok
-    names = [c.name for c in report.checks]
-    assert "h1-rank" in names
-    failed = {c.name for c in report.failed()}
-    assert "h1-rank" in failed
+    bad_t = cert.model.replace(t=cert.model.t + 1)
+    report = verify_certificate(_break(cert, model=bad_t))
+    assert {c.name for c in report.failed()} >= {"eq-longitude", "map-consistency"}
 
 
 def test_witness_values_cover_the_meridian():

@@ -3,16 +3,15 @@ and transfer.verify_certificate, the complete check of a transfer
 certificate, grid check included."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from slopecert import (
     AtomKnot,
-    IntMatrix,
     KnotDescription,
     cable_space_homology,
     diameter_lower_bound,
-    group_from_presentation,
     transfer_certificate,
     verify_certificate,
 )
@@ -26,6 +25,7 @@ from slopecert.jsonio import (
 from slopecert.report import Check
 from slopecert.verify import verify_document
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 DESCRIPTION = KnotDescription(
     base=AtomKnot(
         strict_numerical_slopes=frozenset({0, 6}),
@@ -46,14 +46,15 @@ def test_verify_certificate_ends_with_the_grid_check():
 
 
 def test_verify_certificate_runs_the_grid_check_without_rank_two():
-    # phi is read in the presented group, so a torsion stored H1 fails
-    # the two checks that read it, and the grid check still runs.
-    cert = transfer_certificate(cable_space_homology(2, 3))
-    torsion = group_from_presentation(IntMatrix.from_rows([[2, 0, 0]]))
-    bad = cert.replace(model=cert.model.replace(h1=torsion))
-    report = verify_certificate(bad)
-    assert [c.name for c in report.failed()] == ["presentation", "h1-rank"]
-    assert report.checks[2:] == verify_certificate(cert).checks[2:]
+    # A certificate written by an earlier version, its stored H1 edited to
+    # Z/2 + Z: the reader ignores model.h1, and all eight checks run and
+    # pass, as on the certificate transfer builds.
+    doc = json.loads((FIXTURES / "transfer_p2_q3_o1.json").read_text())
+    doc["model"]["h1"]["diag"] = [1, 2, 0]
+    report = verify_certificate(load_document(json.dumps(doc)))
+    assert report.ok
+    assert report == verify_certificate(transfer_certificate(cable_space_homology(2, 3)))
+    assert report.checks[-1].name == "grid-consistency"
 
 
 def test_verify_document_passes_a_description_and_its_certificate():
@@ -91,28 +92,6 @@ def test_verify_document_gives_the_checks_of_the_cli_report(tmp_path):
     assert code == 1
     assert json.loads(report)["results"][0]["checks"] == [
         {"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.report.checks]
-
-
-def test_a_stored_h1_with_a_permuted_map_fails_presentation(tmp_path):
-    # The emitted H1 with its coordinate map replaced by a permutation: it
-    # keeps rank 2 on three generators, so h1-rank passes and presentation
-    # fails.  The witnesses and the grid check read phi in the presented
-    # group, where the meridian (1, 0) has an image, so they pass.
-    emitted = tmp_path / "t.json"
-    code, _ = run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))
-    assert code == 0
-    doc = json.loads(emitted.read_text())
-    doc["model"]["h1"]["coordinate_map"]["entries"] = [0, 1, 0, 1, 0, 0, 0, 0, 1]
-    bad = tmp_path / "bad.json"
-    bad.write_text(canonical_dumps(doc))
-    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
-    assert code == 1
-    assert "input error" not in report
-    assert "    FAIL presentation\n    PASS h1-rank\n" in report
-    assert "    PASS witness-slopes\n" in report
-    checks = verify_certificate(load_document(bad.read_text())).checks
-    assert [c for c in checks if not c.ok] == [Check("presentation", False)]
-    assert checks[-1].detail == "phi matches the affine law on every slope"
 
 
 AMBIENT_Z = {"n_generators": 1, "diag": [0],
@@ -158,20 +137,17 @@ def test_a_failed_replay_names_the_first_field_that_differs():
 
 def test_no_cached_pass_carries_over_to_another_object(tmp_path):
     # In one process: the emitted certificate passes, which caches its
-    # model's report and the SNF of (2, 3).  Copies with an edited model are
-    # other objects, so each is checked on its own and fails.
+    # model's report.  Copies with an edited model are other objects, so
+    # each is checked on its own and fails.
     emitted = tmp_path / "t.json"
     assert run(RunConfig(command="transfer", p=2, q=3, emit=str(emitted)))[0] == 0
     assert run(RunConfig(command="verify", inputs=(str(emitted),)))[0] == 0
-    zeta, h1 = json.loads(emitted.read_text()), json.loads(emitted.read_text())
+    zeta, t = json.loads(emitted.read_text()), json.loads(emitted.read_text())
     zeta["model"]["zeta"] *= -1
-    # The same group with the free rows swapped: unimodular, rank 2, but not
-    # the presentation's own coordinates.
-    rows = h1["model"]["h1"]["coordinate_map"]["entries"]
-    h1["model"]["h1"]["coordinate_map"]["entries"] = rows[:3] + rows[6:] + rows[3:6]
+    t["model"]["t"] = [3, 1]
     for name, edited, failing in (
         ("zeta.json", zeta, "    FAIL eq-boundary\n"),
-        ("h1.json", h1, "    FAIL presentation\n"),
+        ("t_edited.json", t, "    FAIL eq-longitude -- coordinate 0: lambda-bar' 6, "),
     ):
         path = tmp_path / name
         path.write_text(canonical_dumps(edited))
@@ -215,9 +191,9 @@ def test_map_consistency_names_the_first_constant_that_differs():
         (smap.replace(epsilon=-1, q=5), "epsilon: map -1, model 1"),
         (smap.replace(q=5), "q: map 5, model 3"),
     ):
-        check = verify_certificate(cert.replace(map=bad)).checks[7]
+        check = verify_certificate(cert.replace(map=bad)).checks[5]
         assert check == Check("map-consistency", False, detail)
-    assert verify_certificate(cert).checks[7] == Check("map-consistency", True, "")
+    assert verify_certificate(cert).checks[5] == Check("map-consistency", True, "")
 
 
 def test_a_recurring_cabling_lists_a_full_level_block_at_each_level():
@@ -231,5 +207,5 @@ def test_a_recurring_cabling_lists_a_full_level_block_at_each_level():
     assert list(blocks) == ["level 1", "level 2", "level 3"]
     assert blocks["level 1"] == blocks["level 3"]
     assert [n for n, _, _ in blocks["level 1"]] == [n for n, _, _ in blocks["level 2"]]
-    assert len(blocks["level 1"]) == 10
+    assert len(blocks["level 1"]) == 8
     assert all(ok for block in blocks.values() for _, ok, _ in block)

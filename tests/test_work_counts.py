@@ -31,17 +31,14 @@ from slopecert import (
 )
 from slopecert.jsonio import canonical_dumps, description_to_json
 
-# 50 levels over 11 distinct cable spaces and 10 distinct (p, q): (p, q)
-# cycles with period 10, one level flips the orientation, and one states
-# the standard outer framing that the other levels leave implicit (the
-# same model).  Those are 11 distinct (p, q, orientation).
+# 50 levels over 11 distinct cable spaces: (p, q) cycles with period 10,
+# one level flips the orientation, and one states the standard outer
+# framing that the other levels leave implicit (the same model).
 CHAIN = tuple(
     Cabling((1, -1, 5, 7, -5)[i % 5], 2 + i % 2, orientation=-1 if i == 17 else 1)
     for i in range(49)
 ) + (Cabling(1, 2, f_outer=STANDARD_OUTER_FRAMING),)
 DISTINCT_MODELS = 11
-DISTINCT_PQ = 10
-DISTINCT_PQ_ORIENTATION = 11
 # Six witness records per model (five witness values, then the cabling
 # curve), but five for (-5, 3), whose cabling curve has the value 5/3.
 WITNESS_RECORDS = 6 * DISTINCT_MODELS - 1
@@ -63,6 +60,7 @@ def counts(monkeypatch):
         "verify_certificate": 0,
         "presentations": 0,
         "rational_coords": 0,
+        "snf": 0,
         "to_json": 0,
         "dumps": 0,
         "dumps_in_replay": 0,
@@ -157,19 +155,13 @@ def counts(monkeypatch):
     level_check = counted("verify_certificate", transfer.verify_certificate)
     monkeypatch.setattr(pipeline, "verify_certificate", level_check)
     monkeypatch.setattr(verify, "verify_certificate", level_check)
-    monkeypatch.setattr(cablespace, "group_from_presentation",
-                        counted("presentations", cablespace.group_from_presentation))
+    monkeypatch.setattr(linalg, "group_from_presentation",
+                        counted("presentations", linalg.group_from_presentation))
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        counted("snf", linalg.smith_normal_form))
     monkeypatch.setattr(linalg.FPAbelianGroup, "rational_coords",
                         counted("rational_coords", linalg.FPAbelianGroup.rational_coords))
-    clear_memos()
     return c
-
-
-def clear_memos():
-    # The SNF of each (p, q) and its basis images are memoised for the
-    # process; a CLI run is one.
-    cablespace._presented_h1.cache_clear()
-    cablespace._basis_images.cache_clear()
 
 
 def reset(c):
@@ -177,9 +169,8 @@ def reset(c):
     c["diameter"] = c["corollary"] = c["corollary_recomputed"] = 0
     c["grid"].clear()
     c["to_json"] = c["dumps"] = c["dumps_in_replay"] = 0
-    c["check_model"] = c["verify_certificate"] = c["presentations"] = 0
+    c["check_model"] = c["verify_certificate"] = c["presentations"] = c["snf"] = 0
     c["rational_coords"] = c["slope_record"] = c["witness_slopes"] = 0
-    clear_memos()
 
 
 def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
@@ -204,10 +195,9 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
-    assert counts["presentations"] == DISTINCT_PQ
-    # The four basis images, once per (p, q, orientation): the builds and
-    # every check read them in the presented group.
-    assert counts["rational_coords"] == 4 * DISTINCT_PQ_ORIENTATION
+    # Cable-space homology is read in closed form: no Smith normal form,
+    # and no group, for a description whose base is not round.
+    assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
     # Each model's witness records, once: the built certificate states
     # them, and witness-slopes compares its list with them.
     assert counts["witness_slopes"] == DISTINCT_MODELS
@@ -225,8 +215,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == DISTINCT_MODELS
     assert counts["verify_certificate"] == DISTINCT_MODELS
-    assert counts["presentations"] == DISTINCT_PQ
-    assert counts["rational_coords"] == 4 * DISTINCT_PQ_ORIENTATION
+    assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
     assert counts["witness_slopes"] == DISTINCT_MODELS
     assert counts["slope_record"] == WITNESS_RECORDS
     assert counts["to_json"] == 0  # a text report writes no JSON
