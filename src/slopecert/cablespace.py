@@ -38,9 +38,15 @@ the concentric torus.  The inclusion-induced maps are then
 
 the last because a meridian disk D of V meets W in q disks, leaving a
 planar surface P = D - (q disks) in N whose boundary runs once along
-E1 and q times against E1'.  (Integrally x = (k, (1-k*p)/q, -k) where
-k is the inverse of p mod q; x exists and is unique because H1(N) is
-torsion-free.)
+E1 and q times against E1'.  In the coordinates (p*c + q*m, c + l) the
+four images are therefore
+
+    E1  |-> (q, 0),    E2  |-> (0, 1),
+    E1' |-> (1, 0),    E2' |-> (p*q, q),
+
+the same small vectors for every (p, q), with orientation +1 (see
+below): m has coordinates (q, 0), so x = (1, 0) is the unique class
+with q*x = m (H1(N) is torsion-free).
 
 Orientation conventions.  The ``orientation`` flag (+1 or -1) is the
 traversal direction chosen for the cabling curve; flipping it negates
@@ -67,9 +73,9 @@ used: eta and theta are the signs of the outer and inner framings, and
 the framing classes' images are the maps above.  The model verifies
 that w comes out as zeta*theta*eta*q rather than assuming it.
 
-Every identity is read in the closed-form coordinates above, where the
-four basis images are integer vectors; no Smith normal form runs.  The
-group H1 is not stated: it is the same Z^2 for every valid (p, q).
+Every identity is read in the closed-form coordinates above, from the
+four basis images; no Smith normal form runs.  The group H1 is not
+stated: it is the same Z^2 for every valid (p, q).
 """
 
 from fractions import Fraction
@@ -122,21 +128,6 @@ def _cross(v, w):
     return v[0] * w[1] - v[1] * w[0]
 
 
-def _iota_outer(a, b):
-    """Generator coordinates of the image of a*E1 + b*E2 from T1."""
-    return (0, a, b)
-
-
-def _iota_inner(p, q, orientation, a, b):
-    """Generator coordinates of the image of a*E1' + b*E2' from T2."""
-    k = pow(p, -1, q)
-    return (
-        orientation * a * k,
-        orientation * (a * (1 - k * p) // q + b * p),
-        orientation * (-a * k + b * q),
-    )
-
-
 class CableSpaceModel(Record):
     """H1 data of one cable space, with framings and transfer constants.
 
@@ -146,8 +137,8 @@ class CableSpaceModel(Record):
     of the inner and outer framings, and ``boundary_outer``/
     ``boundary_inner`` the class of the planar surface's boundary on each
     torus (reference coordinates), mu and zeta*q*mu', so that
-    [dP] = mu + zeta*q*mu'.  Images in H1(N) are read in the closed-form
-    coordinates (_free_coords).  The instance keeps a ``__dict__``, where
+    [dP] = mu + zeta*q*mu'.  Images in H1(N) = Z^2 are combinations of
+    the four ``basis_images``.  The instance keeps a ``__dict__``, where
     ``basis_images``, ``report`` and ``witness_records`` are cached.
     """
 
@@ -176,12 +167,6 @@ class CableSpaceModel(Record):
     def longitude_coefficient(self):
         """The coefficient zeta*theta*eta*q of lambda-bar in the lambda' relation."""
         return self.zeta * self.theta * self.eta * self.q
-
-    def iota_outer(self, a, b):
-        return _iota_outer(a, b)
-
-    def iota_inner(self, a, b):
-        return _iota_inner(self.p, self.q, self.orientation, a, b)
 
     @cached_property
     def basis_images(self):
@@ -224,21 +209,12 @@ def _combine(e1, e2, a, b):
     return tuple(a * x + b * y for x, y in zip(e1, e2))
 
 
-def _free_coords(p, q, x):
-    """The coordinates in Z^2 of the class with generator coordinates
-    x = (c, m, l): (p*c + q*m, c + l), an isomorphism of H1(N) onto Z^2
-    (see the module docstring), so x is zero in H1(N) exactly when its
-    coordinates are (0, 0)."""
-    c, m, l = x
-    return (p * c + q * m, c + l)
-
-
 def _basis_images(p, q, orientation):
-    """The coordinates of the images of E1, E2, E1', E2' in H1(N): the
+    """The coordinates (p*c + q*m, c + l) of the images of E1, E2, E1',
+    E2' in H1(N) = Z^2, in closed form (see the module docstring): the
     build's solve for t and every check of a model read them here."""
-    images = _iota_outer(1, 0), _iota_outer(0, 1)
-    images += _iota_inner(p, q, orientation, 1, 0), _iota_inner(p, q, orientation, 0, 1)
-    return tuple(_free_coords(p, q, x) for x in images)
+    o = orientation
+    return (q, 0), (0, 1), (o, 0), (o * p * q, o * q)
 
 
 def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
@@ -268,10 +244,9 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     mu_r = _combine(o1, o2, f_outer.mu.a, f_outer.mu.b)
     la_r = _combine(o1, o2, f_outer.lambda_.a, f_outer.lambda_.b)
     lp_r = _combine(i1, i2, f_inner.lambda_.a, f_inner.lambda_.b)
-    den = _cross(mu_r, la_r)
-    if den == 0:
-        raise ValueError("inconsistent cable space model")
-    t = Fraction(_cross(lp_r, la_r), den)
+    # With mu = (e, 0) and det(mu, lambda) = e*d = +-1, the denominator
+    # is e*d*q = +-q, never zero.
+    t = Fraction(_cross(lp_r, la_r), _cross(mu_r, la_r))
 
     model = CableSpaceModel(
         p=p, q=q, orientation=orientation, f_outer=f_outer, f_inner=f_inner,
@@ -288,7 +263,7 @@ def check_model(model):
     nothing: the stored zeta and t are each held against a check that
     refutes them, and the framings against the model's orientations.
     Every identity is read in the closed-form coordinates of H1(N)
-    (_free_coords), and a failed equation names its first differing
+    (model.basis_images), and a failed equation names its first differing
     coordinate with both sides.  Callers read it through
     ``model.report``, so it runs once per model object: the constructor's
     postcondition (verify_model) and the replay of a certificate holding
@@ -316,10 +291,9 @@ def check_model(model):
     # Eq (1): the planar boundary, mu on T1 and zeta*q*mu' on T2, dies
     # in H1(N): exactly when its coordinates vanish, as they are an
     # isomorphism over Z.
-    outer = model.iota_outer(*model.boundary_outer)
-    inner = model.iota_inner(*model.boundary_inner)
-    total = [x + y for x, y in zip(outer, inner)]
-    add("eq-boundary", _free_coords(model.p, model.q, total) == (0, 0))
+    outer = model.rational_outer(*model.boundary_outer)
+    inner = model.rational_inner(*model.boundary_inner)
+    add("eq-boundary", all(x + y == 0 for x, y in zip(outer, inner)))
 
     # Eq (2): mu-bar = -zeta*q*mu-bar'.
     zq = model.zeta * model.q

@@ -137,7 +137,8 @@ def _run_cable_homology(config):
     return 0, [
         "cable space (p, q) = (%d, %d), orientation %+d"
         % (model.p, model.q, model.orientation),
-        "presentation: H1 = Z<c, m, l> / (%dc - %dm - %dl)" % (model.q, model.p, model.q),
+        "presentation: H1 = Z<c, m, l> / (%dc %s %dm - %dl)"
+        % (model.q, "-" if model.p > 0 else "+", abs(model.p), model.q),
         "H1 = Z + Z",
         "boundary images in Z + Z, by (c, m, l) -> (%dc + %dm, c + l):" % (model.p, model.q),
         "  mu-bar       = %s" % (model.rational_outer(1, 0),),

@@ -150,21 +150,16 @@ def _row_hermite(rows, top, width):
     subtracts f times the pivot row from every row below it, f the
     nearest integer to row[c] / p, so each remainder is at most |p|/2
     and the sweeps make about a third fewer row operations than with
-    floor quotients.  A phase of at most three rows keeps the floor
-    quotient, because nearest quotients would change the U of small
-    inputs: the U that `snf` prints for them, and that of a round base's
-    2x2 gluing relation, which diameter certificates store as the
-    ambient H1's coordinate map.  Then every row above a pivot, rows[:top]
-    included, is reduced modulo it into [0, pivot) with floor quotients,
-    bottom row first, which makes the form unique: reducing during the
-    sweeps would add unreduced pivot rows to the rows above, column after
-    column, and their entries would grow by thousands of bits.  Columns
-    from `width` on only follow the row operations, so a transform can
-    ride along.  A row added is zero left of the column it clears, so
-    only the tail of the changed row is rewritten.
+    floor quotients.  Then every row above a pivot, rows[:top] included,
+    is reduced modulo it into [0, pivot) with floor quotients, bottom row
+    first, which makes the form unique: reducing during the sweeps would
+    add unreduced pivot rows to the rows above, column after column, and
+    their entries would grow by thousands of bits.  Columns from `width`
+    on only follow the row operations, so a transform can ride along.  A
+    row added is zero left of the column it clears, so only the tail of
+    the changed row is rewritten.
     """
     m = len(rows)
-    nearest = m > 3
     cols = []  # the pivot column of rows[top], rows[top + 1], ...
     r = top
     for c in range(width):
@@ -185,7 +180,7 @@ def _row_hermite(rows, top, width):
             for i in range(r + 1, m):
                 row = rows[i]
                 if row[c]:
-                    f = (2 * row[c] + p) // (2 * p) if nearest else row[c] // p
+                    f = (2 * row[c] + p) // (2 * p)
                     row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
                     if row[c]:
                         clear = False
@@ -253,20 +248,20 @@ def smith_normal_form(a):
     One elimination, _row_hermite, alternates between the rows (a row
     phase on [D | U]) and the columns (a column phase on [D^T | V^T])
     until D is diagonal (Kannan and Bachem).  Its sweeps use
-    nearest-integer quotients, except in phases of at most three rows,
-    and its reduction above each pivot uses floor quotients into
-    [0, pivot), so every phase ends in the unique Hermite form of its
-    input: a nonsingular square input has one (U, D, V) whatever the
-    sweeps do, and only the transforms of a rank-deficient input depend
-    on them.  D is unique for every input.  A phase whose input is
-    already in row echelon form with positive pivots is skipped, which
-    keeps the U of such inputs as `snf` has always printed it, and the
-    U that diameter certificates store for a round base's gluing
-    relation, which is echelon already.  Then each diagonal pair (x, y),
-    i < j in order, with x not dividing y becomes (g, x*y/g) in one 2x2
-    step, g = gcd(x, y) = s*x + t*y with 0 <= s < y/g; no elimination
-    runs again.  Last, _reduce_left_kernel shrinks grown rows of U.  Every
-    choice is fixed, so repeated runs agree entry for entry.
+    nearest-integer quotients, and its reduction above each pivot uses
+    floor quotients into [0, pivot), so every phase ends in the unique
+    Hermite form of its input: a nonsingular square input has one
+    (U, D, V) whatever the sweeps do, and only the transforms of a
+    rank-deficient input depend on them.  D is unique for every input.
+    A phase whose input is already in row echelon form with positive
+    pivots is skipped, which keeps the U of such inputs as `snf` has
+    always printed it, and the U that diameter certificates store for a
+    round base's gluing relation, which is echelon already.  Then each
+    diagonal pair (x, y), i < j in order, with x not dividing y becomes
+    (g, x*y/g) in one 2x2 step, g = gcd(x, y) = s*x + t*y with
+    0 <= s < y/g; no elimination runs again.  Last, _reduce_left_kernel
+    shrinks grown rows of U.  Every choice is fixed, so repeated runs
+    agree entry for entry.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()

@@ -20,12 +20,12 @@ of the model catalog, not an assumption anywhere in the code).
 
 A TransferCertificate packages the model, the map, and sampled slope
 pairs with their rational proportionality factors, enough for
-verify_certificate() to re-derive every claim from the raw presentation
-alone: it takes the model's own checks (cablespace.check_model), which
-hold the model's constants against the presentation, checks the map and
-the list of slope records (slope_record), and proves that phi obeys the
-map on every slope (grid_check).  Each constant is stated once, in the
-model.
+verify_certificate() to re-derive every claim from the model's
+parameters alone: it takes the model's own checks
+(cablespace.check_model), which hold the model's constants against the
+closed-form images of the boundary bases, checks the map and the list of
+slope records (slope_record), and proves that phi obeys the map on every
+slope (grid_check).  Each constant is stated once, in the model.
 
 Nothing is computed twice for one model object: its check report and its
 witness records are cached on it, and a certificate built from it states

@@ -27,7 +27,6 @@ from slopecert import (
     diameter,
     diameter_lower_bound,
     framing_change,
-    group_from_presentation,
     numerical_slope,
     phi,
     recognize_gitk,
@@ -38,7 +37,14 @@ from slopecert import (
     verify_certificate,
 )
 
-from oracles import grid_slopes, phi_by_search
+from oracles import (
+    grid_slopes,
+    iota_inner,
+    iota_outer,
+    phi_by_search,
+    presented_change_of_basis,
+    presented_h1,
+)
 
 
 def report(capsys, n, ok, detail):
@@ -118,12 +124,15 @@ def test_criterion_2_homology_oracle(capsys):
     checked = 0
     for p, q in grid_pairs():
         # The oracle: the presented group, diagonalized by Smith normal
-        # form; the model reads its closed-form coordinates instead.
-        h1 = group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
+        # form, with the boundary images in generator coordinates; the
+        # model reads its closed-form coordinates instead.
+        h1 = presented_h1(p, q)
         for orientation in (1, -1):
             m = cable_space_homology(p, q, orientation=orientation)
             # H1 is free of rank 2
             assert h1.invariant_factors == (0, 0)
+            # the model's four basis images are the oracle's, up to GL2(Z)
+            assert presented_change_of_basis(m) is not None
             # both boundary inclusions are rational isomorphisms
             for u, v in (
                 (m.rational_outer(1, 0), m.rational_outer(0, 1)),
@@ -132,10 +141,11 @@ def test_criterion_2_homology_oracle(capsys):
                 assert u[0] * v[1] - u[1] * v[0] != 0
             # the three exact identities tying zeta, t, theta, eta together
             fo, fi = m.f_outer, m.f_inner
-            mu_o = h1.rational_coords(m.iota_outer(fo.mu.a, fo.mu.b))
-            lam_o = h1.rational_coords(m.iota_outer(fo.lambda_.a, fo.lambda_.b))
-            mu_i = h1.rational_coords(m.iota_inner(fi.mu.a, fi.mu.b))
-            lam_i = h1.rational_coords(m.iota_inner(fi.lambda_.a, fi.lambda_.b))
+            mu_o = h1.rational_coords(iota_outer(fo.mu.a, fo.mu.b))
+            lam_o = h1.rational_coords(iota_outer(fo.lambda_.a, fo.lambda_.b))
+            mu_i = h1.rational_coords(iota_inner(p, q, orientation, fi.mu.a, fi.mu.b))
+            lam_i = h1.rational_coords(
+                iota_inner(p, q, orientation, fi.lambda_.a, fi.lambda_.b))
             assert mu_o == tuple(-m.zeta * q * c for c in mu_i)
             assert lam_i == tuple(
                 m.t * a + m.zeta * m.theta * m.eta * q * b
@@ -144,8 +154,8 @@ def test_criterion_2_homology_oracle(capsys):
             total = tuple(
                 x + y
                 for x, y in zip(
-                    m.iota_outer(*m.boundary_outer),
-                    m.iota_inner(*m.boundary_inner),
+                    iota_outer(*m.boundary_outer),
+                    iota_inner(p, q, orientation, *m.boundary_inner),
                 )
             )
             assert h1.is_zero(total)

@@ -1,12 +1,14 @@
 """Tests for the homology model of cable spaces.
 
 The model is built from the presentation H_1(N; Z) = Z<c, m, l> / (qc -
-pm - ql), read in the closed-form coordinates (pc + qm, c + l), and
+pm - ql), read in the closed-form coordinates (pc + qm, c + l), where the
+four boundary basis images are (q, 0), (0, 1), o(1, 0) and o(pq, q), and
 states the constants zeta and t; with the framings' signs theta and eta
 they tie the images of the two boundary bases and the planar boundary
 relation together.  Everything here is checked exactly over the full grid
 2 <= q <= 7, |p| <= 7, gcd(p, q) = 1, both orientations, and the closed
-form against the Smith normal form of the presentation (the oracle) on
+form against the oracle in oracles.py (the boundary images in generator
+coordinates, read in the Smith normal form of the presentation) on
 random (p, q) as well.
 """
 
@@ -21,16 +23,20 @@ from slopecert import (
     STANDARD_OUTER_FRAMING,
     Cabling,
     Framing,
-    IntMatrix,
     PrimitiveClass,
     cable_space_homology,
     canonical_slope,
     check_model,
     glued_manifold_h1,
-    group_from_presentation,
     verify_model,
 )
-from slopecert.cablespace import _free_coords
+from oracles import (
+    iota_inner,
+    iota_outer,
+    presented_basis_images,
+    presented_change_of_basis,
+    presented_h1,
+)
 
 GRID = [
     (p, q)
@@ -50,84 +56,60 @@ def test_grid_size_is_as_documented():
     assert len(GRID) == 56
 
 
-def presented(p, q):
-    """The oracle: H1(N) as the cokernel of the relation, by Smith normal form."""
-    return group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
-
-
-def change_of_basis(p, q):
-    """The matrix M with presented(p, q).rational_coords(x) == M
-    _free_coords(p, q, x) for every x, read off two classes whose closed-form
-    coordinates are (1, 0) and (0, 1); M is in GL2(Z) when the two
-    coordinate systems agree."""
-    k = pow(p, -1, q)
-    g = presented(p, q)
-    x1, x2 = (k, (1 - k * p) // q, -k), (0, 0, 1)
-    assert (_free_coords(p, q, x1), _free_coords(p, q, x2)) == ((1, 0), (0, 1))
-    (a, c), (b, d) = g.rational_coords(x1), g.rational_coords(x2)
-    return (a, b), (c, d)
-
-
-def apply(m, v):
-    return tuple(r[0] * v[0] + r[1] * v[1] for r in m)
+def test_basis_images_are_the_closed_form_vectors():
+    for model in grid_models():
+        p, q, o = model.p, model.q, model.orientation
+        assert model.basis_images == ((q, 0), (0, 1), (o, 0), (o * p * q, o * q))
 
 
 def test_h1_is_free_of_rank_two():
-    # The relation is primitive and the closed form is onto Z^2 with the
-    # relation's span as its kernel, so H1 is Z^2; the oracle agrees.
-    for p, q in GRID:
-        assert _free_coords(p, q, (q, -p, -q)) == (0, 0)
-        (a, b, c), (d, e, f) = (p, q, 0), (1, 0, 1)  # the closed form's rows
-        minors = [a * e - b * d, a * f - c * d, b * f - c * e]
-        assert minors == [-q, p, q] and gcd(*minors) == 1
-        assert presented(p, q).invariant_factors == (0, 0)
-        assert presented(p, q).rank == 2
+    # The oracle's group is Z^2, and the four boundary images generate it
+    # in either coordinate system: their 2x2 minors have gcd 1.
+    for model in grid_models():
+        h1 = presented_h1(model.p, model.q)
+        assert h1.invariant_factors == (0, 0) and h1.rank == 2
+        for images in (model.basis_images,
+                       presented_basis_images(model.p, model.q, model.orientation)):
+            minors = [a[0] * b[1] - a[1] * b[0] for i, a in enumerate(images)
+                      for b in images[i + 1:]]
+            assert gcd(*minors) == 1
 
 
 def test_relation_matrix_and_presentation_agree():
-    # The closed-form coordinates and the presented group's free
-    # coordinates differ by a matrix in GL2(Z), on every generator and on
-    # the four basis images of both orientations.
+    # The model's four basis images and the oracle's differ by one matrix
+    # in GL2(Z), on the grid and in both orientations.
     for model in grid_models():
-        p, q = model.p, model.q
-        (a, b), (c, d) = m = change_of_basis(p, q)
-        assert a * d - b * c in (1, -1)
-        g = presented(p, q)
-        for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            assert g.rational_coords(x) == apply(m, _free_coords(p, q, x))
-        images = [model.iota_outer(1, 0), model.iota_outer(0, 1),
-                  model.iota_inner(1, 0), model.iota_inner(0, 1)]
-        assert [g.rational_coords(x) for x in images] == [
-            apply(m, v) for v in model.basis_images]
+        assert presented_change_of_basis(model) is not None
 
 
 def test_closed_form_coordinates_agree_with_the_oracle_on_random_cable_spaces():
-    # Random (p, q), both orientations, random integer vectors x: the
-    # coordinates agree up to GL2(Z), and x is zero in H1(N) exactly when
-    # its closed-form image is (0, 0).
+    # Random (p, q), both orientations: the basis images agree up to
+    # GL2(Z), and a combination of the four boundary classes is zero in
+    # H1(N) exactly when its closed-form image is (0, 0).
     rng = random.Random(20)
     for _ in range(200):
         q = rng.choice((rng.randint(2, 12), rng.randint(2, 10 ** 6)))
         p = rng.randint(-10 ** 6, 10 ** 6)
         if gcd(p, q) != 1:
             continue
-        (a, b), (c, d) = m = change_of_basis(p, q)
-        assert a * d - b * c in (1, -1)
-        g = presented(p, q)
-        for orientation in (1, -1):
-            model = cable_space_homology(p, q, orientation=orientation)
-            images = [model.iota_inner(1, 0), model.iota_inner(0, 1)]
-            assert [g.rational_coords(x) for x in images] == [
-                apply(m, v) for v in model.basis_images[2:]]
-        for _ in range(5):
-            k = rng.randint(-50, 50)
-            on = (k * q, -k * p, -k * q)  # a multiple of the relation
-            off = tuple(x + rng.randint(-1, 1) for x in on)  # zero only if unmoved
-            wide = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(3))
-            assert g.is_zero(on)
-            for x in (on, off, wide):
-                assert g.rational_coords(x) == apply(m, _free_coords(p, q, x))
-                assert g.is_zero(x) == (_free_coords(p, q, x) == (0, 0))
+        h1 = presented_h1(p, q)
+        for o in (1, -1):
+            model = cable_space_homology(p, q, orientation=o)
+            assert presented_change_of_basis(model) is not None
+            for _ in range(5):
+                # The planar boundary E1 - o*q*E1' and E2' - o*p*E1 - o*q*E2
+                # (E2' is parallel to the cabling curve) span the kernel.
+                j, k = rng.randint(-50, 50), rng.randint(-50, 50)
+                on = (j - k * o * p, -k * o * q, -j * o * q, k)
+                off = tuple(x + rng.randint(-1, 1) for x in on)  # zero only if unmoved
+                wide = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(4))
+                for a, b, c, d in (on, off, wide):
+                    x = [s + t for s, t in zip(iota_outer(a, b), iota_inner(p, q, o, c, d))]
+                    closed = [s + t for s, t in zip(
+                        model.rational_outer(a, b), model.rational_inner(c, d))]
+                    assert h1.is_zero(x) == (closed == [0, 0])
+                assert h1.is_zero([s + t for s, t in zip(
+                    iota_outer(*on[:2]), iota_inner(p, q, o, *on[2:]))])
 
 
 def test_iota_images_are_rational_bases():
@@ -150,15 +132,17 @@ def test_boundary_identity():
             model.zeta * model.q * model.f_inner.mu.a,
             model.zeta * model.q * model.f_inner.mu.b,
         )
-        total = tuple(
+        outer = model.rational_outer(*model.boundary_outer)
+        inner = model.rational_inner(*model.boundary_inner)
+        assert [x + y for x, y in zip(outer, inner)] == [0, 0]
+        total = [
             x + y
             for x, y in zip(
-                model.iota_outer(*model.boundary_outer),
-                model.iota_inner(*model.boundary_inner),
+                iota_outer(*model.boundary_outer),
+                iota_inner(model.p, model.q, model.orientation, *model.boundary_inner),
             )
-        )
-        assert _free_coords(model.p, model.q, total) == (0, 0)
-        assert presented(model.p, model.q).is_zero(total)
+        ]
+        assert presented_h1(model.p, model.q).is_zero(total)
         # rational consequence, which is what the slope map consumes:
         mu_bar = model.rational_outer(1, 0)
         mu_bar_p = model.rational_inner(1, 0)

@@ -161,6 +161,14 @@ def test_cable_homology_text(capsys):
     assert "Z + Z" in out
 
 
+def test_cable_homology_writes_each_term_with_its_sign(capsys):
+    # The relation is qc - pm - ql, so a negative p adds its m term.
+    assert main(["cable-homology", "--p", "-5", "--q", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "presentation: H1 = Z<c, m, l> / (3c + 5m - 3l)\n" in out
+    assert "  lambda-bar'  = (-15, 3)\n" in out
+
+
 def test_cable_homology_rejects_non_coprime(capsys):
     assert main(["cable-homology", "--p", "2", "--q", "4"]) == 2
     assert "not simple" in capsys.readouterr().out

@@ -5,8 +5,7 @@ replay compares it with a fresh group_from_presentation, so the
 coordinate map (the U of the transposed relation's Smith form) of every
 gluing relation [[1, 0], [a, b]] under the standard framing must not
 change.  The maps of the cable-space relations [[q, -p, -q]] are what
-`snf` prints as U for those rows transposed; certificates written by
-earlier versions state them as model.h1, which the reader now ignores.
+`snf` prints as U for those rows transposed; no certificate stores them.
 tests/fixtures/snf_transforms.json holds those maps, and U and V of the
 README's `snf` matrix, as an earlier Smith normal form computed them;
 regenerate it only on purpose, with `python tests/test_snf_transforms.py`.
