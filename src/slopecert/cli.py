@@ -15,13 +15,20 @@ format asked for: text lines, or one JSON object.  Each subcommand
 imports the modules it runs when it runs, so that, say, ``snf`` never
 loads the cable-space modules.
 
+A plain command line is read without argparse: a subcommand, then its
+options, each once and by its exact name, as ``--name value`` or
+``--name=value``, and one unbroken run of its inputs, every value valid.
+So a plain run loads none of argparse, gettext, locale or shutil.
+argparse reads every other line (help, errors, abbreviations, ``--``, a
+repeated option), and it alone writes usage, help and error text.  Both
+readers read one table of the grammar, ``_COMMANDS``.
+
 Exit codes: 0 means every check passed; 1 means a certified check
 failed, i.e. the input is mathematically inconsistent; 2 means the
 input could not be read or violates a structural invariant.  Reports
 are deterministic: the same inputs produce byte-identical output.
 """
 
-import argparse
 import sys
 
 from . import jsonio
@@ -352,84 +359,139 @@ def run(config):
         return 2, "input error: %s\n" % (jsonio.digit_limit_text(e) or e)
 
 
+# ---------------------------------------------------------------------------
+# the command line: one table states the grammar, and both readers read it.
+
+# An option is its name and the keyword arguments of argparse's add_argument;
+# a type of int converts as int does (_build_parser passes _int_option).
+_CABLE_SPACE = (
+    ("--p", {"type": int, "required": True, "help": "winding count p (coprime to q)"}),
+    ("--q", {"type": int, "required": True, "help": "strand count q >= 2"}),
+    ("--orientation", {"type": int, "choices": (1, -1), "default": 1,
+                       "help": "orientation flag of the model (default: 1)"}),
+)
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text",
+                        "help": "report format (default: text)"})
+_EMIT = ("--emit", {"metavar": "PATH", "default": None,
+                    "help": "write the certificate as canonical JSON to PATH"})
+
+# subcommand: (help, (nargs, help) of its inputs or None, options)
+_COMMANDS = {
+    "snf": ("Smith normal form of an integer matrix file",
+            (1, 'matrix file: "rows cols" then row-major integers'), (_FORMAT,)),
+    "cable-homology": ("homology model of the (p, q) cable space", None,
+                       _CABLE_SPACE + (_FORMAT,)),
+    "transfer": ("slope-transfer certificate for the (p, q) cable space", None,
+                 _CABLE_SPACE + (_FORMAT, _EMIT)),
+    "propagate": ("propagate a declared slope set along a cabling chain",
+                  (1, "knot description JSON file"), (_FORMAT,)),
+    "verify": ("replay and check descriptions and certificates",
+               ("+", "JSON document(s)"), (_FORMAT, _EMIT)),
+}
+
+
+def _parse_plain(argv):
+    """The RunConfig arguments of a plain command line, or None.
+
+    A plain line is a subcommand, then its options, each once and by its
+    exact name, as ``--name value`` or ``--name=value``, and one unbroken
+    run of its inputs, none starting with "-".  A separate value may start
+    with "-" only as a negative integer, as argparse reads it.  Every value
+    converts and is among its choices, and every required option is given.
+    argparse parses such a line to the same arguments, so this reader
+    prints nothing and raises nothing: it returns None for any other line,
+    help and errors included, and leaves it to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, inputs_spec, options = _COMMANDS[argv[0]]
+    specs = dict(options)
+    given, inputs, positions = {}, [], []
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            inputs.append(token)
+            positions.append(i)
+            continue
+        name, eq, value = token.partition("=")
+        if token in specs and i < len(argv) and (
+                not argv[i].startswith("-") or argv[i][1:].isdecimal()):
+            name, value = token, argv[i]
+            i += 1
+        elif not (eq and value and name in specs):
+            return None
+        if name in given:
+            return None
+        given[name] = value
+    nargs = inputs_spec[0] if inputs_spec else 0
+    if not (len(inputs) == nargs or nargs == "+" and inputs):
+        return None
+    if inputs and positions[-1] - positions[0] >= len(inputs):
+        return None
+    args = {"command": argv[0], "inputs": tuple(inputs)}
+    for name, spec in options:
+        if name not in given:
+            if spec.get("required"):
+                return None
+            args[name[2:]] = spec["default"]
+            continue
+        value = given[name]
+        if spec.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        args[name[2:]] = value
+    return args
+
+
 def _int_option(text):
     """The type of the integer options: argparse's own message for text that
     is not an integer, and one that does not echo an over-long one."""
     try:
         return int(text)
     except ValueError as e:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             jsonio.digit_limit_text(e) or "invalid int value: %r" % text
         ) from None
 
 
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="slopecert",
         description="Exact slope calculus on knot-exterior boundary tori.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cable_space(p):
-        p.add_argument(
-            "--p", type=_int_option, required=True, help="winding count p (coprime to q)"
-        )
-        p.add_argument("--q", type=_int_option, required=True, help="strand count q >= 2")
-        p.add_argument(
-            "--orientation", type=_int_option, choices=(1, -1), default=1,
-            help="orientation flag of the model (default: 1)",
-        )
-
-    def common(p, emit=False):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text",
-            help="report format (default: text)",
-        )
-        if emit:
-            p.add_argument(
-                "--emit", metavar="PATH", default=None,
-                help="write the certificate as canonical JSON to PATH",
-            )
-
-    p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix file")
-    p_snf.add_argument(
-        "inputs", nargs=1, metavar="input",
-        help='matrix file: "rows cols" then row-major integers',
-    )
-    common(p_snf)
-
-    p_cable = sub.add_parser(
-        "cable-homology", help="homology model of the (p, q) cable space"
-    )
-    cable_space(p_cable)
-    common(p_cable)
-
-    p_transfer = sub.add_parser(
-        "transfer", help="slope-transfer certificate for the (p, q) cable space"
-    )
-    cable_space(p_transfer)
-    common(p_transfer, emit=True)
-
-    p_prop = sub.add_parser(
-        "propagate", help="propagate a declared slope set along a cabling chain"
-    )
-    p_prop.add_argument("inputs", nargs=1, metavar="input", help="knot description JSON file")
-    common(p_prop)
-
-    p_verify = sub.add_parser(
-        "verify", help="replay and check descriptions and certificates"
-    )
-    p_verify.add_argument("inputs", nargs="+", metavar="input", help="JSON document(s)")
-    common(p_verify, emit=True)
-
+    for command, (summary, inputs_spec, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if inputs_spec:
+            nargs, text = inputs_spec
+            p.add_argument("inputs", nargs=nargs, metavar="input", help=text)
+        for name, spec in options:
+            if spec.get("type") is int:
+                spec = dict(spec, type=_int_option)
+            p.add_argument(name, **spec)
     return parser
 
 
 def main(argv=None):
-    # Every option's name is a RunConfig field; options a command lacks
-    # keep their defaults.
-    args = vars(_build_parser().parse_args(argv))
-    args["inputs"] = tuple(args.get("inputs", ()))
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        # Help, errors and every other form: argparse writes the text and
+        # exits.  Every option's name is a RunConfig field; options a
+        # command lacks keep their defaults.
+        args = vars(_build_parser().parse_args(argv))
+        args["inputs"] = tuple(args.get("inputs", ()))
     code, report = run(RunConfig(**args))
     sys.stdout.write(report)
     return code

@@ -21,7 +21,7 @@ separate object and is checked on its own.
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
 from .report import Check, CheckReport
-from .slopes import NEG_INF, Record, _store
+from .slopes import NEG_INF, Record, _store, value_text
 from .transfer import TransferCertificate, verify_certificate
 
 
@@ -86,19 +86,33 @@ def _prefixed(prefix, report):
 
 
 def _route_check(cert):
-    """The named invariant of the route logic of a diameter certificate."""
+    """The named invariant of the route logic of a diameter certificate.
+    A failure names the stated fields that break it, with what each should
+    be, or the stated bound and route with the certified ones."""
     if cert.gitk:
-        ok = cert.primary_route == "gitk" and cert.d_lower is None and not cert.routes
-        return Check("route-logic", ok, "" if ok else "gitk certificate must assert no bound")
-    if cert.routes:
-        best = max(cert.routes.values())
-        ok = cert.d_lower == best and cert.primary_route == primary_route(cert.routes)
-        return Check(
-            "route-logic",
-            ok,
-            "" if ok else "d_lower must be the maximum certified route (%s)" % best,
-        )
-    ok = cert.d_lower is NEG_INF and bool(cert.reason) and cert.primary_route == "none"
-    return Check(
-        "route-logic", ok, "" if ok else "no route requires d_lower = -inf and a reason"
-    )
+        rule = "gitk certificate must assert no bound"
+        fields = (("primary_route", "gitk"), ("d_lower", None), ("routes", {}))
+    elif cert.routes:
+        best, route = max(cert.routes.values()), primary_route(cert.routes)
+        ok = cert.d_lower == best and cert.primary_route == route
+        return Check("route-logic", ok, "" if ok else (
+            "d_lower must be the maximum certified route: stated %s by %s, certified %s by %s"
+            % (_stated(cert.d_lower), _stated(cert.primary_route), best, route)))
+    else:
+        rule = "no route requires d_lower = -inf and a reason"
+        fields = (("primary_route", "none"), ("d_lower", NEG_INF))
+    wrong = ["%s: stated %s, must be %s" % (name, _stated(getattr(cert, name)), _stated(must))
+             for name, must in fields if getattr(cert, name) != must]
+    if not (cert.gitk or cert.reason):
+        wrong.append('reason: stated "", must say why')
+    ok = not wrong
+    return Check("route-logic", ok, "" if ok else "%s: %s" % (rule, "; ".join(wrong)))
+
+
+def _stated(value):
+    """A field's value as route-logic names it."""
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join("%s: %s" % (k, value[k]) for k in sorted(value))
+    return value_text(value) or '""'

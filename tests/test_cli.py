@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from slopecert import (
     diameter_lower_bound,
     transfer_certificate,
 )
-from slopecert.cli import RunConfig, main, run
+from slopecert.cli import _COMMANDS, RunConfig, _build_parser, _parse_plain, main, run
 from slopecert.jsonio import (
     MAX_MATRIX_DIM,
     canonical_dumps,
@@ -620,6 +622,135 @@ def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --- reading the command line ------------------------------------------------------
+
+
+def argparse_config(argv):
+    """The RunConfig argparse parses `argv` to; AssertionError if it rejects it."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            args = vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        raise AssertionError("argparse rejects %r: %s" % (argv, err.getvalue())) from None
+    args["inputs"] = tuple(args.get("inputs", ()))
+    return RunConfig(**args)
+
+
+# The forms of the benchmark's jobs, which must all take the plain reader.
+WORKLOAD_FORMS = [
+    ["verify", "chain0.json", "--emit", "chain0.cert.json"],
+    ["verify", "chain0.cert.json", "--format", "json"],
+    ["transfer", "--p", "-32", "--q", "13", "--orientation", "1", "--emit", "t0.json"],
+    ["transfer", "--p", "7", "--q", "2", "--format", "json", "--emit", "tj0.json"],
+    ["verify", "t0.json"],
+    ["propagate", "d0.json", "--format", "json"],
+    ["snf", "m0.txt", "--format", "json"],
+    ["cable-homology", "--p=-5", "--q=3", "--orientation=-1"],
+]
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_FORMS, ids=" ".join)
+def test_the_plain_reader_reads_the_workloads_as_argparse_does(argv):
+    args = _parse_plain(argv)
+    assert args is not None
+    assert RunConfig(**args) == argparse_config(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["verify", "-h"],
+    ["verify", "--form", "json", "a.json"],  # an abbreviation
+    ["verify", "--", "a.json"],
+    ["verify", "a.json", "--format", "json", "b.json"],  # a split run of inputs
+    ["snf", "a.txt", "b.txt"],
+    ["transfer", "--p", "2"],
+    ["transfer", "--p", "2", "--p", "3", "--q", "3"],
+    ["transfer", "--p=", "--q", "3"],
+    ["transfer", "--p", "-1.5", "--q", "3"],
+    ["transfer", "--p", "2", "--q", "3", "--orientation", "2"],
+    ["transfer", "--p", "2", "--q", "3", "--emit", "-x"],  # argparse reads -x as an option
+    ["verify", "--emit", "-", "a.json"],  # argparse reads - as a value
+], ids=" ".join)
+def test_the_plain_reader_leaves_every_other_line_to_argparse(argv):
+    assert _parse_plain(argv) is None
+
+
+# Values an option takes; ODD_VALUES also holds ones argparse refuses or
+# reads its own way.
+INT_VALUES = ["2", "3", "-5", "-32", "13", "01", "+3", " 4", "1_000", "\u0663", "-\u0661\u0662"]
+PATHS = ["a.json", "b.json", "m.txt", "a b", "a=b", ""]
+ODD_VALUES = [
+    "1", "-1", "-01", "-\u0661", "-1.5", "1e3", "\u00b2", "-\u00b2", "-", "--", "-h", "-x",
+    "--p", "xml", "JSON", "", "-5\n",
+]
+STRAY_TOKENS = [
+    "--", "-", "-h", "--help", "--form", "--form=json", "--p=", "--emit=", "--grid", "-5",
+    "-1.5", "--P", "snf", "verify",
+]
+
+
+def command_lines(st):
+    """Argument vectors built as plain lines, each value drawn from good ones
+    most of the time, in any order, then given a few defects: a stray token,
+    an option again with another value, one more input anywhere, a dropped
+    piece, or another subcommand's name."""
+
+    def value(draw, spec):
+        if draw(st.integers(0, 2)):
+            return draw(st.sampled_from(
+                [str(c) for c in spec["choices"]] if "choices" in spec
+                else INT_VALUES if spec.get("type") is int else PATHS))
+        return draw(st.sampled_from(ODD_VALUES) | st.text(max_size=3))
+
+    def written(draw, name, spec):
+        v = value(draw, spec)
+        return [name, v] if draw(st.booleans()) else ["%s=%s" % (name, v)]
+
+    @st.composite
+    def lines(draw):
+        command = draw(st.sampled_from(list(_COMMANDS)))
+        _, inputs_spec, options = _COMMANDS[command]
+        pieces = [written(draw, name, spec) for name, spec in options
+                  if spec.get("required") or draw(st.booleans())]
+        count = {None: 0, 1: 1, "+": draw(st.integers(1, 3))}[inputs_spec and inputs_spec[0]]
+        pieces.append(draw(st.lists(st.sampled_from(PATHS), min_size=count, max_size=count)))
+        pieces = draw(st.permutations(pieces))
+        for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+            at = draw(st.integers(0, len(pieces)))
+            defect = draw(st.sampled_from(["stray", "again", "input", "drop", "command"]))
+            if defect == "stray":
+                pieces.insert(at, [draw(st.sampled_from(STRAY_TOKENS))])
+            elif defect == "again":
+                pieces.insert(at, written(draw, *draw(st.sampled_from(options))))
+            elif defect == "input":
+                pieces.insert(at, [draw(st.sampled_from(PATHS))])
+            elif defect == "drop" and at < len(pieces):
+                del pieces[at]
+            elif defect == "command":
+                command = draw(st.sampled_from(list(_COMMANDS) + ["frobnicate", "--help"]))
+        return [command] + [token for piece in pieces for token in piece]
+
+    return lines()
+
+
+def test_the_plain_reader_agrees_with_argparse_wherever_it_reads():
+    hypothesis = pytest.importorskip("hypothesis")
+    read = []
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(command_lines(hypothesis.strategies))
+    def check(argv):
+        args = _parse_plain(argv)
+        if args is not None:
+            read.append(argv)
+            assert RunConfig(**args) == argparse_config(argv)
+
+    check()
+    # The property says something only where the plain reader reads.
+    assert len(read) >= 100
 
 
 def test_reports_are_deterministic(tmp_path):

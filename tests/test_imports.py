@@ -1,8 +1,9 @@
 """Which modules a start-up loads, pinned in fresh `python -S` processes.
 
 Start-up is most of a short slopecert run, so the CLI module must not pull
-in dataclasses, inspect or typing, and a subcommand loads only the modules
-it runs.  Module sets are deterministic, where start-up times are not.
+in dataclasses, inspect or typing, a subcommand loads only the modules it
+runs, and a plain command line loads no argparse.  Module sets are
+deterministic, where start-up times are not.
 """
 
 import json
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import slopecert
 
@@ -31,13 +34,19 @@ PUBLIC = [
 ]
 
 
+def fresh_env():
+    """The environment of a new process: this slopecert, and help text that
+    wraps at 80 columns."""
+    return dict(os.environ, COLUMNS="80",
+                PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def run_fresh(code, cwd):
     """Run `code` in a new `python -S` process; returns its stderr, which
     `code` uses for its JSON answer (stdout is the CLI's)."""
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr)
@@ -75,6 +84,77 @@ def test_snf_loads_no_cable_space_module(tmp_path):
     assert {"slopecert.linalg", "slopecert.jsonio"} <= set(loaded)
     for name in ("cablespace", "transfer", "pipeline", "verify"):
         assert "slopecert." + name not in loaded
+
+
+# argparse, what it loads while a parser is built (gettext loads locale),
+# and what each HelpFormatter loads to read the terminal width.
+PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
+
+# Writes the module set to modules.json at exit, after the CLI has written
+# its own stdout and stderr and set the exit code, argparse's included.
+RUN_CLI = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: open('modules.json', 'w').write(json.dumps(sorted(sys.modules))))\n"
+    "from slopecert import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def run_cli_fresh(argv, cwd):
+    """(exit code, stdout, stderr, loaded modules) of `argv` in a new
+    `python -S` process."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_CLI, *argv],
+        cwd=cwd, env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    loaded = json.loads((Path(cwd) / "modules.json").read_text())
+    return proc.returncode, proc.stdout, proc.stderr, set(loaded)
+
+
+def write_inputs(tmp_path):
+    (tmp_path / "m.txt").write_text("2 2\n4 6\n2 8\n")
+    (tmp_path / "d.json").write_text(json.dumps({
+        "kind": "knot_description",
+        "base": {"strict_slopes": [[0, 1], [6, 1]], "meridionally_small": True},
+        "cablings": [{"p": 1, "q": 2}]}))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "d.json", "--emit", "e.json"],
+    ["verify", "--format", "json", "d.json"],
+    ["transfer", "--p=-5", "--q=3"],
+    ["snf", "m.txt"],
+    ["propagate", "d.json"],
+    ["cable-homology", "--p", "2", "--q", "3"],
+], ids=" ".join)
+def test_a_plain_run_loads_no_argparse(argv, tmp_path):
+    write_inputs(tmp_path)
+    code, out, err, loaded = run_cli_fresh(argv, tmp_path)
+    assert (code, err) == (0, "")
+    assert out
+    assert not PARSER_MODULES & loaded
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "out", "usage: slopecert [-h] {snf,cable-homology,transfer,"),
+    (["verify", "--help"], 0, "out", "usage: slopecert verify [-h]"),
+    (["transfer", "--p", "2"], 2, "err",
+     "slopecert transfer: error: the following arguments are required: --q\n"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_help_and_errors_are_argparse_s(argv, code, stream, text, tmp_path):
+    got_code, out, err, loaded = run_cli_fresh(argv, tmp_path)
+    assert got_code == code
+    assert text in {"out": out, "err": err}[stream]
+    assert "argparse" in loaded
+
+
+def test_an_abbreviated_option_runs_as_the_plain_line_does(tmp_path):
+    write_inputs(tmp_path)
+    plain = run_cli_fresh(["verify", "--format", "json", "d.json"], tmp_path)
+    abbreviated = run_cli_fresh(["verify", "--form", "json", "d.json"], tmp_path)
+    assert abbreviated[:3] == plain[:3]
+    assert json.loads(plain[1])["ok"] is True
+    assert "argparse" in abbreviated[3] and "argparse" not in plain[3]
 
 
 def test_star_import_binds_the_public_names(tmp_path):

@@ -3,6 +3,7 @@ and transfer.verify_certificate, the complete check of a transfer
 certificate, grid check included."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from slopecert import (
     AtomKnot,
     KnotDescription,
     cable_space_homology,
+    canonical_slope,
     diameter_lower_bound,
     transfer_certificate,
     verify_certificate,
@@ -92,6 +94,47 @@ def test_verify_document_gives_the_checks_of_the_cli_report(tmp_path):
     assert code == 1
     assert json.loads(report)["results"][0]["checks"] == [
         {"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.report.checks]
+
+
+def route_logic(cert):
+    return verify_document(cert).report.checks[1]
+
+
+def test_route_logic_names_both_sides_of_a_failure():
+    # DESCRIPTION certifies axiom-b 32 and declared-set 96.
+    built = diameter_lower_bound(DESCRIPTION)
+    assert route_logic(built) == Check("route-logic", True, "")
+    rule = "d_lower must be the maximum certified route: "
+    for change, detail in (
+        ({"d_lower": Fraction(97)}, "stated 97 by declared-set, certified 96 by declared-set"),
+        ({"primary_route": "axiom-b"}, "stated 96 by axiom-b, certified 96 by declared-set"),
+        ({"d_lower": None, "primary_route": ""}, 'stated null by "", certified 96 by declared-set'),
+    ):
+        assert route_logic(built.replace(**change)) == Check("route-logic", False, rule + detail)
+
+
+def test_route_logic_names_each_stated_field_that_is_wrong():
+    gitk = diameter_lower_bound(KnotDescription(
+        base=AtomKnot(is_round=True, complementary_meridian=canonical_slope(0, 1)),
+        cablings=((2, 3),)))
+    none = diameter_lower_bound(KnotDescription(base=AtomKnot()))
+    built = diameter_lower_bound(DESCRIPTION)
+    for cert in (gitk, none):
+        assert route_logic(cert) == Check("route-logic", True, "")
+    gitk_rule = "gitk certificate must assert no bound: "
+    none_rule = "no route requires d_lower = -inf and a reason: "
+    for cert, detail in (
+        (gitk.replace(d_lower=Fraction(2)), gitk_rule + "d_lower: stated 2, must be null"),
+        (gitk.replace(primary_route="none"), gitk_rule + "primary_route: stated none, must be gitk"),
+        (built.replace(gitk=True), gitk_rule + "primary_route: stated declared-set, must be gitk;"
+         " d_lower: stated 96, must be null; routes: stated {axiom-b: 32, declared-set: 96},"
+         " must be {}"),
+        (none.replace(reason=""), none_rule + 'reason: stated "", must say why'),
+        (none.replace(d_lower=None), none_rule + "d_lower: stated null, must be -inf"),
+        (built.replace(routes={}), none_rule + "primary_route: stated declared-set, must be none;"
+         ' d_lower: stated 96, must be -inf; reason: stated "", must say why'),
+    ):
+        assert route_logic(cert) == Check("route-logic", False, detail)
 
 
 AMBIENT_Z = {"n_generators": 1, "diag": [0],
