@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 # when one of its names is first used (PEP 562), so that importing the
 # package, or running one subcommand, loads only the modules it needs.
 _EXPORTS = {
+    "InvariantError": "record",
     "INF": "slopes",
     "NEG_INF": "slopes",
     "Framing": "slopes",
     "FramingChange": "slopes",
-    "InvariantError": "slopes",
     "PrimitiveClass": "slopes",
     "Slope": "slopes",
     "canonical_slope": "slopes",

@@ -82,8 +82,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+from .record import Record, _store
 from .report import Check, CheckReport
-from .slopes import Framing, PrimitiveClass, Record, _store
+from .slopes import Framing, PrimitiveClass
 
 STANDARD_OUTER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), -1)
 STANDARD_INNER_FRAMING = Framing(PrimitiveClass(1, 0), PrimitiveClass(0, 1), +1)

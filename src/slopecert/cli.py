@@ -11,9 +11,10 @@ This module parses arguments, reads and writes files, and renders
 reports.  The checks themselves are the library's:
 transfer.verify_certificate for a transfer certificate and
 verify.verify_document for any document.  Each run renders only the
-format asked for: text lines, or one JSON object.  Each subcommand
-imports the modules it runs when it runs, so that, say, ``snf`` never
-loads the cable-space modules.
+format asked for: text lines, or one JSON object.  This module imports
+the leaves record and textio; each subcommand imports what it runs when
+it runs, jsonio and slopes only to read or write a document, so ``snf``
+loads no cable-space module, json, fractions or document schema.
 
 A plain command line is read without argparse: a subcommand, then its
 options, each once and by its exact name, as ``--name value`` or
@@ -31,8 +32,8 @@ are deterministic: the same inputs produce byte-identical output.
 
 import sys
 
-from . import jsonio
-from .slopes import INF, Record, _store, value_text
+from .record import Record, _store
+from .textio import canonical_dumps, digit_limit_text, matrix_to_json, parse_matrix_text
 
 
 def __getattr__(name):
@@ -59,10 +60,11 @@ class RunConfig(Record):
 def _fmt_matrix_lines(m):
     if m.rows == 0 or m.cols == 0:
         return ["  (empty %dx%d)" % (m.rows, m.cols)]
-    width = max(len(str(e)) for e in m.entries)
+    texts = [str(e) for e in m.entries]
+    width = max(map(len, texts))
     return [
-        "  " + " ".join(str(m.entry(i, j)).rjust(width) for j in range(m.cols))
-        for i in range(m.rows)
+        "  " + " ".join(t.rjust(width) for t in texts[i:i + m.cols])
+        for i in range(0, len(texts), m.cols)
     ]
 
 
@@ -112,15 +114,15 @@ def _run_snf(config):
     from .linalg import smith_normal_form
 
     path = config.inputs[0]
-    matrix = jsonio.parse_matrix_text(_read_text(path))
+    matrix = parse_matrix_text(_read_text(path))
     result = smith_normal_form(matrix)
     if config.format == "json":
         return 0, {
             "kind": "snf_report",
             "input": path,
-            "U": jsonio.matrix_to_json(result.U),
-            "D": jsonio.matrix_to_json(result.D),
-            "V": jsonio.matrix_to_json(result.V),
+            "U": matrix_to_json(result.U),
+            "D": matrix_to_json(result.D),
+            "V": matrix_to_json(result.V),
             "diagonal": list(result.diagonal()),
         }
     return 0, [
@@ -136,6 +138,7 @@ def _run_snf(config):
 
 
 def _run_cable_homology(config):
+    from . import jsonio
     from .cablespace import cable_space_homology
 
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
@@ -166,6 +169,8 @@ def _law_line(smap):
 
 
 def _transfer_text(cert, checks):
+    from .slopes import INF, value_text
+
     model, slopes = cert.model, cert.witnesses["slopes"]
     meridian = next(rec for rec in slopes if rec["value_outer"] is INF)
     lines = [
@@ -192,6 +197,7 @@ def _transfer_text(cert, checks):
 
 
 def _run_transfer(config):
+    from . import jsonio
     from .cablespace import cable_space_homology
     from .transfer import transfer_certificate, verify_certificate
 
@@ -202,7 +208,7 @@ def _run_transfer(config):
     as_json = config.format == "json"
     doc = jsonio.transfer_certificate_to_json(cert) if as_json or config.emit else None
     if config.emit:
-        _write_text(config.emit, jsonio.canonical_dumps(doc))
+        _write_text(config.emit, canonical_dumps(doc))
     if as_json:
         return code, {
             "kind": "transfer_report",
@@ -218,7 +224,9 @@ def _run_transfer(config):
 
 
 def _run_propagate(config):
+    from . import jsonio
     from .pipeline import KnotDescription, diameter, propagate
+    from .slopes import value_text
 
     path = config.inputs[0]
     doc = jsonio.load_document(_read_text(path), path)
@@ -248,6 +256,8 @@ def _run_propagate(config):
 
 
 def _route_lines(cert):
+    from .slopes import value_text
+
     lines = []
     if cert.gitk:
         lines.append(
@@ -292,6 +302,7 @@ def _verify_lines(path, verification):
 
 
 def _run_verify(config):
+    from . import jsonio
     from .pipeline import LevelCache
     from .verify import verify_document
 
@@ -307,7 +318,7 @@ def _run_verify(config):
             verification = verify_document(doc, cache)
         except ValueError as e:
             codes.append(2)
-            error = str(jsonio.digit_limit_text(e) or e)
+            error = str(digit_limit_text(e) or e)
             if as_json:
                 out.append({"input": path, "error": error, "ok": False})
             else:
@@ -326,7 +337,7 @@ def _run_verify(config):
         else:
             out += _verify_lines(path, verification)
         if config.emit:
-            _write_text(config.emit, jsonio.canonical_dumps(cert_json))
+            _write_text(config.emit, canonical_dumps(cert_json))
             if not as_json:
                 out.append("  certificate written to %s" % config.emit)
     code = max(codes)
@@ -350,13 +361,15 @@ def run(config):
     if config.command not in _RUNNERS:
         return 2, "input error: unknown command %r\n" % config.command
     try:
+        if config.emit == "":  # both readers take --emit "" and --emit=
+            raise ValueError("--emit needs a file path, not an empty one")
         code, report = _RUNNERS[config.command](config)
         # Rendering can fail too: an int past the interpreter's digit limit.
         if config.format == "json":
-            return code, jsonio.canonical_dumps(report)
+            return code, canonical_dumps(report)
         return code, "\n".join(report) + "\n"
     except ValueError as e:
-        return 2, "input error: %s\n" % (jsonio.digit_limit_text(e) or e)
+        return 2, "input error: %s\n" % (digit_limit_text(e) or e)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +471,7 @@ def _int_option(text):
         import argparse
 
         raise argparse.ArgumentTypeError(
-            jsonio.digit_limit_text(e) or "invalid int value: %r" % text
+            digit_limit_text(e) or "invalid int value: %r" % text
         ) from None
 
 

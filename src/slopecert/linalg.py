@@ -17,7 +17,7 @@ triples on every run.
 import operator
 from math import gcd
 
-from .slopes import InvariantError, Record, _store
+from .record import InvariantError, Record, _store
 
 
 class IntMatrix(Record):

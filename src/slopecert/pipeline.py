@@ -45,8 +45,9 @@ from .cablespace import (
     glued_manifold_h1,
     with_standard_framings,
 )
+from .record import InvariantError, Record, _store
 from .report import Check, CheckReport
-from .slopes import INF, NEG_INF, InvariantError, Record, _store, _sorted_values, value_text
+from .slopes import INF, NEG_INF, _sorted_values, value_text
 from .transfer import transfer_certificate, verify_certificate
 
 

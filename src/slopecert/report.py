@@ -1,6 +1,6 @@
 """Pass/fail check reports shared by certificate verification and the CLI."""
 
-from .slopes import Record, _store
+from .record import Record, _store
 
 
 class Check(Record):

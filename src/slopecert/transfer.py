@@ -38,13 +38,12 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cablespace import _cross
+from .record import Record, _store
 from .report import Check, CheckReport
 from .slopes import (
     INF,
     PrimitiveClass,
-    Record,
     _in_basis,
-    _store,
     canonical_slope,
     numerical_slope,
     slope_from_numerical,

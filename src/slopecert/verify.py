@@ -20,8 +20,9 @@ separate object and is checked on its own.
 
 from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
 from .pipeline import is_cable_description, primary_route
+from .record import Record, _store
 from .report import Check, CheckReport
-from .slopes import NEG_INF, Record, _store, value_text
+from .slopes import NEG_INF, value_text
 from .transfer import TransferCertificate, verify_certificate
 
 

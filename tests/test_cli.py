@@ -588,6 +588,19 @@ def test_verify_emit_needs_single_input(tmp_path, capsys):
     assert "single input" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["transfer", "verify"])
+@pytest.mark.parametrize("emit", [["--emit", ""], ["--emit="]], ids=["separate", "equals"])
+def test_an_empty_emit_path_is_an_input_error(command, emit, tmp_path, capsys, monkeypatch):
+    # The plain reader takes the first spelling, argparse the second; the
+    # empty value names no file to write.
+    monkeypatch.chdir(tmp_path)
+    _, path = write_description(tmp_path)
+    args = ["--p", "2", "--q", "3"] if command == "transfer" else [str(path)]
+    assert main([command, *args, *emit]) == 2
+    assert capsys.readouterr().out == "input error: --emit needs a file path, not an empty one\n"
+    assert sorted(os.listdir(tmp_path)) == ["desc.json"]
+
+
 def test_verify_json_report(tmp_path, capsys):
     _, path = write_description(tmp_path)
     assert main(["verify", "--format", "json", str(path)]) == 0

@@ -1,9 +1,10 @@
 """Which modules a start-up loads, pinned in fresh `python -S` processes.
 
-Start-up is most of a short slopecert run, so the CLI module must not pull
-in dataclasses, inspect or typing, a subcommand loads only the modules it
-runs, and a plain command line loads no argparse.  Module sets are
-deterministic, where start-up times are not.
+Start-up is most of a short slopecert run, so the CLI module loads only
+the package and its leaves (no dataclasses, inspect, typing, json or
+fractions), a subcommand loads only the modules it runs, and a plain
+command line loads no argparse.  Module sets are deterministic, where
+start-up times are not.
 """
 
 import json
@@ -52,15 +53,33 @@ def run_fresh(code, cwd):
     return json.loads(proc.stderr)
 
 
-MODULES = "import json, sys; sys.stderr.write(json.dumps(sorted(sys.modules)))"
+# Writes the modules loaded so far, before it loads json itself.
+MODULES = "import sys; _m = sorted(sys.modules); import json; sys.stderr.write(json.dumps(_m))"
+
+# Writes the modules that `code` loads, leaving out those loaded at start-up.
+NEW_MODULES = (
+    "import sys; _before = set(sys.modules)\n%s\n"
+    "_m = sorted(set(sys.modules) - _before); import json; sys.stderr.write(json.dumps(_m))"
+)
+
+# What snf loaded before it ran on integers alone: json and re, fractions
+# with decimal and numbers, enum, and the document modules.
+NOT_FOR_SNF = {
+    "_decimal", "_sre", "collections.abc", "copyreg", "decimal", "enum", "fractions",
+    "json", "json.decoder", "json.encoder", "json.scanner", "numbers", "re", "re._casefix",
+    "re._compiler", "re._constants", "re._parser", "slopecert.jsonio", "slopecert.slopes",
+}
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
-    loaded = run_fresh("import slopecert.cli; " + MODULES, tmp_path)
-    assert "slopecert.cli" in loaded
-    assert not {"dataclasses", "inspect", "typing"} & set(loaded)
-    assert not [m for m in loaded if m.startswith("slopecert.") and m not in (
-        "slopecert.cli", "slopecert.jsonio", "slopecert.slopes")]
+    loaded = run_fresh(NEW_MODULES % "import slopecert.cli", tmp_path)
+    assert not {"dataclasses", "inspect", "typing", "json", "fractions"} & set(loaded)
+    # The package, the CLI and the two leaves, which import nothing heavier
+    # than sys, operator and _json.
+    assert [m for m in loaded if m.startswith("slopecert")] == [
+        "slopecert", "slopecert.cli", "slopecert.record", "slopecert.textio"]
+    assert set(loaded) <= {"slopecert", "slopecert.cli", "slopecert.record",
+                           "slopecert.textio", "operator", "_operator", "_json"}
 
 
 def test_the_cable_path_loads_no_linalg(tmp_path):
@@ -78,12 +97,16 @@ def test_the_cable_path_loads_no_linalg(tmp_path):
 
 
 def test_snf_loads_no_cable_space_module(tmp_path):
+    # Nor json, fractions or the document schema, in either format.
     (tmp_path / "m.txt").write_text("2 2\n1 2\n3 4\n")
-    loaded = run_fresh(
-        "from slopecert import cli; code = cli.main(['snf', 'm.txt']); " + MODULES, tmp_path)
-    assert {"slopecert.linalg", "slopecert.jsonio"} <= set(loaded)
-    for name in ("cablespace", "transfer", "pipeline", "verify"):
-        assert "slopecert." + name not in loaded
+    for fmt in ("text", "json"):
+        loaded = set(run_fresh(NEW_MODULES % (
+            "from slopecert import cli; code = cli.main(['snf', '--format', %r, 'm.txt'])"
+            % fmt), tmp_path))
+        assert "slopecert.linalg" in loaded
+        assert not NOT_FOR_SNF & loaded, fmt
+        for name in ("cablespace", "transfer", "pipeline", "verify"):
+            assert "slopecert." + name not in loaded
 
 
 # argparse, what it loads while a parser is built (gettext loads locale),

@@ -324,7 +324,7 @@ def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monk
         kinds.append(obj.get("kind"))
         return text
 
-    monkeypatch.setattr(jsonio, "canonical_dumps", checked)
+    monkeypatch.setattr(cli, "canonical_dumps", checked)  # the emitter, where cli calls it
     monkeypatch.setattr(jsonio.json, "dumps", no_fallback)
     matrix = tmp_path / "m.txt"
     matrix.write_text("3 3\n2 4 4\n-6 6 12\n10 4 16\n")

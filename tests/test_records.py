@@ -1,4 +1,4 @@
-"""The immutable records (slopes.Record) of every public record class.
+"""The immutable records (record.Record) of every public record class.
 
 Each class gets the same treatment: equality and hashing over its fields
 and its class, no assignment or deletion, keyword and default
@@ -33,7 +33,8 @@ from slopecert import (
     cable_space_homology,
 )
 from slopecert.cli import RunConfig
-from slopecert.slopes import INF, NEG_INF, Record
+from slopecert.record import Record
+from slopecert.slopes import INF, NEG_INF
 from slopecert.verify import Verification
 
 E1 = PrimitiveClass(1, 0)

@@ -138,7 +138,7 @@ def counts(monkeypatch):
             c["in_replay"] = False
 
     monkeypatch.setattr(jsonio, "diameter_certificate_to_json", to_json)
-    monkeypatch.setattr(jsonio, "canonical_dumps", dumps)
+    monkeypatch.setattr(cli, "canonical_dumps", dumps)  # the emitter, where cli calls it
     monkeypatch.setattr(verify, "_verify_diameter_certificate", replay)
     monkeypatch.setattr(pipeline, "cable_space_homology", build)
     monkeypatch.setattr(pipeline, "diameter_lower_bound", bound)
