@@ -138,8 +138,9 @@ class CableSpaceModel(Record):
     of the inner and outer framings, and ``boundary_outer``/
     ``boundary_inner`` the class of the planar surface's boundary on each
     torus (reference coordinates), mu and zeta*q*mu', so that
-    [dP] = mu + zeta*q*mu'.  Images in H1(N) = Z^2 are combinations of
-    the four ``basis_images``.  The instance keeps a ``__dict__``, where
+    [dP] = mu + zeta*q*mu', which dies in H1(N) exactly when eq-meridian
+    holds.  Images in H1(N) = Z^2 are combinations of the four
+    ``basis_images``.  The instance keeps a ``__dict__``, where
     ``basis_images``, ``report`` and ``witness_records`` are cached.
     """
 
@@ -224,8 +225,7 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     Framings default to the standard surface framings; supplied ones
     must be meridian-based (mu = +-E1 on their torus) and carry signs
     consistent with the model's boundary orientations.  Every
-    CableSpaceModel invariant (rational isomorphisms, the mu and lambda'
-    relations, the planar boundary witness) is checked exactly before the
+    CableSpaceModel identity (check_model) is checked exactly before the
     model is returned.
     """
     check_parameters(p, q, orientation)
@@ -258,45 +258,39 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
 
 
 def check_model(model):
-    """Exact re-check of every CableSpaceModel identity, one Check each.
+    """Exact re-check of every CableSpaceModel identity, one Check each:
+    framing-signs, eq-meridian and eq-longitude.
 
-    The single implementation of the model's identities.  It trusts
-    nothing: the stored zeta and t are each held against a check that
-    refutes them, and the framings against the model's orientations.
-    Every identity is read in the closed-form coordinates of H1(N)
-    (model.basis_images), and a failed equation names its first differing
-    coordinate with both sides.  Callers read it through
-    ``model.report``, so it runs once per model object: the constructor's
-    postcondition (verify_model) and the replay of a certificate holding
-    that very model share one report, while a model read from input is
-    its own object and is checked on its own.  The parameters are checked
-    when the model is constructed.
+    The single implementation of the model's identities, each a check
+    that can fail: a framing pair's images are always a basis of H1(N; Q)
+    (their cross product is q*det(framing) = +-q), and the planar
+    boundary dies exactly when eq-meridian holds.  It trusts nothing: the
+    stored zeta and t are each held against a check that refutes them,
+    and the framings against the model's orientations.  Every identity is
+    read in the closed-form coordinates of H1(N) (model.basis_images), and
+    a failed equation names its first differing coordinate with both
+    sides.  Callers read it through ``model.report``, so it runs once per
+    model object: the constructor's postcondition (verify_model) and the
+    replay of a certificate holding that very model share one report,
+    while a model read from input is its own object and is checked on its
+    own.  The parameters are checked when the model is constructed.
     """
     checks = []
 
     def add(name, ok, detail=""):
         checks.append(Check(name=name, ok=bool(ok), detail=detail))
 
-    # The images of each framing pair are a basis of H1(N; Q).
+    # The framings are meridian-based, with signs (theta and eta) that
+    # fit the model's boundary orientations.
     f_outer, f_inner = model.f_outer, model.f_inner
+    add("framing-signs", not framing_problem(f_outer, f_inner))
+
+    # Eq (2): mu-bar = -zeta*q*mu-bar', which says that the planar
+    # boundary mu + zeta*q*mu' dies in H1(N).
     mu_r = model.rational_outer(f_outer.mu.a, f_outer.mu.b)
     la_r = model.rational_outer(f_outer.lambda_.a, f_outer.lambda_.b)
     mp_r = model.rational_inner(f_inner.mu.a, f_inner.mu.b)
     lp_r = model.rational_inner(f_inner.lambda_.a, f_inner.lambda_.b)
-    add("iota-isomorphisms", _cross(mu_r, la_r) != 0 and _cross(mp_r, lp_r) != 0)
-
-    # The framings are meridian-based, with signs (theta and eta) that
-    # fit the model's boundary orientations.
-    add("framing-signs", not framing_problem(f_outer, f_inner))
-
-    # Eq (1): the planar boundary, mu on T1 and zeta*q*mu' on T2, dies
-    # in H1(N): exactly when its coordinates vanish, as they are an
-    # isomorphism over Z.
-    outer = model.rational_outer(*model.boundary_outer)
-    inner = model.rational_inner(*model.boundary_inner)
-    add("eq-boundary", all(x + y == 0 for x, y in zip(outer, inner)))
-
-    # Eq (2): mu-bar = -zeta*q*mu-bar'.
     zq = model.zeta * model.q
     problem = _unequal_coordinate("mu-bar", mu_r, "-zeta*q*mu-bar'", [-zq * b for b in mp_r])
     add("eq-meridian", not problem, problem)

@@ -138,12 +138,13 @@ def _run_snf(config):
 
 
 def _run_cable_homology(config):
-    from . import jsonio
     from .cablespace import cable_space_homology
 
     model = cable_space_homology(config.p, config.q, orientation=config.orientation)
     if config.format == "json":
-        return 0, {"kind": "cable_homology_report", "model": jsonio.model_to_json(model)}
+        from .jsonio import model_to_json
+
+        return 0, {"kind": "cable_homology_report", "model": model_to_json(model)}
     return 0, [
         "cable space (p, q) = (%d, %d), orientation %+d"
         % (model.p, model.q, model.orientation),
@@ -197,7 +198,6 @@ def _transfer_text(cert, checks):
 
 
 def _run_transfer(config):
-    from . import jsonio
     from .cablespace import cable_space_homology
     from .transfer import transfer_certificate, verify_certificate
 
@@ -206,7 +206,10 @@ def _run_transfer(config):
     report = verify_certificate(cert)
     code = 0 if report.ok else 1
     as_json = config.format == "json"
-    doc = jsonio.transfer_certificate_to_json(cert) if as_json or config.emit else None
+    if as_json or config.emit:
+        from .jsonio import transfer_certificate_to_json
+
+        doc = transfer_certificate_to_json(cert)
     if config.emit:
         _write_text(config.emit, canonical_dumps(doc))
     if as_json:

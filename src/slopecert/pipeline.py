@@ -48,7 +48,7 @@ from .cablespace import (
 from .record import InvariantError, Record, _store
 from .report import Check, CheckReport
 from .slopes import INF, NEG_INF, _sorted_values, value_text
-from .transfer import transfer_certificate, verify_certificate
+from .transfer import grid_check, transfer_map
 
 
 def diameter(values):
@@ -142,6 +142,7 @@ def ambient_h1(d):
 
     Cablings happen inside a solid torus, so they never change the
     ambient manifold; it is pinned down exactly when the base is round.
+    For the complementary meridian (a, b) it is Z/|b|, always cyclic.
     """
     if not d.base.is_round:
         return None
@@ -149,59 +150,54 @@ def ambient_h1(d):
 
 
 class LevelCache:
-    """Transfer certificates built here, and their check reports, one per
-    set of cabling parameters.
+    """The transfer map built here for each set of cabling parameters, and
+    the level's check report: the model's checks, then the grid check.
 
     The key is (p, q, orientation, f_outer, f_inner) with the standard
-    framings filled in, so each level's model and certificate are built
-    once however often the level recurs; a report is kept per key, so a
-    recurring cabling reuses its level report and each certificate is
-    checked once per run.  Only certificates built from those parameters
-    are stored: a model or certificate parsed from input never enters,
-    so replaying a stored certificate still compares it against a fresh
-    computation.  Models, certificates and reports are frozen, so sharing
-    one between levels is safe.
+    framings filled in, so each level's model, map and report are built
+    once however often the level recurs, and a recurring cabling reuses
+    its report.  No transfer certificate is built, as its witness records
+    and map-consistency would only compare the build with itself.  A model
+    or certificate parsed from input never enters, so replaying a stored
+    certificate still compares it against a fresh computation.  Maps and
+    reports are frozen, so sharing one between levels is safe.
     """
 
     def __init__(self):
-        self._certificates = {}
-        self._reports = {}
+        self._levels = {}
 
-    @staticmethod
-    def _key(cabling):
-        return (
+    def _level(self, cabling):
+        key = (
             cabling.p,
             cabling.q,
             cabling.orientation,
             *with_standard_framings(cabling.f_outer, cabling.f_inner),
         )
+        level = self._levels.get(key)
+        if level is None:
+            model = cabling.model()
+            smap = transfer_map(model)
+            report = CheckReport(checks=model.report.checks + (grid_check(model, smap),))
+            level = self._levels[key] = (smap, report)
+        return level
 
-    def certificate(self, cabling):
-        """The transfer certificate of the cabling's model, built on first use."""
-        key = self._key(cabling)
-        cert = self._certificates.get(key)
-        if cert is None:
-            cert = self._certificates[key] = transfer_certificate(cabling.model())
-        return cert
+    def map(self, cabling):
+        """The transfer map of the cabling's model, built on first use."""
+        return self._level(cabling)[0]
 
     def report(self, cabling):
-        """verify_certificate's report on the cabling's certificate,
-        computed on first use."""
-        key = self._key(cabling)
-        report = self._reports.get(key)
-        if report is None:
-            report = self._reports[key] = verify_certificate(self.certificate(cabling))
-        return report
+        """The level's check report, computed on first use."""
+        return self._level(cabling)[1]
 
 
 def propagate(d, cache=None):
     """Per-level strict slope value sets, base first.
 
     Entry 0 is the declared base set; entry i+1 is the image of entry i
-    under the map of level i's transfer certificate, taken from
-    ``cache`` (a fresh LevelCache when None).  Requires a meridionally
-    small base (which also guarantees every declared and propagated
-    value is finite).  Returns a list of sorted tuples of Fractions.
+    under level i's transfer map, taken from ``cache`` (a fresh
+    LevelCache when None).  Requires a meridionally small base (which
+    also guarantees every declared and propagated value is finite).
+    Returns a list of sorted tuples of Fractions.
     """
     if not d.base.meridionally_small:
         raise ValueError("propagation requires a meridionally small base")
@@ -209,7 +205,7 @@ def propagate(d, cache=None):
         cache = LevelCache()
     levels = [tuple(sorted(d.base.strict_numerical_slopes))]
     for cabling in d.cablings:
-        smap = cache.certificate(cabling).map
+        smap = cache.map(cabling)
         levels.append(tuple(sorted(smap.apply(v) for v in levels[-1])))
     return levels
 
@@ -219,8 +215,8 @@ class LevelRecord(Record):
 
     ``slopes`` is the propagated value set after this level, or None when
     propagation was not licensed (base not meridionally small).  The
-    level's cabling is the description's; its transfer certificate is a
-    function of that cabling, so the certificate does not state it.
+    level's cabling is the description's; its transfer map and checks are
+    functions of that cabling, so the certificate does not state them.
     """
 
     def __init__(self, slopes=None):
@@ -265,10 +261,6 @@ def diameter_lower_bound(d, cache=None):
     base = d.base
     gitk = recognize_gitk(d)
     ambient = ambient_h1(d)
-    if ambient is not None and base.ambient_pi1_cyclic and not ambient.is_cyclic:
-        raise ValueError(
-            "ambient fundamental group declared cyclic, but the computed ambient H1 is not"
-        )
 
     level_sets = propagate(d, cache) if base.meridionally_small else None
     slopes = [None] * len(d.cablings) if level_sets is None else level_sets[1:]

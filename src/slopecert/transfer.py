@@ -295,7 +295,7 @@ def verify_certificate(cert):
 
     Returns a CheckReport: the model's checks (check_model, read from
     the model's cached ``report``), then map-consistency, witness-slopes
-    and the grid check, always all eight.  Like the model's identities,
+    and the grid check, always all six.  Like the model's identities,
     the last three read phi in the closed-form coordinates of H1(N),
     where both inclusions are isomorphisms over Q, so every slope has an
     image.  The model's report and witness records are computed once per

@@ -2,13 +2,13 @@
 
 A transfer certificate gets transfer.verify_certificate.  A diameter
 certificate gets "replay" (its recomputation is byte-identical),
-"route-logic", as "level i: ..." the checks of the transfer certificate
-built for its description's cabling i, and rule C's checks as "rule C:
-..." when pipeline.is_cable_description holds.  A knot description gets
-the checks of the diameter certificate built from it.  The replay
-compares records with ``==``, so this module sits above pipeline; only a
-failed replay loads jsonio, whose tables name the first field that
-differs by its JSON path.
+"route-logic", as "level i: ..." the model's checks and the grid check
+of the model and transfer map built for its description's cabling i, and
+rule C's checks as "rule C: ..." when pipeline.is_cable_description
+holds.  A knot description gets the checks of the diameter certificate
+built from it.  The replay compares records with ``==``, so this module
+sits above pipeline; only a failed replay loads jsonio, whose tables name
+the first field that differs by its JSON path.
 
 Each check runs once per object in a run.  A level's checks are the
 report the LevelCache keeps for its cabling, so a recurring cabling
@@ -40,7 +40,7 @@ class Verification(Record):
 def verify_document(doc, cache=None):
     """Check a knot description, transfer certificate or diameter
     certificate.  ``cache`` (a fresh LevelCache when None) holds the level
-    certificates built here; documents read from input never enter it.
+    maps and reports built here; documents read from input never enter it.
     Failures are report entries, never exceptions."""
     if isinstance(doc, TransferCertificate):
         return Verification("transfer_certificate", doc, verify_certificate(doc))

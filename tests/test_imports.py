@@ -109,6 +109,19 @@ def test_snf_loads_no_cable_space_module(tmp_path):
             assert "slopecert." + name not in loaded
 
 
+def test_a_text_report_that_writes_no_document_loads_no_json(tmp_path):
+    # transfer and cable-homology load the document schema only to write
+    # JSON: a report as JSON, or transfer's --emit.
+    for command in ("transfer", "cable-homology"):
+        for extra, documents in (((), False), (("--format", "json"), True)):
+            argv = [command, "--p", "2", "--q", "3", *extra]
+            loaded = set(run_fresh(NEW_MODULES % (
+                "from slopecert import cli; code = cli.main(%r)" % argv), tmp_path))
+            assert "slopecert.cablespace" in loaded
+            schema = {"json", "slopecert.jsonio"}
+            assert schema & loaded == (schema if documents else set()), argv
+
+
 # argparse, what it loads while a parser is built (gettext loads locale),
 # and what each HelpFormatter loads to read the terminal width.
 PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}

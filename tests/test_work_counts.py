@@ -2,9 +2,10 @@
 
 One fixed 50-level description is verified with --emit, then the
 emitted certificate is verified again, each as one CLI run.  Counting
-wrappers record what each run builds, recomputes and serializes.  A
-passing grid check calls phi on no slope, and a failing one on the one
-slope it names.  An `snf` run formats its matrices as text only for a text
+wrappers record what each run builds, recomputes and serializes.  A level
+is checked from its model and transfer map, without a transfer
+certificate or witness records.  A passing grid check calls phi on no
+slope, and a failing one on the one slope it names.  An `snf` run formats its matrices as text only for a text
 report, and a Smith normal form computes determinants only for an input
 that is not square or whose D has a zero.
 """
@@ -39,9 +40,6 @@ CHAIN = tuple(
     for i in range(49)
 ) + (Cabling(1, 2, f_outer=STANDARD_OUTER_FRAMING),)
 DISTINCT_MODELS = 11
-# Six witness records per model (five witness values, then the cabling
-# curve), but five for (-5, 3), whose cabling curve has the value 5/3.
-WITNESS_RECORDS = 6 * DISTINCT_MODELS - 1
 
 
 @pytest.fixture
@@ -57,6 +55,7 @@ def counts(monkeypatch):
         "slope_record": 0,
         "witness_slopes": 0,
         "check_model": 0,
+        "transfer_map": 0,
         "verify_certificate": 0,
         "presentations": 0,
         "rational_coords": 0,
@@ -144,7 +143,12 @@ def counts(monkeypatch):
     monkeypatch.setattr(pipeline, "diameter_lower_bound", bound)
     monkeypatch.setattr(verify, "diameter_lower_bound", bound)
     monkeypatch.setattr(verify, "check_corollary_c", corollary)
+    # The level reports pipeline's LevelCache makes, and the grid checks
+    # of transfer certificates.
+    monkeypatch.setattr(pipeline, "grid_check", grid_check)
     monkeypatch.setattr(transfer, "grid_check", grid_check)
+    monkeypatch.setattr(
+        pipeline, "transfer_map", counted("transfer_map", transfer.transfer_map))
     monkeypatch.setattr(transfer, "phi", phi)
     monkeypatch.setattr(
         transfer, "slope_record", counted("slope_record", transfer.slope_record))
@@ -152,9 +156,9 @@ def counts(monkeypatch):
         transfer, "witness_slopes", counted("witness_slopes", transfer.witness_slopes))
     monkeypatch.setattr(
         cablespace, "check_model", counted("check_model", cablespace.check_model))
-    level_check = counted("verify_certificate", transfer.verify_certificate)
-    monkeypatch.setattr(pipeline, "verify_certificate", level_check)
-    monkeypatch.setattr(verify, "verify_certificate", level_check)
+    certificate_check = counted("verify_certificate", transfer.verify_certificate)
+    monkeypatch.setattr(transfer, "verify_certificate", certificate_check)
+    monkeypatch.setattr(verify, "verify_certificate", certificate_check)
     monkeypatch.setattr(linalg, "group_from_presentation",
                         counted("presentations", linalg.group_from_presentation))
     monkeypatch.setattr(linalg, "smith_normal_form",
@@ -169,7 +173,8 @@ def reset(c):
     c["diameter"] = c["corollary"] = c["corollary_recomputed"] = 0
     c["grid"].clear()
     c["to_json"] = c["dumps"] = c["dumps_in_replay"] = 0
-    c["check_model"] = c["verify_certificate"] = c["presentations"] = c["snf"] = 0
+    c["check_model"] = c["transfer_map"] = c["verify_certificate"] = 0
+    c["presentations"] = c["snf"] = 0
     c["rational_coords"] = c["slope_record"] = c["witness_slopes"] = 0
 
 
@@ -189,19 +194,18 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert set(counts["builds"].values()) == {1}
     assert counts["diameter"] == 2  # the build and its replay
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
-    # Each model, certificate and (p, q) is checked once: a recurring
-    # cabling reuses its level report, a built model its self-check.  Each
-    # grid check passes without calling phi.
+    # Each model and its map are checked once: a recurring cabling reuses
+    # its level report, a built model its self-check.  Each grid check
+    # passes without calling phi.
     assert counts["grid"] == [0] * DISTINCT_MODELS
-    assert counts["check_model"] == DISTINCT_MODELS
-    assert counts["verify_certificate"] == DISTINCT_MODELS
+    assert counts["check_model"] == counts["transfer_map"] == DISTINCT_MODELS
     # Cable-space homology is read in closed form: no Smith normal form,
     # and no group, for a description whose base is not round.
     assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
-    # Each model's witness records, once: the built certificate states
-    # them, and witness-slopes compares its list with them.
-    assert counts["witness_slopes"] == DISTINCT_MODELS
-    assert counts["slope_record"] == WITNESS_RECORDS
+    # No level builds a transfer certificate, so none has witness records
+    # to state or check.
+    assert counts["verify_certificate"] == 0
+    assert (counts["witness_slopes"], counts["slope_record"]) == (0, 0)
     assert counts["to_json"] == 1  # --emit only: the replay compares records
     assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
 
@@ -213,13 +217,26 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["diameter"] == 1  # the replay only
     assert (counts["corollary"], counts["corollary_recomputed"]) == (1, 0)
     assert counts["grid"] == [0] * DISTINCT_MODELS
-    assert counts["check_model"] == DISTINCT_MODELS
-    assert counts["verify_certificate"] == DISTINCT_MODELS
+    assert counts["check_model"] == counts["transfer_map"] == DISTINCT_MODELS
     assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
-    assert counts["witness_slopes"] == DISTINCT_MODELS
-    assert counts["slope_record"] == WITNESS_RECORDS
+    assert counts["verify_certificate"] == 0
+    assert (counts["witness_slopes"], counts["slope_record"]) == (0, 0)
     assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
+
+
+def test_a_transfer_certificate_is_checked_with_its_witness_records(tmp_path, capsys, counts):
+    # Where a transfer certificate is built or read, it is checked whole:
+    # once by transfer, which builds its model's records, and once by
+    # verify, whose parsed model is another object with its own records.
+    emitted = tmp_path / "t.json"
+    assert cli.main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    assert cli.main(["verify", str(emitted)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert counts["verify_certificate"] == 2
+    assert (counts["witness_slopes"], counts["slope_record"]) == (2, 12)
+    assert counts["grid"] == [0, 0]
+    assert counts["transfer_map"] == 0  # no level is built
 
 
 def test_a_failing_grid_check_stops_within_three_slopes(counts):
