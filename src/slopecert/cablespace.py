@@ -78,10 +78,10 @@ four basis images; no Smith normal form runs.  The group H1 is not
 stated: it is the same Z^2 for every valid (p, q).
 """
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+from .rational import Rational
 from .record import Record, _store
 from .report import Check, CheckReport
 from .slopes import Framing, PrimitiveClass
@@ -132,7 +132,7 @@ def _cross(v, w):
 class CableSpaceModel(Record):
     """H1 data of one cable space, with framings and transfer constants.
 
-    ``zeta`` and ``t`` (a Fraction) are the constants of the transfer
+    ``zeta`` and ``t`` (a Rational) are the constants of the transfer
     law, each a claim that check_model refutes when it is false.  The
     rest is read off the parameters: ``theta`` and ``eta`` are the signs
     of the inner and outer framings, and ``boundary_outer``/
@@ -247,7 +247,7 @@ def cable_space_homology(p, q, f_outer=None, f_inner=None, orientation=1):
     lp_r = _combine(i1, i2, f_inner.lambda_.a, f_inner.lambda_.b)
     # With mu = (e, 0) and det(mu, lambda) = e*d = +-1, the denominator
     # is e*d*q = +-q, never zero.
-    t = Fraction(_cross(lp_r, la_r), _cross(mu_r, la_r))
+    t = Rational(_cross(lp_r, la_r), _cross(mu_r, la_r))
 
     model = CableSpaceModel(
         p=p, q=q, orientation=orientation, f_outer=f_outer, f_inner=f_inner,

@@ -32,8 +32,9 @@ has none.  The writer leaves out complementary_meridian, f_outer and
 f_inner when None.
 
 All rationals are reduced [numerator, denominator] pairs with positive
-denominator; the meridian value is the string "inf" and an empty-set
-diameter is "-inf".  Slopes and primitive classes are [a, b] pairs in
+denominator, read as rational.Rational and written from anything with a
+numerator and a denominator; the meridian value is the string "inf" and
+an empty-set diameter is "-inf".  Slopes and primitive classes are [a, b] pairs in
 reference coordinates, a slope always its canonical pair (coprime, with
 b > 0, or [1, 0]).  Documents carry a "kind" field
 ("knot_description", "transfer_certificate", "diameter_certificate")
@@ -42,17 +43,24 @@ order via sorted dumps, fixed list orders fixed by the producers.
 
 The emitter, the matrix writer and snf's matrix text format are textio's,
 bound here too as the same objects; snf loads textio without this module.
+A document is parsed by the C scanner that json.loads runs (_json), with
+json.loads's settings, so reading one loads neither json nor fractions;
+json is imported only to word an error, which is json.loads's own.
 """
 
-import json
 import operator
 import sys
-from fractions import Fraction
 from math import gcd
 
+from .rational import Rational
 from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values, value_text
 from .textio import MAX_MATRIX_DIM, _check_size, _encode_str, canonical_dumps
 from .textio import digit_limit_text, matrix_to_json, parse_matrix_text
+
+try:
+    from _json import make_encoder as _make_encoder, make_scanner as _make_scanner
+except ImportError:  # no C accelerator: json does both
+    _make_encoder = _make_scanner = None
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,7 @@ def _tuple(*fields):
 
 def _fraction(n, d):
     if d > 0 and gcd(n, d) == 1:
-        return Fraction(n, d)
+        return Rational(n, d)
     raise _Bad("a reduced fraction [n, d] with d > 0")
 
 
@@ -305,12 +313,6 @@ def _slope(a, b):
     if (b > 0 or (b == 0 and a == 1)) and gcd(a, b) == 1:
         return Slope(PrimitiveClass(a, b))
     raise _Bad("a canonical slope [a, b]: coprime, with b > 0, or [1, 0]")
-
-
-def _fraction_pair(v):
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return [v.numerator, v.denominator]
 
 
 def _matrix(values):
@@ -340,7 +342,7 @@ BOOL = _Scalar(bool, "true or false")
 STR = _Scalar(str, "a string")
 INTS = _Ints()
 PAIR = _Pair(lambda a, b: (a, b), list)
-FRACTION = _Pair(_fraction, _fraction_pair)
+FRACTION = _Pair(_fraction, lambda v: [v.numerator, v.denominator])
 VALUE = _Token("inf", INF, FRACTION)
 D_LOWER = _Nullable(_Token("-inf", NEG_INF, FRACTION))
 SLOPE = _Pair(_slope, lambda s: [s.a, s.b])
@@ -498,15 +500,57 @@ def first_difference(kind, stored, fresh, path=""):
 
 
 def _value_json(kind, v):
-    if isinstance(v, Fraction) or v is INF or v is NEG_INF:
+    """A value as first_difference writes it: a rational as reports do, any
+    other value as json.dumps(..., sort_keys=True) writes its JSON form."""
+    if type(v) is Rational or v is INF or v is NEG_INF:
         return value_text(v)
-    return json.dumps(kind.emit(v), sort_keys=True)
+    if _make_encoder is None:
+        import json
+
+        return json.dumps(kind.emit(v), sort_keys=True)
+    encode = _make_encoder({}, _unserializable, _encode_str, None, ": ", ", ", True, False, True)
+    return "".join(encode(kind.emit(v), 0))
+
+
+def _unserializable(o):
+    raise TypeError("Object of type %s is not JSON serializable" % o.__class__.__name__)
+
+
+class _Strict:
+    """json.loads's settings, for the C scanner."""
+
+    strict, object_hook, object_pairs_hook = True, None, None
+    parse_float, parse_int = float, int
+    parse_constant = {
+        "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+    }.__getitem__
+
+
+_scan = _make_scanner and _make_scanner(_Strict)
+_WHITESPACE = " \t\n\r"
+
+
+def _loads(text):
+    """json.loads(text): the C scanner, from the first character that is not
+    JSON whitespace to the last.  Anything else (a leading BOM, trailing
+    data, any error, or an interpreter without _json) goes to json.loads,
+    which returns the same value or raises its own error."""
+    if _scan:
+        try:
+            x, end = _scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
+            if not text[end:].strip(_WHITESPACE):
+                return x
+        except (StopIteration, ValueError, RecursionError, TypeError):
+            pass
+    import json
+
+    return json.loads(text)
 
 
 def load_document(text, where="input"):
     """Parse a JSON document and dispatch on its "kind" field."""
     try:
-        x = json.loads(text)
+        x = _loads(text)
     except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise ValueError("%s: malformed JSON (%s)" % (where, digit_limit_text(e) or e)) from None
     except RecursionError:

@@ -35,8 +35,6 @@ least 2*q^2 unless the knot is a generalized iterated torus knot) is
 check_corollary_c().
 """
 
-from fractions import Fraction
-
 from .cablespace import (
     STANDARD_OUTER_FRAMING,
     cable_space_homology,
@@ -45,6 +43,7 @@ from .cablespace import (
     glued_manifold_h1,
     with_standard_framings,
 )
+from .rational import Rational
 from .record import InvariantError, Record, _store
 from .report import Check, CheckReport
 from .slopes import INF, NEG_INF, _sorted_values, value_text
@@ -58,15 +57,15 @@ def diameter(values):
         raise ValueError("diameter is undefined when the meridian value is present")
     if not vals:
         return NEG_INF
-    vals = [Fraction(v) for v in vals]
+    vals = [Rational(v) for v in vals]
     return max(vals) - min(vals)
 
 
 def _normalized_values(values):
-    """Declared slope values as a frozenset of Fractions and possibly INF."""
+    """Declared slope values as a frozenset of Rationals and possibly INF."""
     out = set()
     for v in values:
-        out.add(v if v is INF else Fraction(v))
+        out.add(v if v is INF else Rational(v))
     return frozenset(out)
 
 
@@ -197,7 +196,7 @@ def propagate(d, cache=None):
     under level i's transfer map, taken from ``cache`` (a fresh
     LevelCache when None).  Requires a meridionally small base (which
     also guarantees every declared and propagated value is finite).
-    Returns a list of sorted tuples of Fractions.
+    Returns a list of sorted tuples of Rationals.
     """
     if not d.base.meridionally_small:
         raise ValueError("propagation requires a meridionally small base")
@@ -228,7 +227,7 @@ class DiameterCertificate(Record):
 
     ``routes`` maps each certified route name to its exact bound;
     ``primary_route`` names the route backing ``d_lower`` ("gitk",
-    "axiom-b", "declared-set", or "none").  ``d_lower`` is a Fraction,
+    "axiom-b", "declared-set", or "none").  ``d_lower`` is a Rational,
     NEG_INF when no route applies, or None on the gitk route (no
     numeric claim).  ``tags`` lists (rule, value) pairs: one "A" per
     scaling step, "B-axiom" for the small-base bound, "B-ii" for the
@@ -285,8 +284,8 @@ def diameter_lower_bound(d, cache=None):
             and not base.is_cable
             and base.ambient_pi1_cyclic
         ):
-            routes["axiom-b"] = Fraction(2) * scale
-            tags.append(("B-axiom", Fraction(2)))
+            routes["axiom-b"] = Rational(2 * scale)
+            tags.append(("B-axiom", Rational(2)))
         if base.meridionally_small and base.strict_numerical_slopes:
             base_diam = diameter(base.strict_numerical_slopes)
             routes["declared-set"] = scale * base_diam
@@ -301,7 +300,7 @@ def diameter_lower_bound(d, cache=None):
                 )
         if routes:
             for c in d.cablings:
-                tags.append(("A", Fraction(c.q * c.q)))
+                tags.append(("A", Rational(c.q * c.q)))
             d_lower = max(routes.values())
             primary = primary_route(routes)
         else:
@@ -353,7 +352,7 @@ def check_corollary_c(d, cert=None):
     if cert is None:
         cert = diameter_lower_bound(d)
     q = d.cablings[-1].q
-    threshold = Fraction(2 * q * q)
+    threshold = Rational(2 * q * q)
     checks = [Check("cable-description", True, "outermost strand count q = %d" % q)]
     if cert.gitk:
         checks.append(

@@ -17,17 +17,18 @@ Slope-level computations in this module never consult ``sign``; it is
 carried for the homology models, which do.
 
 The numerical slope of <a*mu + b*lambda> relative to a framing is the
-exact rational -a/b, with the meridian itself taking the distinguished
-value INF.  INF is an atom, never the fraction 1/0, and supports no
-arithmetic; so is NEG_INF, the diameter of an empty slope set.  Changing
+exact rational -a/b (a rational.Rational; a value given to this module
+may be an int, a Fraction or a Rational), with the meridian itself taking
+the distinguished value INF.  INF is an atom, never the fraction 1/0, and
+supports no arithmetic; so is NEG_INF, the diameter of an empty slope set.  Changing
 the framing acts on numerical values by an affine map s -> epsilon*s + h
 with epsilon = +-1 and h an integer; framing_change() computes that map.
 The record base class and InvariantError are the leaf module record's.
 """
 
-from fractions import Fraction
 from math import gcd
 
+from .rational import Rational
 from .record import InvariantError, Record, _store
 
 
@@ -170,7 +171,7 @@ def numerical_slope(f, s):
     a, b = _in_basis(f, s.rep)
     if b == 0:
         return INF
-    return Fraction(-a, b)
+    return Rational(-a, b)
 
 
 def slope_from_numerical(f, r):
@@ -181,7 +182,7 @@ def slope_from_numerical(f, r):
     """
     if r is INF:
         return canonical_slope(f.mu.a, f.mu.b)
-    r = Fraction(r)
+    r = Rational(r)
     a, b = -r.numerator, r.denominator
     return canonical_slope(
         a * f.mu.a + b * f.lambda_.a,
@@ -212,7 +213,7 @@ class FramingChange(Record):
         """Apply to a numerical slope; INF is a fixed point."""
         if r is INF:
             return INF
-        return self.epsilon * Fraction(r) + self.h
+        return self.epsilon * Rational(r) + self.h
 
     def compose(self, inner):
         """self after inner, as affine maps."""

@@ -18,6 +18,9 @@ it, so a map is never produced from a model it disagrees with.  With
 the standard surface framings epsilon = +1 and u = p*q (an observation
 of the model catalog, not an assumption anywhere in the code).
 
+Numerical values, u and the proportionality factors are
+rational.Rationals; apply takes an int, a Fraction or a Rational.
+
 A TransferCertificate packages the model, the map, and sampled slope
 pairs with their rational proportionality factors, enough for
 verify_certificate() to re-derive every claim from the model's
@@ -34,10 +37,10 @@ matrices, without visiting a slope; it builds values only for the one
 slope it names on a failure.
 """
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .cablespace import _cross
+from .rational import Rational
 from .record import Record, _store
 from .report import Check, CheckReport
 from .slopes import (
@@ -59,19 +62,19 @@ class AffineSlopeMap(Record):
             raise ValueError("epsilon must be +1 or -1")
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an integer >= 2")
-        u = Fraction(u)
+        u = Rational(u)
         _store(self, locals())
 
     def apply(self, r):
         if r is INF:
             return INF
-        return self.epsilon * self.q * self.q * Fraction(r) + self.u
+        return self.epsilon * self.q * self.q * r + self.u
 
     def unapply(self, r):
         """Exact inverse; unapply(apply(s)) == s for every s."""
         if r is INF:
             return INF
-        return self.epsilon * (Fraction(r) - self.u) / (self.q * self.q)
+        return self.epsilon * (r - self.u) / (self.q * self.q)
 
     def compose(self, inner):
         """self after inner; quadratic coefficients multiply."""
@@ -90,7 +93,7 @@ def conjugate(smap, outer_change, inner_change):
     values: inner_change o smap o outer_change^{-1}.
     """
     eps = inner_change.epsilon * smap.epsilon * outer_change.epsilon
-    u = inner_change.apply(smap.apply(outer_change.inverse().apply(Fraction(0))))
+    u = inner_change.apply(smap.apply(outer_change.inverse().apply(0)))
     return AffineSlopeMap(eps, smap.q, u)
 
 
@@ -130,11 +133,11 @@ def phi_with_factor(model, s):
     w = model.rational_outer(s.a, s.b)
     v = model.rational_inner(image.a, image.b)
     i = 0 if w[0] != 0 else 1
-    # v == (x/y) * w, checked by cross products: no Fraction but the factor.
+    # v == (x/y) * w, checked by cross products: no Rational but the factor.
     x, y = v[i], w[i]
     if any(a * y != x * b for a, b in zip(v, w)):
         raise ValueError("inconsistent cable space model")
-    return image, Fraction(x, y)
+    return image, Rational(x, y)
 
 
 def _mul2(m, n):
@@ -210,7 +213,7 @@ def transfer_map(model):
     eps = -model.eta * model.theta
     u = -model.zeta * model.q * model.t
     smap = AffineSlopeMap(eps, model.q, u)
-    for value in (Fraction(0), Fraction(1)):
+    for value in (0, 1):
         s = slope_from_numerical(model.f_outer, value)
         got = numerical_slope(model.f_inner, phi(model, s))
         if got != smap.apply(value):
@@ -218,7 +221,7 @@ def transfer_map(model):
     return smap
 
 
-_DEFAULT_WITNESS_VALUES = (INF, Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 3))
+_DEFAULT_WITNESS_VALUES = (INF, 0, 1, -1, Rational(5, 3))
 
 
 class TransferCertificate(Record):

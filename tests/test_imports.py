@@ -2,8 +2,9 @@
 
 Start-up is most of a short slopecert run, so the CLI module loads only
 the package and its leaves (no dataclasses, inspect, typing, json or
-fractions), a subcommand loads only the modules it runs, and a plain
-command line loads no argparse.  Module sets are deterministic, where
+fractions), a subcommand loads only the modules it runs, a plain command
+line loads no argparse, and a run that reads or writes documents loads
+neither json nor fractions.  Module sets are deterministic, where
 start-up times are not.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import slopecert
+from slopecert.cli import RunConfig, run
 
 SRC = str(Path(slopecert.__file__).resolve().parents[1])
 
@@ -111,26 +113,27 @@ def test_snf_loads_no_cable_space_module(tmp_path):
 
 def test_a_text_report_that_writes_no_document_loads_no_json(tmp_path):
     # transfer and cable-homology load the document schema only to write
-    # JSON: a report as JSON, or transfer's --emit.
+    # JSON: a report as JSON, or transfer's --emit.  Neither loads json.
     for command in ("transfer", "cable-homology"):
         for extra, documents in (((), False), (("--format", "json"), True)):
             argv = [command, "--p", "2", "--q", "3", *extra]
             loaded = set(run_fresh(NEW_MODULES % (
                 "from slopecert import cli; code = cli.main(%r)" % argv), tmp_path))
             assert "slopecert.cablespace" in loaded
-            schema = {"json", "slopecert.jsonio"}
-            assert schema & loaded == (schema if documents else set()), argv
+            assert ("slopecert.jsonio" in loaded) == documents, argv
+            assert "json" not in loaded, argv
 
 
 # argparse, what it loads while a parser is built (gettext loads locale),
 # and what each HelpFormatter loads to read the terminal width.
 PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
 
-# Writes the module set to modules.json at exit, after the CLI has written
-# its own stdout and stderr and set the exit code, argparse's included.
+# Writes the module set to modules.txt at exit, one name a line, after the
+# CLI has written its own stdout and stderr and set the exit code, argparse's
+# included.  It loads no module of its own.
 RUN_CLI = (
-    "import atexit, json, sys\n"
-    "atexit.register(lambda: open('modules.json', 'w').write(json.dumps(sorted(sys.modules))))\n"
+    "import atexit, sys\n"
+    "atexit.register(lambda: open('modules.txt', 'w').write('\\n'.join(sys.modules)))\n"
     "from slopecert import cli\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
@@ -143,7 +146,7 @@ def run_cli_fresh(argv, cwd):
         [sys.executable, "-S", "-c", RUN_CLI, *argv],
         cwd=cwd, env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
-    loaded = json.loads((Path(cwd) / "modules.json").read_text())
+    loaded = (Path(cwd) / "modules.txt").read_text().splitlines()
     return proc.returncode, proc.stdout, proc.stderr, set(loaded)
 
 
@@ -169,6 +172,56 @@ def test_a_plain_run_loads_no_argparse(argv, tmp_path):
     assert (code, err) == (0, "")
     assert out
     assert not PARSER_MODULES & loaded
+
+
+# What a document run loaded before it ran on integers alone, with what they
+# load: json and re, fractions with decimal and numbers, and enum.
+NOT_FOR_DOCUMENTS = ("json", "re", "enum", "fractions", "decimal", "numbers")
+
+
+def write_documents(tmp_path):
+    """A description, a diameter certificate and a transfer certificate,
+    one certificate with d_lower edited and one with a field of the wrong type."""
+    write_inputs(tmp_path)
+    for config in (RunConfig("verify", (str(tmp_path / "d.json"),), emit=str(tmp_path / "c.json")),
+                   RunConfig("transfer", p=2, q=3, emit=str(tmp_path / "t.json"))):
+        assert run(config)[0] == 0
+    cert = json.loads((tmp_path / "c.json").read_text())
+    cert["d_lower"][0] += 1
+    (tmp_path / "tampered.json").write_text(json.dumps(cert))
+    cert["description"]["cablings"][0]["p"] = "1"
+    (tmp_path / "wrong_type.json").write_text(json.dumps(cert))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "d.json"], 0),
+    (["verify", "d.json", "--emit", "e.json"], 0),
+    (["verify", "--format", "json", "c.json"], 0),
+    (["verify", "t.json"], 0),
+    (["verify", "tampered.json"], 1),
+    (["verify", "wrong_type.json"], 2),
+    (["transfer", "--p", "2", "--q", "3", "--emit", "e.json"], 0),
+    (["transfer", "--p", "2", "--q", "3", "--format", "json"], 0),
+    (["propagate", "d.json"], 0),
+    (["propagate", "--format", "json", "d.json"], 0),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_a_document_run_loads_no_json_or_fractions(argv, code, tmp_path):
+    # Documents are read by the C scanner and computed in rational.Rational.
+    write_documents(tmp_path)
+    got, out, err, loaded = run_cli_fresh(argv, tmp_path)
+    assert (got, err) == (code, "")
+    assert out and "slopecert.jsonio" in loaded
+    assert not {m for m in loaded if m.split(".")[0] in NOT_FOR_DOCUMENTS}
+
+
+def test_a_file_that_is_not_json_is_worded_by_json(tmp_path):
+    (tmp_path / "bad.json").write_text('{"kind": ')
+    with pytest.raises(ValueError) as error:
+        json.loads('{"kind": ')
+    got, out, err, loaded = run_cli_fresh(["verify", "bad.json"], tmp_path)
+    assert (got, out, err) == (2, "input: bad.json\n  input error: bad.json: malformed JSON"
+                               " (%s)\noverall: FAIL\n" % error.value, "")
+    assert "json" in loaded and "fractions" not in loaded
 
 
 @pytest.mark.parametrize("argv, code, stream, text", [

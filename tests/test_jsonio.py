@@ -2,8 +2,12 @@
 
 import enum
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -325,7 +329,7 @@ def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monk
         return text
 
     monkeypatch.setattr(cli, "canonical_dumps", checked)  # the emitter, where cli calls it
-    monkeypatch.setattr(jsonio.json, "dumps", no_fallback)
+    monkeypatch.setattr(json, "dumps", no_fallback)  # the fallback, where textio imports it
     matrix = tmp_path / "m.txt"
     matrix.write_text("3 3\n2 4 4\n-6 6 12\n10 4 16\n")
     desc = tmp_path / "desc.json"
@@ -456,6 +460,114 @@ def test_replay_comparison_equals_canonical_text_comparison():
                 verdicts[verdict] += 1
             container[key] = original
     assert verdicts == {True: 61, False: 90}
+
+
+# --- the reader: json.loads through the C scanner ---------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+DOCUMENTS = [p.read_text() for p in sorted(FIXTURES.glob("*.json"))
+             if p.name.startswith(("transfer_", "diameter_"))]
+
+# Empty and whitespace-only text, a BOM, the constants json reads, a repeated
+# key (the last wins), floats past the double range, an integer past the
+# digit limit, nesting past the recursion limit, trailing data, and other
+# text json refuses.
+FIXED_TEXTS = [
+    "", " \t\n\r ", "\ufeff", "\ufeff{}", " \ufeff{}", "\x0c{}", "\xa0{}",
+    "NaN", "[NaN, Infinity, -Infinity]", '{"a": 1, "b": 2, "a": 3}',
+    "1e400", "-1e400", "[1, 1.0, true, 1e2, -0, -0.0]", "1" * 5000, "-" + "9" * 4301,
+    "[" * 100000 + "]" * 100000, '{"a": ' * 100000,
+    '{"a": 1} x', '{"a": 1}{}', "1 2", "[1, 2] \n", '"\x01"', '"\\ud800"', '"é\\u00e9"',
+    "[1,]", '{"a": 1,}', "nul", "-", "01", "1.", ".5", "[1e]", "'a'",
+]
+
+
+def parsed(loads, text):
+    """What `loads` makes of `text`: ["value", the repr of its value, which
+    tells 1, 1.0 and true apart] or ["error", its error].  load_document words
+    every RecursionError alike, so its text is left out."""
+    try:
+        return ["value", repr(loads(text))]
+    except ValueError as e:
+        return ["error", "%s: %s" % (type(e).__name__, e)]
+    except RecursionError:
+        return ["error", "RecursionError"]
+
+
+def test_the_reader_reads_fixed_texts_as_json_loads_does():
+    for text in FIXED_TEXTS:
+        assert parsed(jsonio._loads, text) == parsed(json.loads, text), text[:40]
+    assert jsonio._loads('{"a": 1, "a": 2.5}') == {"a": 2.5}
+
+
+def test_the_reader_reads_random_trees_as_json_loads_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    trees = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+        | st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+        lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+        max_leaves=20,
+    )
+    space = st.text(alphabet=" \t\n\r", max_size=3)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(trees, st.sampled_from([None, 0, 2, "\t"]), st.booleans(),
+                      space, space, space, space)
+    def check(tree, indent, ascii, before, after, item, key):
+        text = before + json.dumps(tree, indent=indent, ensure_ascii=ascii,
+                                   separators=("," + item, ":" + key)) + after
+        assert parsed(jsonio._loads, text) == parsed(json.loads, text)
+
+    check()
+
+
+def test_the_reader_reads_truncated_and_edited_documents_as_json_loads_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(DOCUMENTS), st.floats(0, 1, exclude_max=True),
+                      st.sampled_from('"{}[],:0123456789-+.eEtfnul \\\t\n\x00\ufeffé') | st.none())
+    def check(text, where, byte):
+        # The text up to a point, or one character replaced there.
+        i = int(where * len(text))
+        edited = text[:i] if byte is None else text[:i] + byte + text[i + 1:]
+        assert parsed(jsonio._loads, edited) == parsed(json.loads, edited)
+
+    check()
+
+
+# Reads every text of texts.json with jsonio, in a process without the C
+# accelerator _json, and writes what it made of each.
+NO_C_ACCELERATOR = """
+import sys
+sys.modules["_json"] = None
+import json
+from slopecert import jsonio
+from test_jsonio import parsed
+assert jsonio._scan is None and jsonio._make_encoder is None
+texts = json.load(open("texts.json"))
+sys.stdout.write(json.dumps([[parsed(f, text) for f in (jsonio._loads, json.loads)]
+                             for text in texts]))
+"""
+
+
+def test_the_reader_reads_alike_without_the_c_accelerator(tmp_path):
+    texts = FIXED_TEXTS + DOCUMENTS + [text[:len(text) // 2] for text in DOCUMENTS]
+    (tmp_path / "texts.json").write_text(json.dumps(texts))
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(jsonio.__file__).resolve().parents[1]), tests, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NO_C_ACCELERATOR], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # What json.loads reads or refuses there; the pure-Python scanner words
+    # some errors differently from the C one, so only values are compared
+    # with this process's.
+    for text, (got, stdlib) in zip(texts, json.loads(proc.stdout)):
+        here = parsed(json.loads, text)
+        assert got == stdlib and (got == here if here[0] == "value" else got[0] == "error")
 
 
 # --- matrix text files -----------------------------------------------------------

@@ -24,6 +24,7 @@ from slopecert import (
     propagate,
     recognize_gitk,
 )
+from slopecert.rational import Rational
 
 
 def small_base(values=(), **flags):
@@ -272,7 +273,8 @@ def test_exactly_one_primary_route():
         kinds = [
             cert.primary_route == "gitk" and cert.d_lower is None,
             cert.primary_route in ("axiom-b", "declared-set")
-            and isinstance(cert.d_lower, Fraction),
+            and type(cert.d_lower) is Rational
+            and cert.d_lower == Fraction(str(cert.d_lower)),
             cert.primary_route == "none"
             and cert.d_lower is NEG_INF
             and bool(cert.reason),

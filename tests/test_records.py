@@ -33,6 +33,7 @@ from slopecert import (
     cable_space_homology,
 )
 from slopecert.cli import RunConfig
+from slopecert.rational import Rational
 from slopecert.record import Record
 from slopecert.slopes import INF, NEG_INF
 from slopecert.verify import Verification
@@ -92,23 +93,23 @@ REPRS = {
     CableSpaceModel: "CableSpaceModel(p=1, q=2, orientation=1, "
     "f_outer=Framing(mu=PrimitiveClass(a=1, b=0), lambda_=PrimitiveClass(a=0, b=1), sign=-1), "
     "f_inner=Framing(mu=PrimitiveClass(a=1, b=0), lambda_=PrimitiveClass(a=0, b=1), sign=1), "
-    "zeta=-1, t=Fraction(1, 1))",
+    "zeta=-1, t=Rational(1, 1))",
     Check: "Check(name='eq-meridian', ok=False, detail='coordinate 0')",
     CheckReport: "CheckReport(checks=(Check(name='eq-boundary', ok=True, detail=''),))",
-    AffineSlopeMap: "AffineSlopeMap(epsilon=-1, q=3, u=Fraction(5, 2))",
+    AffineSlopeMap: "AffineSlopeMap(epsilon=-1, q=3, u=Rational(5, 2))",
     TransferCertificate: "TransferCertificate(model=None, "
-    "map=AffineSlopeMap(epsilon=1, q=2, u=Fraction(2, 1)), witnesses={'slopes': ()})",
-    AtomKnot: "AtomKnot(strict_numerical_slopes=frozenset({Fraction(1, 2)}), "
+    "map=AffineSlopeMap(epsilon=1, q=2, u=Rational(2, 1)), witnesses={'slopes': ()})",
+    AtomKnot: "AtomKnot(strict_numerical_slopes=frozenset({Rational(1, 2)}), "
     "meridionally_small=True, is_round=False, is_cable=False, ambient_pi1_cyclic=True, "
     "complementary_meridian=None)",
     Cabling: "Cabling(p=3, q=2, orientation=-1, f_outer=None, f_inner=None)",
     KnotDescription: "KnotDescription(base=AtomKnot(strict_numerical_slopes="
-    "frozenset({Fraction(1, 2)}), meridionally_small=True, is_round=False, is_cable=False, "
+    "frozenset({Rational(1, 2)}), meridionally_small=True, is_round=False, is_cable=False, "
     "ambient_pi1_cyclic=True, complementary_meridian=None), cablings=(Cabling(p=1, q=2, "
     "orientation=1, f_outer=None, f_inner=None),))",
     LevelRecord: "LevelRecord(slopes=(Fraction(4, 1),))",
     DiameterCertificate: "DiameterCertificate(description=KnotDescription(base=AtomKnot("
-    "strict_numerical_slopes=frozenset({Fraction(1, 2)}), meridionally_small=True, "
+    "strict_numerical_slopes=frozenset({Rational(1, 2)}), meridionally_small=True, "
     "is_round=False, is_cable=False, ambient_pi1_cyclic=True, complementary_meridian=None), "
     "cablings=()), gitk=False, ambient=None, base_slopes=(), levels=(), routes={}, "
     "primary_route='none', d_lower=NEG_INF, reason='no route', tags=())",
@@ -227,9 +228,12 @@ def test_replace_runs_the_constructor_checks():
     with pytest.raises(ValueError, match=r"not a cabling \(q must be at least 2\)"):
         MODEL.replace(q=1)
     # Values the constructor normalizes come out normalized.
-    assert MAP.replace(u=3).u == Fraction(3) and type(MAP.replace(u=3).u) is Fraction
-    assert BASE.replace(strict_numerical_slopes=[1]).strict_numerical_slopes == frozenset(
-        {Fraction(1)})
+    # A Rational, equal to the Fraction and the int of the same value.
+    u = MAP.replace(u=Fraction(3)).u
+    assert type(u) is Rational and u == Fraction(3) == 3
+    slopes = BASE.replace(strict_numerical_slopes=[1, Fraction(1, 2)]).strict_numerical_slopes
+    assert {type(v) for v in slopes} == {Rational}
+    assert slopes == frozenset({Fraction(1), Fraction(1, 2)})
     assert KnotDescription(BASE).replace(cablings=[(1, 2)]).cablings == (CABLING,)
 
 

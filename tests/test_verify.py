@@ -178,6 +178,22 @@ def test_a_failed_replay_names_the_first_field_that_differs():
             "stored certificate differs from recomputation " + detail)
 
 
+def test_a_failed_replay_writes_a_value_that_is_not_a_rational_as_json_dumps_does():
+    # Key order, non-ASCII text and escapes included: exactly the text of
+    # json.dumps(value, sort_keys=True) for the stored and recomputed values.
+    doc = diameter_certificate_to_json(diameter_lower_bound(DESCRIPTION))
+    for key, stored in (
+        ("ambient_h1", dict(reversed(AMBIENT_Z.items()))),
+        ("reason", 'r\u00e9sum\u00e9 "quoted"\n\t\x01'),
+        ("routes", {"zz-route": [1, 2], "axiom-b": [32, 1]}),
+        ("primary_route", "axiom-b"),
+    ):
+        report = verify_document(load_document(canonical_dumps(dict(doc, **{key: stored})))).report
+        assert report.checks[0] == Check("replay", False, (
+            "stored certificate differs from recomputation at %s: stored %s, recomputed %s"
+            % (key, json.dumps(stored, sort_keys=True), json.dumps(doc[key], sort_keys=True))))
+
+
 def test_no_cached_pass_carries_over_to_another_object(tmp_path):
     # In one process: the emitted certificate passes, which caches its
     # model's report.  Copies with an edited model are other objects, so
