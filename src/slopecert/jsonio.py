@@ -50,17 +50,13 @@ json is imported only to word an error, which is json.loads's own.
 
 import operator
 import sys
+from _json import make_encoder as _make_encoder, make_scanner as _make_scanner
 from math import gcd
 
 from .rational import Rational
 from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values, value_text
 from .textio import MAX_MATRIX_DIM, _check_size, _encode_str, canonical_dumps
 from .textio import digit_limit_text, matrix_to_json, parse_matrix_text
-
-try:
-    from _json import make_encoder as _make_encoder, make_scanner as _make_scanner
-except ImportError:  # no C accelerator: json does both
-    _make_encoder = _make_scanner = None
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +500,6 @@ def _value_json(kind, v):
     other value as json.dumps(..., sort_keys=True) writes its JSON form."""
     if type(v) is Rational or v is INF or v is NEG_INF:
         return value_text(v)
-    if _make_encoder is None:
-        import json
-
-        return json.dumps(kind.emit(v), sort_keys=True)
     encode = _make_encoder({}, _unserializable, _encode_str, None, ": ", ", ", True, False, True)
     return "".join(encode(kind.emit(v), 0))
 
@@ -526,22 +518,21 @@ class _Strict:
     }.__getitem__
 
 
-_scan = _make_scanner and _make_scanner(_Strict)
+_scan = _make_scanner(_Strict)
 _WHITESPACE = " \t\n\r"
 
 
 def _loads(text):
     """json.loads(text): the C scanner, from the first character that is not
     JSON whitespace to the last.  Anything else (a leading BOM, trailing
-    data, any error, or an interpreter without _json) goes to json.loads,
-    which returns the same value or raises its own error."""
-    if _scan:
-        try:
-            x, end = _scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
-            if not text[end:].strip(_WHITESPACE):
-                return x
-        except (StopIteration, ValueError, RecursionError, TypeError):
-            pass
+    data, any error) goes to json.loads, which returns the same value or
+    raises its own error."""
+    try:
+        x, end = _scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
+        if not text[end:].strip(_WHITESPACE):
+            return x
+    except (StopIteration, ValueError, RecursionError, TypeError):
+        pass
     import json
 
     return json.loads(text)

@@ -7,7 +7,8 @@ str is refused.  A Rational is equal to, ordered like and hashed like the
 int or Fraction of the same value (the hash is CPython's
 ``Fraction.__hash__``), and ``str`` writes it as Fraction does: "7/2",
 "14".  It supports ``+ - * /`` and negation, with an int, a Fraction or a
-Rational on either side, each giving a Rational.  slopecert computes with
+Rational on either side, each giving a Rational, and ``abs`` and
+``float`` as Fraction computes them.  slopecert computes with
 it in place of Fraction, so that reading and writing documents loads
 neither fractions nor the decimal, numbers and re modules that fractions
 imports.
@@ -78,6 +79,12 @@ class Rational:
 
     def __bool__(self):
         return self.numerator != 0
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+    def __abs__(self):
+        return self if self.numerator >= 0 else -self
 
     def __hash__(self):
         n = self.numerator

@@ -1,16 +1,11 @@
 """The JSON emitter, the matrix JSON writer, and snf's matrix text format:
 "rows cols", then rows*cols integers in row-major order, whitespace-separated,
 each count at most MAX_MATRIX_DIM.  A leaf: it imports only sys and the json
-package's C string encoder (_json; json's own only on an interpreter without
-_json), so snf loads neither json nor fractions.
+package's C string encoder (_json), so snf loads neither json nor fractions.
 """
 
 import sys
-
-try:
-    from _json import encode_basestring_ascii as _encode_str
-except ImportError:  # no C accelerator
-    from json.encoder import encode_basestring_ascii as _encode_str
+from _json import encode_basestring_ascii as _encode_str
 
 
 def canonical_dumps(obj):

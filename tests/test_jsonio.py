@@ -2,9 +2,6 @@
 
 import enum
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -536,38 +533,6 @@ def test_the_reader_reads_truncated_and_edited_documents_as_json_loads_does():
         assert parsed(jsonio._loads, edited) == parsed(json.loads, edited)
 
     check()
-
-
-# Reads every text of texts.json with jsonio, in a process without the C
-# accelerator _json, and writes what it made of each.
-NO_C_ACCELERATOR = """
-import sys
-sys.modules["_json"] = None
-import json
-from slopecert import jsonio
-from test_jsonio import parsed
-assert jsonio._scan is None and jsonio._make_encoder is None
-texts = json.load(open("texts.json"))
-sys.stdout.write(json.dumps([[parsed(f, text) for f in (jsonio._loads, json.loads)]
-                             for text in texts]))
-"""
-
-
-def test_the_reader_reads_alike_without_the_c_accelerator(tmp_path):
-    texts = FIXED_TEXTS + DOCUMENTS + [text[:len(text) // 2] for text in DOCUMENTS]
-    (tmp_path / "texts.json").write_text(json.dumps(texts))
-    tests = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(jsonio.__file__).resolve().parents[1]), tests, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", NO_C_ACCELERATOR], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    # What json.loads reads or refuses there; the pure-Python scanner words
-    # some errors differently from the C one, so only values are compared
-    # with this process's.
-    for text, (got, stdlib) in zip(texts, json.loads(proc.stdout)):
-        here = parsed(json.loads, text)
-        assert got == stdlib and (got == here if here[0] == "value" else got[0] == "error")
 
 
 # --- matrix text files -----------------------------------------------------------

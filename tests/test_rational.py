@@ -43,6 +43,7 @@ def test_rational_agrees_with_fraction():
         assert (x.numerator, x.denominator) == (fx.numerator, fx.denominator)
         assert str(x) == str(fx) and hash(x) == hash(fx)
         assert x == fx and fx == x and type(-x) is Rational and -x == -fx
+        assert type(abs(x)) is Rational and abs(x) == abs(fx) and float(x) == float(fx)
         # A Rational, a Fraction and an int as the other operand, on either side.
         for other, f_other in ((y, fy), (fy, fy), (c, c)):
             for op in COMPARISONS:
@@ -71,6 +72,9 @@ def test_rational_is_an_immutable_value():
     assert Rational(Fraction(1, 2)) == half and Rational(half) is half
     assert Rational(half, 3) == Fraction(1, 6) and Rational(3, Fraction(1, 2)) == 6
     assert not Rational(0) and Rational(0, 5) == 0 and bool(half)
+    # float divides the integers, as Fraction does, so a huge ratio does not overflow.
+    big = Rational(10 ** 400 + 1, 3 * 10 ** 399)
+    assert float(big) == float(Fraction(10 ** 400 + 1, 3 * 10 ** 399)) and abs(-big) == big
     assert copy.deepcopy(half) == half and pickle.loads(pickle.dumps(half)) == half
     for change in (lambda: setattr(half, "numerator", 3), lambda: delattr(half, "denominator")):
         with pytest.raises(AttributeError, match="a Rational is immutable"):
