@@ -41,12 +41,12 @@ _EXPORTS = {
     "verify_model": "cablespace",
     "Check": "report",
     "CheckReport": "report",
-    "AffineSlopeMap": "transfer",
+    "AffineSlopeMap": "law",
+    "conjugate": "law",
+    "phi": "law",
+    "transfer_map": "law",
     "TransferCertificate": "transfer",
-    "conjugate": "transfer",
-    "phi": "transfer",
     "transfer_certificate": "transfer",
-    "transfer_map": "transfer",
     "verify_certificate": "transfer",
     "AtomKnot": "pipeline",
     "Cabling": "pipeline",

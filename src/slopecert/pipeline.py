@@ -43,11 +43,11 @@ from .cablespace import (
     glued_manifold_h1,
     with_standard_framings,
 )
+from .law import grid_check, transfer_map
 from .rational import Rational
 from .record import InvariantError, Record, _store
 from .report import Check, CheckReport
 from .slopes import INF, NEG_INF, _sorted_values, value_text
-from .transfer import grid_check, transfer_map
 
 
 def diameter(values):

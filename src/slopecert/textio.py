@@ -1,5 +1,6 @@
-"""The JSON emitter, the matrix JSON writer, and snf's matrix text format:
-"rows cols", then rows*cols integers in row-major order, whitespace-separated,
+"""The JSON emitter, the matrix JSON writer, snf's matrix text format, and
+the reading and writing of the CLI's files.  The matrix format is "rows
+cols", then rows*cols integers in row-major order, whitespace-separated,
 each count at most MAX_MATRIX_DIM.  A leaf: it imports only sys and the json
 package's C string encoder (_json), so snf loads neither json nor fractions.
 """
@@ -87,6 +88,24 @@ def digit_limit_text(e):
             " between text and integers" % sys.get_int_max_str_digits()
         )
     return None
+
+
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValueError("cannot read %s: %s" % (path, e.strerror or e)) from None
+    except UnicodeDecodeError:
+        raise ValueError("cannot read %s: not UTF-8 text" % path) from None
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError("cannot write %s: %s" % (path, e.strerror or e)) from None
 
 
 # The largest row or column count snf accepts, and the reader accepts in a

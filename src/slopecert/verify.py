@@ -16,14 +16,19 @@ reuses its level report, and still lists a full "level i: ..." block at
 every level; a built model's own checks are those its construction
 already ran (``model.report``).  A document read from input is a
 separate object and is checked on its own.
+
+verify_document dispatches on the document's class without importing
+the module of a kind it is not checking (document_kind): a transfer
+certificate loads no pipeline, and a description or a diameter
+certificate loads no transfer-certificate code.  So this module imports
+pipeline and transfer only inside the functions that use them.
 """
 
-from .pipeline import KnotDescription, LevelCache, check_corollary_c, diameter_lower_bound
-from .pipeline import is_cable_description, primary_route
+import sys
+
 from .record import Record, _store
 from .report import Check, CheckReport
 from .slopes import NEG_INF, value_text
-from .transfer import TransferCertificate, verify_certificate
 
 
 class Verification(Record):
@@ -37,19 +42,42 @@ class Verification(Record):
         _store(self, locals())
 
 
+# The kinds of document that are not a diameter certificate: each kind,
+# and the module and name of its class.
+_KINDS = (
+    ("transfer_certificate", "transfer", "TransferCertificate"),
+    ("knot_description", "pipeline", "KnotDescription"),
+)
+
+
+def document_kind(doc):
+    """"transfer_certificate", "knot_description" or "diameter_certificate":
+    the kind of a document, as jsonio names it.  It imports no module: no
+    object of a class exists before the class's module is loaded, so a
+    module that is not loaded cannot hold the document's class."""
+    for kind, module, name in _KINDS:
+        loaded = sys.modules.get("%s.%s" % (__package__, module))
+        if loaded is not None and isinstance(doc, getattr(loaded, name)):
+            return kind
+    return "diameter_certificate"
+
+
 def verify_document(doc, cache=None):
     """Check a knot description, transfer certificate or diameter
     certificate.  ``cache`` (a fresh LevelCache when None) holds the level
     maps and reports built here; documents read from input never enter it.
-    Failures are report entries, never exceptions."""
-    if isinstance(doc, TransferCertificate):
-        return Verification("transfer_certificate", doc, verify_certificate(doc))
+    A transfer certificate needs no cache.  Failures are report entries,
+    never exceptions."""
+    kind = document_kind(doc)
+    if kind == "transfer_certificate":
+        from .transfer import verify_certificate
+
+        return Verification(kind, doc, verify_certificate(doc))
+    from .pipeline import LevelCache, diameter_lower_bound
+
     if cache is None:
         cache = LevelCache()
-    if isinstance(doc, KnotDescription):
-        kind, cert = "knot_description", diameter_lower_bound(doc, cache)
-    else:
-        kind, cert = "diameter_certificate", doc
+    cert = diameter_lower_bound(doc, cache) if kind == "knot_description" else doc
     checks = _verify_diameter_certificate(cert, cache)
     return Verification(kind, cert, CheckReport(checks=tuple(checks)))
 
@@ -64,6 +92,8 @@ def _verify_diameter_certificate(cert, cache):
     failed replay walks the two along jsonio's tables, to name the first
     field that differs.
     """
+    from .pipeline import check_corollary_c, diameter_lower_bound, is_cable_description
+
     recomputed = diameter_lower_bound(cert.description, cache)
     if recomputed == cert:
         replay = Check("replay", True, "recomputed certificate is byte-identical")
@@ -94,6 +124,8 @@ def _route_check(cert):
         rule = "gitk certificate must assert no bound"
         fields = (("primary_route", "gitk"), ("d_lower", None), ("routes", {}))
     elif cert.routes:
+        from .pipeline import primary_route
+
         best, route = max(cert.routes.values()), primary_route(cert.routes)
         ok = cert.d_lower == best and cert.primary_route == route
         return Check("route-logic", ok, "" if ok else (

@@ -18,7 +18,8 @@ from slopecert import (
     diameter_lower_bound,
     transfer_certificate,
 )
-from slopecert.cli import _COMMANDS, RunConfig, _build_parser, _parse_plain, main, run
+from slopecert.argparser import _build_parser
+from slopecert.cli import _COMMANDS, RunConfig, _parse_plain, main, run
 from slopecert.jsonio import (
     MAX_MATRIX_DIM,
     canonical_dumps,
@@ -644,7 +645,7 @@ def argparse_config(argv):
     """The RunConfig argparse parses `argv` to; AssertionError if it rejects it."""
     try:
         with contextlib.redirect_stderr(io.StringIO()) as err:
-            args = vars(_build_parser().parse_args(argv))
+            args = vars(_build_parser(_COMMANDS).parse_args(argv))
     except SystemExit:
         raise AssertionError("argparse rejects %r: %s" % (argv, err.getvalue())) from None
     args["inputs"] = tuple(args.get("inputs", ()))

@@ -1,6 +1,6 @@
 """The grid check against the plain scans it replaced, kept as oracles.
 
-transfer.grid_check proves phi = the affine law on every slope from the
+law.grid_check proves phi = the affine law on every slope from the
 two integer matrices P = phi_matrix and A = law_matrix: the cross product
 of P (a, b) and A (a, b) is a binary quadratic form in (a, b), and every
 slope passes exactly when that form is zero and P is invertible.  A
@@ -32,10 +32,10 @@ from slopecert import (
     phi,
     transfer_certificate,
 )
-from slopecert import transfer
+from slopecert import law
 from slopecert.report import Check
 from slopecert.slopes import value_text
-from slopecert.transfer import grid_check
+from slopecert.law import grid_check
 
 from oracles import grid_slopes
 
@@ -182,8 +182,8 @@ def random_pairs(rng):
 
 
 def with_matrices(monkeypatch, p, a):
-    monkeypatch.setattr(transfer, "phi_matrix", lambda m: p)
-    monkeypatch.setattr(transfer, "law_matrix", lambda s, fo, fi: a)
+    monkeypatch.setattr(law, "phi_matrix", lambda m: p)
+    monkeypatch.setattr(law, "law_matrix", lambda s, fo, fi: a)
 
 
 def test_closed_form_matches_the_scan_on_random_integer_matrices(monkeypatch):
@@ -208,7 +208,7 @@ def test_closed_form_matches_the_scan_on_random_integer_matrices(monkeypatch):
 def test_a_singular_phi_matrix_fails_as_such(monkeypatch):
     model = cable_space_homology(2, 3)
     smap = transfer_certificate(model).map
-    law = transfer.law_matrix(smap, model.f_outer, model.f_inner)
+    law_a = law.law_matrix(smap, model.f_outer, model.f_inner)
     rng = random.Random(2028)
     for _ in range(40):
         # P = u v^T, zero at the slope (v2, -v1); the form may be zero
@@ -216,6 +216,6 @@ def test_a_singular_phi_matrix_fails_as_such(monkeypatch):
         u = (rng.randrange(-3, 4), rng.randrange(-3, 4))
         v = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (1, -3), (4, 5), (7, 3), (-2, 25)))
         p = ((u[0] * v[0], u[0] * v[1]), (u[1] * v[0], u[1] * v[1]))
-        a = scaled(rng.randrange(-4, 5), p) if rng.random() < 0.5 else law
+        a = scaled(rng.randrange(-4, 5), p) if rng.random() < 0.5 else law_a
         with_matrices(monkeypatch, p, a)
         assert grid_check(model, smap) == SINGULAR

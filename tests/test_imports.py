@@ -2,10 +2,15 @@
 
 Start-up is most of a short slopecert run, so the CLI module loads only
 the package and its leaves (no dataclasses, inspect, typing, json or
-fractions), a subcommand loads only the modules it runs, a plain command
-line loads no argparse, and a run that reads or writes documents loads
-neither json nor fractions.  Module sets are deterministic, where
-start-up times are not.
+fractions), a subcommand loads only the modules it runs, its own runner
+module among them, a plain command line loads neither argparse nor the
+module that reads other lines with it, and a run that reads or writes
+documents loads neither json nor fractions.  verify loads pipeline only
+for a description or a diameter certificate, and a description loads no
+transfer-certificate code.  Runs made as `python -m slopecert.cli` makes
+them, as __main__ through runpy, never load slopecert.cli, which would
+compile and run the CLI a second time.  Module sets are deterministic,
+where start-up times are not.
 """
 
 import json
@@ -98,19 +103,6 @@ def test_the_cable_path_loads_no_linalg(tmp_path):
     assert "slopecert.pipeline" in loaded
 
 
-def test_snf_loads_no_cable_space_module(tmp_path):
-    # Nor json, fractions or the document schema, in either format.
-    (tmp_path / "m.txt").write_text("2 2\n1 2\n3 4\n")
-    for fmt in ("text", "json"):
-        loaded = set(run_fresh(NEW_MODULES % (
-            "from slopecert import cli; code = cli.main(['snf', '--format', %r, 'm.txt'])"
-            % fmt), tmp_path))
-        assert "slopecert.linalg" in loaded
-        assert not NOT_FOR_SNF & loaded, fmt
-        for name in ("cablespace", "transfer", "pipeline", "verify"):
-            assert "slopecert." + name not in loaded
-
-
 def test_a_text_report_that_writes_no_document_loads_no_json(tmp_path):
     # transfer and cable-homology load the document schema only to write
     # JSON: a report as JSON, or transfer's --emit.  Neither loads json.
@@ -139,11 +131,23 @@ RUN_CLI = (
 )
 
 
-def run_cli_fresh(argv, cwd):
+# Runs the CLI as `python -S -m slopecert.cli` does: as __main__, through
+# runpy, which imports the package and not slopecert.cli.  Writes the modules
+# loaded after runpy, at exit.
+RUN_MAIN = (
+    "import atexit, runpy, sys\n"
+    "_before = set(sys.modules)\n"
+    "atexit.register(lambda: open('modules.txt', 'w').write(\n"
+    "    '\\n'.join(sorted(set(sys.modules) - _before))))\n"
+    "runpy.run_module('slopecert.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_cli_fresh(argv, cwd, script=RUN_CLI):
     """(exit code, stdout, stderr, loaded modules) of `argv` in a new
-    `python -S` process."""
+    `python -S` process that runs `script`."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", RUN_CLI, *argv],
+        [sys.executable, "-S", "-c", script, *argv],
         cwd=cwd, env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     loaded = (Path(cwd) / "modules.txt").read_text().splitlines()
@@ -214,6 +218,103 @@ def test_a_document_run_loads_no_json_or_fractions(argv, code, tmp_path):
     assert not {m for m in loaded if m.split(".")[0] in NOT_FOR_DOCUMENTS}
 
 
+# Runs of each subcommand, each with the runner module it must load.
+SUBCOMMAND_RUNS = [
+    (["snf", "m.txt"], "cmd_snf"),
+    (["snf", "--format", "json", "m.txt"], "cmd_snf"),
+    (["cable-homology", "--p", "2", "--q", "3"], "cmd_cable_homology"),
+    (["transfer", "--p", "2", "--q", "3", "--emit", "e.json"], "cmd_transfer"),
+    (["transfer", "--p=-5", "--q=3", "--format=json"], "cmd_transfer"),
+    (["propagate", "d.json"], "cmd_propagate"),
+    (["verify", "d.json", "--emit", "e.json"], "cmd_verify"),
+    (["verify", "--format", "json", "t.json", "c.json"], "cmd_verify"),
+]
+
+
+@pytest.mark.parametrize("argv, runner", SUBCOMMAND_RUNS,
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_each_subcommand_loads_exactly_its_own_runner(argv, runner, tmp_path):
+    # As __main__, and with no argparse: a plain line is the plain reader's.
+    write_documents(tmp_path)
+    code, out, err, loaded = run_cli_fresh(argv, tmp_path, RUN_MAIN)
+    assert (code, err) == (0, "") and out
+    assert {m for m in loaded if m.startswith("slopecert.cmd_")} == {"slopecert." + runner}
+    assert "slopecert.cli" not in loaded
+    assert not ({"slopecert.argparser"} | PARSER_MODULES) & loaded
+
+
+def test_snf_loads_no_cable_space_module(tmp_path):
+    # Only its runner, linalg and the leaves: nor json, fractions or the
+    # document schema, in either format.
+    (tmp_path / "m.txt").write_text("2 2\n1 2\n3 4\n")
+    for fmt in ("text", "json"):
+        code, out, err, loaded = run_cli_fresh(["snf", "--format", fmt, "m.txt"], tmp_path, RUN_MAIN)
+        assert (code, err) == (0, "")
+        assert {m for m in loaded if m.startswith("slopecert")} == {
+            "slopecert", "slopecert.cmd_snf", "slopecert.linalg", "slopecert.record",
+            "slopecert.textio"}, fmt
+        assert not NOT_FOR_SNF & loaded, fmt
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "t.json"], 0),
+    (["verify", "--format", "json", "t.json"], 0),
+    (["verify", "tj.json"], 1),
+    (["verify", "no_kind.json"], 2),
+    (["verify", "other_kind.json"], 2),
+    (["verify", "array.json"], 2),
+    (["verify", "not_json.json"], 2),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_verify_loads_pipeline_only_for_a_description_or_diameter_certificate(
+        argv, code, tmp_path):
+    # A transfer certificate, and a document that fails at its kind or its
+    # top-level type, build no description record.
+    write_documents(tmp_path)
+    cert = json.loads((tmp_path / "t.json").read_text())
+    cert["map"]["u"][0] += 1
+    for name, doc in (("tj.json", cert), ("no_kind.json", {}),
+                      ("other_kind.json", {"kind": "knot"}), ("array.json", [cert])):
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "not_json.json").write_text('{"kind": ')
+    got, out, err, loaded = run_cli_fresh(argv, tmp_path, RUN_MAIN)
+    assert (got, err) == (code, "") and out
+    assert "slopecert.pipeline" not in loaded
+    assert "slopecert.cli" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "d.json"],
+    ["verify", "d.json", "--emit", "e.json"],
+    ["verify", "c.json", "tampered.json"],
+    ["verify", "wrong_type.json"],
+    ["propagate", "d.json"],
+    ["propagate", "--format", "json", "d.json"],
+], ids=" ".join)
+def test_a_description_loads_no_transfer_certificate_module(argv, tmp_path):
+    # Only the affine law, which pipeline imports.
+    write_documents(tmp_path)
+    code, out, err, loaded = run_cli_fresh(argv, tmp_path, RUN_MAIN)
+    assert code in (0, 1, 2) and err == "" and out
+    assert "slopecert.law" in loaded
+    assert "slopecert.transfer" not in loaded
+    assert "slopecert.cli" not in loaded
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+    (["transfer", "--p", "2"], 2),
+    (["verify", "--form", "json", "d.json"], 0),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_only_a_line_the_plain_reader_refuses_loads_the_argparse_fallback(
+        argv, code, tmp_path):
+    write_inputs(tmp_path)
+    got, out, err, loaded = run_cli_fresh(argv, tmp_path, RUN_MAIN)
+    assert got == code
+    assert {"slopecert.argparser", "argparse"} <= loaded
+    assert "slopecert.cli" not in loaded
+
+
 def test_a_file_that_is_not_json_is_worded_by_json(tmp_path):
     (tmp_path / "bad.json").write_text('{"kind": ')
     with pytest.raises(ValueError) as error:
@@ -258,9 +359,13 @@ def test_star_import_binds_the_public_names(tmp_path):
 
 
 def test_package_names_resolve_to_their_modules():
-    from slopecert import linalg, transfer
+    from slopecert import law, linalg, transfer
 
     assert slopecert.verify_certificate is transfer.verify_certificate
+    # The law's names are bound in transfer too, where earlier callers and
+    # bench/launcher.py look them up.
+    assert slopecert.phi is transfer.phi is law.phi
+    assert slopecert.transfer_map is transfer.transfer_map is law.transfer_map
     assert slopecert.IntMatrix is linalg.IntMatrix
     assert set(PUBLIC) <= set(dir(slopecert))
     try:

@@ -18,6 +18,8 @@ from slopecert import (
     cable_space_homology,
     canonical_slope,
     cli,
+    cmd_transfer,
+    cmd_verify,
     diameter_lower_bound,
     jsonio,
     transfer_certificate,
@@ -325,7 +327,10 @@ def test_canonical_dumps_matches_the_stdlib_on_every_cli_document(tmp_path, monk
         kinds.append(obj.get("kind"))
         return text
 
-    monkeypatch.setattr(cli, "canonical_dumps", checked)  # the emitter, where cli calls it
+    # The emitter, where cli calls it for JSON reports and the transfer and
+    # verify runners for --emit.
+    for module in (cli, cmd_transfer, cmd_verify):
+        monkeypatch.setattr(module, "canonical_dumps", checked)
     monkeypatch.setattr(json, "dumps", no_fallback)  # the fallback, where textio imports it
     matrix = tmp_path / "m.txt"
     matrix.write_text("3 3\n2 4 4\n-6 6 12\n10 4 16\n")

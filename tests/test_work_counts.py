@@ -2,7 +2,8 @@
 
 One fixed 50-level description is verified with --emit, then the
 emitted certificate is verified again, each as one CLI run.  Counting
-wrappers record what each run builds, recomputes and serializes.  A level
+wrappers record what each run builds, recomputes and serializes; a run of
+several inputs builds each model once, in the one cache it shares.  A level
 is checked from its model and transfer map, without a transfer
 certificate or witness records.  A passing grid check calls phi on no
 slope, and a failing one on the one slope it names.  An `snf` run formats its matrices as text only for a text
@@ -24,7 +25,11 @@ from slopecert import (
     KnotDescription,
     cablespace,
     cli,
+    cmd_snf,
+    cmd_transfer,
+    cmd_verify,
     jsonio,
+    law,
     linalg,
     pipeline,
     transfer,
@@ -80,7 +85,7 @@ def counts(monkeypatch):
         c["diameter"] += 1
         return real_bound(*args, **kwargs)
 
-    real_corollary = verify.check_corollary_c
+    real_corollary = pipeline.check_corollary_c
 
     def corollary(*args, **kwargs):
         before = c["diameter"]
@@ -100,7 +105,7 @@ def counts(monkeypatch):
         finally:
             c["in_grid"] = False
 
-    real_phi = transfer.phi
+    real_phi = law.phi
 
     def phi(*args, **kwargs):
         if c["in_grid"]:
@@ -137,28 +142,33 @@ def counts(monkeypatch):
             c["in_replay"] = False
 
     monkeypatch.setattr(jsonio, "diameter_certificate_to_json", to_json)
-    monkeypatch.setattr(cli, "canonical_dumps", dumps)  # the emitter, where cli calls it
+    # The emitter, where cli calls it for JSON reports and the transfer and
+    # verify runners for --emit.
+    for module in (cli, cmd_transfer, cmd_verify):
+        monkeypatch.setattr(module, "canonical_dumps", dumps)
     monkeypatch.setattr(verify, "_verify_diameter_certificate", replay)
     monkeypatch.setattr(pipeline, "cable_space_homology", build)
+    # verify imports these from pipeline when it runs them.
     monkeypatch.setattr(pipeline, "diameter_lower_bound", bound)
-    monkeypatch.setattr(verify, "diameter_lower_bound", bound)
-    monkeypatch.setattr(verify, "check_corollary_c", corollary)
-    # The level reports pipeline's LevelCache makes, and the grid checks
-    # of transfer certificates.
+    monkeypatch.setattr(pipeline, "check_corollary_c", corollary)
+    # The level reports pipeline's LevelCache makes, the grid checks of
+    # transfer certificates, and phi, which the grid check calls in law.
     monkeypatch.setattr(pipeline, "grid_check", grid_check)
     monkeypatch.setattr(transfer, "grid_check", grid_check)
     monkeypatch.setattr(
         pipeline, "transfer_map", counted("transfer_map", transfer.transfer_map))
-    monkeypatch.setattr(transfer, "phi", phi)
+    monkeypatch.setattr(law, "phi", phi)
     monkeypatch.setattr(
         transfer, "slope_record", counted("slope_record", transfer.slope_record))
     monkeypatch.setattr(
         transfer, "witness_slopes", counted("witness_slopes", transfer.witness_slopes))
     monkeypatch.setattr(
         cablespace, "check_model", counted("check_model", cablespace.check_model))
+    # verify imports it from transfer when it runs it; the transfer runner
+    # binds it.
     certificate_check = counted("verify_certificate", transfer.verify_certificate)
     monkeypatch.setattr(transfer, "verify_certificate", certificate_check)
-    monkeypatch.setattr(verify, "verify_certificate", certificate_check)
+    monkeypatch.setattr(cmd_transfer, "verify_certificate", certificate_check)
     monkeypatch.setattr(linalg, "group_from_presentation",
                         counted("presentations", linalg.group_from_presentation))
     monkeypatch.setattr(linalg, "smith_normal_form",
@@ -225,6 +235,30 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
 
 
+def test_one_level_cache_serves_every_input_of_a_run(tmp_path, capsys, counts):
+    # verify makes its run's LevelCache at the first input that needs one,
+    # here after a transfer certificate, and shares it: a description and
+    # its certificate build each model once between them.
+    base = AtomKnot(
+        strict_numerical_slopes=frozenset({Fraction(0), Fraction(6)}),
+        meridionally_small=True,
+        ambient_pi1_cyclic=True,
+    )
+    desc = tmp_path / "desc.json"
+    desc.write_text(canonical_dumps(description_to_json(KnotDescription(base, CHAIN))))
+    emitted, tcert = tmp_path / "cert.json", tmp_path / "t.json"
+    assert cli.main(["transfer", "--p", "2", "--q", "3", "--emit", str(tcert)]) == 0
+    assert cli.main(["verify", "--emit", str(emitted), str(desc)]) == 0
+    capsys.readouterr()
+    reset(counts)
+    assert cli.main(["verify", str(tcert), str(desc), str(emitted)]) == 0
+    assert capsys.readouterr().out.count("result: PASS") == 3
+    assert len(counts["builds"]) == DISTINCT_MODELS
+    assert set(counts["builds"].values()) == {1}
+    assert counts["transfer_map"] == DISTINCT_MODELS
+    assert counts["check_model"] == DISTINCT_MODELS + 1  # and the stored certificate's model
+
+
 def test_a_transfer_certificate_is_checked_with_its_witness_records(tmp_path, capsys, counts):
     # Where a transfer certificate is built or read, it is checked whole:
     # once by transfer, which builds its model's records, and once by
@@ -247,9 +281,9 @@ def test_a_failing_grid_check_stops_within_three_slopes(counts):
     model = cablespace.cable_space_homology(3, 5)
     smap = transfer.transfer_map(model)
     for bad in (
-        transfer.AffineSlopeMap(smap.epsilon, smap.q, smap.u + 1),
-        transfer.AffineSlopeMap(-smap.epsilon, smap.q, smap.u),
-        transfer.AffineSlopeMap(smap.epsilon, smap.q + 1, smap.u),
+        law.AffineSlopeMap(smap.epsilon, smap.q, smap.u + 1),
+        law.AffineSlopeMap(-smap.epsilon, smap.q, smap.u),
+        law.AffineSlopeMap(smap.epsilon, smap.q + 1, smap.u),
     ):
         check = transfer.grid_check(model, bad)
         assert not check.ok
@@ -261,13 +295,13 @@ def test_a_failing_grid_check_stops_within_three_slopes(counts):
 
 def test_snf_formats_matrix_text_only_for_a_text_report(tmp_path, capsys, monkeypatch):
     calls = []
-    real_lines = cli._fmt_matrix_lines
+    real_lines = cmd_snf._fmt_matrix_lines
 
     def lines(*args, **kwargs):
         calls.append(1)
         return real_lines(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_fmt_matrix_lines", lines)
+    monkeypatch.setattr(cmd_snf, "_fmt_matrix_lines", lines)
     path = tmp_path / "m.txt"
     path.write_text("3 3\n2 4 4\n-6 6 12\n10 -4 -16\n")
     assert cli.main(["snf", "--format", "json", str(path)]) == 0
