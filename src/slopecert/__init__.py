@@ -37,7 +37,6 @@ _EXPORTS = {
     "CableSpaceModel": "cablespace",
     "cable_space_homology": "cablespace",
     "check_model": "cablespace",
-    "glued_manifold_h1": "cablespace",
     "verify_model": "cablespace",
     "Check": "report",
     "CheckReport": "report",

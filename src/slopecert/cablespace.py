@@ -321,20 +321,3 @@ def verify_model(model):
     if not model.report.ok:
         raise ValueError("inconsistent cable space model")
 
-
-def glued_manifold_h1(f, complementary_meridian):
-    """H1 of the closed manifold built from a round knot's gluing data.
-
-    When a knot's exterior is a solid torus, the ambient manifold is a
-    union of two solid tori along the reference torus: one filled along
-    the framing's meridian mu, the other along the complementary
-    meridian.  Its H1 is the cokernel of the 2x2 relation matrix whose
-    rows are those two classes in the reference basis.
-    """
-    from .linalg import IntMatrix, group_from_presentation
-
-    rows = [
-        [f.mu.a, f.mu.b],
-        [complementary_meridian.a, complementary_meridian.b],
-    ]
-    return group_from_presentation(IntMatrix.from_rows(rows))

@@ -12,14 +12,16 @@ with the field's path, list indices included, e.g.
 malformed document is an input error (exit code 2).  Values of the right
 types that break an invariant of the type they are read into get the
 constructor's message after the path of that value, e.g.
-"certificate.map: epsilon must be +1 or -1"; so does a matrix with more
-than MAX_MATRIX_DIM rows or columns.  A list that holds a set (a base's
-strict slopes) must be in the writer's order: ascending, "inf" last,
-nothing repeated.  Keys not in a table are ignored, among them the
+"certificate.map: epsilon must be +1 or -1".  A list that holds a set
+(a base's strict slopes) must be in the writer's order: ascending,
+"inf" last, nothing repeated.  Keys not in a table are ignored, among them the
 copies that certificates written by earlier versions state, such as
-each diameter level's transfer certificate and a model's h1.  A model
-states no group H1, which is Z^2 for every cable space (see
-cablespace), so a stored model.h1, edited or not, changes no verdict.
+each diameter level's transfer certificate, a model's h1, and the
+n_generators, diag and coordinate_map of ambient_h1.  A model states no
+group H1, which is Z^2 for every cable space (see cablespace), so a
+stored model.h1, edited or not, changes no verdict.  A diameter
+certificate states its ambient H1 by its invariant factors only, a list
+of integers, so no document holds a matrix.
 
 Only these fields may be omitted, read as the default shown, or be null:
 in a description, base.strict_slopes ([]), the four base flags (false),
@@ -41,8 +43,8 @@ b > 0, or [1, 0]).  Documents carry a "kind" field
 so the verifier can dispatch.  Emission is deterministic: fixed key
 order via sorted dumps, fixed list orders fixed by the producers.
 
-The emitter, the matrix writer and snf's matrix text format are textio's,
-bound here too as the same objects; snf loads textio without this module.
+The emitter and snf's matrix text format are textio's, bound here too as
+the same objects; snf loads textio without this module.
 A document is parsed by the C scanner that json.loads runs (_json), with
 json.loads's settings, so reading one loads neither json nor fractions;
 json is imported only to word an error, which is json.loads's own.
@@ -55,8 +57,8 @@ from math import gcd
 
 from .rational import Rational
 from .slopes import INF, NEG_INF, Framing, PrimitiveClass, Slope, _sorted_values, value_text
-from .textio import MAX_MATRIX_DIM, _check_size, _encode_str, canonical_dumps
-from .textio import digit_limit_text, matrix_to_json, parse_matrix_text
+from .textio import _encode_str, canonical_dumps, digit_limit_text
+from .textio import parse_matrix_text  # noqa: F401 (callers look it up here)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +280,8 @@ def _object(cls, *fields):
 
 def _exported(name):
     """The class the package exports as `name`, importing its module on
-    first use: the tables below name the classes of linalg and of the
-    cable-space modules, and importing jsonio loads none of them."""
+    first use: the tables below name the classes of the cable-space
+    modules, and importing jsonio loads none of them."""
     return getattr(sys.modules[__package__], name)
 
 
@@ -309,12 +311,6 @@ def _slope(a, b):
     if (b > 0 or (b == 0 and a == 1)) and gcd(a, b) == 1:
         return Slope(PrimitiveClass(a, b))
     raise _Bad("a canonical slope [a, b]: coprime, with b > 0, or [1, 0]")
-
-
-def _matrix(values):
-    """The IntMatrix of a document's matrix, if no count is over MAX_MATRIX_DIM."""
-    _check_size(values["rows"], values["cols"])
-    return _exported("IntMatrix")(**values)
 
 
 def _codec(kind, where):
@@ -351,16 +347,11 @@ FRAMING = _object(
     _Field("sign", INT),
 )
 
-MATRIX = _Record(
-    _matrix, getattr, _Field("rows", INT), _Field("cols", INT), _Field("entries", INTS)
-)
-MATRIX.emit = matrix_to_json  # the one writer of the shape, snf's report's too
-
-GROUP = _deferred(
-    "FPAbelianGroup",
-    _Field("n_generators", INT),
-    _Field("diag", INTS),
-    _Field("coordinate_map", MATRIX),
+# A round base's ambient H1, {"invariant_factors": [...]}, read as the
+# tuple of its invariant factors.
+AMBIENT = _Record(
+    operator.itemgetter("invariant_factors"), lambda factors, attr: factors,
+    _Field("invariant_factors", INTS),
 )
 
 MODEL = _deferred(
@@ -425,7 +416,7 @@ DIAMETER_CERTIFICATE = _deferred(
     "DiameterCertificate",
     _Field("description", DESCRIPTION),
     _Field("gitk", BOOL),
-    _Field("ambient_h1", _Nullable(GROUP), attr="ambient", default=None),
+    _Field("ambient_h1", _Nullable(AMBIENT), attr="ambient", default=None),
     _Field("base_slopes", _List(VALUE), default=[]),
     _Field("levels", _List(_deferred(
         "LevelRecord", _Field("slopes", _Nullable(_List(FRACTION)), default=None),
@@ -446,7 +437,6 @@ value_to_json, value_from_json = _codec(VALUE, "value")
 dlower_to_json = D_LOWER.emit
 slope_to_json, slope_from_json = _codec(SLOPE, "slope")
 framing_to_json, framing_from_json = _codec(FRAMING, "framing")
-_, matrix_from_json = _codec(MATRIX, "matrix")
 model_to_json = MODEL.emit
 transfer_certificate_to_json, transfer_certificate_from_json = _codec(
     TRANSFER_CERTIFICATE.document("transfer_certificate"), "certificate"

@@ -4,7 +4,8 @@ Provides arbitrary-precision integer matrices, Smith normal form with
 the unimodular change-of-basis matrices, and finitely presented abelian
 groups as cokernels of integer relation matrices.  Everything is exact:
 entries are Python ints, and rational coordinates (where they occur) are
-fractions.Fraction.
+exact rationals such as rational.Rational.  On the command line only
+`snf` loads this module.
 
 Smith normal form has one elimination, a row Hermite form, run in turn
 on the rows and on the columns until the matrix is diagonal (Kannan and
@@ -78,7 +79,7 @@ class IntMatrix(Record):
         )
 
     def apply(self, vec):
-        """Matrix-vector product; vector entries may be ints or Fractions."""
+        """Matrix-vector product; vector entries may be ints or exact rationals."""
         vec = list(vec)
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
@@ -210,7 +211,7 @@ def _reduce_left_kernel(a, d, u):
     of a's nonzero rows (a Hadamard bound on a Cramer-rule kernel basis),
     so a U that has not grown is kept as the elimination left it: the
     U `snf` prints, say for a row (q, -p, -q), whose entries are at most
-    max(|p|, q), and the ambient U of a round base.
+    max(|p|, q).
     """
     rank = sum(1 for i in range(min(a.rows, a.cols)) if d[i][i])
     if rank == a.rows:
@@ -255,13 +256,11 @@ def smith_normal_form(a):
     rank-deficient input depend on them.  D is unique for every input.
     A phase whose input is already in row echelon form with positive
     pivots is skipped, which keeps the U of such inputs as `snf` has
-    always printed it, and the U that diameter certificates store for a
-    round base's gluing relation, which is echelon already.  Then each
-    diagonal pair (x, y), i < j in order, with x not dividing y becomes
-    (g, x*y/g) in one 2x2 step, g = gcd(x, y) = s*x + t*y with
-    0 <= s < y/g; no elimination runs again.  Last, _reduce_left_kernel
-    shrinks grown rows of U.  Every choice is fixed, so repeated runs
-    agree entry for entry.
+    always printed it.  Then each diagonal pair (x, y), i < j in order,
+    with x not dividing y becomes (g, x*y/g) in one 2x2 step,
+    g = gcd(x, y) = s*x + t*y with 0 <= s < y/g; no elimination runs
+    again.  Last, _reduce_left_kernel shrinks grown rows of U.  Every
+    choice is fixed, so repeated runs agree entry for entry.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
@@ -417,7 +416,7 @@ class FPAbelianGroup(Record):
         """Coordinates of the image in the rationalized group (a Q-vector space).
 
         Torsion dies rationally, so only the free positions survive; the
-        input vector may have Fraction entries.
+        input vector may have exact rational entries (rational.Rational).
         """
         y = self.coordinate_map.apply(x)
         return tuple(yi for yi, di in zip(y, self.diag) if di == 0)

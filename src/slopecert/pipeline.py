@@ -13,7 +13,7 @@ the complementary meridian that pins down the ambient manifold.
 The pipeline then derives what does follow exactly:
 
   * a chain over a round base is a generalized iterated torus knot,
-    and its ambient manifold's H1 is computable from the gluing data;
+    and its ambient manifold's H1 is read off the gluing data;
   * a declared strict slope set propagates outward level by level
     through each cable space's affine transfer map (values stay
     finite: the meridian value is excluded at the base and the maps
@@ -36,11 +36,9 @@ check_corollary_c().
 """
 
 from .cablespace import (
-    STANDARD_OUTER_FRAMING,
     cable_space_homology,
     check_parameters,
     framing_problem,
-    glued_manifold_h1,
     with_standard_framings,
 )
 from .law import grid_check, transfer_map
@@ -137,15 +135,21 @@ def recognize_gitk(d):
 
 
 def ambient_h1(d):
-    """H1 of the ambient manifold, or None when not determinable.
+    """H1 of the ambient manifold as its invariant factors, or None when
+    not determinable.
 
     Cablings happen inside a solid torus, so they never change the
     ambient manifold; it is pinned down exactly when the base is round.
-    For the complementary meridian (a, b) it is Z/|b|, always cyclic.
+    It is then two solid tori glued along the reference torus, filled
+    along the standard meridian (1, 0) and along the complementary
+    meridian (a, b), b >= 0 as in every canonical slope, so H1 is
+    Z^2 / <(1, 0), (a, b)> = Z/b, always cyclic: () when b = 1, (0,)
+    (the group Z) for (1, 0), else (b,).
     """
     if not d.base.is_round:
         return None
-    return glued_manifold_h1(STANDARD_OUTER_FRAMING, d.base.complementary_meridian)
+    b = d.base.complementary_meridian.b
+    return () if b == 1 else (b,)
 
 
 class LevelCache:
@@ -232,7 +236,7 @@ class DiameterCertificate(Record):
     numeric claim).  ``tags`` lists (rule, value) pairs: one "A" per
     scaling step, "B-axiom" for the small-base bound, "B-ii" for the
     generalized-iterated-torus-knot branch.  ``ambient`` is the ambient
-    H1 (an FPAbelianGroup) or None.
+    H1's invariant factors (ambient_h1) or None.
     """
 
     def __init__(

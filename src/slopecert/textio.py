@@ -108,11 +108,10 @@ def _write_text(path, text):
         raise ValueError("cannot write %s: %s" % (path, e.strerror or e)) from None
 
 
-# The largest row or column count snf accepts, and the reader accepts in a
-# document.  Smith normal form and its exact check grow steeply with size: a
-# dense 100x100 matrix with entries in [-9, 9] takes about 5 s, a 150x150 one
-# about 80 s.  A group's coordinate map gets a determinant as it is read,
-# whose cost grows as the cube of its size.
+# The largest row or column count snf accepts; no document holds a matrix.
+# Smith normal form and its exact check grow steeply with size: a dense
+# 100x100 matrix with entries in [-9, 9] takes about 5 s, a 150x150 one
+# about 80 s.
 MAX_MATRIX_DIM = 100
 
 

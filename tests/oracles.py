@@ -49,6 +49,13 @@ def presented_h1(p, q):
     return group_from_presentation(IntMatrix.from_rows([[q, -p, -q]]))
 
 
+def gluing_h1(a, b):
+    """H1 of two solid tori glued along the reference torus, one filled
+    along the standard meridian (1, 0) and the other along (a, b): the
+    cokernel of the relation rows [[1, 0], [a, b]] by Smith normal form."""
+    return group_from_presentation(IntMatrix.from_rows([[1, 0], [a, b]]))
+
+
 def iota_outer(a, b):
     """Generator coordinates (c, m, l) of the image of a*E1 + b*E2 from T1:
     E1 |-> m and E2 |-> l."""

@@ -25,9 +25,7 @@ from slopecert import (
     Framing,
     PrimitiveClass,
     cable_space_homology,
-    canonical_slope,
     check_model,
-    glued_manifold_h1,
     verify_model,
 )
 from oracles import (
@@ -327,30 +325,6 @@ def test_cabling_parameter_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             model.replace(**{field: value})
-
-
-def test_glued_manifold_h1_fillings():
-    f = STANDARD_OUTER_FRAMING
-    # filling along the longitude: trivial group
-    g = glued_manifold_h1(f, canonical_slope(0, 1))
-    assert g.invariant_factors == () and g.order() == 1
-    # filling meridian against meridian: Z
-    g = glued_manifold_h1(f, canonical_slope(1, 0))
-    assert g.invariant_factors == (0,)
-    # filling along <5 mu + 2 lambda>: Z/2
-    g = glued_manifold_h1(f, canonical_slope(5, 2))
-    assert g.invariant_factors == (2,)
-    assert g.order() == 2
-    # general pattern: the presentation [[1, 0], [a, b]] gives Z/|b|, which
-    # is cyclic, so no declared cyclic ambient group can contradict it
-    rng = random.Random(33)
-    for _ in range(200):
-        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
-        if gcd(a, b) != 1:
-            continue
-        g = glued_manifold_h1(f, canonical_slope(a, b))
-        assert g.is_cyclic
-        assert g.invariant_factors == (() if abs(b) == 1 else (abs(b),))
 
 
 def test_inner_framing_of_model_is_used_by_both_boundaries():

@@ -21,13 +21,13 @@ from slopecert import (
 from slopecert.argparser import _build_parser
 from slopecert.cli import _COMMANDS, RunConfig, _parse_plain, main, run
 from slopecert.jsonio import (
-    MAX_MATRIX_DIM,
     canonical_dumps,
     description_to_json,
     diameter_certificate_to_json,
     load_document,
     transfer_certificate_to_json,
 )
+from slopecert.textio import MAX_MATRIX_DIM
 
 
 def write_description(tmp_path, name="desc.json", **kwargs):
@@ -123,35 +123,6 @@ def test_snf_accepts_a_matrix_at_the_size_limit(tmp_path, capsys):
     path.write_text("%d 0\n" % MAX_MATRIX_DIM)
     assert main(["snf", "--format", "json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["diagonal"] == []
-
-
-def group_of_size(n):
-    """A stored group with an n x n identity coordinate map: Z^2 on n generators."""
-    return {"n_generators": n, "diag": [1] * (n - 2) + [0, 0],
-            "coordinate_map": {"rows": n, "cols": n,
-                               "entries": [int(i == j) for i in range(n) for j in range(n)]}}
-
-
-def test_a_document_matrix_over_the_size_limit_is_an_input_error(tmp_path):
-    # Reading a group takes the determinant of its coordinate map, whose
-    # cost grows as the cube of its size; the limit is snf's.  A diameter
-    # certificate's ambient H1 is the one group a document states.
-    cert = diameter_certificate_to_json(diameter_lower_bound(KnotDescription(AtomKnot())))
-    path = tmp_path / "big.json"
-    cert["ambient_h1"] = group_of_size(MAX_MATRIX_DIM + 1)
-    path.write_text(json.dumps(cert))
-    code, report = run(RunConfig(command="verify", inputs=(str(path),)))
-    assert code == 2
-    assert (
-        "  input error: %s.ambient_h1.coordinate_map: a %dx%d matrix is too large: rows and"
-        " cols must be at most %d\n" % (path, MAX_MATRIX_DIM + 1, MAX_MATRIX_DIM + 1,
-                                         MAX_MATRIX_DIM)) in report
-    # At the limit the group reads, and the replay refutes it.
-    cert["ambient_h1"] = group_of_size(MAX_MATRIX_DIM)
-    path.write_text(json.dumps(cert))
-    code, report = run(RunConfig(command="verify", inputs=(str(path),)))
-    assert code == 1
-    assert "    FAIL replay -- stored certificate differs from recomputation at ambient_h1:" in report
 
 
 # --- cable-homology -----------------------------------------------------------

@@ -1,19 +1,19 @@
-"""Certificates emitted before the two-phase Smith normal form stay valid.
+"""Certificates emitted by earlier versions stay valid.
 
 The fixtures under tests/fixtures were written by `slopecert transfer
 --emit` and `slopecert verify --emit` before Smith normal form computed
-its transforms in two phases.  A round base's ambient H1 is compared with
-a fresh group_from_presentation by the replay, so any change to the
-transforms computed for its gluing would fail the diameter certificate.
+its transforms in two phases, when a round base's ambient H1 was stated
+as a whole diagonalized group.
 
-They also carry the copies that certificates no longer state: a transfer
-certificate's witnesses.boundary, witnesses.meridian and
-witnesses.longitude, its model's h1 (the same Z^2 for every cable space)
-and nine keys that restate the model's parameters, the invariant_factors
-of each group, and each diameter level's cabling and transfer
-certificate, which the level's cabling in the description determines.
-The reader ignores them, and an emitted certificate is the stored one
-without exactly those keys.
+They carry what certificates no longer state: a transfer certificate's
+witnesses.boundary, witnesses.meridian and witnesses.longitude, its
+model's h1 (the same Z^2 for every cable space) and nine keys that
+restate the model's parameters, each diameter level's cabling and
+transfer certificate, which the level's cabling in the description
+determines, and the n_generators, diag and coordinate_map of the ambient
+H1, which is stated by its invariant_factors alone.  The reader ignores
+them, and an emitted certificate is the stored one without exactly those
+keys.
 """
 
 import json
@@ -71,12 +71,29 @@ def test_transfer_fixture_is_emitted_again(name, tmp_path, capsys):
 def test_diameter_fixture_is_emitted_again(tmp_path, capsys):
     stored = json.loads((FIXTURES / DIAMETER).read_text())
     description = dict(stored["description"], kind="knot_description")
-    assert description["base"]["is_round"]  # its ambient_h1 is an SNF transform
+    assert description["base"]["is_round"]  # it states an ambient_h1
     path = tmp_path / "description.json"
     path.write_text(canonical_dumps(description))
     out = tmp_path / DIAMETER
     assert main(["verify", "--emit", str(out), str(path)]) == 0
-    del stored["ambient_h1"]["invariant_factors"]
+    for key in ("n_generators", "diag", "coordinate_map"):
+        del stored["ambient_h1"][key]
     for level in stored["levels"]:
         del level["cabling"], level["certificate"]
     assert out.read_text() == canonical_dumps(stored)
+
+
+def test_a_round_base_certificate_stating_a_whole_group_is_an_input_error(tmp_path, capsys):
+    # What versions before the ambient H1 was stated by its invariant
+    # factors wrote: the group's n_generators, diag and coordinate_map, and
+    # no invariant_factors.
+    stored = json.loads((FIXTURES / DIAMETER).read_text())
+    del stored["ambient_h1"]["invariant_factors"]
+    for level in stored["levels"]:
+        del level["cabling"], level["certificate"]
+    path = tmp_path / "whole_group.json"
+    path.write_text(canonical_dumps(stored))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "input: %s\n  input error: %s.ambient_h1.invariant_factors: expected a list of"
+        " integers\noverall: FAIL\n" % (path, path))

@@ -6,11 +6,11 @@ fractions), a subcommand loads only the modules it runs, its own runner
 module among them, a plain command line loads neither argparse nor the
 module that reads other lines with it, and a run that reads or writes
 documents loads neither json nor fractions.  verify loads pipeline only
-for a description or a diameter certificate, and a description loads no
-transfer-certificate code.  Runs made as `python -m slopecert.cli` makes
-them, as __main__ through runpy, never load slopecert.cli, which would
-compile and run the CLI a second time.  Module sets are deterministic,
-where start-up times are not.
+for a description or a diameter certificate, a description loads no
+transfer-certificate code, and only snf loads linalg.  Runs made as
+`python -m slopecert.cli` makes them, as __main__ through runpy, never
+load slopecert.cli, which would compile and run the CLI a second time.
+Module sets are deterministic, where start-up times are not.
 """
 
 import json
@@ -35,7 +35,7 @@ PUBLIC = [
     "STANDARD_OUTER_FRAMING", "Slope", "TransferCertificate", "ambient_h1",
     "cable_space_homology", "canonical_slope", "check_corollary_c", "check_model",
     "conjugate", "diameter", "diameter_lower_bound", "framing_change",
-    "geometric_intersection", "glued_manifold_h1", "group_from_presentation",
+    "geometric_intersection", "group_from_presentation",
     "numerical_slope", "phi", "propagate", "recognize_gitk", "slope_from_numerical",
     "smith_normal_form", "transfer_certificate", "transfer_map", "verify_certificate",
     "verify_model",
@@ -90,8 +90,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing(tmp_path):
 
 
 def test_the_cable_path_loads_no_linalg(tmp_path):
-    # Cable-space homology is read in closed form, so only Smith normal
-    # form, and a round base's ambient H1, need linalg.
+    # Cable-space homology is read in closed form, and a round base's
+    # ambient H1 too, so only Smith normal form needs linalg.
     (tmp_path / "d.json").write_text(json.dumps({
         "kind": "knot_description",
         "base": {"strict_slopes": [[0, 1], [6, 1]], "meridionally_small": True},
@@ -256,6 +256,25 @@ def test_snf_loads_no_cable_space_module(tmp_path):
         assert not NOT_FOR_SNF & loaded, fmt
 
 
+def test_a_round_base_loads_no_linalg(tmp_path):
+    # Its ambient H1 is Z/|b|, read off the complementary meridian (a, b):
+    # neither the description's verify --emit nor the JSON recheck of the
+    # certificate it writes runs a Smith normal form.
+    (tmp_path / "round.json").write_text(json.dumps({
+        "kind": "knot_description",
+        "base": {"is_round": True, "complementary_meridian": [5, 3]},
+        "cablings": [{"p": 1, "q": 2}, {"p": -3, "q": 2}]}))
+    for argv in (["verify", "round.json", "--emit", "r.json"],
+                 ["verify", "--format", "json", "r.json"]):
+        code, out, err, loaded = run_cli_fresh(argv, tmp_path, RUN_MAIN)
+        assert (code, err) == (0, "") and out, argv
+        assert "slopecert.pipeline" in loaded, argv
+        assert "slopecert.linalg" not in loaded, argv
+    assert json.loads((tmp_path / "r.json").read_text())["ambient_h1"] == {
+        "invariant_factors": [3]}
+    assert json.loads(out)["ok"] is True
+
+
 @pytest.mark.parametrize("argv, code", [
     (["verify", "t.json"], 0),
     (["verify", "--format", "json", "t.json"], 0),
@@ -355,7 +374,7 @@ def test_star_import_binds_the_public_names(tmp_path):
     )
     assert names == sorted(PUBLIC + ["json", "sys"])
     assert slopecert.__all__ == sorted(PUBLIC)
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
 
 
 def test_package_names_resolve_to_their_modules():

@@ -35,8 +35,6 @@ from slopecert.jsonio import (
     framing_from_json,
     framing_to_json,
     load_document,
-    matrix_from_json,
-    matrix_to_json,
     parse_matrix_text,
     slope_from_json,
     slope_to_json,
@@ -105,16 +103,6 @@ def test_framing_round_trip():
     assert framing_from_json(framing_to_json(f)) == f
     with pytest.raises(ValueError, match="framing"):
         framing_from_json({"mu": [1, 0], "lambda": [0, 1]})
-
-
-def test_matrix_round_trip():
-    m = IntMatrix(2, 3, (1, 2, 3, 4, 5, 6))
-    assert matrix_from_json(matrix_to_json(m)) == m
-    # shape survives even with no entries
-    z = IntMatrix(0, 3, ())
-    assert matrix_from_json(matrix_to_json(z)) == z
-    with pytest.raises(ValueError):
-        matrix_from_json({"rows": 2, "cols": 2, "entries": [1, 2, 3]})
 
 
 # --- documents ------------------------------------------------------------------
@@ -461,7 +449,9 @@ def test_replay_comparison_equals_canonical_text_comparison():
                 assert verdict == (emit(loaded) == text), (key, original, value)
                 verdicts[verdict] += 1
             container[key] = original
-    assert verdicts == {True: 61, False: 90}
+    # The ambient H1's leaves give 1 and 4 of these: the null of one_level
+    # edited to null, and round2's invariant factor 3 edited to 0, 1, 4, -3.
+    assert verdicts == {True: 54, False: 85}
 
 
 # --- the reader: json.loads through the C scanner ---------------------------------

@@ -1,16 +1,17 @@
-"""Every field of three emitted documents, broken one at a time.
+"""Every field of four emitted documents, broken one at a time.
 
 Each field is replaced by a value of every JSON type it does not admit,
 and each required field is deleted.  Through the CLI, every such document
 is an input error (exit 2) that names the field's path, never a traceback.
-Deleting a field that may be omitted is not an input error.  Every
-integer of the two emitted certificates is also edited in value: each
-edit fails a check (exit 1) or is an input error (exit 2), or is the
-certificate the writer writes for the edited document's own description.
-An edit of a stored cable-space model that is an input error breaks an
-invariant of a stored type, and names the path of the value that breaks
-it.  A property test also edits values of both certificates at random,
-keeping their types, and reorders their lists, with the same outcomes.
+Deleting a field that may be omitted is not an input error, but for the
+two a round base needs.  Every integer of the three emitted certificates
+is also edited in value: each edit fails a check (exit 1) or is an input
+error (exit 2), or is the certificate the writer writes for the edited
+document's own description.  An edit of a stored cable-space model that
+is an input error breaks an invariant of a stored type, and names the
+path of the value that breaks it.  A property test also edits values of
+the three certificates at random, keeping their types, and reorders
+their lists, with the same outcomes.
 
 The nullable, token and omittable fields are listed here, apart from the
 reader's tables, as the document format in the README states them.  Paths
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from slopecert import AtomKnot, Cabling, Framing, KnotDescription, PrimitiveClass
+from slopecert import AtomKnot, Cabling, Framing, KnotDescription, PrimitiveClass, canonical_slope
 from slopecert.cli import RunConfig, run
 from slopecert.jsonio import canonical_dumps, description_to_json
 
@@ -66,6 +67,10 @@ OPTIONAL = (
     "tags",
     "tags.#.value",
 )
+
+# Optional fields a round base needs: without one of them, the base breaks
+# its invariant, an input error at the base with the constructor's message.
+ROUND_BASE = ("*base.is_round", "*base.complementary_meridian")
 
 # Objects whose entries are named values, not fields.
 MAPS = ("routes",)
@@ -125,7 +130,9 @@ def edited(doc, path, value=None, delete=False):
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    """An emitted transfer certificate, a 2-level description and its certificate."""
+    """An emitted transfer certificate, a 2-level description and its
+    certificate, and the certificate of a 2-level description over a round
+    base, which states its ambient H1."""
     tmp = tmp_path_factory.mktemp("docs")
     desc = tmp / "desc.json"
     desc.write_text(canonical_dumps(description_to_json(KnotDescription(
@@ -139,11 +146,18 @@ def documents(tmp_path_factory):
             Cabling(3, 2, f_inner=Framing(PrimitiveClass(1, 0), PrimitiveClass(-5, 1), 1)),
         ),
     ))))
-    tcert, dcert = tmp / "t.json", tmp / "d.json"
+    round_desc = tmp / "round_desc.json"
+    round_desc.write_text(canonical_dumps(description_to_json(KnotDescription(
+        base=AtomKnot(is_round=True, complementary_meridian=canonical_slope(5, 3)),
+        cablings=(Cabling(1, 2), Cabling(-3, 2)),
+    ))))
+    tcert, dcert, rcert = tmp / "t.json", tmp / "d.json", tmp / "r.json"
     assert run(RunConfig(command="transfer", p=2, q=3, emit=str(tcert)))[0] == 0
     assert run(RunConfig(command="verify", inputs=(str(desc),), emit=str(dcert)))[0] == 0
+    assert run(RunConfig(command="verify", inputs=(str(round_desc),), emit=str(rcert)))[0] == 0
     return {name: json.loads(path.read_text())
-            for name, path in (("transfer", tcert), ("description", desc), ("diameter", dcert))}
+            for name, path in (("transfer", tcert), ("description", desc), ("diameter", dcert),
+                               ("round", rcert))}
 
 
 def verify(tmp_path, doc):
@@ -152,7 +166,7 @@ def verify(tmp_path, doc):
     return (*run(RunConfig(command="verify", inputs=(str(path),))), str(path))
 
 
-@pytest.mark.parametrize("name", ["transfer", "description", "diameter"])
+@pytest.mark.parametrize("name", ["transfer", "description", "diameter", "round"])
 def test_every_field_of_a_wrong_type_is_an_input_error(documents, tmp_path, name):
     doc = documents[name]
     tried = 0
@@ -172,7 +186,7 @@ def test_every_field_of_a_wrong_type_is_an_input_error(documents, tmp_path, name
     assert tried > 100
 
 
-@pytest.mark.parametrize("name", ["transfer", "description", "diameter"])
+@pytest.mark.parametrize("name", ["transfer", "description", "diameter", "round"])
 def test_every_missing_required_field_is_an_input_error(documents, tmp_path, name):
     doc = documents[name]
     optional = 0
@@ -180,7 +194,10 @@ def test_every_missing_required_field_is_an_input_error(documents, tmp_path, nam
         if isinstance(path[-1], int) or matches(path[:-1], MAPS):
             continue
         code, report, where = verify(tmp_path, edited(doc, path, delete=True))
-        if matches(path, OPTIONAL):
+        if name == "round" and matches(path, ROUND_BASE):
+            assert code == 2, (path, report)
+            assert "input error: %s.description.base: " % where in report, (path, report)
+        elif matches(path, OPTIONAL):
             assert code in (0, 1), (path, report)
             assert "input error" not in report
             optional += 1
@@ -189,7 +206,7 @@ def test_every_missing_required_field_is_an_input_error(documents, tmp_path, nam
             assert "input error: %s%s: expected " % (where, path_text(path)) in report, (
                 path, report)
     # A transfer certificate has no optional field.
-    assert optional == {"transfer": 0, "description": 9, "diameter": 22}[name]
+    assert optional == {"transfer": 0, "description": 9, "diameter": 22, "round": 18}[name]
 
 
 # The input errors a model edit may give: the parameter checks, and the
@@ -259,7 +276,7 @@ def test_every_integer_edit_of_a_model_fails_a_check_or_is_an_input_error(
         outcomes[("q",), 0])
 
 
-@pytest.mark.parametrize("name, model", MODELS + [("diameter", ())])
+@pytest.mark.parametrize("name, model", MODELS + [("diameter", ()), ("round", ())])
 def test_every_other_integer_edit_fails_a_check_or_is_an_input_error(
         documents, tmp_path, name, model):
     # With the test above, every integer of the emitted documents is edited:
@@ -272,7 +289,7 @@ def test_every_other_integer_edit_fails_a_check_or_is_an_input_error(
     edits, written = 0, []
     for path, new, code, report, where in integer_edits(tmp_path, doc, others):
         if code == 0:
-            assert name == "diameter" and written_for_its_description(
+            assert name != "transfer" and written_for_its_description(
                 tmp_path, edited(doc, path, new)), (path, new, report)
             written.append((path, new))
         elif code == 1:
@@ -280,9 +297,24 @@ def test_every_other_integer_edit_fails_a_check_or_is_an_input_error(
         else:
             assert code == 2 and "  input error: %s" % where in report, (path, new, report)
         edits += 1
-    assert edits > 100
-    assert written == ([] if name == "transfer" else [
-        (("description", "cablings", i, "orientation"), -1) for i in (0, 1)])
+    assert edits > (30 if name == "round" else 100)
+    orientations = [(("description", "cablings", i, "orientation"), -1) for i in (0, 1)]
+    assert sorted(written) == {
+        "transfer": [],
+        "diameter": orientations,
+        # A round base's certificate claims no bound and states no level
+        # slopes, so it depends on a cabling only through its validity, and
+        # on the complementary meridian (a, 3) only through H1 = Z/3.
+        "round": [
+            (("description", "base", "complementary_meridian", 0), -5),
+            (("description", "base", "complementary_meridian", 0), 4),
+            orientations[0],
+            (("description", "cablings", 0, "p"), -1),
+            (("description", "cablings", 0, "q"), 3),
+            orientations[1],
+            (("description", "cablings", 1, "p"), 3),
+        ],
+    }[name]
 
 
 def test_same_type_value_mutations_fail_a_check_or_are_input_errors(
@@ -294,7 +326,7 @@ def test_same_type_value_mutations_fail_a_check_or_are_input_errors(
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     tmp = tmp_path_factory.mktemp("mutations")
-    targets = [(name, path, value) for name in ("transfer", "diameter")
+    targets = [(name, path, value) for name in ("transfer", "diameter", "round")
                for path, value in fields(documents[name])
                if type(value) in (int, str) or (type(value) is list and value)]
 
@@ -326,7 +358,7 @@ def test_same_type_value_mutations_fail_a_check_or_are_input_errors(
         doc = edited(documents[name], path, new)
         code, report, _ = verify(tmp, doc)
         assert code in (1, 2) or (
-            name == "diameter" and written_for_its_description(tmp, doc)), (
+            name != "transfer" and written_for_its_description(tmp, doc)), (
             name, path, new, report)
 
     check()

@@ -1,11 +1,11 @@
-"""The Smith normal form transforms that documents and reports show stay fixed.
+"""The Smith normal form transforms that reports and the library show stay fixed.
 
-A diameter certificate of a round base states its ambient H1, and the
-replay compares it with a fresh group_from_presentation, so the
-coordinate map (the U of the transposed relation's Smith form) of every
-gluing relation [[1, 0], [a, b]] under the standard framing must not
-change.  The maps of the cable-space relations [[q, -p, -q]] are what
-`snf` prints as U for those rows transposed; no certificate stores them.
+The maps of the cable-space relations [[q, -p, -q]] are what `snf` prints
+as U for those rows transposed.  The coordinate maps (the U of the
+transposed relation's Smith form) of the gluing relations [[1, 0], [a, b]]
+under the standard framing are library output only: a diameter
+certificate once stated them for a round base, and now states only the
+invariant factors, read in closed form.  No certificate stores either.
 tests/fixtures/snf_transforms.json holds those maps, and U and V of the
 README's `snf` matrix, as an earlier Smith normal form computed them;
 regenerate it only on purpose, with `python tests/test_snf_transforms.py`.

@@ -137,8 +137,10 @@ def test_route_logic_names_each_stated_field_that_is_wrong():
         assert route_logic(cert) == Check("route-logic", False, detail)
 
 
-AMBIENT_Z = {"n_generators": 1, "diag": [0],
-             "coordinate_map": {"rows": 1, "cols": 1, "entries": [1]}}
+AMBIENT_Z = {"invariant_factors": [0]}
+# The same chain over a round base, whose ambient H1 is Z/3.
+ROUND = DESCRIPTION.replace(
+    base=AtomKnot(is_round=True, complementary_meridian=canonical_slope(5, 3)))
 
 
 def test_a_failed_replay_names_the_first_field_that_differs():
@@ -146,6 +148,7 @@ def test_a_failed_replay_names_the_first_field_that_differs():
     built = diameter_lower_bound(DESCRIPTION)
     first = built.levels[1].slopes[0]
     long = diameter_lower_bound(DESCRIPTION.replace(cablings=DESCRIPTION.cablings * 25))
+    round_ = diameter_lower_bound(ROUND)
 
     def edited(cert, change):
         doc = diameter_certificate_to_json(cert)
@@ -163,8 +166,13 @@ def test_a_failed_replay_names_the_first_field_that_differs():
          "at tags[0].value: stored 3, recomputed 2"),
         # A value other than a rational is written as one line of JSON.
         (built, lambda doc: doc.__setitem__("ambient_h1", AMBIENT_Z),
-         'at ambient_h1: stored {"coordinate_map": {"cols": 1, "entries": [1], "rows": 1},'
-         ' "diag": [0], "n_generators": 1}, recomputed null'),
+         'at ambient_h1: stored {"invariant_factors": [0]}, recomputed null'),
+        (round_, lambda doc: doc.__setitem__("ambient_h1", AMBIENT_Z),
+         "at ambient_h1.invariant_factors[0]: stored 0, recomputed 3"),
+        (round_, lambda doc: doc.__setitem__("ambient_h1", {"invariant_factors": []}),
+         "at ambient_h1.invariant_factors[0]: stored length 0, recomputed length 1"),
+        (round_, lambda doc: doc.__setitem__("ambient_h1", None),
+         'at ambient_h1: stored null, recomputed {"invariant_factors": [3]}'),
         (built, lambda doc: doc.__setitem__("reason", "edited"),
          'at reason: stored "edited", recomputed ""'),
         # Lists that agree up to the end of the shorter: the index past it
@@ -183,7 +191,7 @@ def test_a_failed_replay_writes_a_value_that_is_not_a_rational_as_json_dumps_doe
     # json.dumps(value, sort_keys=True) for the stored and recomputed values.
     doc = diameter_certificate_to_json(diameter_lower_bound(DESCRIPTION))
     for key, stored in (
-        ("ambient_h1", dict(reversed(AMBIENT_Z.items()))),
+        ("ambient_h1", AMBIENT_Z),
         ("reason", 'r\u00e9sum\u00e9 "quoted"\n\t\x01'),
         ("routes", {"zz-route": [1, 2], "axiom-b": [32, 1]}),
         ("primary_route", "axiom-b"),

@@ -6,9 +6,11 @@ wrappers record what each run builds, recomputes and serializes; a run of
 several inputs builds each model once, in the one cache it shares.  A level
 is checked from its model and transfer map, without a transfer
 certificate or witness records.  A passing grid check calls phi on no
-slope, and a failing one on the one slope it names.  An `snf` run formats its matrices as text only for a text
-report, and a Smith normal form computes determinants only for an input
-that is not square or whose D has a zero.
+slope, and a failing one on the one slope it names.  A round base's
+ambient H1 is read in closed form, with no Smith normal form.  An `snf`
+run formats its matrices as text only for a text report, and a Smith
+normal form computes determinants only for an input that is not square
+or whose D has a zero.
 """
 
 import json
@@ -24,6 +26,7 @@ from slopecert import (
     Cabling,
     KnotDescription,
     cablespace,
+    canonical_slope,
     cli,
     cmd_snf,
     cmd_transfer,
@@ -210,7 +213,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == counts["transfer_map"] == DISTINCT_MODELS
     # Cable-space homology is read in closed form: no Smith normal form,
-    # and no group, for a description whose base is not round.
+    # and no group.
     assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
     # No level builds a transfer certificate, so none has witness records
     # to state or check.
@@ -233,6 +236,20 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert (counts["witness_slopes"], counts["slope_record"]) == (0, 0)
     assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
+
+
+def test_a_round_base_runs_no_smith_normal_form(tmp_path, capsys, counts):
+    # Its ambient H1 is read off the complementary meridian, in the build,
+    # in its replay and in the replay of the emitted certificate.
+    base = AtomKnot(is_round=True, complementary_meridian=canonical_slope(5, 3))
+    desc = tmp_path / "round.json"
+    desc.write_text(canonical_dumps(description_to_json(KnotDescription(base, CHAIN[:10]))))
+    emitted = tmp_path / "cert.json"
+    assert cli.main(["verify", "--emit", str(emitted), str(desc)]) == 0
+    assert cli.main(["verify", "--format", "json", str(emitted)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert counts["diameter"] == 3
+    assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
 
 
 def test_one_level_cache_serves_every_input_of_a_run(tmp_path, capsys, counts):
