@@ -10,13 +10,17 @@ exact rationals such as rational.Rational.  On the command line only
 Smith normal form has one elimination, a row Hermite form, run in turn
 on the rows and on the columns until the matrix is diagonal (Kannan and
 Bachem); a 2x2 step per diagonal pair then makes the divisibility chain.
-The transforms stay within a small multiple of the size of D.  Every
-pivot rule is fixed, so identical inputs produce identical (U, D, V)
-triples on every run.
+The elimination runs on D alone and records its row operations; each
+phase then replays them on its transform, U or V^T, as one packed
+integer per row when a Hadamard bound holds for the result and on lists
+otherwise.  The transforms stay within a small multiple of the size of
+D.  The exact check forms U A and A V from packed columns of U and rows
+of V.  Every pivot rule is fixed, so identical inputs produce identical
+(U, D, V) triples on every run.
 """
 
 import operator
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .record import InvariantError, Record, _store
 
@@ -143,8 +147,8 @@ def _is_row_echelon(rows):
     return True
 
 
-def _row_hermite(rows, top, width):
-    """Put rows[top:] in row Hermite form on its first `width` columns, in place.
+def _row_hermite(rows, top):
+    """Put rows[top:] in row Hermite form, in place; return (ids, rank, ops).
 
     Echelon form first, by sweeps under the smallest nonzero |entry| p of
     each column (first such row), each pivot made positive.  A sweep
@@ -155,15 +159,22 @@ def _row_hermite(rows, top, width):
     is reduced modulo it into [0, pivot) with floor quotients, bottom row
     first, which makes the form unique: reducing during the sweeps would
     add unreduced pivot rows to the rows above, column after column, and
-    their entries would grow by thousands of bits.  Columns from `width`
-    on only follow the row operations, so a transform can ride along.  A
-    row added is zero left of the column it clears, so only the tail of
-    the changed row is rewritten.
+    their entries would grow by thousands of bits.  A row added is zero
+    left of the column it clears, so only the tail of the changed row is
+    rewritten.
+
+    Each row is named by its index on entry.  ids[r] names the row that
+    ends at position r, rank counts the rows that end with a pivot, and
+    ops lists every row operation `row i -= f * row k` as the three ints
+    i, k, f, in order; a negation is f = 2 with k = i, and a swap moves
+    only ids.  _replay_rows and _replay_packed apply them to a transform.
     """
     m = len(rows)
+    ids = list(range(m))
+    ops = []
     cols = []  # the pivot column of rows[top], rows[top + 1], ...
     r = top
-    for c in range(width):
+    for c in range(len(rows[0]) if rows else 0):
         if r == m:
             break
         while True:
@@ -175,14 +186,17 @@ def _row_hermite(rows, top, width):
             if piv is None:
                 break
             rows[r], rows[piv] = rows[piv], rows[r]
+            ids[r], ids[piv] = ids[piv], ids[r]
             p = rows[r][c]
             tail = rows[r][c:]
+            source = ids[r]
             clear = True
             for i in range(r + 1, m):
                 row = rows[i]
                 if row[c]:
                     f = (2 * row[c] + p) // (2 * p)
                     row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+                    ops += ids[i], source, f
                     if row[c]:
                         clear = False
             if clear:
@@ -191,6 +205,7 @@ def _row_hermite(rows, top, width):
             continue
         if rows[r][c] < 0:
             rows[r][c:] = [-x for x in rows[r][c:]]
+            ops += ids[r], ids[r], 2
         cols.append(c)
         r += 1
     for i in reversed(range(r)):
@@ -200,6 +215,53 @@ def _row_hermite(rows, top, width):
             f = row[c] // rows[k][c]
             if f:
                 row[c:] = [x - f * y for x, y in zip(row[c:], rows[k][c:])]
+                ops += ids[i], ids[k], f
+    return ids, r, ops
+
+
+def _packing(bound, count):
+    """(pack, unpack) between `count` ints of |x| <= bound and one int.
+
+    A vector x packs to the sum of x_j * 2**(w*j), w a multiple of 8 with
+    2**(w-1) > bound: balanced digits, so an integer combination of
+    packed vectors is the packed combination, and it unpacks exactly
+    whenever every entry of the combination is at most bound, whatever
+    the intermediate sums were.
+    """
+    size = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    width = size * count
+
+    def pack(row):
+        return int.from_bytes(
+            b"".join([(x + half).to_bytes(size, "little") for x in row]), "little"
+        ) - bias
+
+    def unpack(p):
+        b = (p + bias).to_bytes(width, "little")
+        return [int.from_bytes(b[j : j + size], "little") - half for j in range(0, width, size)]
+
+    return pack, unpack
+
+
+def _replay_rows(ops, ids, t):
+    """The rows of t after the row operations ops, in the order ids, on lists."""
+    t = list(t)
+    it = iter(ops)
+    for i, k, f in zip(it, it, it):
+        t[i] = [x - f * y for x, y in zip(t[i], t[k])]
+    return [t[i] for i in ids]
+
+
+def _replay_packed(ops, ids, t, bound):
+    """_replay_rows on packed rows, for a result with every |entry| <= bound."""
+    pack, unpack = _packing(bound, len(t[0]))
+    packed = [pack(r) for r in t]
+    it = iter(ops)
+    for i, k, f in zip(it, it, it):
+        packed[i] -= f * packed[k]
+    return [unpack(packed[i]) for i in ids]
 
 
 def _reduce_left_kernel(a, d, u):
@@ -222,16 +284,33 @@ def _reduce_left_kernel(a, d, u):
         if norm2:
             bound *= norm2
     if any(x * x > bound for row in u for x in row):
-        _row_hermite(u, rank, a.rows)
+        _row_hermite(u, rank)
 
 
-def _hermite_phase(d, t, width):
-    """Row Hermite form of d, t's rows following; None if d is echelon with positive pivots."""
+def _hermite_phase(d, t):
+    """Row Hermite form of d, in place, and t after its row operations; None
+    if d is echelon with positive pivots.
+
+    If d (m rows) has full row rank, the transform taking d to its
+    Hermite form H is H_S * d_S^-1, d_S the columns of d at H's pivots.
+    Every entry of H_S is at most its column's pivot, so at most
+    |det d_S|, and by Hadamard's bound every entry of adj(d_S) is at most
+    the product of the norms of the rows of d but one.  So no entry of
+    the new t exceeds m^2 * max |t| times the product of the norms of all
+    rows of d but the shortest, and t is replayed packed under that
+    bound.  A rank-deficient d has no such bound, and t is replayed on
+    lists.
+    """
     if _is_row_echelon(d):
         return None
-    rows = [x + y for x, y in zip(d, t)]
-    _row_hermite(rows, 0, width)
-    return [r[:width] for r in rows], [r[width:] for r in rows]
+    norms = [sum(map(operator.mul, r, r)) for r in d]
+    ids, rank, ops = _row_hermite(d, 0)
+    m = len(d)
+    if rank < m:
+        return d, _replay_rows(ops, ids, t)
+    norms.remove(min(norms))
+    bound = m * m * (isqrt(prod(norms)) + 1) * max(max(map(abs, r)) for r in t)
+    return d, _replay_packed(ops, ids, t, bound)
 
 
 def _transpose(rows, cols):
@@ -246,12 +325,16 @@ def smith_normal_form(a):
     check_smith_normal_form: for a square `a` with no zero d_i, by the
     integrality of U's and V's inverses, otherwise by det(U) and det(V).
 
-    One elimination, _row_hermite, alternates between the rows (a row
-    phase on [D | U]) and the columns (a column phase on [D^T | V^T])
-    until D is diagonal (Kannan and Bachem).  Its sweeps use
-    nearest-integer quotients, and its reduction above each pivot uses
-    floor quotients into [0, pivot), so every phase ends in the unique
-    Hermite form of its input: a nonsingular square input has one
+    One elimination, _row_hermite, alternates between the rows of D (a
+    row phase) and its columns (a column phase, on D^T) until D is
+    diagonal (Kannan and Bachem).  It runs on D alone and records its row
+    operations, which are then replayed on the transform: U in a row
+    phase, V^T in a column phase.  A phase on a full-row-rank D replays
+    them on packed rows, one integer per row, under a Hadamard bound on
+    the result (see _hermite_phase); a rank-deficient one on lists.  The
+    sweeps use nearest-integer quotients, and the reduction above each
+    pivot floor quotients into [0, pivot), so every phase ends in the
+    unique Hermite form of its input: a nonsingular square input has one
     (U, D, V) whatever the sweeps do, and only the transforms of a
     rank-deficient input depend on them.  D is unique for every input.
     A phase whose input is already in row echelon form with positive
@@ -267,11 +350,11 @@ def smith_normal_form(a):
     u = IntMatrix.identity(m).to_rows()
     vt = IntMatrix.identity(n).to_rows()
     while True:
-        row = _hermite_phase(d, u, n)
+        row = _hermite_phase(d, u)
         if row:
             d, u = row
         # d is now in echelon form; if its transpose is too, d is diagonal.
-        col = _hermite_phase(_transpose(d, n), vt, m)
+        col = _hermite_phase(_transpose(d, n), vt)
         if col is None:
             break
         dt, vt = col
@@ -305,31 +388,63 @@ def smith_normal_form(a):
     return result
 
 
+def _combinations(coeffs, vectors, count, bound):
+    """[sum of c_j * vectors[j] for c in coeffs], each vector of `count`
+    ints, on packed vectors; every entry of a sum is at most bound."""
+    pack, unpack = _packing(bound, count)
+    packed = [pack(v) for v in vectors]
+    return [unpack(sum(map(operator.mul, c, packed))) for c in coeffs]
+
+
+def _largest(m):
+    return max(map(abs, m.entries), default=0)
+
+
 def check_smith_normal_form(a, result):
     """Raise InvariantError unless `result` is a Smith normal form of `a`.
 
-    Exact post-conditions, in this order: U * a * V == D, D diagonal, U
-    and V unimodular, and D's diagonal a nonnegative divisibility chain,
-    zeros last.  For a square `a` with no zero on D's diagonal, U and V
-    are unimodular exactly when D^-1 (U a) and (a V) D^-1, their inverses,
-    are integral: d_i divides row i of U a and column i of a V.  Neither
-    inverse is built.  For a rank-deficient or non-square `a`, a and D
-    determine no inverse for U's kernel rows or V's kernel columns, so
-    det(U) and det(V) are computed by Bareiss elimination.
+    Exact post-conditions, in this order: U, D and V of the shapes a
+    fixes, U * a * V == D, D diagonal, U and V unimodular, and D's
+    diagonal a nonnegative divisibility chain, zeros last.  U a and a V
+    are sums of a's entries times packed columns of U and rows of V (see
+    _packing), every entry at most m max|U| max|a| and n max|a| max|V|.
+    For a square `a` with no zero on D's diagonal, U and V are unimodular
+    exactly when D^-1 (U a) and (a V) D^-1, their inverses, are integral:
+    d_i divides row i of U a and column i of a V.  Neither inverse is
+    built.  For a rank-deficient or non-square `a`, a and D determine no
+    inverse for U's kernel rows or V's kernel columns, so det(U) and
+    det(V) are computed by Bareiss elimination.
     """
-    ua = result.U.mul(a)
+    m, n = a.rows, a.cols
+    for name, mat, rows, cols in (
+        ("U", result.U, m, m), ("D", result.D, m, n), ("V", result.V, n, n)
+    ):
+        if (mat.rows, mat.cols) != (rows, cols):
+            raise InvariantError(
+                "smith normal form: %s is %dx%d, not %dx%d"
+                % (name, mat.rows, mat.cols, rows, cols)
+            )
+    top = _largest(a)
+    ua_cols = _combinations(
+        [a.entries[j::n] for j in range(n)],
+        [result.U.entries[i::m] for i in range(m)],
+        m,
+        m * _largest(result.U) * top,
+    )
+    ua = IntMatrix(m, n, tuple(e for r in zip(*ua_cols) for e in r))
     if ua.mul(result.V) != result.D:
         raise InvariantError("smith normal form: U * A * V differs from D")
     d = result.D
     if any(d.entry(i, j) for i in range(d.rows) for j in range(d.cols) if i != j):
         raise InvariantError("smith normal form: D is not diagonal")
     diag = result.diagonal()
-    n = a.cols
-    if a.rows == n and all(diag):
-        av = a.mul(result.V).entries
+    if m == n and all(diag):
+        av = _combinations(
+            map(a.row, range(m)), map(result.V.row, range(n)), n, n * top * _largest(result.V)
+        )
         unimodular = not any(
             x % di for i, di in enumerate(diag) for x in ua.row(i)
-        ) and not any(x % dj for j, dj in enumerate(diag) for x in av[j::n])
+        ) and not any(x % dj for r in av for x, dj in zip(r, diag))
     else:
         unimodular = det(result.U) in (1, -1) and det(result.V) in (1, -1)
     if not unimodular:

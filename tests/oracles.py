@@ -5,6 +5,7 @@ from math import gcd
 
 from slopecert import IntMatrix, PrimitiveClass, Slope, group_from_presentation
 from slopecert.cablespace import _cross
+from slopecert.linalg import SNFResult
 
 
 def grid_slopes(bound):
@@ -105,3 +106,127 @@ def presented_change_of_basis(model):
         return None
     moved = [tuple(r[0] * v[0] + r[1] * v[1] for r in m) for v in images]
     return m if moved == presented else None
+
+
+def _reference_row_hermite(rows, top, width):
+    """Put rows[top:] in row Hermite form on its first `width` columns, in
+    place; the columns from `width` on only follow the row operations.
+
+    Sweeps under the smallest nonzero |entry| of each column (first such
+    row) with nearest-integer quotients, each pivot made positive, then
+    every row above a pivot, rows[:top] included, reduced modulo it into
+    [0, pivot) with floor quotients, bottom row first."""
+    m = len(rows)
+    cols = []
+    r = top
+    for c in range(width):
+        if r == m:
+            break
+        while True:
+            piv = None
+            for i in range(r, m):
+                e = rows[i][c]
+                if e and (piv is None or abs(e) < best):
+                    piv, best = i, abs(e)
+            if piv is None:
+                break
+            rows[r], rows[piv] = rows[piv], rows[r]
+            p = rows[r][c]
+            tail = rows[r][c:]
+            clear = True
+            for i in range(r + 1, m):
+                row = rows[i]
+                if row[c]:
+                    f = (2 * row[c] + p) // (2 * p)
+                    row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+                    if row[c]:
+                        clear = False
+            if clear:
+                break
+        if piv is None:
+            continue
+        if rows[r][c] < 0:
+            rows[r][c:] = [-x for x in rows[r][c:]]
+        cols.append(c)
+        r += 1
+    for i in reversed(range(r)):
+        row = rows[i]
+        for k in range(max(i + 1, top), r):
+            c = cols[k - top]
+            f = row[c] // rows[k][c]
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], rows[k][c:])]
+
+
+def _reference_is_row_echelon(rows):
+    lead = -1
+    for r in rows:
+        j = next((j for j, x in enumerate(r) if x), len(r))
+        if j < len(r) and (j <= lead or r[j] < 0):
+            return False
+        lead = j
+    return True
+
+
+def _reference_phase(d, t, width):
+    """Row Hermite form of d with t's rows as extra columns; None if d is
+    already echelon with positive pivots."""
+    if _reference_is_row_echelon(d):
+        return None
+    rows = [x + y for x, y in zip(d, t)]
+    _reference_row_hermite(rows, 0, width)
+    return [r[:width] for r in rows], [r[width:] for r in rows]
+
+
+def _reference_transpose(rows, cols):
+    return [[r[j] for r in rows] for j in range(cols)]
+
+
+def snf_reference(a):
+    """Smith normal form (U, D, V) of the IntMatrix `a` by the elimination
+    that carries each transform as extra columns: row phases on [D | U]
+    and column phases on [D^T | V^T] until D is diagonal, then a 2x2 step
+    per diagonal pair for the divisibility chain, then U's kernel rows put
+    in Hermite form if they outgrow a Hadamard bound.  The library replays
+    recorded row operations instead, and must agree entry for entry."""
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+    u = IntMatrix.identity(m).to_rows()
+    vt = IntMatrix.identity(n).to_rows()
+    while True:
+        row = _reference_phase(d, u, n)
+        if row:
+            d, u = row
+        col = _reference_phase(_reference_transpose(d, n), vt, m)
+        if col is None:
+            break
+        dt, vt = col
+        d = _reference_transpose(dt, m)
+    rank = sum(1 for i in range(min(m, n)) if d[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = d[i][i], d[j][j]
+            if y % x:
+                g = gcd(x, y)
+                s = pow(x // g, -1, y // g)
+                t = (g - s * x) // y
+                d[i][i], d[j][j] = g, x // g * y
+                ui, uj = u[i], u[j]
+                u[i] = [s * p + t * q for p, q in zip(ui, uj)]
+                u[j] = [x // g * q - y // g * p for p, q in zip(ui, uj)]
+                vi, vj = vt[i], vt[j]
+                vt[i] = [p + q for p, q in zip(vi, vj)]
+                vt[j] = [s * x // g * q - t * y // g * p for p, q in zip(vi, vj)]
+    if rank < m:
+        bound = 1
+        for i in range(m):
+            norm2 = sum(x * x for x in a.row(i))
+            if norm2:
+                bound *= norm2
+        if any(x * x > bound for row in u for x in row):
+            _reference_row_hermite(u, rank, m)
+    return SNFResult(
+        IntMatrix(m, m, tuple(e for r in u for e in r)),
+        IntMatrix(m, n, tuple(e for r in d for e in r)),
+        IntMatrix(n, n, tuple(e for r in _reference_transpose(vt, n) for e in r)),
+    )

@@ -9,6 +9,7 @@ themselves are checked against naive cofactor expansion.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -22,7 +23,10 @@ from slopecert import (
     group_from_presentation,
     smith_normal_form,
 )
+from slopecert import linalg
 from slopecert.linalg import SNFResult, check_smith_normal_form, det
+
+from oracles import snf_reference
 
 
 def cofactor_det(rows):
@@ -318,6 +322,60 @@ def test_snf_transforms_stay_small_on_a_low_rank_60x60():
     assert transform_bits(result) <= 100
 
 
+def unit_triangular_product(rng, n):
+    """L * R for unit lower-triangular L and unit upper-triangular R with
+    entries in [-9, 9]: unimodular, with an inverse whose entries grow by
+    about four bits per row."""
+    lower = [[1 if i == j else rng.randint(-9, 9) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)]
+    return product(lower, upper)
+
+
+def reference_inputs():
+    """Matrices of every kind the elimination meets, for snf_reference."""
+    rng = random.Random(30)
+    for rows, cols in ((3, 3), (7, 7), (12, 12), (25, 25), (5, 9), (9, 5)):
+        yield random_matrix(rng, rows, cols)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        )
+        for kind in ("low-rank", "torsion"):
+            yield IntMatrix.from_rows(seeded_snf_input(rng, kind, rows, cols)[0])
+        yield random_matrix(rng, rows, cols, bound=10**12)
+    for rows, cols in ((0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 5)):
+        yield IntMatrix(rows, cols, (0,) * (rows * cols))
+    for n in (1, 2, 7, 30):
+        yield random_matrix(rng, 1, n)
+        yield random_matrix(rng, n, 1)
+    for p, q in ((2, 3), (-5, 3), (1, 2), (7, 40), (-3, 2), (1001, 1000)):
+        yield IntMatrix.from_rows([[q, -p, -q]])
+    for n in (2, 5, 12, 20):
+        yield IntMatrix.from_rows(unit_triangular_product(rng, n))
+
+
+def test_snf_equals_the_reference_elimination(monkeypatch):
+    # The elimination runs on D alone and replays its row operations on
+    # the transforms, packed for a full-rank phase and on lists otherwise;
+    # snf_reference carries each transform as extra columns instead.  U,
+    # D and V agree entry for entry, and both replays run.
+    replays = Counter()
+    for name in ("_replay_packed", "_replay_rows"):
+        real = getattr(linalg, name)
+
+        def counted(*args, real=real, name=name):
+            replays[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    inputs = 0
+    for a in reference_inputs():
+        assert smith_normal_form(a) == snf_reference(a), a
+        inputs += 1
+    assert inputs == 54
+    assert replays["_replay_packed"] > 0 and replays["_replay_rows"] > 0
+
+
 def test_snf_fixed_point():
     # running the algorithm on its own output changes nothing
     rng = random.Random(43)
@@ -372,6 +430,24 @@ def test_snf_check_rejects_a_transform_that_is_not_unimodular(a, u, d, v):
     a, result = doctored(a, u, d, v)
     with pytest.raises(InvariantError, match="not unimodular"):
         check_smith_normal_form(a, result)
+
+
+@pytest.mark.parametrize(
+    "u, d, v, message",
+    [
+        (IntMatrix.identity(3), IntMatrix.identity(2), IntMatrix.identity(2), "U is 3x3, not 2x2"),
+        (IntMatrix.identity(2), IntMatrix(2, 3, (1, 0, 0, 0, 1, 0)), IntMatrix.identity(2),
+         "D is 2x3, not 2x2"),
+        (IntMatrix.identity(2), IntMatrix.identity(2), IntMatrix.identity(1), "V is 1x1, not 2x2"),
+    ],
+    ids=("U", "D", "V"),
+)
+def test_snf_check_names_a_transform_of_the_wrong_shape(u, d, v, message):
+    # Before any product, so a wrong shape is an invariant error rather
+    # than IntMatrix.mul's dimension mismatch.
+    a = IntMatrix.identity(2)
+    with pytest.raises(InvariantError, match="smith normal form: " + message):
+        check_smith_normal_form(a, SNFResult(u, d, v))
 
 
 def test_snf_check_reads_the_diagonal_of_d_before_unimodularity():
@@ -441,12 +517,10 @@ def doctorings(rng, result):
     yield swap(u), d, v
 
 
-def test_snf_check_agrees_with_the_bareiss_check():
-    # Inputs of 1-6 rows and columns, square and not, of full rank and
-    # not; each true result and its doctored claims.  Every claim keeps D
-    # diagonal, where the two checks' orders agree, so the messages agree.
-    rng = random.Random(20)
-    seen = set()
+def bareiss_check_inputs(rng):
+    """Inputs of 1-6 rows and columns, square and not, of full rank and
+    not; then a dense 60 x 60 and a 40 x 40 with entries up to 10^12,
+    where the packed products' digits are widest."""
     for _ in range(300):
         rows = rng.randrange(1, 7)
         a = random_matrix(rng, rows, rng.choice((rows, rng.randrange(1, 7))))
@@ -455,6 +529,17 @@ def test_snf_check_agrees_with_the_bareiss_check():
             r = a.to_rows()
             r[-1] = r[0]
             a = IntMatrix.from_rows(r)
+        yield a
+    yield random_matrix(random.Random(1), 60, 60)
+    yield random_matrix(rng, 40, 40, bound=10**12)
+
+
+def test_snf_check_agrees_with_the_bareiss_check():
+    # Each true result and its doctored claims.  Every claim keeps D
+    # diagonal, where the two checks' orders agree, so the messages agree.
+    rng = random.Random(20)
+    seen = set()
+    for a in bareiss_check_inputs(rng):
         result = smith_normal_form(a)
         inverse_test = a.rows == a.cols and all(result.diagonal())
         for u, d, v in doctorings(rng, result):

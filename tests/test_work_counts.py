@@ -10,7 +10,9 @@ slope, and a failing one on the one slope it names.  A round base's
 ambient H1 is read in closed form, with no Smith normal form.  An `snf`
 run formats its matrices as text only for a text report, and a Smith
 normal form computes determinants only for an input that is not square
-or whose D has a zero.
+or whose D has a zero.  Its elimination replays its row operations on
+packed transform rows in every phase of full row rank, and on lists in
+every other phase.
 """
 
 import json
@@ -360,3 +362,57 @@ def test_snf_computes_a_determinant_only_without_an_inverse(rows, dets, monkeypa
     monkeypatch.setattr(linalg, "det", det)
     linalg.smith_normal_form(linalg.IntMatrix.from_rows(rows))
     assert len(calls) == dets
+
+
+def _unimodular(rng, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _product(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+_rng = random.Random(2)
+# L * diag(d) * R with unimodular L and R and no zero d_i: full rank.
+TORSION_40 = _product(
+    _product(
+        _unimodular(_rng, 40),
+        [[_rng.choice((1, 1, 2, 3, 4, 6, 12)) if i == j else 0 for j in range(40)]
+         for i in range(40)],
+    ),
+    _unimodular(_rng, 40),
+)
+# B * C of rank 30.
+LOW_RANK_60 = _product(
+    [[_rng.randint(-3, 3) for _ in range(30)] for _ in range(60)],
+    [[_rng.randint(-3, 3) for _ in range(60)] for _ in range(30)],
+)
+
+
+@pytest.mark.parametrize(
+    "rows, packed, lists",
+    [
+        # Every phase has full row rank: each replays packed.
+        (DENSE_60, 2, 0),
+        (TORSION_40, 3, 0),
+        # Rank 30 of 60: the row phase and the column phase replay on lists.
+        (LOW_RANK_60, 0, 2),
+    ],
+)
+def test_snf_replays_packed_exactly_the_full_rank_phases(rows, packed, lists, monkeypatch):
+    calls = Counter()
+    for name in ("_replay_packed", "_replay_rows"):
+        real = getattr(linalg, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    linalg.smith_normal_form(linalg.IntMatrix.from_rows(rows))
+    assert (calls["_replay_packed"], calls["_replay_rows"]) == (packed, lists)
