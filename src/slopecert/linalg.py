@@ -12,11 +12,12 @@ on the rows and on the columns until the matrix is diagonal (Kannan and
 Bachem); a 2x2 step per diagonal pair then makes the divisibility chain.
 The elimination runs on D alone and records its row operations; each
 phase then replays them on its transform, U or V^T, as one packed
-integer per row when a Hadamard bound holds for the result and on lists
-otherwise.  The transforms stay within a small multiple of the size of
-D.  The exact check forms U A and A V from packed columns of U and rows
-of V.  Every pivot rule is fixed, so identical inputs produce identical
-(U, D, V) triples on every run.
+integer per row when the phase is long and a Hadamard bound holds for
+the result, and on lists otherwise.  The transforms stay within a small
+multiple of the size of D.  The exact check forms U A from packed
+columns of U, multiplies it by V over V's nonzero entries, and forms
+A V only on the columns whose d_j is not 1.  Every pivot rule is fixed,
+so identical inputs produce identical (U, D, V) triples on every run.
 """
 
 import operator
@@ -97,27 +98,34 @@ def det(mat):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = mat.rows
-    if n == 0:
+    if mat.rows == 0:
         return 1
-    a = mat.to_rows()
+    a = mat.to_rows()  # the rows not yet pivoted, right of the pivot columns
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+    while len(a) > 1:
+        if a[0][0] == 0:
+            for i in range(1, len(a)):
+                if a[i][0] != 0:
+                    a[0], a[i] = a[i], a[0]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        p = a[0][0]
+        tail = a[0][1:]
+        # Each quotient is exact.  A row with a zero under the pivot is only
+        # scaled, which spares a big-integer subtraction per entry.
+        rest = []
+        for row in a[1:]:
+            c = row[0]
+            if c:
+                rest.append([(x * p - c * y) // prev for x, y in zip(row[1:], tail)])
+            else:
+                rest.append([x * p // prev for x in row[1:]])
+        a = rest
+        prev = p
+    return sign * a[0][0]
 
 
 class SNFResult(Record):
@@ -177,32 +185,33 @@ def _row_hermite(rows, top):
     for c in range(len(rows[0]) if rows else 0):
         if r == m:
             break
-        while True:
-            piv = None
-            for i in range(r, m):
-                e = rows[i][c]
-                if e and (piv is None or abs(e) < best):
-                    piv, best = i, abs(e)
-            if piv is None:
-                break
+        piv = None
+        for i in range(r, m):
+            e = rows[i][c]
+            if e and (piv is None or abs(e) < best):
+                piv, best = i, abs(e)
+        if piv is None:
+            continue
+        # Each sweep finds the next one's pivot among its remainders, all
+        # smaller than |p|; none left nonzero ends the column.
+        while piv is not None:
             rows[r], rows[piv] = rows[piv], rows[r]
             ids[r], ids[piv] = ids[piv], ids[r]
             p = rows[r][c]
+            p2 = 2 * p
             tail = rows[r][c:]
             source = ids[r]
-            clear = True
+            piv = None
             for i in range(r + 1, m):
                 row = rows[i]
-                if row[c]:
-                    f = (2 * row[c] + p) // (2 * p)
+                e = row[c]
+                if e:
+                    f = (2 * e + p) // p2
                     row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
                     ops += ids[i], source, f
-                    if row[c]:
-                        clear = False
-            if clear:
-                break
-        if piv is None:
-            continue
+                    e = row[c]
+                    if e and (piv is None or abs(e) < best):
+                        piv, best = i, abs(e)
         if rows[r][c] < 0:
             rows[r][c:] = [-x for x in rows[r][c:]]
             ops += ids[r], ids[r], 2
@@ -287,6 +296,14 @@ def _reduce_left_kernel(a, d, u):
         _row_hermite(u, rank)
 
 
+# A full-rank phase replays packed only with at least this many operations
+# per row: packing and unpacking a row costs about as much as that many list
+# operations on it.  Lists were faster below 4 to 6 operations per row on
+# transforms of 10 to 60 columns with random 8- to 400-bit entries, and below
+# 6 to 9 in the benchmark's phases, whose operations touch small entries.
+PACK_MIN_OPS = 8
+
+
 def _hermite_phase(d, t):
     """Row Hermite form of d, in place, and t after its row operations; None
     if d is echelon with positive pivots.
@@ -297,16 +314,16 @@ def _hermite_phase(d, t):
     |det d_S|, and by Hadamard's bound every entry of adj(d_S) is at most
     the product of the norms of the rows of d but one.  So no entry of
     the new t exceeds m^2 * max |t| times the product of the norms of all
-    rows of d but the shortest, and t is replayed packed under that
-    bound.  A rank-deficient d has no such bound, and t is replayed on
-    lists.
+    rows of d but the shortest, and a phase of at least PACK_MIN_OPS * m
+    operations replays t packed under that bound.  A shorter phase, and a
+    rank-deficient d, which has no such bound, replay t on lists.
     """
     if _is_row_echelon(d):
         return None
     norms = [sum(map(operator.mul, r, r)) for r in d]
     ids, rank, ops = _row_hermite(d, 0)
     m = len(d)
-    if rank < m:
+    if rank < m or len(ops) < 3 * PACK_MIN_OPS * m:
         return d, _replay_rows(ops, ids, t)
     norms.remove(min(norms))
     bound = m * m * (isqrt(prod(norms)) + 1) * max(max(map(abs, r)) for r in t)
@@ -329,9 +346,10 @@ def smith_normal_form(a):
     row phase) and its columns (a column phase, on D^T) until D is
     diagonal (Kannan and Bachem).  It runs on D alone and records its row
     operations, which are then replayed on the transform: U in a row
-    phase, V^T in a column phase.  A phase on a full-row-rank D replays
-    them on packed rows, one integer per row, under a Hadamard bound on
-    the result (see _hermite_phase); a rank-deficient one on lists.  The
+    phase, V^T in a column phase.  A phase on a full-row-rank D with at
+    least PACK_MIN_OPS operations per row replays them on packed rows,
+    one integer per row, under a Hadamard bound on the result (see
+    _hermite_phase); a shorter or rank-deficient one on lists.  The
     sweeps use nearest-integer quotients, and the reduction above each
     pivot floor quotients into [0, pivot), so every phase ends in the
     unique Hermite form of its input: a nonsingular square input has one
@@ -405,15 +423,20 @@ def check_smith_normal_form(a, result):
 
     Exact post-conditions, in this order: U, D and V of the shapes a
     fixes, U * a * V == D, D diagonal, U and V unimodular, and D's
-    diagonal a nonnegative divisibility chain, zeros last.  U a and a V
-    are sums of a's entries times packed columns of U and rows of V (see
-    _packing), every entry at most m max|U| max|a| and n max|a| max|V|.
-    For a square `a` with no zero on D's diagonal, U and V are unimodular
-    exactly when D^-1 (U a) and (a V) D^-1, their inverses, are integral:
-    d_i divides row i of U a and column i of a V.  Neither inverse is
-    built.  For a rank-deficient or non-square `a`, a and D determine no
-    inverse for U's kernel rows or V's kernel columns, so det(U) and
-    det(V) are computed by Bareiss elimination.
+    diagonal a nonnegative divisibility chain, zeros last.  U a is a sum
+    of a's entries times packed columns of U (see _packing), every entry
+    at most m max|U| max|a|.  Each row of (U a) V is the sum of the rows
+    of V, kept as their nonzero entries, times the nonzero entries of
+    that row of U a, and is compared with D's row; no product matrix is
+    built.  For a square `a` with no zero on D's diagonal, U and V are
+    unimodular exactly when D^-1 (U a) and (a V) D^-1, their inverses,
+    are integral: d_i divides row i of U a and column i of a V.  A d_i
+    of 1 divides anything, so only the other rows of U a are tested, and
+    a V is formed only on the other columns, from packed rows of V,
+    every entry at most n max|a| max|V|.  Neither inverse is built.  For
+    a rank-deficient or non-square `a`, a and D determine no inverse for
+    U's kernel rows or V's kernel columns, so det(U) and det(V) are
+    computed by Bareiss elimination.
     """
     m, n = a.rows, a.cols
     for name, mat, rows, cols in (
@@ -431,22 +454,35 @@ def check_smith_normal_form(a, result):
         m,
         m * _largest(result.U) * top,
     )
-    ua = IntMatrix(m, n, tuple(e for r in zip(*ua_cols) for e in r))
-    if ua.mul(result.V) != result.D:
-        raise InvariantError("smith normal form: U * A * V differs from D")
+    ua = list(zip(*ua_cols))
+    v = result.V
+    v_rows = [[(j, y) for j, y in enumerate(v.row(k)) if y] for k in range(n)]
     d = result.D
-    if any(d.entry(i, j) for i in range(d.rows) for j in range(d.cols) if i != j):
+    for i, r in enumerate(ua):
+        uav = [0] * n
+        for x, v_row in zip(r, v_rows):
+            if x:
+                for j, y in v_row:
+                    uav[j] += x * y
+        if tuple(uav) != d.row(i):
+            raise InvariantError("smith normal form: U * A * V differs from D")
+    if any(any(r[:i]) or any(r[i + 1 :]) for i, r in enumerate(map(d.row, range(m)))):
         raise InvariantError("smith normal form: D is not diagonal")
     diag = result.diagonal()
     if m == n and all(diag):
-        av = _combinations(
-            map(a.row, range(m)), map(result.V.row, range(n)), n, n * top * _largest(result.V)
-        )
-        unimodular = not any(
-            x % di for i, di in enumerate(diag) for x in ua.row(i)
-        ) and not any(x % dj for r in av for x, dj in zip(r, diag))
+        # d_j = 1 divides anything: only the other rows and columns are tested.
+        tested = [j for j, dj in enumerate(diag) if dj != 1]
+        unimodular = not any(x % diag[i] for i in tested for x in ua[i])
+        if unimodular and tested:
+            av = _combinations(
+                map(a.row, range(m)),
+                [[row[j] for j in tested] for row in map(v.row, range(n))],
+                len(tested),
+                n * top * _largest(v),
+            )
+            unimodular = not any(x % diag[j] for r in av for x, j in zip(r, tested))
     else:
-        unimodular = det(result.U) in (1, -1) and det(result.V) in (1, -1)
+        unimodular = det(result.U) in (1, -1) and det(v) in (1, -1)
     if not unimodular:
         raise InvariantError("smith normal form: U or V is not unimodular")
     if any(x < 0 for x in diag) or not all(

@@ -108,6 +108,33 @@ def presented_change_of_basis(model):
     return m if moved == presented else None
 
 
+def det_reference(mat):
+    """Determinant of a square IntMatrix by Bareiss elimination, one entry
+    at a time: the row with the first nonzero entry at or below the pivot
+    swapped up, 0 when there is none.  The library updates whole rows."""
+    n = mat.rows
+    if n == 0:
+        return 1
+    a = mat.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def _reference_row_hermite(rows, top, width):
     """Put rows[top:] in row Hermite form on its first `width` columns, in
     place; the columns from `width` on only follow the row operations.

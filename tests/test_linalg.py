@@ -26,7 +26,7 @@ from slopecert import (
 from slopecert import linalg
 from slopecert.linalg import SNFResult, check_smith_normal_form, det
 
-from oracles import snf_reference
+from oracles import det_reference, snf_reference
 
 
 def cofactor_det(rows):
@@ -89,6 +89,43 @@ def test_det_against_cofactor_expansion():
         n = rng.randrange(1, 5)
         m = random_matrix(rng, n, n)
         assert det(m) == cofactor_det(m.to_rows())
+
+
+def det_inputs(rng):
+    """Square matrices of 1 to 30 rows: dense; sparse, whose pivots are
+    often zero and swapped for a row below; permutations, which swap at
+    almost every step; singular ones, with a repeated row, a zero column
+    or a rank below n; and dense with entries up to 10^12."""
+    for n in range(1, 31):
+        yield random_matrix(rng, n, n)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(n)]
+             for _ in range(n)]
+        )
+        order = rng.sample(range(n), n)
+        yield IntMatrix.from_rows([[int(j == order[i]) for j in range(n)] for i in range(n)])
+        a = random_matrix(rng, n, n).to_rows()
+        a[rng.randrange(n)] = a[rng.randrange(n)][:]
+        yield IntMatrix.from_rows(a)
+        j = rng.randrange(n)
+        yield IntMatrix.from_rows([[0 if k == j else x for k, x in enumerate(r)] for r in a])
+        k = max(1, n // 2)
+        yield IntMatrix.from_rows(product(
+            [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)],
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)],
+        ))
+        yield random_matrix(rng, n, n, bound=10**12)
+
+
+def test_det_equals_the_entrywise_bareiss_elimination():
+    # Past the sizes cofactor expansion reaches: the same pivots and swaps,
+    # so the same value, with whole rows updated at a time.
+    counts = Counter()
+    for a in det_inputs(random.Random(31)):
+        value = det(a)
+        assert value == det_reference(a), a
+        counts[value == 0] += 1
+    assert counts[True] > 30 and counts[False] > 30
 
 
 # --- Smith normal form ----------------------------------------------------
@@ -488,19 +525,27 @@ def verdict(check, a, result):
 
 def doctorings(rng, result):
     """The rows of (U, D, V), then of claims made from them: a row of U
-    scaled with D's row, a column of V scaled with D's column, both, and
-    two entries of U swapped."""
+    scaled with D's row, and a column of V scaled with D's column, each at
+    an index where the true d is 1 and at one where it is not (where there
+    are such), then both, two entries of U swapped, and a nonzero written
+    into a zero entry of V."""
     u, d, v = result.U.to_rows(), result.D.to_rows(), result.V.to_rows()
+    diag = result.diagonal()
 
-    def scale_row(u, d):
-        i, c = rng.randrange(len(u)), rng.choice((2, 3, -1))
+    def indices(count):
+        ones = [i for i in range(count) if i < len(diag) and diag[i] == 1]
+        others = [i for i in range(count) if i not in ones]
+        return [rng.choice(s) for s in (ones, others) if s]
+
+    def scale_row(u, d, i):
+        c = rng.choice((2, 3, -1))
         u, d = [r[:] for r in u], [r[:] for r in d]
         u[i] = [c * x for x in u[i]]
         d[i] = [c * x for x in d[i]]
         return u, d
 
-    def scale_column(d, v):
-        j, c = rng.randrange(len(v)), rng.choice((2, 3, -1))
+    def scale_column(d, v, j):
+        c = rng.choice((2, 3, -1))
         return ([[c * x if k == j else x for k, x in enumerate(r)] for r in m] for m in (d, v))
 
     def swap(u):
@@ -510,16 +555,26 @@ def doctorings(rng, result):
         return u
 
     yield u, d, v
-    yield (*scale_row(u, d), v)
-    yield (u, *scale_column(d, v))
-    u2, d2 = scale_row(u, d)
-    yield (u2, *scale_column(d2, v))
+    for i in indices(len(u)):
+        yield (*scale_row(u, d, i), v)
+    for j in indices(len(v)):
+        yield (u, *scale_column(d, v, j))
+    u2, d2 = scale_row(u, d, rng.randrange(len(u)))
+    yield (u2, *scale_column(d2, v, rng.randrange(len(v))))
     yield swap(u), d, v
+    zeros = [(k, j) for k, r in enumerate(v) for j, x in enumerate(r) if not x]
+    if zeros:
+        k, j = rng.choice(zeros)
+        v = [r[:] for r in v]
+        v[k][j] = rng.choice((1, -1, 2))
+        yield u, d, v
 
 
 def bareiss_check_inputs(rng):
     """Inputs of 1-6 rows and columns, square and not, of full rank and
-    not; then a dense 60 x 60 and a 40 x 40 with entries up to 10^12,
+    not; then a dense 60 x 60, whose V is sparse and whose d_i are 1 but
+    one, a unimodular 12 x 12, whose d_i are all 1, so that the inverse
+    test forms no column of A V, and a 40 x 40 with entries up to 10^12,
     where the packed products' digits are widest."""
     for _ in range(300):
         rows = rng.randrange(1, 7)
@@ -531,6 +586,7 @@ def bareiss_check_inputs(rng):
             a = IntMatrix.from_rows(r)
         yield a
     yield random_matrix(random.Random(1), 60, 60)
+    yield IntMatrix.from_rows(unit_triangular_product(rng, 12))
     yield random_matrix(rng, 40, 40, bound=10**12)
 
 

@@ -11,8 +11,8 @@ ambient H1 is read in closed form, with no Smith normal form.  An `snf`
 run formats its matrices as text only for a text report, and a Smith
 normal form computes determinants only for an input that is not square
 or whose D has a zero.  Its elimination replays its row operations on
-packed transform rows in every phase of full row rank, and on lists in
-every other phase.
+packed transform rows in every phase of full row rank with at least
+PACK_MIN_OPS operations per row, and on lists in every other phase.
 """
 
 import json
@@ -397,14 +397,17 @@ LOW_RANK_60 = _product(
 @pytest.mark.parametrize(
     "rows, packed, lists",
     [
-        # Every phase has full row rank: each replays packed.
-        (DENSE_60, 2, 0),
-        (TORSION_40, 3, 0),
-        # Rank 30 of 60: the row phase and the column phase replay on lists.
+        # Every phase has full row rank.  The first phase makes 266
+        # operations per row, then 43, and replays packed; the others make
+        # 1.8, then 5.0 and 0.5, fewer than PACK_MIN_OPS, and replay on lists.
+        (DENSE_60, 1, 1),
+        (TORSION_40, 1, 2),
+        # Rank 30 of 60: the row phase and the column phase replay on lists,
+        # though they make 143 and 21 operations per row.
         (LOW_RANK_60, 0, 2),
     ],
 )
-def test_snf_replays_packed_exactly_the_full_rank_phases(rows, packed, lists, monkeypatch):
+def test_snf_replays_packed_exactly_the_long_full_rank_phases(rows, packed, lists, monkeypatch):
     calls = Counter()
     for name in ("_replay_packed", "_replay_rows"):
         real = getattr(linalg, name)
