@@ -16,9 +16,10 @@ its own subcommand's code; the renderers the runners share are report's,
 and file reading and writing textio's.  The checks themselves are the
 library's: transfer.verify_certificate for a transfer certificate and
 verify.verify_document for any document.  Each run renders only the
-format asked for: text lines, or one JSON object.  This module imports
-only the leaves record and textio, so ``snf`` loads no cable-space
-module, json, fractions or document schema.
+format asked for, text lines or one JSON text, all of it before main
+writes a byte; main writes it in the pieces it was rendered in, unjoined.
+This module imports only the leaves record and textio, so ``snf`` loads
+no cable-space module, json, fractions or document schema.
 
 No module of the package imports this one.  Under ``python -m
 slopecert.cli`` it runs as ``__main__``, and importing ``slopecert.cli``
@@ -87,20 +88,22 @@ def _runner(command):
 
 
 def run(config):
-    """Execute a parsed invocation; returns (exit_code, report_text)."""
+    """Execute a parsed invocation; returns (exit_code, pieces): the report,
+    fully rendered, as the strings whose concatenation is its text, in order.
+    A text report's pieces are its lines and their newlines, never joined."""
     runner = _runner(config.command)
     if runner is None:
-        return 2, "input error: unknown command %r\n" % config.command
+        return 2, ["input error: unknown command %r\n" % config.command]
     try:
         if config.emit == "":  # both readers take --emit "" and --emit=
             raise ValueError("--emit needs a file path, not an empty one")
         code, report = runner(config)
         # Rendering can fail too: an int past the interpreter's digit limit.
         if config.format == "json":
-            return code, canonical_dumps(report)
-        return code, "\n".join(report) + "\n"
+            return code, [canonical_dumps(report)]
+        return code, [piece for line in report for piece in (line, "\n")]
     except ValueError as e:
-        return 2, "input error: %s\n" % (digit_limit_text(e) or e)
+        return 2, ["input error: %s\n" % (digit_limit_text(e) or e)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +209,8 @@ def main(argv=None):
 
         args = vars(_build_parser(_COMMANDS).parse_args(argv))
         args["inputs"] = tuple(args.get("inputs", ()))
-    code, report = run(RunConfig(**args))
-    sys.stdout.write(report)
+    code, pieces = run(RunConfig(**args))
+    sys.stdout.writelines(pieces)
     return code
 
 

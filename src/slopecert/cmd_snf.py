@@ -10,13 +10,17 @@ from .textio import _read_text, matrix_to_json, parse_matrix_text
 
 
 def _fmt_matrix_lines(m):
-    if m.rows == 0 or m.cols == 0:
-        return ["  (empty %dx%d)" % (m.rows, m.cols)]
-    texts = [str(e) for e in m.entries]
-    width = max(map(len, texts))
+    """The rows of `m` as text lines, every entry right-aligned to the widest.
+
+    Each entry is converted once, a row at a time.  The widest entry is the
+    largest or the smallest, so the width is read from those two alone."""
+    entries, cols = m.entries, m.cols
+    if not entries:
+        return ["  (empty %dx%d)" % (m.rows, cols)]
+    width = max(len(str(max(entries))), len(str(min(entries))))
     return [
-        "  " + " ".join(t.rjust(width) for t in texts[i:i + m.cols])
-        for i in range(0, len(texts), m.cols)
+        "  " + " ".join([str(e).rjust(width) for e in entries[i:i + cols]])
+        for i in range(0, len(entries), cols)
     ]
 
 

@@ -69,20 +69,6 @@ class IntMatrix(Record):
             tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                sum(map(operator.mul, row, col))
-                for row in map(self.row, range(self.rows))
-                for col in cols
-            ),
-        )
-
     def apply(self, vec):
         """Matrix-vector product; vector entries may be ints or exact rationals."""
         vec = list(vec)

@@ -108,6 +108,15 @@ def presented_change_of_basis(model):
     return m if moved == presented else None
 
 
+def matmul(a, b):
+    """The product of two IntMatrix values, entry by entry.  The library
+    forms no product matrix: its Smith normal form check sums each entry
+    of (U*A)*V over V's nonzero entries."""
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
 def det_reference(mat):
     """Determinant of a square IntMatrix by Bareiss elimination, one entry
     at a time: the row with the first nonzero entry at or below the pivot

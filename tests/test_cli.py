@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +29,15 @@ from slopecert.jsonio import (
     load_document,
     transfer_certificate_to_json,
 )
+from slopecert.cmd_snf import _fmt_matrix_lines
+from slopecert.linalg import IntMatrix
 from slopecert.textio import MAX_MATRIX_DIM
+
+
+def run_text(config):
+    """(exit code, report text) of `run`: its pieces joined."""
+    code, pieces = run(config)
+    return code, "".join(pieces)
 
 
 def write_description(tmp_path, name="desc.json", **kwargs):
@@ -125,6 +135,61 @@ def test_snf_accepts_a_matrix_at_the_size_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["diagonal"] == []
 
 
+def per_entry_lines(m):
+    """snf's matrix lines by the rule of the width of every entry's text."""
+    if m.rows == 0 or m.cols == 0:
+        return ["  (empty %dx%d)" % (m.rows, m.cols)]
+    texts = [str(e) for e in m.entries]
+    width = max(map(len, texts))
+    return ["  " + " ".join(t.rjust(width) for t in texts[i:i + m.cols])
+            for i in range(0, len(texts), m.cols)]
+
+
+@pytest.mark.parametrize("m", [
+    IntMatrix(1, 2, (-100, 99)),
+    IntMatrix(1, 2, (100, -99)),
+    IntMatrix(2, 2, (-100, 99, 7, -5)),
+    IntMatrix(2, 3, (0,) * 6),
+    IntMatrix(1, 1, (-7,)),
+    IntMatrix(0, 0, ()),
+    IntMatrix(0, 3, ()),
+    IntMatrix(3, 0, ()),
+], ids=repr)
+def test_snf_width_is_that_of_the_largest_or_smallest_entry(m):
+    assert _fmt_matrix_lines(m) == per_entry_lines(m)
+
+
+def test_snf_text_pieces_are_lines_and_newlines(tmp_path):
+    # run renders the whole report and hands main its lines and their
+    # newlines in order, never joined.
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n4 6\n2 8\n")
+    code, pieces = run(RunConfig(command="snf", inputs=(str(path),)))
+    assert code == 0
+    assert pieces[1::2] == ["\n"] * (len(pieces) // 2) and len(pieces) % 2 == 0
+    assert pieces[:8:2] == ["smith normal form of %s (2x2)" % path, "D =", "   2  0", "   0 10"]
+    code, pieces = run(RunConfig(command="snf", inputs=(str(path),), format="json"))
+    assert code == 0 and len(pieces) == 1 and json.loads(pieces[0])["diagonal"] == [2, 10]
+
+
+def test_snf_peak_memory_holds_the_text_report_about_once(tmp_path):
+    # The dense 60x60 text report is written in the pieces it was rendered
+    # in: no joined copy, and no text of every entry at once.
+    rng = random.Random(60)
+    path = tmp_path / "m.txt"
+    path.write_text("60 60\n" + " ".join(str(rng.randint(-9, 9)) for _ in range(3600)))
+    size = len("".join(run(RunConfig(command="snf", inputs=(str(path),)))[1]))
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["snf", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert size > 500_000
+    assert peak < 2 * size, (peak, size)
+
+
 # --- cable-homology -----------------------------------------------------------
 
 
@@ -188,10 +253,10 @@ needs_int_digit_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="no int digit
 
 # What slopecert says of an int past that limit, in place of the
 # interpreter's advice to call sys.set_int_max_str_digits.
-DIGIT_LIMIT_TEXT = (
+DIGIT_LIMIT_WORDS = (
     "an integer has more than %d digits, the most slopecert converts between text and integers"
-    % INT_DIGITS
 )
+DIGIT_LIMIT_TEXT = DIGIT_LIMIT_WORDS % INT_DIGITS
 
 
 @needs_int_digit_limit
@@ -224,6 +289,22 @@ def test_a_matrix_entry_past_the_int_digit_limit_is_named_so(tmp_path, capsys):
     path.write_text("1 1\n%s\n" % ("1" * (INT_DIGITS + 1)))
     assert main(["snf", str(path)]) == 2
     assert capsys.readouterr().out == "input error: %s\n" % DIGIT_LIMIT_TEXT
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_snf_report_past_the_int_digit_limit_writes_only_the_error(fmt, tmp_path, capsys):
+    # The ~400-digit entries read, but the ~800-digit determinant, an
+    # invariant factor, does not render: nothing but the error is written.
+    a, b = 3 ** 838, 2 ** 1329
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n%d 0\n0 %d\n" % (a, b))
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["snf", "--format", fmt, str(path)]) == 2
+    finally:
+        sys.set_int_max_str_digits(INT_DIGITS)
+    assert capsys.readouterr().out == "input error: %s\n" % (DIGIT_LIMIT_WORDS % 640)
 
 
 @needs_int_digit_limit
@@ -389,7 +470,7 @@ def test_non_canonical_rationals_are_input_errors(tmp_path, make):
     doc, where = make(tmp_path, tmp_path / "cert.json")
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(doc))
-    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    code, report = run_text(RunConfig(command="verify", inputs=(str(bad),)))
     assert code == 2
     assert "  input error: %s%s: expected a reduced fraction [n, d] with d > 0\n" % (
         bad, where) in report
@@ -407,7 +488,7 @@ def test_broken_invariants_are_input_errors_with_a_path(tmp_path, make):
     doc, message = make(tmp_path, tmp_path / "cert.json")
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(doc))
-    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    code, report = run_text(RunConfig(command="verify", inputs=(str(bad),)))
     assert code == 2
     assert "  input error: %s%s\n" % (bad, message) in report
 
@@ -422,7 +503,7 @@ def test_a_cabling_framing_that_does_not_fit_the_model_names_its_path(tmp_path):
     doc["cablings"][0]["f_outer"] = BAD_OUTER_FRAMING
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(doc))
-    code, report = run(RunConfig(command="verify", inputs=(str(bad),)))
+    code, report = run_text(RunConfig(command="verify", inputs=(str(bad),)))
     assert code == 2
     assert "  input error: %s.cablings[0]: %s\n" % (bad, FRAMING_MESSAGE) in report
 
@@ -431,7 +512,7 @@ def test_a_cabling_framing_that_does_not_fit_the_model_names_its_path(tmp_path):
 def test_input_that_is_not_utf8_is_an_input_error_naming_the_file(command, tmp_path):
     path = tmp_path / "binary.txt"
     path.write_bytes(b"\xff\xfe\x00")
-    code, report = run(RunConfig(command=command, inputs=(str(path),)))
+    code, report = run_text(RunConfig(command=command, inputs=(str(path),)))
     assert code == 2
     assert "input error: cannot read %s: not UTF-8 text\n" % path in report
 
@@ -443,7 +524,7 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
         '{"kind": "knot_description", "base": {}, "cablings": '
         + "[" * depth + "]" * depth + "}"
     )
-    code, report = run(RunConfig(command="verify", inputs=(str(path),)))
+    code, report = run_text(RunConfig(command="verify", inputs=(str(path),)))
     assert code == 2
     assert "  input error: %s: " % path in report
 
@@ -598,7 +679,7 @@ def test_grid_is_not_an_option(argv, capsys):
 
 
 def test_unknown_command_is_input_error():
-    code, report = run(RunConfig(command="frobnicate"))
+    code, report = run_text(RunConfig(command="frobnicate"))
     assert code == 2
     assert "unknown command" in report
 

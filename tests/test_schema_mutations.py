@@ -163,7 +163,8 @@ def documents(tmp_path_factory):
 def verify(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    return (*run(RunConfig(command="verify", inputs=(str(path),))), str(path))
+    code, pieces = run(RunConfig(command="verify", inputs=(str(path),)))
+    return code, "".join(pieces), str(path)
 
 
 @pytest.mark.parametrize("name", ["transfer", "description", "diameter", "round"])

@@ -38,6 +38,12 @@ DESCRIPTION = KnotDescription(
 )
 
 
+def run_text(config):
+    """(exit code, report text) of `run`: its pieces joined."""
+    code, pieces = run(config)
+    return code, "".join(pieces)
+
+
 def test_verify_certificate_ends_with_the_grid_check():
     cert = transfer_certificate(cable_space_homology(2, 3))
     report = verify_certificate(cert)
@@ -90,7 +96,7 @@ def test_verify_document_gives_the_checks_of_the_cli_report(tmp_path):
     result = verify_document(load_document(path.read_text(), str(path)))
     assert not result.report.ok
     assert [c.name for c in result.report.failed()] == ["replay", "route-logic"]
-    code, report = run(RunConfig(command="verify", inputs=(str(path),), format="json"))
+    code, report = run_text(RunConfig(command="verify", inputs=(str(path),), format="json"))
     assert code == 1
     assert json.loads(report)["results"][0]["checks"] == [
         {"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.report.checks]
@@ -218,7 +224,7 @@ def test_no_cached_pass_carries_over_to_another_object(tmp_path):
     ):
         path = tmp_path / name
         path.write_text(canonical_dumps(edited))
-        code, report = run(RunConfig(command="verify", inputs=(str(path),)))
+        code, report = run_text(RunConfig(command="verify", inputs=(str(path),)))
         assert code == 1, name
         assert failing in report, name
     assert run(RunConfig(command="verify", inputs=(str(emitted),)))[0] == 0
