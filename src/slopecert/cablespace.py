@@ -141,7 +141,7 @@ class CableSpaceModel(Record):
     [dP] = mu + zeta*q*mu', which dies in H1(N) exactly when eq-meridian
     holds.  Images in H1(N) = Z^2 are combinations of the four
     ``basis_images``.  The instance keeps a ``__dict__``, where
-    ``basis_images``, ``report`` and ``witness_records`` are cached.
+    ``basis_images`` and ``report`` are cached.
     """
 
     def __init__(self, p, q, orientation, f_outer, f_inner, zeta, t):
@@ -186,17 +186,6 @@ class CableSpaceModel(Record):
         object: a model read from input, or made by ``replace``, is a
         separate object and gets its own."""
         return check_model(self)
-
-    @cached_property
-    def witness_records(self):
-        """The witness records (transfer.slope_record) of the slopes
-        transfer.witness_slopes names, in its order, computed once per
-        model object like ``report``.  transfer_certificate states this
-        tuple, and witness-slopes compares a certificate's list with it.
-        Each record is read-only, so no certificate can edit another's."""
-        from .transfer import slope_record, witness_slopes
-
-        return tuple(slope_record(self, s) for s in witness_slopes(self))
 
     def rational_outer(self, a, b):
         """Coordinates of the image of a*E1 + b*E2 (rational a and b give
@@ -270,10 +259,10 @@ def check_model(model):
     read in the closed-form coordinates of H1(N) (model.basis_images), and
     a failed equation names its first differing coordinate with both
     sides.  Callers read it through ``model.report``, so it runs once per
-    model object: the constructor's postcondition (verify_model) and the
-    replay of a certificate holding that very model share one report,
-    while a model read from input is its own object and is checked on its
-    own.  The parameters are checked when the model is constructed.
+    model object: the constructor's postcondition (verify_model) and every
+    later check of that very model share one report, while a model read
+    from input is its own object and is checked on its own.  The
+    parameters are checked when the model is constructed.
     """
     checks = []
 

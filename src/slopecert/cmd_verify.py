@@ -13,7 +13,7 @@ from . import jsonio
 from .report import _check_lines, _checks_json, _law_line, _result_line
 from .slopes import value_text
 from .textio import _read_text, _write_text, canonical_dumps, digit_limit_text
-from .verify import document_kind, verify_document
+from .verify import verify_document
 
 
 def _route_lines(cert):
@@ -71,7 +71,7 @@ def run(config):
     for path in config.inputs:
         try:
             doc = jsonio.load_document(_read_text(path), path)
-            if cache is None and document_kind(doc) != "transfer_certificate":
+            if cache is None and doc.kind != "transfer_certificate":
                 from .pipeline import LevelCache
 
                 cache = LevelCache()

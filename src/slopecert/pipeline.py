@@ -124,6 +124,8 @@ class Cabling(Record):
 class KnotDescription(Record):
     """A base atom plus cablings applied innermost-first."""
 
+    kind = "knot_description"
+
     def __init__(self, base, cablings=()):
         cablings = tuple(c if isinstance(c, Cabling) else Cabling(*c) for c in cablings)
         _store(self, locals())
@@ -159,11 +161,11 @@ class LevelCache:
     The key is (p, q, orientation, f_outer, f_inner) with the standard
     framings filled in, so each level's model, map and report are built
     once however often the level recurs, and a recurring cabling reuses
-    its report.  No transfer certificate is built, as its witness records
-    and map-consistency would only compare the build with itself.  A model
-    or certificate parsed from input never enters, so replaying a stored
-    certificate still compares it against a fresh computation.  Maps and
-    reports are frozen, so sharing one between levels is safe.
+    its report.  No transfer certificate is built, as its replay would
+    only compare the build with itself.  A model or certificate parsed
+    from input never enters, so replaying a stored certificate still
+    compares it against a fresh computation.  Maps and reports are
+    frozen, so sharing one between levels is safe.
     """
 
     def __init__(self):
@@ -238,6 +240,8 @@ class DiameterCertificate(Record):
     generalized-iterated-torus-knot branch.  ``ambient`` is the ambient
     H1's invariant factors (ambient_h1) or None.
     """
+
+    kind = "diameter_certificate"
 
     def __init__(
         self, description, gitk, ambient, base_slopes, levels, routes,

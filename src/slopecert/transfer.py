@@ -2,17 +2,14 @@
 
 A TransferCertificate packages a cable-space model, its affine slope map
 (law.transfer_map) and sampled slope pairs with their rational
-proportionality factors, enough for verify_certificate() to re-derive
-every claim from the model's parameters alone: it takes the model's own
-checks (cablespace.check_model), which hold the model's constants
-against the closed-form images of the boundary bases, checks the map
-and the list of slope records (slope_record), and proves that phi obeys
-the map on every slope (law.grid_check).  Each constant is stated once,
-in the model.
-
-Nothing is computed twice for one model object: its check report and its
-witness records are cached on it, and a certificate built from it states
-those very records.
+proportionality factors (slope_record).  verify_certificate() replays it
+as a diameter certificate is replayed: it rebuilds the certificate from
+the stated model's parameters and framings and compares the two with
+``==`` (report.replay_check, which names the first field that differs).
+It then takes the stated model's own checks (cablespace.check_model),
+which hold the model's constants against the closed-form images of the
+boundary bases, and proves that phi obeys the stated map on every slope
+(law.grid_check).  Each constant is stated once, in the model.
 
 The law itself (AffineSlopeMap, phi, the grid check, transfer_map) is
 law's, which pipeline imports without this module, so a knot
@@ -22,13 +19,12 @@ earlier callers and the benchmark's tracer (bench/launcher.py) look
 them up.
 """
 
-from types import MappingProxyType
-
+from .cablespace import cable_space_homology
 from .law import grid_check, phi, phi_with_factor, transfer_map
 from .rational import Rational
 from .record import Record, _store
-from .report import Check, CheckReport
-from .slopes import INF, canonical_slope, numerical_slope, slope_from_numerical, value_text
+from .report import Check, CheckReport, replay_check
+from .slopes import INF, canonical_slope, numerical_slope, slope_from_numerical
 
 
 _DEFAULT_WITNESS_VALUES = (INF, 0, 1, -1, Rational(5, 3))
@@ -38,12 +34,13 @@ class TransferCertificate(Record):
     """A transfer map with everything needed to re-derive it.
 
     ``model`` is a CableSpaceModel and ``map`` an AffineSlopeMap.
-    ``witnesses`` maps "slopes" to the records (slope_record: source,
-    image, factor and values) of the slopes witness_slopes names, in its
-    order; a built certificate states its model's ``witness_records``
-    tuple itself.  The model's constants zeta and t are stated only in
+    ``witnesses`` maps "slopes" to the tuple of records (slope_record:
+    source, image, factor and values) of the slopes witness_slopes names,
+    in its order.  The model's constants zeta and t are stated only in
     the model; the meridian's factor is that of the meridian's record.
     """
+
+    kind = "transfer_certificate"
 
     def __init__(self, model, map, witnesses):
         _store(self, locals())
@@ -51,17 +48,15 @@ class TransferCertificate(Record):
 
 def slope_record(model, s):
     """The witness record of slope s: its source and image pairs, the
-    proportionality factor, and its numerical values on both tori.  It is
-    read-only, since a model's records are shared by every certificate
-    built from it."""
+    proportionality factor, and its numerical values on both tori."""
     image, r = phi_with_factor(model, s)
-    return MappingProxyType({
+    return {
         "source": (s.a, s.b),
         "image": (image.a, image.b),
         "factor": r,
         "value_outer": numerical_slope(model.f_outer, s),
         "value_inner": numerical_slope(model.f_inner, image),
-    })
+    }
 
 
 def witness_slopes(model):
@@ -75,76 +70,30 @@ def witness_slopes(model):
 
 def transfer_certificate(model):
     """Build the certificate for a model: its map and slope witnesses."""
-    smap = transfer_map(model)
-    return TransferCertificate(
-        model=model, map=smap, witnesses={"slopes": model.witness_records}
-    )
-
-
-def _witness_problem(model, smap, records):
-    """Why `records` are not the records transfer_certificate writes for
-    `model` (its ``witness_records``), each obeying `smap`, naming the
-    first index that fails; "" when they are.  The lists are compared
-    whole; records are compared one by one only when they differ, to
-    name the index."""
-    wanted = model.witness_records
-    same = tuple(records) == wanted
-    for i, expected in enumerate(wanted):
-        where = (i,) + expected["source"]
-        if not same:
-            if i == len(records):
-                return "slopes[%d]: no record of slope (%d, %d)" % where
-            if records[i] != expected:
-                return "slopes[%d]: not the record of slope (%d, %d)" % where
-        if expected["value_inner"] != smap.apply(expected["value_outer"]):
-            return "slopes[%d]: slope (%d, %d) breaks the affine law" % where
-    if len(records) > len(wanted):
-        return "slopes[%d]: a record past the last witness slope" % len(wanted)
-    return ""
+    records = tuple(slope_record(model, s) for s in witness_slopes(model))
+    return TransferCertificate(model=model, map=transfer_map(model), witnesses={"slopes": records})
 
 
 def verify_certificate(cert):
     """Replay every claim in a TransferCertificate from raw data.
 
-    Returns a CheckReport: the model's checks (check_model, read from
-    the model's cached ``report``), then map-consistency, witness-slopes
-    and the grid check, always all six.  Like the model's identities,
-    the last three read phi in the closed-form coordinates of H1(N),
-    where both inclusions are isomorphisms over Q, so every slope has an
-    image.  The model's report and witness records are computed once per
-    model object, so a certificate holding a built model is checked
-    against the build's own; a certificate read from input holds its own
-    model object and gets its own.  Failures are report entries, never
+    Returns a CheckReport of five checks, always all five: "replay" (the
+    certificate transfer_certificate builds from the stated model's
+    parameters and framings, compared with ``==``), the stated model's
+    checks (check_model, read from its cached ``report``), and the grid
+    check of the stated model and map.  The grid check reads phi in the
+    closed-form coordinates of H1(N), where both inclusions are
+    isomorphisms over Q, so every slope has an image.  Framings that do
+    not fit the model cannot be rebuilt: "replay" fails and names why,
+    and framing-signs fails too.  Failures are report entries, never
     exceptions.
     """
     model = cert.model
-    checks = list(model.report.checks)
-
-    def add(name, ok, detail=""):
-        checks.append(Check(name=name, ok=bool(ok), detail=detail))
-
-    # The map's constants against the model's: epsilon = -eta*theta,
-    # quadratic coefficient q^2, u = -zeta*q*t; the first that differs is
-    # named with both sides.
-    smap = cert.map
-    mismatch = next(
-        (
-            "%s: map %s, model %s" % (name, value_text(stated), value_text(wanted))
-            for name, stated, wanted in (
-                ("epsilon", smap.epsilon, -model.eta * model.theta),
-                ("q", smap.q, model.q),
-                ("u", smap.u, -model.zeta * model.q * model.t),
-            )
-            if stated != wanted
-        ),
-        "",
-    )
-    add("map-consistency", not mismatch, mismatch)
-
-    # Slope witnesses: exactly the records transfer_certificate writes,
-    # in its order, each obeying the affine law.
-    problem = _witness_problem(model, smap, cert.witnesses.get("slopes", ()))
-    add("witness-slopes", not problem, problem)
-
-    checks.append(grid_check(model, smap))
-    return CheckReport(checks=tuple(checks))
+    try:
+        rebuilt = cable_space_homology(
+            model.p, model.q, model.f_outer, model.f_inner, model.orientation)
+    except ValueError as e:  # framings that do not fit the model
+        replay = Check("replay", False, "the stated model cannot be rebuilt: %s" % e)
+    else:
+        replay = replay_check("TRANSFER_CERTIFICATE", cert, transfer_certificate(rebuilt))
+    return CheckReport(checks=(replay, *model.report.checks, grid_check(model, cert.map)))

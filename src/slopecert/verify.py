@@ -1,14 +1,14 @@
 """What verifying a document means, for each kind of document.
 
 A transfer certificate gets transfer.verify_certificate.  A diameter
-certificate gets "replay" (its recomputation is byte-identical),
-"route-logic", as "level i: ..." the model's checks and the grid check
-of the model and transfer map built for its description's cabling i, and
-rule C's checks as "rule C: ..." when pipeline.is_cable_description
-holds.  A knot description gets the checks of the diameter certificate
-built from it.  The replay compares records with ``==``, so this module
-sits above pipeline; only a failed replay loads jsonio, whose tables name
-the first field that differs by its JSON path.
+certificate gets "replay" (report.replay_check against its
+recomputation), "route-logic", as "level i: ..." the model's checks and
+the grid check of the model and transfer map built for its description's
+cabling i, and rule C's checks as "rule C: ..." when
+pipeline.is_cable_description holds.  A knot description gets the checks
+of the diameter certificate built from it.  Both certificate kinds are
+replayed by the one replay_check, which compares records with ``==``, so
+this module sits above pipeline.
 
 Each check runs once per object in a run.  A level's checks are the
 report the LevelCache keeps for its cabling, so a recurring cabling
@@ -17,17 +17,16 @@ every level; a built model's own checks are those its construction
 already ran (``model.report``).  A document read from input is a
 separate object and is checked on its own.
 
-verify_document dispatches on the document's class without importing
-the module of a kind it is not checking (document_kind): a transfer
-certificate loads no pipeline, and a description or a diameter
-certificate loads no transfer-certificate code.  So this module imports
-pipeline and transfer only inside the functions that use them.
+verify_document dispatches on the document's ``kind``, a class attribute
+of each document class, without importing the module of a kind it is not
+checking: a transfer certificate loads no pipeline, and a description or
+a diameter certificate loads no transfer-certificate code.  So this
+module imports pipeline and transfer only inside the functions that use
+them.
 """
 
-import sys
-
 from .record import Record, _store
-from .report import Check, CheckReport
+from .report import Check, CheckReport, replay_check
 from .slopes import NEG_INF, value_text
 
 
@@ -42,33 +41,13 @@ class Verification(Record):
         _store(self, locals())
 
 
-# The kinds of document that are not a diameter certificate: each kind,
-# and the module and name of its class.
-_KINDS = (
-    ("transfer_certificate", "transfer", "TransferCertificate"),
-    ("knot_description", "pipeline", "KnotDescription"),
-)
-
-
-def document_kind(doc):
-    """"transfer_certificate", "knot_description" or "diameter_certificate":
-    the kind of a document, as jsonio names it.  It imports no module: no
-    object of a class exists before the class's module is loaded, so a
-    module that is not loaded cannot hold the document's class."""
-    for kind, module, name in _KINDS:
-        loaded = sys.modules.get("%s.%s" % (__package__, module))
-        if loaded is not None and isinstance(doc, getattr(loaded, name)):
-            return kind
-    return "diameter_certificate"
-
-
 def verify_document(doc, cache=None):
     """Check a knot description, transfer certificate or diameter
     certificate.  ``cache`` (a fresh LevelCache when None) holds the level
     maps and reports built here; documents read from input never enter it.
     A transfer certificate needs no cache.  Failures are report entries,
     never exceptions."""
-    kind = document_kind(doc)
+    kind = doc.kind
     if kind == "transfer_certificate":
         from .transfer import verify_certificate
 
@@ -85,26 +64,14 @@ def verify_document(doc, cache=None):
 def _verify_diameter_certificate(cert, cache):
     """Replay and check a diameter certificate; returns its checks.
 
-    The replay is ``==`` against a fresh recomputation.  The reader types
-    every field as the builder does, so two certificates are equal exactly
-    when their canonical JSON is.  `cache` never holds parsed objects, so
-    identity never decides the replay of a stored certificate.  Only a
-    failed replay walks the two along jsonio's tables, to name the first
-    field that differs.
+    The replay is replay_check against a fresh recomputation.  `cache`
+    never holds parsed objects, so identity never decides the replay of a
+    stored certificate.
     """
     from .pipeline import check_corollary_c, diameter_lower_bound, is_cable_description
 
     recomputed = diameter_lower_bound(cert.description, cache)
-    if recomputed == cert:
-        replay = Check("replay", True, "recomputed certificate is byte-identical")
-    else:
-        from . import jsonio
-
-        path, stored, fresh = jsonio.first_difference(
-            jsonio.DIAMETER_CERTIFICATE, cert, recomputed)
-        replay = Check("replay", False, "stored certificate differs from recomputation"
-                       " at %s: stored %s, recomputed %s" % (path, stored, fresh))
-    checks = [replay, _route_check(cert)]
+    checks = [replay_check("DIAMETER_CERTIFICATE", cert, recomputed), _route_check(cert)]
     for i, c in enumerate(cert.description.cablings, start=1):
         checks.extend(_prefixed("level %d: " % i, cache.report(c)))
     if is_cable_description(cert.description):

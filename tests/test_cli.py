@@ -413,6 +413,8 @@ def test_verify_names_first_grid_counterexample(tmp_path, capsys):
     out = capsys.readouterr().out
     # (1, 0) is the meridian, fixed by every map; (0, 1) has value 0
     assert "    FAIL grid-consistency -- slope (0, 1): affine law gives 7, phi gives 6\n" in out
+    assert "    FAIL replay -- stored certificate differs from recomputation" \
+        " at map.u: stored 7, recomputed 6\n" in out
 
 
 def drop_slope_record(source):
@@ -421,17 +423,24 @@ def drop_slope_record(source):
     return edit
 
 
-@pytest.mark.parametrize("edit, failing", [
-    (lambda w: w.update(slopes=[]), "witness-slopes"),
-    (drop_slope_record([1, 0]), "witness-slopes"),  # the meridian
-    (drop_slope_record([2, 3]), "witness-slopes"),  # the cabling curve
-    (lambda w: w["slopes"][0].update(source=[2, 0]), "witness-slopes"),  # not canonical
+REPLAY_FAILS = "    FAIL replay -- stored certificate differs from recomputation at "
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda w: w.update(slopes=[]), "witnesses.slopes[0]: stored length 0, recomputed length 6"),
+    # the meridian
+    (drop_slope_record([1, 0]), "witnesses.slopes[0].source[0]: stored 0, recomputed 1"),
+    # the cabling curve
+    (drop_slope_record([2, 3]), "witnesses.slopes[5]: stored length 5, recomputed length 6"),
+    # not canonical
+    (lambda w: w["slopes"][0].update(source=[2, 0]),
+     "witnesses.slopes[0].source[0]: stored 2, recomputed 1"),
     # (0, 0) is no slope: the meridian's record is gone
     (lambda w: w["slopes"][0].update(source=[0, 0]),
-     "witness-slopes -- slopes[0]: not the record of slope (1, 0)"),
+     "witnesses.slopes[0].source[0]: stored 0, recomputed 1"),
 ], ids=["no-slopes", "no-meridian-slope", "no-cabling-slope", "non-canonical-source",
         "zero-source"])
-def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, failing):
+def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, where):
     emitted = tmp_path / "cert.json"
     assert main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
     capsys.readouterr()
@@ -441,7 +450,9 @@ def test_verify_checks_every_meridian_and_slope_witness(tmp_path, capsys, edit, 
     bad.write_text(canonical_dumps(doc))
     assert main(["verify", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "    FAIL %s" % failing in out
+    assert REPLAY_FAILS + where + "\n" in out
+    # The witnesses are examples of the law: only the replay reads them.
+    assert out.count("    FAIL ") == 1
     assert "overall: FAIL" in out
 
 
@@ -531,10 +542,7 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-TRANSFER_CHECKS = [
-    "framing-signs", "eq-meridian", "eq-longitude",
-    "map-consistency", "witness-slopes", "grid-consistency",
-]
+TRANSFER_CHECKS = ["replay", "framing-signs", "eq-meridian", "eq-longitude", "grid-consistency"]
 
 
 def earlier_certificate(name="transfer_p2_q3_o1.json"):
@@ -551,7 +559,7 @@ def test_transfer_certificate_without_rank_two_still_runs_the_grid_check(tmp_pat
     bad.write_text(canonical_dumps(doc))
     assert main(["verify", str(bad)]) == 0
     out = capsys.readouterr().out
-    assert "  checks:\n    PASS framing-signs\n" in out
+    assert "  checks:\n    PASS replay -- recomputed certificate is byte-identical\n" in out
     assert "    PASS grid-consistency -- phi matches the affine law" in out
     assert "presentation" not in out and "h1-rank" not in out
     assert "overall: PASS" in out

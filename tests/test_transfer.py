@@ -257,63 +257,63 @@ def test_certificate_extra_slopes_deduplicated():
     assert len(sources) == 5
     assert sources.count((-5, 3)) == 1
     # A valid record of one more slope, appended, is not one the
-    # certificate states: witness-slopes names its index.
+    # certificate states: the replay names the index past the last.
     extra = with_slopes(cert, cert.witnesses["slopes"] + (
         slope_record(model, canonical_slope(4, 5)),))
-    assert witness_check(extra) == (False, "slopes[5]: a record past the last witness slope")
+    assert replay(extra) == (False, "witnesses.slopes[5]: stored length 6, recomputed length 5")
+
+
+REPLAY_FAILS = "stored certificate differs from recomputation at "
 
 
 def with_slopes(cert, records):
     return cert.replace(witnesses={"slopes": tuple(records)})
 
 
-def witness_check(cert):
-    check = next(c for c in verify_certificate(cert).checks if c.name == "witness-slopes")
-    return check.ok, check.detail
+def replay(cert):
+    """(ok, detail) of the replay check, with the detail's common opening
+    left out of a failure."""
+    check = verify_certificate(cert).checks[0]
+    assert check.name == "replay"
+    return check.ok, check.detail.replace(REPLAY_FAILS, "")
 
 
 def test_witness_slopes_are_exactly_the_stated_list():
     # Each record below is valid on its own; the list as a whole is not the
-    # one transfer_certificate writes.
+    # one transfer_certificate writes, and only the replay reads it.
     cert = transfer_certificate(cable_space_homology(2, 3))
     records = cert.witnesses["slopes"]
     assert len(records) == 6
-    assert witness_check(cert) == (True, "")
+    assert replay(cert) == (True, "recomputed certificate is byte-identical")
     for changed, detail in [
-        (records[:-1], "slopes[5]: no record of slope (2, 3)"),
-        (records[:1] + records[2:], "slopes[1]: not the record of slope (0, 1)"),
-        (records + records[-1:], "slopes[6]: a record past the last witness slope"),
-        (records[:2] + records[1:-1], "slopes[2]: not the record of slope (-1, 1)"),
-        (records[::-1], "slopes[0]: not the record of slope (1, 0)"),
-        ((), "slopes[0]: no record of slope (1, 0)"),
+        (records[:-1], "witnesses.slopes[5]: stored length 5, recomputed length 6"),
+        (records[:1] + records[2:], "witnesses.slopes[1].source[0]: stored -1, recomputed 0"),
+        (records + records[-1:], "witnesses.slopes[6]: stored length 7, recomputed length 6"),
+        (records[:2] + records[1:-1], "witnesses.slopes[2].source[0]: stored 0, recomputed -1"),
+        (records[::-1], "witnesses.slopes[0].source[0]: stored 2, recomputed 1"),
+        ((), "witnesses.slopes[0]: stored length 0, recomputed length 6"),
     ]:
         bad = with_slopes(cert, changed)
-        assert witness_check(bad) == (False, detail)
-        assert [c.name for c in verify_certificate(bad).failed()] == ["witness-slopes"]
-
-
-def _break(cert, **replacements):
-    return cert.replace(**replacements)
+        assert replay(bad) == (False, detail)
+        assert [c.name for c in verify_certificate(bad).failed()] == ["replay"]
 
 
 def test_certificate_mutations_are_caught():
     cert = transfer_certificate(cable_space_homology(2, 3))
 
-    wrong_map = _break(cert, map=AffineSlopeMap(cert.map.epsilon, cert.map.q, cert.map.u + 1))
-    report = verify_certificate(wrong_map)
-    assert not report.ok
-    assert {c.name for c in report.failed()} >= {"map-consistency", "witness-slopes"}
+    wrong_map = cert.replace(map=AffineSlopeMap(cert.map.epsilon, cert.map.q, cert.map.u + 1))
+    assert replay(wrong_map) == (False, "map.u: stored 7, recomputed 6")
+    assert [c.name for c in verify_certificate(wrong_map).failed()] == [
+        "replay", "grid-consistency"]
 
-    bad_model = cert.model.replace(zeta=-cert.model.zeta)
-    report = verify_certificate(_break(cert, model=bad_model))
-    assert not report.ok
-    assert any(
-        c.name in ("eq-boundary", "eq-meridian", "framing-signs") for c in report.failed()
-    )
+    bad_zeta = cert.replace(model=cert.model.replace(zeta=-cert.model.zeta))
+    assert replay(bad_zeta) == (False, "model.zeta: stored 1, recomputed -1")
+    assert [c.name for c in verify_certificate(bad_zeta).failed()] == [
+        "replay", "eq-meridian", "eq-longitude"]
 
-    bad_t = cert.model.replace(t=cert.model.t + 1)
-    report = verify_certificate(_break(cert, model=bad_t))
-    assert {c.name for c in report.failed()} >= {"eq-longitude", "map-consistency"}
+    bad_t = cert.replace(model=cert.model.replace(t=cert.model.t + 1))
+    assert replay(bad_t) == (False, "model.t: stored 3, recomputed 2")
+    assert [c.name for c in verify_certificate(bad_t).failed()] == ["replay", "eq-longitude"]
 
 
 def test_witness_values_cover_the_meridian():

@@ -3,10 +3,11 @@ and transfer.verify_certificate, the complete check of a transfer
 certificate, grid check included."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from slopecert import (
     AtomKnot,
@@ -48,14 +49,15 @@ def test_verify_certificate_ends_with_the_grid_check():
     cert = transfer_certificate(cable_space_homology(2, 3))
     report = verify_certificate(cert)
     assert report.ok
-    assert [c.name for c in report.checks][-3:] == [
-        "map-consistency", "witness-slopes", "grid-consistency"]
+    assert [c.name for c in report.checks] == [
+        "replay", "framing-signs", "eq-meridian", "eq-longitude", "grid-consistency"]
+    assert report.checks[0].detail == "recomputed certificate is byte-identical"
     assert report.checks[-1].detail == "phi matches the affine law on every slope"
 
 
 def test_verify_certificate_runs_the_grid_check_without_rank_two():
     # A certificate written by an earlier version, its stored H1 edited to
-    # Z/2 + Z: the reader ignores model.h1, and all eight checks run and
+    # Z/2 + Z: the reader ignores model.h1, and all five checks run and
     # pass, as on the certificate transfer builds.
     doc = json.loads((FIXTURES / "transfer_p2_q3_o1.json").read_text())
     doc["model"]["h1"]["diag"] = [1, 2, 0]
@@ -230,43 +232,69 @@ def test_no_cached_pass_carries_over_to_another_object(tmp_path):
     assert run(RunConfig(command="verify", inputs=(str(emitted),)))[0] == 0
 
 
-def test_witness_records_are_computed_once_per_model_object():
-    # The built certificate states its model's cached records; a model made
-    # by replace, or read from a document, is another object with its own.
-    model = cable_space_homology(2, 3)
-    cert = transfer_certificate(model)
-    assert cert.witnesses["slopes"] is model.witness_records
-    assert verify_certificate(cert).ok
-    # Shared records are read-only: no certificate edits another's.
-    with pytest.raises(TypeError):
-        cert.witnesses["slopes"][2]["factor"] = 5
-    fresh = model.replace()
-    assert fresh.witness_records is not model.witness_records
-    assert fresh.witness_records == model.witness_records
+def test_a_stored_certificate_with_an_edited_factor_fails_the_replay_by_path():
     # In one process: the built certificate passes, then a parsed copy with
-    # one record's factor edited fails witness-slopes by index.
+    # one record's factor edited fails the replay, which names the field.
+    cert = transfer_certificate(cable_space_homology(2, 3))
     doc = json.loads(canonical_dumps(transfer_certificate_to_json(cert)))
     doc["witnesses"]["slopes"][2]["factor"] = [5, 1]
     parsed = load_document(canonical_dumps(doc))
-    assert parsed.model == model and parsed.model is not model
     report = verify_certificate(parsed)
-    assert report.failed() == (
-        Check("witness-slopes", False, "slopes[2]: not the record of slope (-1, 1)"),)
+    assert report.failed() == (Check(
+        "replay", False, "stored certificate differs from recomputation"
+        " at witnesses.slopes[2].factor: stored 5, recomputed 3"),)
     assert verify_certificate(cert).ok
 
 
-def test_map_consistency_names_the_first_constant_that_differs():
+def test_the_replay_names_the_first_map_constant_that_differs():
     cert = transfer_certificate(cable_space_homology(2, 3))
     smap = cert.map
-    for bad, detail in (
-        (smap.replace(u=smap.u + 1), "u: map 7, model 6"),
-        (smap.replace(u=smap.u / 4), "u: map 3/2, model 6"),
-        (smap.replace(epsilon=-1, q=5), "epsilon: map -1, model 1"),
-        (smap.replace(q=5), "q: map 5, model 3"),
+    for bad, where in (
+        (smap.replace(u=smap.u + 1), "map.u: stored 7, recomputed 6"),
+        (smap.replace(u=smap.u / 4), "map.u: stored 3/2, recomputed 6"),
+        (smap.replace(epsilon=-1, q=5), "map.epsilon: stored -1, recomputed 1"),
+        (smap.replace(q=5), "map.q: stored 5, recomputed 3"),
     ):
-        check = verify_certificate(cert.replace(map=bad)).checks[3]
-        assert check == Check("map-consistency", False, detail)
-    assert verify_certificate(cert).checks[3] == Check("map-consistency", True, "")
+        check = verify_certificate(cert.replace(map=bad)).checks[0]
+        assert check == Check(
+            "replay", False, "stored certificate differs from recomputation at " + where)
+    assert verify_certificate(cert).checks[0] == Check(
+        "replay", True, "recomputed certificate is byte-identical")
+
+
+def test_a_built_certificate_of_a_shape_no_document_has_fails_the_replay_without_raising():
+    # The reader requires witnesses.slopes; a certificate built in a program
+    # need not have it, and its replay fails without naming a path.
+    cert = transfer_certificate(cable_space_homology(2, 3))
+    report = verify_certificate(cert.replace(witnesses={}))
+    assert report.failed() == (Check(
+        "replay", False, "stored certificate differs from recomputation"
+        " in a field of a shape no document reads as"),)
+
+
+def test_framings_that_do_not_fit_the_model_fail_the_replay_without_raising(tmp_path):
+    # model.f_inner is a basis of T2 whose mu is not the meridian slope, so
+    # the model cannot be rebuilt from it: the replay fails and names why,
+    # and so does framing-signs.  No exception escapes.
+    doc = json.loads((FIXTURES / "transfer_p2_q3_o1.json").read_text())
+    doc["model"]["f_inner"] = {"mu": [1, 1], "lambda": [0, 1], "sign": 1}
+    report = verify_certificate(load_document(json.dumps(doc)))
+    assert [c.name for c in report.checks] == [
+        "replay", "framing-signs", "eq-meridian", "eq-longitude", "grid-consistency"]
+    assert report.checks[0] == Check(
+        "replay", False, "the stated model cannot be rebuilt:"
+        " inner framing's mu is not the meridian slope of T2")
+    assert report.checks[1] == Check("framing-signs", False, "")
+    path = tmp_path / "framing.json"
+    path.write_text(canonical_dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "slopecert.cli", "verify", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "    FAIL replay -- the stated model cannot be rebuilt: " in proc.stdout
+    assert "    FAIL framing-signs\n" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_a_recurring_cabling_lists_a_full_level_block_at_each_level():

@@ -5,14 +5,16 @@ emitted certificate is verified again, each as one CLI run.  Counting
 wrappers record what each run builds, recomputes and serializes; a run of
 several inputs builds each model once, in the one cache it shares.  A level
 is checked from its model and transfer map, without a transfer
-certificate or witness records.  A passing grid check calls phi on no
-slope, and a failing one on the one slope it names.  A round base's
-ambient H1 is read in closed form, with no Smith normal form.  An `snf`
-run formats its matrices as text only for a text report, and a Smith
-normal form computes determinants only for an input that is not square
-or whose D has a zero.  Its elimination replays its row operations on
-packed transform rows in every phase of full row rank with at least
-PACK_MIN_OPS operations per row, and on lists in every other phase.
+certificate or witness records; a stored transfer certificate is
+replayed against one fresh model and certificate.  A passing grid check
+calls phi on no slope, and a failing one on the one slope it names.  A
+round base's ambient H1 is read in closed form, with no Smith normal
+form.  An `snf` run formats its matrices as text only for a text report,
+and a Smith normal form computes determinants only for an input that is
+not square or whose D has a zero.  Its elimination replays its row
+operations on packed transform rows in every phase of full row rank with
+at least PACK_MIN_OPS operations per row, and on lists in every other
+phase.
 """
 
 import json
@@ -64,6 +66,8 @@ def counts(monkeypatch):
         "in_grid": False,
         "slope_record": 0,
         "witness_slopes": 0,
+        "transfer_certificate": 0,
+        "replay_builds": 0,
         "check_model": 0,
         "transfer_map": 0,
         "verify_certificate": 0,
@@ -169,6 +173,13 @@ def counts(monkeypatch):
         transfer, "witness_slopes", counted("witness_slopes", transfer.witness_slopes))
     monkeypatch.setattr(
         cablespace, "check_model", counted("check_model", cablespace.check_model))
+    # The certificate builder, where the transfer runner binds it too, and
+    # the model the replay of a transfer certificate rebuilds.
+    certificate_build = counted("transfer_certificate", transfer.transfer_certificate)
+    monkeypatch.setattr(transfer, "transfer_certificate", certificate_build)
+    monkeypatch.setattr(cmd_transfer, "transfer_certificate", certificate_build)
+    monkeypatch.setattr(transfer, "cable_space_homology",
+                        counted("replay_builds", transfer.cable_space_homology))
     # verify imports it from transfer when it runs it; the transfer runner
     # binds it.
     certificate_check = counted("verify_certificate", transfer.verify_certificate)
@@ -191,6 +202,7 @@ def reset(c):
     c["check_model"] = c["transfer_map"] = c["verify_certificate"] = 0
     c["presentations"] = c["snf"] = 0
     c["rational_coords"] = c["slope_record"] = c["witness_slopes"] = 0
+    c["transfer_certificate"] = c["replay_builds"] = 0
 
 
 def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
@@ -219,7 +231,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
     # No level builds a transfer certificate, so none has witness records
     # to state or check.
-    assert counts["verify_certificate"] == 0
+    assert counts["verify_certificate"] == counts["transfer_certificate"] == 0
     assert (counts["witness_slopes"], counts["slope_record"]) == (0, 0)
     assert counts["to_json"] == 1  # --emit only: the replay compares records
     assert (counts["dumps"], counts["dumps_in_replay"]) == (1, 0)  # the emitted file
@@ -234,7 +246,7 @@ def test_verify_builds_each_model_once_per_run(tmp_path, capsys, counts):
     assert counts["grid"] == [0] * DISTINCT_MODELS
     assert counts["check_model"] == counts["transfer_map"] == DISTINCT_MODELS
     assert (counts["presentations"], counts["rational_coords"], counts["snf"]) == (0, 0, 0)
-    assert counts["verify_certificate"] == 0
+    assert counts["verify_certificate"] == counts["transfer_certificate"] == 0
     assert (counts["witness_slopes"], counts["slope_record"]) == (0, 0)
     assert counts["to_json"] == 0  # a text report writes no JSON
     assert (counts["dumps"], counts["dumps_in_replay"]) == (0, 0)  # a text report
@@ -275,21 +287,40 @@ def test_one_level_cache_serves_every_input_of_a_run(tmp_path, capsys, counts):
     assert len(counts["builds"]) == DISTINCT_MODELS
     assert set(counts["builds"].values()) == {1}
     assert counts["transfer_map"] == DISTINCT_MODELS
-    assert counts["check_model"] == DISTINCT_MODELS + 1  # and the stored certificate's model
+    # And the transfer certificate's two models: the stored one, and the one
+    # its replay rebuilds from the stated parameters and framings.
+    assert counts["check_model"] == DISTINCT_MODELS + 2
+    assert (counts["replay_builds"], counts["transfer_certificate"]) == (1, 1)
 
 
-def test_a_transfer_certificate_is_checked_with_its_witness_records(tmp_path, capsys, counts):
-    # Where a transfer certificate is built or read, it is checked whole:
-    # once by transfer, which builds its model's records, and once by
-    # verify, whose parsed model is another object with its own records.
+def test_a_stored_transfer_certificate_is_replayed_from_one_fresh_build(tmp_path, capsys,
+                                                                        counts):
+    # verify rebuilds one model and one certificate from the stated
+    # parameters and framings, compares them with ==, and checks the stored
+    # model once; no level is built.  transfer replays the certificate it
+    # has just built the same way, so it builds two models and two
+    # certificates.
     emitted = tmp_path / "t.json"
     assert cli.main(["transfer", "--p", "2", "--q", "3", "--emit", str(emitted)]) == 0
+    witnesses = len(json.loads(emitted.read_text())["witnesses"]["slopes"])
+    assert counts["verify_certificate"] == 1
+    assert (counts["replay_builds"], counts["transfer_certificate"]) == (1, 2)
+    assert (counts["witness_slopes"], counts["slope_record"]) == (2, 2 * witnesses)
+    assert counts["check_model"] == 2  # the built model and the rebuilt one
+    assert counts["grid"] == [0]
+    assert counts["builds"] == Counter()
+    assert counts["transfer_map"] == 0
+    capsys.readouterr()
+    reset(counts)
     assert cli.main(["verify", str(emitted)]) == 0
     assert "overall: PASS" in capsys.readouterr().out
-    assert counts["verify_certificate"] == 2
-    assert (counts["witness_slopes"], counts["slope_record"]) == (2, 12)
-    assert counts["grid"] == [0, 0]
-    assert counts["transfer_map"] == 0  # no level is built
+    assert counts["verify_certificate"] == 1
+    assert (counts["replay_builds"], counts["transfer_certificate"]) == (1, 1)
+    assert (counts["witness_slopes"], counts["slope_record"]) == (1, witnesses)
+    assert counts["check_model"] == 2  # the stored model and the rebuilt one
+    assert counts["grid"] == [0]
+    assert counts["builds"] == Counter()  # no level is built
+    assert counts["transfer_map"] == 0
 
 
 def test_a_failing_grid_check_stops_within_three_slopes(counts):
