@@ -17,7 +17,8 @@ and file reading and writing textio's.  The checks themselves are the
 library's: transfer.verify_certificate for a transfer certificate and
 verify.verify_document for any document.  Each run renders only the
 format asked for, text lines or one JSON text, all of it before main
-writes a byte; main writes it in the pieces it was rendered in, unjoined.
+writes a byte; main writes its pieces in batches of about WRITE_CHUNK
+characters, never the whole report joined.
 This module imports only the leaves record and textio, so ``snf`` loads
 no cable-space module, json, fractions or document schema.
 
@@ -197,6 +198,10 @@ def _parse_plain(argv):
     return args
 
 
+# The size in characters of main's writes to stdout.
+WRITE_CHUNK = 1 << 16
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -210,7 +215,16 @@ def main(argv=None):
         args = vars(_build_parser(_COMMANDS).parse_args(argv))
         args["inputs"] = tuple(args.get("inputs", ()))
     code, pieces = run(RunConfig(**args))
-    sys.stdout.writelines(pieces)
+    # A write per piece costs more than joining a batch, and joining the
+    # whole report would hold it twice.
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= WRITE_CHUNK:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
     return code
 
 

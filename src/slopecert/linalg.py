@@ -12,12 +12,15 @@ on the rows and on the columns until the matrix is diagonal (Kannan and
 Bachem); a 2x2 step per diagonal pair then makes the divisibility chain.
 The elimination runs on D alone and records its row operations; each
 phase then replays them on its transform, U or V^T, as one packed
-integer per row when the phase is long and a Hadamard bound holds for
-the result, and on lists otherwise.  The transforms stay within a small
-multiple of the size of D.  The exact check forms U A from packed
-columns of U, multiplies it by V over V's nonzero entries, and forms
-A V only on the columns whose d_j is not 1.  Every pivot rule is fixed,
-so identical inputs produce identical (U, D, V) triples on every run.
+integer per row when the phase is long and of full row rank, and on
+lists otherwise.  Packed digits are as wide as a Hadamard bound on the
+result, or, in a first phase, as a narrower width the phase then
+checks.  The transforms stay within a small multiple of the size of D.
+The exact check forms U A from packed columns of U, multiplies it by V
+over V's nonzero entries, and forms A V only on the columns whose d_j
+is not 1.  Determinants are Bareiss's, each row scaled only when it is
+used.  Every pivot rule is fixed, so identical inputs produce identical
+(U, D, V) triples on every run.
 """
 
 import operator
@@ -35,7 +38,7 @@ class IntMatrix(Record):
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         for e in entries:
-            if isinstance(e, bool) or not isinstance(e, int):
+            if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
                 raise TypeError("matrix must be integral")
         _store(self, locals())
 
@@ -81,37 +84,53 @@ class IntMatrix(Record):
 
 
 def det(mat):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix (Bareiss elimination).
+
+    Bareiss's step k replaces each entry of a row below the pivot p_k by
+    (x p_k - c y) / p_{k-1}, c the row's entry under the pivot; a row with
+    c = 0 is only scaled by p_k / p_{k-1}.  Those quotients telescope, so
+    such a row is carried unchanged with `at`, the pivot it was last
+    scaled to, and its entries are x prev / at when it is next used:
+    an update divides by `at` instead of prev, and a pivot row is scaled
+    once.  Every quotient is exact.
+    """
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
-    if mat.rows == 0:
+    n = mat.rows
+    if n == 0:
         return 1
-    a = mat.to_rows()  # the rows not yet pivoted, right of the pivot columns
+    # The rows not yet pivoted, each with its `at`; a row's last w entries
+    # are the columns not yet pivoted, so its entry in the current one is
+    # row[-w] however long the row is.
+    a = [(1, r) for r in mat.to_rows()]
     sign = 1
     prev = 1
-    while len(a) > 1:
-        if a[0][0] == 0:
+    for w in range(n, 1, -1):
+        if not a[0][1][-w]:
             for i in range(1, len(a)):
-                if a[i][0] != 0:
+                if a[i][1][-w]:
                     a[0], a[i] = a[i], a[0]
                     sign = -sign
                     break
             else:
                 return 0
-        p = a[0][0]
-        tail = a[0][1:]
-        # Each quotient is exact.  A row with a zero under the pivot is only
-        # scaled, which spares a big-integer subtraction per entry.
+        at, row = a[0]
+        tail = row[1 - w :]
+        p = row[-w]
+        if at != prev:
+            tail = [x * prev // at for x in tail]
+            p = p * prev // at
         rest = []
-        for row in a[1:]:
-            c = row[0]
+        for at, row in a[1:]:
+            c = row[-w]
             if c:
-                rest.append([(x * p - c * y) // prev for x, y in zip(row[1:], tail)])
+                rest.append((p, [(x * p - c * y) // at for x, y in zip(row[1 - w :], tail)]))
             else:
-                rest.append([x * p // prev for x in row[1:]])
+                rest.append((at, row))
         a = rest
         prev = p
-    return sign * a[0][0]
+    at, row = a[0]
+    return sign * row[-1] * prev // at
 
 
 class SNFResult(Record):
@@ -162,47 +181,56 @@ def _row_hermite(rows, top):
     ops lists every row operation `row i -= f * row k` as the three ints
     i, k, f, in order; a negation is f = 2 with k = i, and a swap moves
     only ids.  _replay_rows and _replay_packed apply them to a transform.
+    The lists of rows[top:] are replaced, never changed.
     """
     m = len(rows)
+    n = len(rows[0]) if rows else 0
     ids = list(range(m))
     ops = []
     cols = []  # the pivot column of rows[top], rows[top + 1], ...
     r = top
-    for c in range(len(rows[0]) if rows else 0):
+    # rows[r:] are kept as their tails from the current column c, the
+    # entries left of it being zero: a sweep rewrites a whole tail.
+    for c in range(n):
         if r == m:
             break
         piv = None
         for i in range(r, m):
-            e = rows[i][c]
+            e = rows[i][0]
             if e and (piv is None or abs(e) < best):
                 piv, best = i, abs(e)
         if piv is None:
+            rows[r:] = [row[1:] for row in rows[r:]]
             continue
         # Each sweep finds the next one's pivot among its remainders, all
         # smaller than |p|; none left nonzero ends the column.
         while piv is not None:
             rows[r], rows[piv] = rows[piv], rows[r]
             ids[r], ids[piv] = ids[piv], ids[r]
-            p = rows[r][c]
+            tail = rows[r]
+            p = tail[0]
             p2 = 2 * p
-            tail = rows[r][c:]
             source = ids[r]
             piv = None
             for i in range(r + 1, m):
                 row = rows[i]
-                e = row[c]
+                e = row[0]
                 if e:
                     f = (2 * e + p) // p2
-                    row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+                    rows[i] = row = [x - f * y for x, y in zip(row, tail)]
                     ops += ids[i], source, f
-                    e = row[c]
+                    e = row[0]
                     if e and (piv is None or abs(e) < best):
                         piv, best = i, abs(e)
-        if rows[r][c] < 0:
-            rows[r][c:] = [-x for x in rows[r][c:]]
+        tail = rows[r]
+        if tail[0] < 0:
+            tail = [-x for x in tail]
             ops += ids[r], ids[r], 2
+        rows[r] = [0] * c + tail
+        rows[r + 1 :] = [row[1:] for row in rows[r + 1 :]]
         cols.append(c)
         r += 1
+    rows[r:] = [[0] * n for _ in rows[r:]]
     for i in reversed(range(r)):
         row = rows[i]
         for k in range(max(i + 1, top), r):
@@ -221,7 +249,10 @@ def _packing(bound, count):
     2**(w-1) > bound: balanced digits, so an integer combination of
     packed vectors is the packed combination, and it unpacks exactly
     whenever every entry of the combination is at most bound, whatever
-    the intermediate sums were.
+    the intermediate sums were.  unpack raises OverflowError when p lies
+    outside the width, as when the last entry exceeds bound; an entry past
+    bound elsewhere unpacks wrong without an error, so a caller packing
+    under a bound it has not proved checks the result.
     """
     size = (bound.bit_length() + 8) // 8
     half = 1 << (8 * size - 1)
@@ -295,25 +326,46 @@ def _hermite_phase(d, t):
     if d is echelon with positive pivots.
 
     If d (m rows) has full row rank, the transform taking d to its
-    Hermite form H is H_S * d_S^-1, d_S the columns of d at H's pivots.
-    Every entry of H_S is at most its column's pivot, so at most
-    |det d_S|, and by Hadamard's bound every entry of adj(d_S) is at most
-    the product of the norms of the rows of d but one.  So no entry of
-    the new t exceeds m^2 * max |t| times the product of the norms of all
-    rows of d but the shortest, and a phase of at least PACK_MIN_OPS * m
-    operations replays t packed under that bound.  A shorter phase, and a
-    rank-deficient d, which has no such bound, replay t on lists.
+    Hermite form H is H_S * d_S^-1, d_S the columns of d at H's pivots,
+    and no other matrix E has E d = H.  Every entry of H_S is at most its
+    column's pivot, so at most |det d_S|, and by Hadamard's bound every
+    entry of adj(d_S) is at most the product of the norms of the rows of
+    d but one.  So no entry of the new t exceeds m^2 * max|t| times the
+    product of the norms of all rows of d but the shortest, and a phase
+    of at least PACK_MIN_OPS * m operations replays t packed under that
+    bound.  The bound is loose when H is small: a torsion input's first
+    phase packs entries of 11 bits under 432.  So when t is the identity
+    (a first phase of its kind) and m * max|H| has under half the bound's
+    bits, t is replayed under m * max|H| first, and that result is kept
+    if it unpacks and its product with d is H, which proves it; otherwise
+    t is replayed under the bound.  A shorter phase, and a rank-deficient
+    d, which has no such bound, replay t on lists.
     """
     if _is_row_echelon(d):
         return None
+    d_in = d[:]  # _row_hermite replaces d's rows and changes none of them
     norms = [sum(map(operator.mul, r, r)) for r in d]
     ids, rank, ops = _row_hermite(d, 0)
     m = len(d)
     if rank < m or len(ops) < 3 * PACK_MIN_OPS * m:
         return d, _replay_rows(ops, ids, t)
     norms.remove(min(norms))
-    bound = m * m * (isqrt(prod(norms)) + 1) * max(max(map(abs, r)) for r in t)
+    bound = m * m * (isqrt(prod(norms)) + 1) * _max_abs(t)
+    tried = m * _max_abs(d)
+    if 2 * tried.bit_length() < bound.bit_length() and t == IntMatrix.identity(m).to_rows():
+        try:
+            new = _replay_packed(ops, ids, t, tried)
+        except OverflowError:
+            pass
+        else:
+            most = m * _max_abs(new) * _max_abs(d_in)
+            if _combinations(new, d_in, len(d[0]), most) == d:
+                return d, new
     return d, _replay_packed(ops, ids, t, bound)
+
+
+def _max_abs(rows):
+    return max(max(map(abs, r)) for r in rows)
 
 
 def _transpose(rows, cols):
@@ -334,13 +386,14 @@ def smith_normal_form(a):
     operations, which are then replayed on the transform: U in a row
     phase, V^T in a column phase.  A phase on a full-row-rank D with at
     least PACK_MIN_OPS operations per row replays them on packed rows,
-    one integer per row, under a Hadamard bound on the result (see
-    _hermite_phase); a shorter or rank-deficient one on lists.  The
-    sweeps use nearest-integer quotients, and the reduction above each
-    pivot floor quotients into [0, pivot), so every phase ends in the
-    unique Hermite form of its input: a nonsingular square input has one
-    (U, D, V) whatever the sweeps do, and only the transforms of a
-    rank-deficient input depend on them.  D is unique for every input.
+    one integer per row, under a Hadamard bound on the result or, first,
+    under a narrower width it then checks (see _hermite_phase); a shorter
+    or rank-deficient one on lists.  The sweeps use nearest-integer
+    quotients, and the reduction above each pivot floor quotients into
+    [0, pivot), so every phase ends in the unique Hermite form of its
+    input: a nonsingular square input has one (U, D, V) whatever the
+    sweeps do, and only the transforms of a rank-deficient input depend
+    on them.  D is unique for every input.
     A phase whose input is already in row echelon form with positive
     pivots is skipped, which keeps the U of such inputs as `snf` has
     always printed it.  Then each diagonal pair (x, y), i < j in order,

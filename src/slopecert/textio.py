@@ -130,7 +130,10 @@ def matrix_to_json(m):
 
 
 def parse_matrix_text(text):
-    """Parse the snf input format: "rows cols" then row-major integers."""
+    """Parse the snf input format: "rows cols" then row-major integers.
+
+    The counts are checked, and the entries counted, before any entry is
+    converted, so an oversized or malformed file costs no conversions."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix file must start with the two counts: rows cols")
@@ -138,18 +141,18 @@ def parse_matrix_text(text):
         rows, cols = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise ValueError("matrix row and column counts must be integers") from None
-    try:
-        entries = [int(t) for t in tokens[2:]]
-    except ValueError as e:
-        raise ValueError(digit_limit_text(e) or "matrix entries must be integers") from None
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     _check_size(rows, cols)
-    if len(entries) != rows * cols:
+    if len(tokens) - 2 != rows * cols:
         raise ValueError(
             "expected %d entries for a %dx%d matrix, got %d"
-            % (rows * cols, rows, cols, len(entries))
+            % (rows * cols, rows, cols, len(tokens) - 2)
         )
+    try:
+        entries = tuple(map(int, tokens[2:]))
+    except ValueError as e:
+        raise ValueError(digit_limit_text(e) or "matrix entries must be integers") from None
     from .linalg import IntMatrix  # here, so that only snf loads linalg
 
-    return IntMatrix(rows, cols, tuple(entries))
+    return IntMatrix(rows, cols, entries)

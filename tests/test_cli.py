@@ -21,7 +21,7 @@ from slopecert import (
     transfer_certificate,
 )
 from slopecert.argparser import _build_parser
-from slopecert.cli import _COMMANDS, RunConfig, _parse_plain, main, run
+from slopecert.cli import _COMMANDS, WRITE_CHUNK, RunConfig, _parse_plain, main, run
 from slopecert.jsonio import (
     canonical_dumps,
     description_to_json,
@@ -128,6 +128,21 @@ def test_snf_rejects_a_matrix_over_the_size_limit(counts, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1200 1200\n" + "x " * 100, "a 1200x1200 matrix is too large: rows and cols must be at"
+                                  " most %d" % MAX_MATRIX_DIM),
+    ("-1 2\nx y\n", "matrix dimensions must be nonnegative"),
+    ("2 2\nx y z\n", "expected 4 entries for a 2x2 matrix, got 3"),
+])
+def test_snf_checks_the_counts_before_it_converts_an_entry(text, message, tmp_path, capsys):
+    # Entries that are not integers are never read when the counts already
+    # reject the file.
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert main(["snf", str(path)]) == 2
+    assert capsys.readouterr().out == "input error: %s\n" % message
+
+
 def test_snf_accepts_a_matrix_at_the_size_limit(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("%d 0\n" % MAX_MATRIX_DIM)
@@ -188,6 +203,24 @@ def test_snf_peak_memory_holds_the_text_report_about_once(tmp_path):
             tracemalloc.stop()
     assert size > 500_000
     assert peak < 2 * size, (peak, size)
+
+
+def test_main_writes_a_report_in_batches_of_about_write_chunk(tmp_path, monkeypatch):
+    # The dense 60x60 text report's lines are gathered into writes of at
+    # least WRITE_CHUNK characters, but for the last, each less than
+    # WRITE_CHUNK more than its last piece, and in order they are the report.
+    rng = random.Random(60)
+    path = tmp_path / "m.txt"
+    path.write_text("60 60\n" + " ".join(str(rng.randint(-9, 9)) for _ in range(3600)))
+    pieces = run(RunConfig(command="snf", inputs=(str(path),)))[1]
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda _, s: writes.append(s)})())
+    assert main(["snf", str(path)]) == 0
+    assert "".join(writes) == "".join(pieces)
+    longest = max(map(len, pieces))
+    assert len(writes) > 2
+    assert all(WRITE_CHUNK <= len(w) < WRITE_CHUNK + longest for w in writes[:-1])
+    assert len(writes[-1]) < WRITE_CHUNK + longest
 
 
 # --- cable-homology -----------------------------------------------------------

@@ -93,7 +93,11 @@ def det_inputs(rng):
     """Square matrices of 1 to 30 rows: dense; sparse, whose pivots are
     often zero and swapped for a row below; permutations, which swap at
     almost every step; singular ones, with a repeated row, a zero column
-    or a rank below n; and dense with entries up to 10^12."""
+    or a rank below n; dense with entries up to 10^12; block-diagonal,
+    banded and row-permuted triangular ones, whose rows keep zeros under
+    several pivots in a row; and the U and V of seeded low-rank and
+    torsion Smith forms, square and not, as check_smith_normal_form
+    computes them for a rank-deficient or non-square input."""
     for n in range(1, 31):
         yield random_matrix(rng, n, n)
         yield IntMatrix.from_rows(
@@ -113,11 +117,35 @@ def det_inputs(rng):
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)],
         ))
         yield random_matrix(rng, n, n, bound=10**12)
+    for n in range(1, 31):
+        k = rng.randint(1, n)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if (i < k) == (j < k) else 0 for j in range(n)]
+             for i in range(n)]
+        )
+        band = rng.randint(1, 3)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if abs(i - j) <= band else 0 for j in range(n)]
+             for i in range(n)]
+        )
+        order = rng.sample(range(n), n)
+        yield IntMatrix.from_rows(
+            [[rng.choice((-3, -2, -1, 1, 2, 3)) if j == order[i] else
+              rng.randint(-9, 9) if j > order[i] else 0 for j in range(n)]
+             for i in range(n)]
+        )
+    for rows, cols in ((6, 6), (12, 9), (9, 12), (20, 20), (30, 30)):
+        for kind in ("low-rank", "torsion"):
+            result = smith_normal_form(
+                IntMatrix.from_rows(seeded_snf_input(rng, kind, rows, cols)[0]))
+            yield result.U
+            yield result.V
 
 
 def test_det_equals_the_entrywise_bareiss_elimination():
     # Past the sizes cofactor expansion reaches: the same pivots and swaps,
-    # so the same value, with whole rows updated at a time.
+    # so the same value, with whole rows updated at a time and a row with a
+    # zero under the pivot scaled only when it is next used.
     counts = Counter()
     for a in det_inputs(random.Random(31)):
         value = det(a)
@@ -409,6 +437,65 @@ def test_snf_equals_the_reference_elimination(monkeypatch):
         inputs += 1
     assert inputs == 54
     assert replays["_replay_packed"] > 0 and replays["_replay_rows"] > 0
+
+
+def elementary_product(n, ops):
+    """(A, A^-1) for the product A of the row operations `row i += c * row j`,
+    (i, j, c) in ops in order, on the n x n identity."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [r[:] for r in a]
+    for i, j, c in ops:
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    for i, j, c in reversed(ops):
+        inverse[i] = [x - c * y for x, y in zip(inverse[i], inverse[j])]
+    return a, inverse
+
+
+def big_multipliers(rng, n):
+    return elementary_product(
+        n, [(*rng.sample(range(n), 2), rng.randint(-10**6, 10**6)) for _ in range(4 * n)])[0]
+
+
+def unit_triangular_inverse_and_one(rng, n):
+    """diag((L R)^-1, 1) for unit triangular L and R with entries in [-9, 9]:
+    its inverse diag(L R, 1) has entries a little past 127, and 0 in its last
+    column but one entry."""
+    upper = [(i, j, rng.randint(-9, 9)) for i in range(n) for j in range(i + 1, n)]
+    lower = [(i, j, rng.randint(-9, 9)) for i in reversed(range(n)) for j in range(i)]
+    inverse = elementary_product(n, upper + lower)[1]
+    return [r + [0] for r in inverse] + [[0] * n + [1]]
+
+
+@pytest.mark.parametrize("rows, first", [
+    # A unimodular input has H = I, so its first phase tries digits as wide
+    # as m, and its transform is the input's inverse.  Here the inverse's
+    # entries reach hundreds of bits: the top digit overflows, and unpack
+    # raises OverflowError.
+    (big_multipliers(random.Random(0), 10), "overflow"),
+    # Entries a little past the width, none in the last column: each carries
+    # one into the next digit, which unpacks without an error into a wrong
+    # transform, and its product with the input is not H.
+    (unit_triangular_inverse_and_one(random.Random(0), 7), "unpacked"),
+])
+def test_snf_replays_under_the_hadamard_bound_when_the_tried_width_fails(rows, first,
+                                                                       monkeypatch):
+    replays = []
+    real = linalg._replay_packed
+
+    def replay(ops, ids, t, bound):
+        try:
+            result = real(ops, ids, t, bound)
+        except OverflowError:
+            replays.append((bound, "overflow"))
+            raise
+        replays.append((bound, "unpacked"))
+        return result
+
+    monkeypatch.setattr(linalg, "_replay_packed", replay)
+    a = IntMatrix.from_rows(rows)
+    assert smith_normal_form(a) == snf_reference(a)
+    assert replays[0] == (len(rows), first)
+    assert replays[1][0] > len(rows) and replays[1][1] == "unpacked"
 
 
 def test_snf_fixed_point():

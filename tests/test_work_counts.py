@@ -13,7 +13,8 @@ form.  An `snf` run formats its matrices as text only for a text report,
 and a Smith normal form computes determinants only for an input that is
 not square or whose D has a zero.  Its elimination replays its row
 operations on packed transform rows in every phase of full row rank with
-at least PACK_MIN_OPS operations per row, and on lists in every other
+at least PACK_MIN_OPS operations per row, at the tried width where that
+has under half the Hadamard bound's bits, and on lists in every other
 phase.
 """
 
@@ -426,27 +427,38 @@ LOW_RANK_60 = _product(
 
 
 @pytest.mark.parametrize(
-    "rows, packed, lists",
+    "rows, replays",
     [
-        # Every phase has full row rank.  The first phase makes 266
-        # operations per row, then 43, and replays packed; the others make
-        # 1.8, then 5.0 and 0.5, fewer than PACK_MIN_OPS, and replay on lists.
-        (DENSE_60, 1, 1),
-        (TORSION_40, 1, 2),
+        # Every phase has full row rank, and a packed replay is named by the
+        # bits of the bound its digits hold.  The first phase makes 266
+        # operations per row and packs under the Hadamard bound: its Hermite
+        # form reaches 282 bits, so m * max|H| has more than half the bound's
+        # 332 and is not tried.  The second makes 1.8, fewer than
+        # PACK_MIN_OPS, and replays on lists.
+        (DENSE_60, [332, "lists"]),
+        # The first phase makes 43 per row and packs at the tried width,
+        # m * max|H| (9 bits), against a Hadamard bound of 254; the others
+        # make 5.0 and 0.5 and replay on lists.
+        (TORSION_40, [9, "lists", "lists"]),
         # Rank 30 of 60: the row phase and the column phase replay on lists,
         # though they make 143 and 21 operations per row.
-        (LOW_RANK_60, 0, 2),
+        (LOW_RANK_60, ["lists", "lists"]),
     ],
 )
-def test_snf_replays_packed_exactly_the_long_full_rank_phases(rows, packed, lists, monkeypatch):
-    calls = Counter()
-    for name in ("_replay_packed", "_replay_rows"):
-        real = getattr(linalg, name)
+def test_snf_replays_each_long_full_rank_phase_packed_at_its_width(rows, replays,
+                                                                   monkeypatch):
+    calls = []
+    real_packed, real_rows = linalg._replay_packed, linalg._replay_rows
 
-        def counted(*args, real=real, name=name):
-            calls[name] += 1
-            return real(*args)
+    def packed(ops, ids, t, bound):
+        calls.append(bound.bit_length())
+        return real_packed(ops, ids, t, bound)
 
-        monkeypatch.setattr(linalg, name, counted)
+    def on_lists(*args):
+        calls.append("lists")
+        return real_rows(*args)
+
+    monkeypatch.setattr(linalg, "_replay_packed", packed)
+    monkeypatch.setattr(linalg, "_replay_rows", on_lists)
     linalg.smith_normal_form(linalg.IntMatrix.from_rows(rows))
-    assert (calls["_replay_packed"], calls["_replay_rows"]) == (packed, lists)
+    assert calls == replays
