@@ -12,10 +12,13 @@ on the rows and on the columns until the matrix is diagonal (Kannan and
 Bachem); a 2x2 step per diagonal pair then makes the divisibility chain.
 The elimination runs on D alone and records its row operations; each
 phase then replays them on its transform, U or V^T, as one packed
-integer per row when the phase is long and of full row rank, and on
-lists otherwise.  Packed digits are as wide as a Hadamard bound on the
-result, or, in a first phase, as a narrower width the phase then
-checks.  The transforms stay within a small multiple of the size of D.
+integer per row when the phase is long, and on lists when it is short.
+A full-rank phase packs its digits as wide as a Hadamard bound on the
+result, or, in a first phase, as a narrower width it then checks.  A
+rank-deficient phase has no such bound: it replays its sweeps in
+stretches, each packed under a bound its operations prove from the
+entries at its start, and the reduction above its pivots on lists.  The
+transforms stay within a small multiple of the size of D.
 The exact check forms U A from packed columns of U, multiplies it by V
 over V's nonzero entries, and forms A V only on the columns whose d_j
 is not 1.  Determinants are Bareiss's, each row scaled only when it is
@@ -161,7 +164,7 @@ def _is_row_echelon(rows):
 
 
 def _row_hermite(rows, top):
-    """Put rows[top:] in row Hermite form, in place; return (ids, rank, ops).
+    """Put rows[top:] in row Hermite form, in place; return (ids, rank, ops, back).
 
     Echelon form first, by sweeps under the smallest nonzero |entry| p of
     each column (first such row), each pivot made positive.  A sweep
@@ -180,8 +183,9 @@ def _row_hermite(rows, top):
     ends at position r, rank counts the rows that end with a pivot, and
     ops lists every row operation `row i -= f * row k` as the three ints
     i, k, f, in order; a negation is f = 2 with k = i, and a swap moves
-    only ids.  _replay_rows and _replay_packed apply them to a transform.
-    The lists of rows[top:] are replaced, never changed.
+    only ids.  The reduction above the pivots starts at ops[back].
+    _replay_rows, _replay_packed and _replay_stretches apply them to a
+    transform.  The lists of rows[top:] are replaced, never changed.
     """
     m = len(rows)
     n = len(rows[0]) if rows else 0
@@ -231,6 +235,7 @@ def _row_hermite(rows, top):
         cols.append(c)
         r += 1
     rows[r:] = [[0] * n for _ in rows[r:]]
+    back = len(ops)
     for i in reversed(range(r)):
         row = rows[i]
         for k in range(max(i + 1, top), r):
@@ -239,7 +244,7 @@ def _row_hermite(rows, top):
             if f:
                 row[c:] = [x - f * y for x, y in zip(row[c:], rows[k][c:])]
                 ops += ids[i], ids[k], f
-    return ids, r, ops
+    return ids, r, ops, back
 
 
 def _packing(bound, count):
@@ -290,6 +295,28 @@ def _replay_packed(ops, ids, t, bound):
     return [unpack(packed[i]) for i in ids]
 
 
+def _replay_stretches(ops, ids, t):
+    """_replay_rows on packed rows, 4 * PACK_MIN_OPS * len(t) operations at
+    a time, each stretch under a bound proved at its start.
+
+    b[i] starts as the largest |entry| of row i; an operation
+    `row i -= f * row k` adds |f| * b[k] to it (a negation, k = i, leaves
+    it), so no entry of row i exceeds b[i] at any point of the stretch,
+    and the stretch unpacks exactly under max(b).
+    """
+    m = len(t)
+    step = 3 * 4 * PACK_MIN_OPS * m
+    for start in range(0, len(ops), step):
+        stretch = ops[start : start + step]
+        b = [max(map(abs, r)) for r in t]
+        it = iter(stretch)
+        for i, k, f in zip(it, it, it):
+            if i != k:
+                b[i] += abs(f) * b[k]
+        t = _replay_packed(stretch, range(m), t, max(b))
+    return [t[i] for i in ids]
+
+
 def _reduce_left_kernel(a, d, u):
     """Shrink the rows of u that annihilate a, if they have grown.
 
@@ -338,17 +365,29 @@ def _hermite_phase(d, t):
     (a first phase of its kind) and m * max|H| has under half the bound's
     bits, t is replayed under m * max|H| first, and that result is kept
     if it unpacks and its product with d is H, which proves it; otherwise
-    t is replayed under the bound.  A shorter phase, and a rank-deficient
-    d, which has no such bound, replay t on lists.
+    t is replayed under the bound.
+
+    A rank-deficient d has no such bound: many matrices E give E d = H.
+    Its phase, if as long, replays the sweeps' operations, ops[:back], in
+    stretches of 4 * PACK_MIN_OPS * m operations, each packed under a
+    bound proved from t's entries at the stretch's start (see
+    _replay_stretches), so the unpacked rows are exact and need no check.
+    The reduction above the pivots, ops[back:], replays on lists: it grows
+    the pivot rows to hundreds of bits (1,323 on a low-rank 60x60), and
+    packed in stretches it ran slower than on lists and held about four
+    times the memory.  A shorter phase replays t on lists.
     """
     if _is_row_echelon(d):
         return None
     d_in = d[:]  # _row_hermite replaces d's rows and changes none of them
-    norms = [sum(map(operator.mul, r, r)) for r in d]
-    ids, rank, ops = _row_hermite(d, 0)
+    ids, rank, ops, back = _row_hermite(d, 0)
     m = len(d)
-    if rank < m or len(ops) < 3 * PACK_MIN_OPS * m:
+    if len(ops) < 3 * PACK_MIN_OPS * m:
         return d, _replay_rows(ops, ids, t)
+    if rank < m:
+        t = _replay_stretches(ops[:back], range(m), t)
+        return d, _replay_rows(ops[back:], ids, t)
+    norms = [sum(map(operator.mul, r, r)) for r in d_in]
     norms.remove(min(norms))
     bound = m * m * (isqrt(prod(norms)) + 1) * _max_abs(t)
     tried = m * _max_abs(d)
@@ -384,11 +423,13 @@ def smith_normal_form(a):
     row phase) and its columns (a column phase, on D^T) until D is
     diagonal (Kannan and Bachem).  It runs on D alone and records its row
     operations, which are then replayed on the transform: U in a row
-    phase, V^T in a column phase.  A phase on a full-row-rank D with at
-    least PACK_MIN_OPS operations per row replays them on packed rows,
-    one integer per row, under a Hadamard bound on the result or, first,
-    under a narrower width it then checks (see _hermite_phase); a shorter
-    or rank-deficient one on lists.  The sweeps use nearest-integer
+    phase, V^T in a column phase.  A phase with at least PACK_MIN_OPS
+    operations per row replays them on packed rows, one integer per row:
+    on a full-row-rank D under a Hadamard bound on the result or, first,
+    under a narrower width it then checks; on a rank-deficient D in
+    stretches, each under a bound proved at its start, with the
+    reduction above the pivots on lists (see _hermite_phase).  A shorter
+    phase replays on lists.  The sweeps use nearest-integer
     quotients, and the reduction above each pivot floor quotients into
     [0, pivot), so every phase ends in the unique Hermite form of its
     input: a nonsingular square input has one (U, D, V) whatever the

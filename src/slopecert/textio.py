@@ -132,25 +132,27 @@ def matrix_to_json(m):
 def parse_matrix_text(text):
     """Parse the snf input format: "rows cols" then row-major integers.
 
-    The counts are checked, and the entries counted, before any entry is
-    converted, so an oversized or malformed file costs no conversions."""
-    tokens = text.split()
-    if len(tokens) < 2:
+    Only the counts are split off before they are checked, so an oversized
+    file is refused without splitting its entries; the entries are counted
+    before any is converted, so a malformed file costs no conversions."""
+    head = text.split(None, 2)
+    if len(head) < 2:
         raise ValueError("matrix file must start with the two counts: rows cols")
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
+        rows, cols = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("matrix row and column counts must be integers") from None
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     _check_size(rows, cols)
-    if len(tokens) - 2 != rows * cols:
+    tokens = head[2].split() if len(head) == 3 else []
+    if len(tokens) != rows * cols:
         raise ValueError(
             "expected %d entries for a %dx%d matrix, got %d"
-            % (rows * cols, rows, cols, len(tokens) - 2)
+            % (rows * cols, rows, cols, len(tokens))
         )
     try:
-        entries = tuple(map(int, tokens[2:]))
+        entries = tuple(map(int, tokens))
     except ValueError as e:
         raise ValueError(digit_limit_text(e) or "matrix entries must be integers") from None
     from .linalg import IntMatrix  # here, so that only snf loads linalg

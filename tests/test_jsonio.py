@@ -2,6 +2,7 @@
 
 import enum
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -552,3 +553,19 @@ def test_parse_matrix_text_errors():
         parse_matrix_text("-1 2\n")
     with pytest.raises(ValueError, match="expected 4 entries"):
         parse_matrix_text("2 2\n1 2 3")
+
+
+def test_an_oversized_matrix_file_is_refused_before_its_entries_are_split():
+    # Only the two counts are split off before they are checked: refusing a
+    # 1200 x 1200 file of 1.44 million entries holds about one copy of its
+    # text, not a list of its tokens (a 12 MB peak when the whole text was
+    # split).
+    text = "1200 1200\n" + "1 " * 1440000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1200x1200 matrix is too large"):
+            parse_matrix_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * len(text)

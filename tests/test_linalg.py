@@ -419,11 +419,12 @@ def reference_inputs():
 
 def test_snf_equals_the_reference_elimination(monkeypatch):
     # The elimination runs on D alone and replays its row operations on
-    # the transforms, packed for a full-rank phase and on lists otherwise;
-    # snf_reference carries each transform as extra columns instead.  U,
-    # D and V agree entry for entry, and both replays run.
+    # the transforms: packed for a long full-rank phase, in packed stretches
+    # for a long rank-deficient one, and on lists otherwise; snf_reference
+    # carries each transform as extra columns instead.  U, D and V agree
+    # entry for entry, and all three replays run.
     replays = Counter()
-    for name in ("_replay_packed", "_replay_rows"):
+    for name in ("_replay_packed", "_replay_stretches", "_replay_rows"):
         real = getattr(linalg, name)
 
         def counted(*args, real=real, name=name):
@@ -436,7 +437,119 @@ def test_snf_equals_the_reference_elimination(monkeypatch):
         assert smith_normal_form(a) == snf_reference(a), a
         inputs += 1
     assert inputs == 54
-    assert replays["_replay_packed"] > 0 and replays["_replay_rows"] > 0
+    assert all(replays[name] > 0 for name in ("_replay_packed", "_replay_stretches", "_replay_rows"))
+
+
+def low_rank(rng, rows, cols, rank, bound):
+    """A rows x cols product of rank at most `rank`, entries of its factors in
+    [-bound, bound]; rank 0 gives the zero matrix."""
+    b = [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rows)]
+    c = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(r, col)) for col in zip(*c)] if rank else [0] * cols
+            for r in b]
+
+
+# (rows, cols, rank, bound): square and not, a single row or column, zero
+# rows or columns, and products long enough to replay in several stretches.
+LOW_RANK_SHAPES = [
+    (30, 30, 15, 3), (40, 25, 12, 3), (25, 40, 10, 3), (45, 45, 22, 3),
+    (24, 24, 8, 10**6), (12, 30, 5, 9), (1, 30, 1, 9), (30, 1, 1, 9),
+    (1, 30, 0, 9), (30, 1, 0, 9), (0, 5, 0, 9), (5, 0, 0, 9), (0, 0, 0, 9),
+]
+
+
+def low_rank_inputs():
+    rng = random.Random(35)
+    for rows, cols, rank, bound in LOW_RANK_SHAPES:
+        yield IntMatrix(rows, cols, tuple(e for r in low_rank(rng, rows, cols, rank, bound) for e in r))
+
+
+def test_stretched_replay_equals_the_list_replay_on_low_rank_inputs():
+    # Each phase's operations, on the rows and on the columns of each input,
+    # replayed on a transform with entries up to 10^6: in stretches, on
+    # packed rows, and on lists, the rows agree.  A phase with no rows makes
+    # no operations and is left out.
+    rng = random.Random(36)
+    several = 0
+    for a in low_rank_inputs():
+        assert smith_normal_form(a) == snf_reference(a), a
+        for rows in (a.to_rows(), a.transpose().to_rows()):
+            m = len(rows)
+            if not m:
+                continue
+            ids, rank, ops, back = linalg._row_hermite(rows, 0)
+            t = [[rng.randint(-10**6, 10**6) for _ in range(m)] for _ in range(m)]
+            for part in (ops[:back], ops):
+                assert linalg._replay_stretches(part, ids, t) == linalg._replay_rows(part, ids, t)
+            several += back > 3 * 4 * linalg.PACK_MIN_OPS * m
+    assert several >= 4
+
+
+def test_each_stretch_unpacks_within_the_bound_it_proved(monkeypatch):
+    # Each stretch packs once, and every row it unpacks is within the bound
+    # it packed under.  After each elimination of a phase (top 0), a long
+    # rank-deficient phase replays its sweeps, ops[:back], in stretches and
+    # its reduction above the pivots, ops[back:], on lists; a shorter phase
+    # replays all of ops on lists, and a long full-rank one neither.
+    events, bounds = [], []
+    stretching = []
+    real_packing, real_stretches = linalg._packing, linalg._replay_stretches
+    real_rows, real_hermite = linalg._replay_rows, linalg._row_hermite
+
+    def packing(bound, count):
+        pack, unpack = real_packing(bound, count)
+        if not stretching:
+            return pack, unpack
+        bounds.append(bound)
+
+        def checked(p):
+            row = unpack(p)
+            assert max(map(abs, row)) <= bound
+            return row
+
+        return pack, checked
+
+    def stretches(ops, ids, t):
+        stretching.append(True)
+        events.append(("stretches", ops, len(t)))
+        try:
+            return real_stretches(ops, ids, t)
+        finally:
+            stretching.pop()
+
+    def on_lists(ops, ids, t):
+        events.append(("lists", ops, len(t)))
+        return real_rows(ops, ids, t)
+
+    def hermite(rows, top):
+        result = real_hermite(rows, top)
+        if top == 0:
+            events.append(("phase", len(rows), result))
+        return result
+
+    monkeypatch.setattr(linalg, "_packing", packing)
+    monkeypatch.setattr(linalg, "_replay_stretches", stretches)
+    monkeypatch.setattr(linalg, "_replay_rows", on_lists)
+    monkeypatch.setattr(linalg, "_row_hermite", hermite)
+    for a in low_rank_inputs():
+        smith_normal_form(a)
+    starts = [j for j, e in enumerate(events) if e[0] == "phase"] + [len(events)]
+    shapes = Counter()
+    for j, end in zip(starts, starts[1:]):
+        _, m, (ids, rank, ops, back) = events[j]
+        replays = [e[:2] for e in events[j + 1 : end]]
+        if len(ops) < 3 * linalg.PACK_MIN_OPS * m:
+            assert replays == [("lists", ops)]
+            shapes["short"] += 1
+        elif rank < m:
+            assert replays == [("stretches", ops[:back]), ("lists", ops[back:])]
+            shapes["stretched"] += 1
+        else:
+            assert replays == []
+    step = 3 * 4 * linalg.PACK_MIN_OPS
+    assert len(bounds) == sum(-(-len(ops) // (step * m)) for kind, ops, m in events
+                              if kind == "stretches")
+    assert shapes["short"] >= 4 and shapes["stretched"] >= 4
 
 
 def elementary_product(n, ops):

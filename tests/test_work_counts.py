@@ -12,10 +12,11 @@ round base's ambient H1 is read in closed form, with no Smith normal
 form.  An `snf` run formats its matrices as text only for a text report,
 and a Smith normal form computes determinants only for an input that is
 not square or whose D has a zero.  Its elimination replays its row
-operations on packed transform rows in every phase of full row rank with
-at least PACK_MIN_OPS operations per row, at the tried width where that
-has under half the Hadamard bound's bits, and on lists in every other
-phase.
+operations on packed transform rows in every phase with at least
+PACK_MIN_OPS operations per row: of full row rank, at the tried width
+where that has under half the Hadamard bound's bits; rank-deficient, in
+stretches, with the reduction above the pivots on lists.  Every shorter
+phase replays on lists.
 """
 
 import json
@@ -440,25 +441,35 @@ LOW_RANK_60 = _product(
         # m * max|H| (9 bits), against a Hadamard bound of 254; the others
         # make 5.0 and 0.5 and replay on lists.
         (TORSION_40, [9, "lists", "lists"]),
-        # Rank 30 of 60: the row phase and the column phase replay on lists,
-        # though they make 143 and 21 operations per row.
-        (LOW_RANK_60, ["lists", "lists"]),
+        # Rank 30 of 60: each phase replays its sweeps packed, in stretches
+        # of 4 * PACK_MIN_OPS operations per row, each named by the bits of
+        # the bound it proved at its start, and its reduction above the
+        # pivots on lists.  The row phase sweeps with 136 operations per row
+        # (five stretches), the column phase with 21 (one).
+        (LOW_RANK_60, ["stretches", 150, 227, 278, 306, 143, "lists",
+                       "stretches", 144, "lists"]),
     ],
 )
 def test_snf_replays_each_long_full_rank_phase_packed_at_its_width(rows, replays,
                                                                    monkeypatch):
     calls = []
-    real_packed, real_rows = linalg._replay_packed, linalg._replay_rows
+    real_packed, real_stretches = linalg._replay_packed, linalg._replay_stretches
+    real_rows = linalg._replay_rows
 
     def packed(ops, ids, t, bound):
         calls.append(bound.bit_length())
         return real_packed(ops, ids, t, bound)
+
+    def stretches(*args):
+        calls.append("stretches")
+        return real_stretches(*args)
 
     def on_lists(*args):
         calls.append("lists")
         return real_rows(*args)
 
     monkeypatch.setattr(linalg, "_replay_packed", packed)
+    monkeypatch.setattr(linalg, "_replay_stretches", stretches)
     monkeypatch.setattr(linalg, "_replay_rows", on_lists)
     linalg.smith_normal_form(linalg.IntMatrix.from_rows(rows))
     assert calls == replays
