@@ -43,6 +43,20 @@ ROUND2 = {
     "base": {"strict_slopes": [], "is_round": True, "complementary_meridian": [5, 3]},
     "cablings": [{"p": 1, "q": 2}, {"p": -3, "q": 2}],
 }
+# Framing overrides on both tori, meridians negated and longitudes sheared:
+# the maps are nu' = 4 nu + 8 and nu' = -9 nu + 8.
+FRAMED2 = {
+    "kind": "knot_description",
+    "base": {"strict_slopes": [[0, 1], [6, 1]], "meridionally_small": True,
+             "ambient_pi1_cyclic": True},
+    "cablings": [
+        {"p": 3, "q": 2,
+         "f_outer": {"mu": [-1, 0], "lambda": [4, 1], "sign": 1},
+         "f_inner": {"mu": [1, 0], "lambda": [-2, -1], "sign": -1}},
+        {"p": -5, "q": 3, "orientation": -1,
+         "f_inner": {"mu": [-1, 0], "lambda": [7, 1], "sign": -1}},
+    ],
+}
 
 
 def matrix_text(rows):
@@ -138,6 +152,10 @@ def corpus():
     yield "wrong-type-propagate", ["propagate", "wrong_type.json"]
     yield "verify-many-text", [
         "verify", "desc1.json", "bad_image.json", "malformed.json", "t.json"]
+    Path("framed2.json").write_text(json.dumps(FRAMED2))
+    yield "verify-framed-emit", ["verify", "framed2.json", "--emit", "f.json"]
+    yield "reverify-framed-json", ["verify", "--format", "json", "f.json"]
+    yield "propagate-framed-text", ["propagate", "framed2.json"]
 
 
 def sha(data):
