@@ -7,19 +7,19 @@ inclusions are isomorphisms over Q, that rule is a bijection phi from
 slopes on T1 to slopes on T2, computed here by an exact 2x2 linear
 solve in the model's free coordinates.
 
-On numerical slopes the bijection is affine:
+The cabling law: on numerical slopes the bijection is affine,
 
     nu'(phi(s)) = epsilon * q^2 * nu(s) + u,     INF |-> INF,
 
-with epsilon = -eta*theta in {+1, -1} and u = -zeta*q*t read from the
-model's constants.  transfer_map() builds that map and replays the
-equalities nu'(phi(.)) = map(.) on the framing classes before returning
-it, so a map is never produced from a model it disagrees with.  With
-the standard surface framings epsilon = +1 and u = p*q (an observation
-of the model catalog, not an assumption anywhere in the code).
-grid_check() proves that phi obeys a map on every slope; it decides from
-two 2x2 integer matrices, without visiting a slope, and builds values
-only for the one slope it names on a failure.
+and under the standard surface framings epsilon = +1 and u = p*q, for
+either orientation.  In other framings it is that map conjugated by
+the two framing changes, s -> e*s + h with integer h, so u is an
+integer for every model.  transfer_map() states the law in that closed
+form, from (p, q) and the framings alone; it builds no model.
+grid_check() is the law's one proof: for a given model it proves that
+phi obeys a map on every slope, deciding from two 2x2 integer matrices
+without visiting a slope, and builds values only for the one slope it
+names on a failure.
 
 Numerical values, u and the proportionality factors are
 rational.Rationals; apply takes an int, a Fraction or a Rational.
@@ -29,7 +29,7 @@ a cable space's transfer, so pipeline imports this module and not
 transfer, which holds the transfer certificate and its witness records.
 """
 
-from .cablespace import _cross
+from .cablespace import STANDARD_INNER_FRAMING, STANDARD_OUTER_FRAMING, _cross
 from .rational import Rational
 from .record import Record, _store
 from .report import Check
@@ -38,8 +38,8 @@ from .slopes import (
     PrimitiveClass,
     _in_basis,
     canonical_slope,
+    framing_change,
     numerical_slope,
-    slope_from_numerical,
     value_text,
 )
 
@@ -193,19 +193,13 @@ def grid_check(model, smap):
     return Check("grid-consistency", True, "phi matches the affine law on every slope")
 
 
-def transfer_map(model):
-    """The affine law of phi on numerical slopes, for the model's framings.
-
-    epsilon = -eta*theta and u = -zeta*q*t; both are replayed against
-    phi itself (via the slopes of values 0 and 1) before the map is
-    returned, so the constants and the geometry cannot drift apart.
+def transfer_map(p, q, f_outer, f_inner):
+    """The cabling law of the (p, q) cable space in the given framings:
+    the standard map nu' = q^2 nu + p*q, conjugated by the changes from
+    the standard framings to these.  The orientation does not enter.
     """
-    eps = -model.eta * model.theta
-    u = -model.zeta * model.q * model.t
-    smap = AffineSlopeMap(eps, model.q, u)
-    for value in (0, 1):
-        s = slope_from_numerical(model.f_outer, value)
-        got = numerical_slope(model.f_inner, phi(model, s))
-        if got != smap.apply(value):
-            raise ValueError("inconsistent cable space model")
-    return smap
+    return conjugate(
+        AffineSlopeMap(1, q, p * q),
+        framing_change(STANDARD_OUTER_FRAMING, f_outer),
+        framing_change(STANDARD_INNER_FRAMING, f_inner),
+    )

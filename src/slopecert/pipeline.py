@@ -155,11 +155,13 @@ def ambient_h1(d):
 
 
 class LevelCache:
-    """The transfer map built here for each set of cabling parameters, and
-    the level's check report: the model's checks, then the grid check.
+    """The transfer map for each set of cabling parameters, and the
+    level's check report: the model's checks, then the grid check.
 
     The key is (p, q, orientation, f_outer, f_inner) with the standard
-    framings filled in, so each level's model, map and report are built
+    framings filled in, and the map is read off the key's p, q and
+    framings (law.transfer_map), not off the model, which only the
+    report's checks need.  Each level's model, map and report are built
     once however often the level recurs, and a recurring cabling reuses
     its report.  No transfer certificate is built, as its replay would
     only compare the build with itself.  A model or certificate parsed
@@ -172,22 +174,18 @@ class LevelCache:
         self._levels = {}
 
     def _level(self, cabling):
-        key = (
-            cabling.p,
-            cabling.q,
-            cabling.orientation,
-            *with_standard_framings(cabling.f_outer, cabling.f_inner),
-        )
+        f_outer, f_inner = with_standard_framings(cabling.f_outer, cabling.f_inner)
+        key = (cabling.p, cabling.q, cabling.orientation, f_outer, f_inner)
         level = self._levels.get(key)
         if level is None:
             model = cabling.model()
-            smap = transfer_map(model)
+            smap = transfer_map(cabling.p, cabling.q, f_outer, f_inner)
             report = CheckReport(checks=model.report.checks + (grid_check(model, smap),))
             level = self._levels[key] = (smap, report)
         return level
 
     def map(self, cabling):
-        """The transfer map of the cabling's model, built on first use."""
+        """The cabling's transfer map, built on first use."""
         return self._level(cabling)[0]
 
     def report(self, cabling):

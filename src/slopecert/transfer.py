@@ -69,9 +69,12 @@ def witness_slopes(model):
 
 
 def transfer_certificate(model):
-    """Build the certificate for a model: its map and slope witnesses."""
+    """Build the certificate for a model: the cabling law in its framings
+    (transfer_map) and its slope witnesses.  Nothing here checks that phi
+    obeys the map; verify_certificate's grid check is what proves it."""
     records = tuple(slope_record(model, s) for s in witness_slopes(model))
-    return TransferCertificate(model=model, map=transfer_map(model), witnesses={"slopes": records})
+    smap = transfer_map(model.p, model.q, model.f_outer, model.f_inner)
+    return TransferCertificate(model=model, map=smap, witnesses={"slopes": records})
 
 
 def verify_certificate(cert):

@@ -108,6 +108,36 @@ def presented_change_of_basis(model):
     return m if moved == presented else None
 
 
+def law_reference(p, q, f_outer, f_inner):
+    """The cabling law nu' = epsilon*q^2*nu + u of the (p, q) cable space
+    in the given framings, as (epsilon, q, u), from integer 2x2 arithmetic
+    on the framings' coordinates alone.
+
+    In reference coordinates the standard law sends the outer class (a, b),
+    of value -a/b, to the inner class L (a, b), L = [[q^2, -pq], [0, 1]], of
+    value q^2*(-a/b) + pq.  In framing coordinates it is M = F_in^-1 L F_out,
+    where F's columns are the framing's mu and lambda.  Both meridians are
+    +-(1, 0), which L fixes, so M is upper triangular, and (x, y) ->
+    (m11*x + m12*y, m22*y) sends the value -x/y to
+    (m11/m22)*(-x/y) - m12/m22, with m22 = +-1 since det F = +-1.
+    """
+
+    def columns(f):
+        return ((f.mu.a, f.lambda_.a), (f.mu.b, f.lambda_.b))
+
+    def mul(m, n):
+        return tuple(tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2))
+                     for i in range(2))
+
+    (a, b), (c, d) = columns(f_inner)
+    det = a * d - b * c  # +-1, so the inverse is det * adj
+    inverse = ((det * d, -det * b), (-det * c, det * a))
+    (m11, m12), (m21, m22) = mul(inverse, mul(((q * q, -p * q), (0, 1)), columns(f_outer)))
+    if m21 != 0 or m22 not in (1, -1) or abs(m11) != q * q:
+        raise ValueError("framings are not meridian-based")
+    return m11 * m22 // (q * q), q, -m12 * m22
+
+
 def matmul(a, b):
     """The product of two IntMatrix values, entry by entry.  The library
     forms no product matrix: its Smith normal form check sums each entry

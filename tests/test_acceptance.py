@@ -179,7 +179,7 @@ def test_criterion_3_transfer_law_equivalence(capsys):
     abstained = 0
     for p, q in grid_pairs():
         m = cable_space_homology(p, q)
-        smap = transfer_map(m)
+        smap = transfer_map(p, q, m.f_outer, m.f_inner)
         # the meridian maps to the inner meridian in every case
         assert phi_by_search(m, canonical_slope(1, 0), 20) == canonical_slope(1, 0)
         # the cabling curve maps to the inner longitude in every case
@@ -289,11 +289,16 @@ def test_criterion_7_orientation_robustness(capsys):
         plus = cable_space_homology(p, q, orientation=1)
         minus = cable_space_homology(p, q, orientation=-1)
         assert minus.zeta == -plus.zeta
-        map_plus = transfer_map(plus)
-        map_minus = transfer_map(minus)
-        assert map_plus == map_minus
+        # The law does not depend on the orientation: each model's constants
+        # state it, and phi obeys it in both.
+        smap = transfer_map(p, q, plus.f_outer, plus.f_inner)
+        for model in (plus, minus):
+            assert AffineSlopeMap(-model.eta * model.theta, q, -model.zeta * q * model.t) == smap
         for r in values:
-            assert map_plus.apply(r) == map_minus.apply(r)
+            s = slope_from_numerical(plus.f_outer, r)
+            image = phi(plus, s)
+            assert image == phi(minus, s)
+            assert numerical_slope(plus.f_inner, image) == smap.apply(r)
     # a flipped zeta smuggled into a certificate must be caught
     cert = transfer_certificate(cable_space_homology(2, 3))
     bad_model = cert.model.replace(zeta=-cert.model.zeta)

@@ -95,6 +95,15 @@ def test_snf_readme_example(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_readme_library_example_runs():
+    # The first Python block of the README's `## Library` section, with its
+    # asserts kept under python -O, so an API change cannot leave it stale.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    assert "diameter_lower_bound(" in block
+    exec(compile(block, "README.md", "exec", optimize=0), {})
+
+
 def test_snf_bad_matrix(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2 3\n")

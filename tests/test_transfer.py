@@ -14,6 +14,8 @@ import pytest
 
 from slopecert import (
     INF,
+    STANDARD_INNER_FRAMING,
+    STANDARD_OUTER_FRAMING,
     AffineSlopeMap,
     FramingChange,
     Framing,
@@ -24,15 +26,38 @@ from slopecert import (
     framing_change,
     numerical_slope,
     phi,
+    slope_from_numerical,
     transfer_certificate,
     transfer_map,
     verify_certificate,
 )
+from slopecert.cablespace import framing_problem
+from slopecert.law import grid_check
 from slopecert.transfer import slope_record
 
-from oracles import grid_slopes, phi_by_search
+from oracles import grid_slopes, law_reference, phi_by_search
 
 GRID = [(p, q) for q in range(2, 8) for p in range(-7, 8) if gcd(p, q) == 1]
+STANDARD = (STANDARD_OUTER_FRAMING, STANDARD_INNER_FRAMING)
+
+
+def phi_value(model, r):
+    """The inner value of phi's image of the slope of outer value r."""
+    return numerical_slope(model.f_inner, phi(model, slope_from_numerical(model.f_outer, r)))
+
+
+def constants_map(model):
+    """The map the model's constants state: epsilon = -eta*theta and
+    u = -zeta*q*t."""
+    return AffineSlopeMap(-model.eta * model.theta, model.q, -model.zeta * model.q * model.t)
+
+
+def random_framing(rng, outer):
+    """A meridian-based framing that fits the model: mu = (e, 0),
+    lambda = (h, d), sign -e*d on T1 and +e*d on T2."""
+    e, d = rng.choice((1, -1)), rng.choice((1, -1))
+    return Framing(PrimitiveClass(e, 0), PrimitiveClass(rng.randrange(-20, 21), d),
+                   -e * d if outer else e * d)
 
 
 # --- the affine map by itself ----------------------------------------------
@@ -104,7 +129,7 @@ def test_phi_sends_cabling_curve_to_inner_longitude():
 def test_phi_matches_affine_law_on_grid():
     for p, q in GRID:
         model = cable_space_homology(p, q)
-        smap = transfer_map(model)
+        smap = transfer_map(p, q, *STANDARD)
         for a, b in grid_slopes(12):
             s = canonical_slope(a, b)
             expected = smap.apply(numerical_slope(model.f_outer, s))
@@ -152,65 +177,87 @@ def test_phi_by_search_out_of_box_case():
 
 
 def test_transfer_map_standard_constants():
-    # standard framings: epsilon = +1 and u = pq, in both orientations
+    # standard framings: nu' = q^2 nu + pq, in both orientations, is what
+    # phi does on the meridian and the slopes of values 0 and 1, and what
+    # the model's constants state
     for p, q in GRID:
+        smap = transfer_map(p, q, *STANDARD)
+        assert smap == AffineSlopeMap(1, q, p * q)
         for orientation in (1, -1):
             model = cable_space_homology(p, q, orientation=orientation)
-            smap = transfer_map(model)
-            assert smap.epsilon == 1
-            assert smap.q == q
-            assert smap.u == p * q
+            assert constants_map(model) == smap
+            assert phi_value(model, INF) is INF
+            for r in (0, 1):
+                assert phi_value(model, r) == q * q * r + p * q
 
 
 def test_inner_shear_shifts_u():
-    # replacing lambda' by lambda' + h*mu' adds h to u
-    base = transfer_map(cable_space_homology(1, 2))
+    # replacing lambda' by lambda' + h*mu' adds h to u, in phi as in the map
+    base = transfer_map(1, 2, *STANDARD)
     for h in (-3, -1, 1, 4):
         f_inner = Framing(PrimitiveClass(1, 0), PrimitiveClass(h, 1), +1)
-        shifted = transfer_map(cable_space_homology(1, 2, f_inner=f_inner))
+        model = cable_space_homology(1, 2, f_inner=f_inner)
+        shifted = transfer_map(1, 2, STANDARD_OUTER_FRAMING, f_inner)
+        assert shifted == constants_map(model)
         assert shifted.epsilon == base.epsilon
         assert shifted.u == base.u + h
+        assert phi_value(model, 0) == base.u + h
 
 
 def test_outer_shear_conjugates_u():
     # replacing lambda by lambda + h*mu rewrites outer values by s -> s + h,
-    # so the new map is the old one conjugated by that change
-    base_model = cable_space_homology(2, 3)
-    base = transfer_map(base_model)
+    # so phi sends the new value s to the old map's image of s - h
+    base = transfer_map(2, 3, *STANDARD)
     for h in (-2, 1, 3):
         f_outer = Framing(PrimitiveClass(1, 0), PrimitiveClass(h, 1), -1)
         model = cable_space_homology(2, 3, f_outer=f_outer)
-        got = transfer_map(model)
-        change = framing_change(base_model.f_outer, f_outer)
-        assert change == FramingChange(1, h)
-        expected = conjugate(base, change, FramingChange(1, 0))
-        assert got == expected
+        assert framing_change(STANDARD_OUTER_FRAMING, f_outer) == FramingChange(1, h)
+        got = transfer_map(2, 3, f_outer, STANDARD_INNER_FRAMING)
+        assert got == constants_map(model)
+        for r in (INF, 0, 1, Fraction(-7, 3), h):
+            assert phi_value(model, r) == got.apply(r) == base.apply(
+                r if r is INF else r - h)
 
 
 def test_transfer_framing_covariance_random():
-    # full covariance: for random meridian-preserving framings on both
-    # sides, the computed map equals the standard map conjugated by the
-    # corresponding framing changes
+    # for random meridian-based framings on both sides, phi obeys the map
+    # read off (p, q) and the framings, on random values, and the model's
+    # constants state that map
     rng = random.Random(79)
     for _ in range(40):
         p, q = GRID[rng.randrange(len(GRID))]
-        std_model = cable_space_homology(p, q)
-        e_out, c_out, w_out = rng.choice((1, -1)), rng.randrange(-4, 5), rng.choice((1, -1))
-        e_in, c_in, w_in = rng.choice((1, -1)), rng.randrange(-4, 5), rng.choice((1, -1))
-        f_outer = Framing(
-            PrimitiveClass(e_out, 0), PrimitiveClass(c_out, w_out), -e_out * w_out
-        )
-        f_inner = Framing(
-            PrimitiveClass(e_in, 0), PrimitiveClass(c_in, w_in), e_in * w_in
-        )
+        f_outer, f_inner = random_framing(rng, True), random_framing(rng, False)
         model = cable_space_homology(p, q, f_outer=f_outer, f_inner=f_inner)
-        got = transfer_map(model)
-        expected = conjugate(
-            transfer_map(std_model),
-            framing_change(std_model.f_outer, f_outer),
-            framing_change(std_model.f_inner, f_inner),
-        )
-        assert got == expected, (p, q, f_outer, f_inner)
+        got = transfer_map(p, q, f_outer, f_inner)
+        assert got == constants_map(model), (p, q, f_outer, f_inner)
+        for _ in range(5):
+            r = Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
+            assert phi_value(model, r) == got.apply(r), (p, q, f_outer, f_inner, r)
+
+
+def test_transfer_map_is_the_law_of_every_model():
+    # The closed form against the oracle's integer arithmetic on the
+    # framings and against the model's constants, on random models with
+    # standard and random framings; u is an integer, and phi obeys the map
+    # on every slope.
+    rng = random.Random(83)
+    models = 0
+    while models < 1200:
+        q = rng.randrange(2, 13)
+        p = rng.randrange(-80, 81)
+        if gcd(p, q) != 1:
+            continue
+        f_outer = STANDARD_OUTER_FRAMING if rng.random() < 0.25 else random_framing(rng, True)
+        f_inner = STANDARD_INNER_FRAMING if rng.random() < 0.25 else random_framing(rng, False)
+        assert framing_problem(f_outer, f_inner) == ""
+        for orientation in (1, -1):
+            model = cable_space_homology(p, q, f_outer, f_inner, orientation)
+            smap = transfer_map(p, q, f_outer, f_inner)
+            assert (smap.epsilon, smap.q, smap.u) == law_reference(p, q, f_outer, f_inner)
+            assert smap == constants_map(model)
+            assert smap.u.denominator == 1
+            assert grid_check(model, smap).ok
+            models += 1
 
 
 def test_orientation_flip_is_invisible_to_slopes():
@@ -218,15 +265,15 @@ def test_orientation_flip_is_invisible_to_slopes():
         plus = cable_space_homology(p, q, orientation=1)
         minus = cable_space_homology(p, q, orientation=-1)
         assert plus.zeta == -minus.zeta
-        assert transfer_map(plus) == transfer_map(minus)
+        assert constants_map(plus) == constants_map(minus) == transfer_map(p, q, *STANDARD)
         for a, b in grid_slopes(6):
             s = canonical_slope(a, b)
             assert phi(plus, s) == phi(minus, s)
 
 
 def test_composition_scales_by_product_of_squares():
-    m1 = transfer_map(cable_space_homology(1, 2))
-    m2 = transfer_map(cable_space_homology(2, 3))
+    m1 = transfer_map(1, 2, *STANDARD)
+    m2 = transfer_map(2, 3, *STANDARD)
     composed = m2.compose(m1)
     assert composed.q ** 2 == 36
     assert composed.apply(Fraction(1)) == 9 * (4 * 1 + 2) + 6

@@ -6,7 +6,8 @@ wrappers record what each run builds, recomputes and serializes; a run of
 several inputs builds each model once, in the one cache it shares.  A level
 is checked from its model and transfer map, without a transfer
 certificate or witness records; a stored transfer certificate is
-replayed against one fresh model and certificate.  A passing grid check
+replayed against one fresh model and certificate.  A transfer map is read
+off (p, q) and the framings, with no model and no phi.  A passing grid check
 calls phi on no slope, and a failing one on the one slope it names.  A
 round base's ambient H1 is read in closed form, with no Smith normal
 form.  An `snf` run formats its matrices as text only for a text report,
@@ -27,10 +28,13 @@ from fractions import Fraction
 import pytest
 
 from slopecert import (
+    STANDARD_INNER_FRAMING,
     STANDARD_OUTER_FRAMING,
     AtomKnot,
     Cabling,
+    Framing,
     KnotDescription,
+    PrimitiveClass,
     cablespace,
     canonical_slope,
     cli,
@@ -331,7 +335,7 @@ def test_a_failing_grid_check_stops_within_three_slopes(counts):
     # of three fixed slopes where it does not, and calls phi only for that
     # slope's value.
     model = cablespace.cable_space_homology(3, 5)
-    smap = transfer.transfer_map(model)
+    smap = transfer.transfer_map(3, 5, model.f_outer, model.f_inner)
     for bad in (
         law.AffineSlopeMap(smap.epsilon, smap.q, smap.u + 1),
         law.AffineSlopeMap(-smap.epsilon, smap.q, smap.u),
@@ -343,6 +347,21 @@ def test_a_failing_grid_check_stops_within_three_slopes(counts):
     assert counts["grid"] == [1, 1, 1]
     assert transfer.grid_check(model, smap).ok
     assert counts["grid"][-1] == 0
+
+
+def test_transfer_map_builds_no_model_and_calls_no_phi(monkeypatch):
+    # The law is read off (p, q) and the framings: grid_check is its proof,
+    # so the map replays nothing.
+    calls = []
+    monkeypatch.setattr(law, "phi", lambda *args: calls.append("phi"))
+    monkeypatch.setattr(cablespace.CableSpaceModel, "__init__",
+                        lambda *args, **kwargs: calls.append("model"))
+    f_outer = Framing(PrimitiveClass(-1, 0), PrimitiveClass(4, 1), 1)
+    f_inner = Framing(PrimitiveClass(-1, 0), PrimitiveClass(7, 1), -1)
+    maps = [law.transfer_map(3, 2, STANDARD_OUTER_FRAMING, STANDARD_INNER_FRAMING),
+            law.transfer_map(-5, 3, f_outer, f_inner)]
+    assert calls == []
+    assert [(m.epsilon, m.q, m.u) for m in maps] == [(1, 2, 6), (1, 3, 44)]
 
 
 def test_snf_formats_matrix_text_only_for_a_text_report(tmp_path, capsys, monkeypatch):
